@@ -8,7 +8,9 @@ is assembled, not per branch.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -72,16 +74,19 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         stacked = np.vstack(ops)
         gram = stacked.conj().T @ stacked
+        # comparisons with NaN are false, so each test below fails closed
         if self.trace_nonincreasing:
-            top = np.linalg.eigvalsh(gram)[-1]
-            defect = max(0.0, float(top) - 1.0)
-            if defect > self.cptp_tol:
+            # eigvalsh returns arbitrary numbers for non-finite input; the
+            # gram trace is finite exactly when every Kraus entry is
+            finite = np.isfinite(np.trace(gram))
+            defect = float(np.linalg.eigvalsh(gram)[-1]) - 1.0 if finite else np.nan
+            if not defect <= self.cptp_tol:
                 raise CptpError(
                     f"instrument exceeds trace preservation by {defect:.3e}", defect
                 )
         else:
             defect = float(np.max(np.abs(gram - np.eye(din))))
-            if defect > self.cptp_tol:
+            if not defect <= self.cptp_tol:
                 raise CptpError(
                     f"channel is not trace preserving, defect {defect:.3e}", defect
                 )
@@ -375,16 +380,6 @@ class CompoundSet:
         return len(self.members)
 
 
-def average_channel(cset: CompoundSet) -> KrausChannel:
-    """Uniform Kraus mixture of the members."""
-    n = len(cset)
-    ops = []
-    for m in cset.members:
-        ops.extend(np.sqrt(1.0 / n) * k for k in m.kraus_ops)
-    first = cset.members[0]
-    return KrausChannel(tuple(ops), first.in_dims, first.out_dims)
-
-
 def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
     """Greedy farthest-point cover of a compound set at radius theta.
 
@@ -444,22 +439,50 @@ def _channel_to_obj(channel: KrausChannel) -> dict:
     }
 
 
-def _channel_from_obj(obj: dict) -> KrausChannel:
-    try:
-        in_dims = tuple(int(d) for d in obj["in_dims"])
-        out_dims = tuple(int(d) for d in obj["out_dims"])
-        raw_ops = obj["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ChannelFormatError(f"missing or malformed channel field: {exc}") from exc
-    din = int(np.prod(in_dims))
-    dout = int(np.prod(out_dims))
+def _positive_dims(obj: dict, key: str) -> tuple[int, ...]:
+    dims = obj.get(key)
+    if (
+        not isinstance(dims, list)
+        or not dims
+        or not all(type(d) is int and d >= 1 for d in dims)
+    ):
+        raise ChannelFormatError(f"'{key}' must be a nonempty list of positive integers")
+    return tuple(dims)
+
+
+def _finite_entry(pair) -> complex:
+    """A JSON [re, im] pair as a finite complex number."""
+    if (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(type(x) in (int, float) for x in pair)
+    ):
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            z = complex("nan")
+        if cmath.isfinite(z):
+            return z
+    raise ChannelFormatError(f"kraus entry {pair!r} is not a finite [re, im] pair")
+
+
+def _channel_from_obj(obj) -> KrausChannel:
+    if not isinstance(obj, dict):
+        raise ChannelFormatError("a channel must be a JSON object")
+    in_dims = _positive_dims(obj, "in_dims")
+    out_dims = _positive_dims(obj, "out_dims")
+    raw_ops = obj.get("kraus")
+    if not isinstance(raw_ops, list):
+        raise ChannelFormatError("'kraus' must be a list of operators")
+    din = math.prod(in_dims)
+    dout = math.prod(out_dims)
     ops = []
     for idx, entries in enumerate(raw_ops):
-        if len(entries) != din * dout:
+        if not isinstance(entries, list) or len(entries) != din * dout:
             raise ChannelFormatError(
-                f"kraus operator {idx} has {len(entries)} entries, expected {din * dout}"
+                f"kraus operator {idx} is not a list of {din * dout} entries"
             )
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        flat = np.array([_finite_entry(pair) for pair in entries], dtype=complex)
         ops.append(flat.reshape(dout, din))
     try:
         return KrausChannel(tuple(ops), in_dims, out_dims, cptp_tol=LOAD_CPTP_TOL)
@@ -485,8 +508,11 @@ def load_compound_json(text: str) -> CompoundSet:
         raise ChannelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ChannelFormatError("top-level JSON value must be an object")
-    if "members" in obj:
-        members = tuple(_channel_from_obj(m) for m in obj["members"])
-        labels = tuple(str(s) for s in obj.get("labels", ()))
-        return CompoundSet(members, labels)
-    return CompoundSet((_channel_from_obj(obj),))
+    if "members" not in obj:
+        return CompoundSet((_channel_from_obj(obj),))
+    members, labels = obj["members"], obj.get("labels", [])
+    if not isinstance(members, list):
+        raise ChannelFormatError("'members' must be a list of channels")
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ChannelFormatError("'labels' must be a list of strings")
+    return CompoundSet(tuple(_channel_from_obj(m) for m in members), tuple(labels))

@@ -7,8 +7,11 @@ codes and report fidelities, rate caps and the inequality-chain audit),
 channel set).
 
 All diagnostics go to stderr; data lands only in the requested output
-files, byte-identically for a fixed config and seed. Exit codes: 0 ok,
-2 malformed input, 3 CPTP violation in the input, 4 budget exceeded.
+files. They are byte-identical for a fixed config and seed only while the
+BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS``) is fixed as well: another
+count can change results in the last bits, which the full-precision
+``simulate`` JSON shows. Exit codes: 0 ok, 2 malformed input, 3 CPTP
+violation in the input, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,40 +45,24 @@ EXIT_CPTP = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    l: tuple[int, ...] = (1,)
-    budget: int = 16
-    seed: int = 0
-    weights: tuple[tuple[float, float], ...] = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-    out_csv: str | None = None
-    out_svg: str | None = None
-    out_json: str | None = None
-    m1: int = 2
-    m2: int = 2
-    theta: float = 0.3
-    alphabet: int | None = None
-    dim_budget: int = DEFAULT_DIM_BUDGET
-    tol: float | None = None
-    suites: tuple[str, ...] = field(default=())
-
-
 def _parse_weights(text: str) -> tuple[tuple[float, float], ...]:
     pairs = []
     for chunk in text.split(","):
         a, _, b = chunk.partition(":")
-        pairs.append((float(a), float(b)))
-    if not pairs:
-        raise ValueError("empty weight list")
+        try:
+            pairs.append((float(a), float(b)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"weight {chunk!r} is not a pair a:b of numbers")
     return tuple(pairs)
 
 
 def _parse_l(text: str) -> tuple[int, ...]:
-    vals = tuple(int(x) for x in text.split(","))
+    try:
+        vals = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if any(v < 1 for v in vals):
-        raise ValueError("blocking levels must be >= 1")
+        raise argparse.ArgumentTypeError("blocking levels must be >= 1")
     return vals
 
 
@@ -88,19 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     region = sub.add_parser("region", help="trace an achievable rate region")
+    region.set_defaults(handler=cmd_region)
     region.add_argument("--input", required=True, help="channel set JSON")
-    region.add_argument("--l", default="1", help="blocking level")
+    region.add_argument("--l", type=_parse_l, default="1", help="blocking level")
     region.add_argument("--budget", type=int, default=16, help="optimizer restarts")
     region.add_argument("--seed", type=int, default=0)
-    region.add_argument("--weights", default="1:0,0:1,1:1", help="pairs a:b,...")
+    region.add_argument(
+        "--weights", type=_parse_weights, default="1:0,0:1,1:1", help="pairs a:b,..."
+    )
     region.add_argument("--out-csv", required=True)
     region.add_argument("--out-svg", default=None)
     region.add_argument("--alphabet", type=int, default=None)
     region.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
 
     sim = sub.add_parser("simulate", help="sample and evaluate hybrid codes")
+    sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--input", required=True, help="channel set JSON")
-    sim.add_argument("--l", default="1", help="blocklengths, comma separated")
+    sim.add_argument("--l", type=_parse_l, default="1", help="blocklengths, comma separated")
     sim.add_argument("--budget", type=int, default=20, help="number of seeds")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--m1", type=int, default=2)
@@ -109,11 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-csv", default=None)
 
     verify = sub.add_parser("verify", help="run the property suites")
+    verify.set_defaults(handler=cmd_verify)
     verify.add_argument("--suite", action="append", default=None, help="suite name")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=None)
 
     net = sub.add_parser("net", help="greedy covering of a channel set")
+    net.set_defaults(handler=cmd_net)
     net.add_argument("--input", required=True)
     net.add_argument("--theta", type=float, default=0.3)
     net.add_argument("--out-json", required=True)
@@ -146,24 +138,24 @@ def _load_set(path: str) -> CompoundSet:
     return load_compound_json(text)
 
 
-def cmd_region(cfg: RunConfig) -> int:
-    cset = _load_set(cfg.input_path)
+def cmd_region(args: argparse.Namespace) -> int:
+    cset = _load_set(args.input)
     result = pareto_trace(
         cset,
-        cfg.l[0],
-        cfg.weights,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        alphabet_size=cfg.alphabet,
-        dim_budget=cfg.dim_budget,
+        args.l[0],
+        args.weights,
+        budget=args.budget,
+        seed=args.seed,
+        alphabet_size=args.alphabet,
+        dim_budget=args.dim_budget,
     )
     rows = [
         (opt.rect.r1_max, opt.rect.r2_max, f"w{opt.weights[0]:g}:{opt.weights[1]:g}")
         for opt in result.optima
     ]
-    Path(cfg.out_csv).write_text(corners_csv(rows), encoding="utf-8")
-    if cfg.out_svg:
-        Path(cfg.out_svg).write_text(
+    Path(args.out_csv).write_text(corners_csv(rows), encoding="utf-8")
+    if args.out_svg:
+        Path(args.out_svg).write_text(
             staircase_svg(result.region, title="achievable rate region"),
             encoding="utf-8",
         )
@@ -177,6 +169,8 @@ def cmd_region(cfg: RunConfig) -> int:
 
 
 def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_seed: int):
+    if seeds < 1:
+        raise ValueError("budget must be >= 1")
     member0 = cset.members[0]
     da, db = member0.in_dims
     v = CqChannel.basis(da)
@@ -186,6 +180,7 @@ def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_
         codesim.effective_a_outputs(m, v, maximally_mixed(db)) for m in cset.members
     ]
     runs = []
+    best = None
     for idx in range(seeds):
         ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, n, idx])
         cb_seed, et_seed = (int(s) for s in ss.generate_state(2))
@@ -202,15 +197,14 @@ def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_
                 "worst_fidelity": min(fids),
             }
         )
-    best = max(runs, key=lambda r: (r["worst_fidelity"], -r["seed_index"]))
-    idx = best["seed_index"]
-    cb = codesim.sample_cq_codebook(a_families, p, n, m1, seed=best["codebook_seed"])
-    et = codesim.sample_et_code(b_channels, db, n, m2, seed=best["encoder_seed"])
-    code = codesim.combine_hybrid(cb, et, v, member0)
+        if best is None or min(fids) > best[0]["worst_fidelity"]:  # earliest seed wins ties
+            best = (runs[-1], cb, et, code)
+        del cb, et, code  # only the best seed's decoder stays alive while the next is sampled
+    run, cb, et, code = best
     converse = codesim.converse_check(code, cset)
     chains = {}
     for label, member in zip(cset.labels, cset.members):
-        rep = codesim.hybrid_chain_report(cb, et, v, member, p)
+        rep = codesim.hybrid_chain_report(cb, et, v, member, p, code=code)
         chains[label] = {
             "violations": rep["violations"],
             "aggregate": rep["aggregate"],
@@ -222,8 +216,8 @@ def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_
         "m1": m1,
         "m2": m2,
         "runs": runs,
-        "best_seed_index": idx,
-        "best_worst_fidelity": best["worst_fidelity"],
+        "best_seed_index": run["seed_index"],
+        "best_worst_fidelity": run["worst_fidelity"],
         "mean_worst_fidelity": float(np.mean([r["worst_fidelity"] for r in runs])),
         "encoding_deviation_diagnostic": codesim.expected_encoding_deviation(
             db, n, m2, seed=base_seed, family_size=16
@@ -233,12 +227,12 @@ def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_
     }
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    cset = _load_set(cfg.input_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cset = _load_set(args.input)
     blocks = []
-    for n in cfg.l:
+    for n in args.l:
         blocks.append(
-            _simulate_one(cset, n, cfg.m1, cfg.m2, cfg.budget, cfg.seed)
+            _simulate_one(cset, n, args.m1, args.m2, args.budget, args.seed)
         )
         print(
             f"simulate: n={n} best worst-member fidelity "
@@ -247,37 +241,37 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     report = {
         "config": {
-            "input": cfg.input_path,
-            "blocklengths": list(cfg.l),
-            "m1": cfg.m1,
-            "m2": cfg.m2,
-            "seeds": cfg.budget,
-            "base_seed": cfg.seed,
+            "input": args.input,
+            "blocklengths": list(args.l),
+            "m1": args.m1,
+            "m2": args.m2,
+            "seeds": args.budget,
+            "base_seed": args.seed,
         },
         "blocks": blocks,
     }
-    Path(cfg.out_json).write_text(
+    Path(args.out_json).write_text(
         json.dumps(_jsonable(report), indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if cfg.out_csv:
+    if args.out_csv:
         lines = ["n,best_fidelity,mean_fidelity"]
         for b in blocks:
             lines.append(
                 f"{b['blocklength']},{b['best_worst_fidelity']:.12g},"
                 f"{b['mean_worst_fidelity']:.12g}"
             )
-        Path(cfg.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     names = None
-    if cfg.suites:
+    if args.suite:
         names = []
-        for entry in cfg.suites:
+        for entry in args.suite:
             names.extend(s.strip() for s in entry.split(",") if s.strip())
     try:
-        results = run_suites(cfg.seed, names=names, tol=cfg.tol)
+        results = run_suites(args.seed, names=names, tol=args.tol)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -294,63 +288,21 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-def cmd_net(cfg: RunConfig) -> int:
-    cset = _load_set(cfg.input_path)
-    net = build_net(cset, cfg.theta)
-    Path(cfg.out_json).write_text(dump_compound_json(net) + "\n", encoding="utf-8")
+def cmd_net(args: argparse.Namespace) -> int:
+    cset = _load_set(args.input)
+    net = build_net(cset, args.theta)
+    Path(args.out_json).write_text(dump_compound_json(net) + "\n", encoding="utf-8")
     print(
-        f"net: kept {len(net.members)} of {len(cset.members)} members at theta={cfg.theta:g}",
+        f"net: kept {len(net.members)} of {len(cset.members)} members at theta={args.theta:g}",
         file=sys.stderr,
     )
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.input_path = getattr(args, "input", None)
-    if hasattr(args, "l"):
-        cfg.l = _parse_l(args.l)
-    if hasattr(args, "budget"):
-        cfg.budget = args.budget
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    if hasattr(args, "weights"):
-        cfg.weights = _parse_weights(args.weights)
-    cfg.out_csv = getattr(args, "out_csv", None)
-    cfg.out_svg = getattr(args, "out_svg", None)
-    cfg.out_json = getattr(args, "out_json", None)
-    if hasattr(args, "m1"):
-        cfg.m1 = args.m1
-        cfg.m2 = args.m2
-    if hasattr(args, "theta"):
-        cfg.theta = args.theta
-    if hasattr(args, "alphabet"):
-        cfg.alphabet = args.alphabet
-    if hasattr(args, "dim_budget"):
-        cfg.dim_budget = args.dim_budget
-    if hasattr(args, "tol"):
-        cfg.tol = args.tol
-    if getattr(args, "suite", None):
-        cfg.suites = tuple(args.suite)
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    handlers = {
-        "region": cmd_region,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-        "net": cmd_net,
-    }
-    try:
-        return handlers[cfg.command](cfg)
+        return args.handler(args)
     except CptpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CPTP

@@ -4,7 +4,9 @@ Wiring conventions used throughout:
 
 * a QMAC acts per use on (A, B) -> C, Kraus channel with in_dims (da, db);
 * classical encoder: one state on A^n per message;
-* quantum encoder: channel from the reference space F (dim m2) to B^n;
+* quantum input: one joint state on (F, B^n) with F the reference space
+  (dim m2): the encoder applied to half of Phi for a transmission code, a
+  fixed pure state for a generation code;
 * decoder branches: one trace-non-increasing map C^n -> F per message,
   with the branch Kraus grams summing to the identity (completeness);
 * joint states are ordered [F, ...] with the reference factor first, and
@@ -19,7 +21,7 @@ code subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .qmatrix import (
     PureState,
     maximally_entangled,
     partial_trace_mat,
+    permute_mat,
     pinv_sqrt_psd,
     sqrt_psd,
     tensor,
@@ -65,7 +68,7 @@ def _completeness_defect(branches) -> float:
 
 @dataclass(frozen=True)
 class EtCode:
-    """Entanglement-transmission code with a classical message layer."""
+    """Hybrid code: classical states, the input state on (F, B^n), branches."""
 
     n: int
     m1: int
@@ -74,58 +77,32 @@ class EtCode:
     db: int
     dc: int
     classical_states: tuple[DensityMatrix, ...]
-    encoder: KrausChannel
+    input_state: DensityMatrix
     branches: tuple[KrausChannel, ...]
 
     def __post_init__(self):
-        _validate_code_layout(self)
-        if self.encoder.in_dim != self.m2 or self.encoder.out_dim != self.db**self.n:
-            raise DimensionMismatchError("encoder does not map F to B^n")
-
-    def input_reference(self) -> np.ndarray:
-        """(id_F (x) encoder)(Phi) as a matrix on [F, B^n]."""
-        phi = maximally_entangled(self.m2).density().mat
-        out, _ = apply_channel_mat(self.encoder, phi, (self.m2, self.m2), [1])
-        return out
-
-
-@dataclass(frozen=True)
-class EgCode:
-    """Entanglement-generation code: a fixed pure state replaces the encoder."""
-
-    n: int
-    m1: int
-    m2: int
-    da: int
-    db: int
-    dc: int
-    classical_states: tuple[DensityMatrix, ...]
-    psi: PureState
-    branches: tuple[KrausChannel, ...]
-
-    def __post_init__(self):
-        _validate_code_layout(self)
-        if self.psi.dims != (self.m2, self.db**self.n):
-            raise DimensionMismatchError("psi must live on (F, B^n)")
-
-    def input_reference(self) -> np.ndarray:
-        return self.psi.density().mat
+        if len(self.classical_states) != self.m1 or len(self.branches) != self.m1:
+            raise DimensionMismatchError("message count does not match encoder/decoder lists")
+        for st in self.classical_states:
+            if st.dim != self.da**self.n:
+                raise DimensionMismatchError("classical state does not live on A^n")
+        if self.input_state.dims != (self.m2, self.db**self.n):
+            raise DimensionMismatchError("input state must live on (F, B^n)")
+        for br in self.branches:
+            if br.in_dim != self.dc**self.n or br.out_dim != self.m2:
+                raise DimensionMismatchError("decoder branch does not map C^n to F")
+            if not br.trace_nonincreasing:
+                raise ValueError("decoder branches must be flagged trace-non-increasing")
+        defect = _completeness_defect(self.branches)
+        if not defect <= DECODER_COMPLETENESS_TOL:
+            raise ValueError(f"decoder branches do not sum to a channel: defect {defect:.3e}")
 
 
-def _validate_code_layout(code):
-    if len(code.classical_states) != code.m1 or len(code.branches) != code.m1:
-        raise DimensionMismatchError("message count does not match encoder/decoder lists")
-    for st in code.classical_states:
-        if st.dim != code.da**code.n:
-            raise DimensionMismatchError("classical state does not live on A^n")
-    for br in code.branches:
-        if br.in_dim != code.dc**code.n or br.out_dim != code.m2:
-            raise DimensionMismatchError("decoder branch does not map C^n to F")
-        if not br.trace_nonincreasing:
-            raise ValueError("decoder branches must be flagged trace-non-increasing")
-    defect = _completeness_defect(code.branches)
-    if defect > DECODER_COMPLETENESS_TOL:
-        raise ValueError(f"decoder branches do not sum to a channel: defect {defect:.3e}")
+def _encoded_phi(encoder: KrausChannel, m2: int) -> np.ndarray:
+    """(id_F (x) encoder)(Phi) as a matrix on [F, B^n]."""
+    phi = maximally_entangled(m2).density().mat
+    out, _ = apply_channel_mat(encoder, phi, (m2, m2), [1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +110,13 @@ def _validate_code_layout(code):
 # ---------------------------------------------------------------------------
 
 
-def _post_channel_states(code, channel: KrausChannel) -> list[np.ndarray]:
+def _post_channel_states(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
     """Per-message joint states on [F, C^n] after n channel uses."""
     if channel.in_dims != (code.da, code.db) or channel.out_dim != code.dc:
         raise DimensionMismatchError("channel spaces do not match the code")
     n, m2, da, db = code.n, code.m2, code.da, code.db
     powered = tensor_power(channel, n, budget=INTERNAL_DIM_BUDGET)
-    tau = code.input_reference()
+    tau = code.input_state.mat
     dims = (da,) * n + (m2,) + (db,) * n
     positions = [x for i in range(n) for x in (i, n + 1 + i)]
     states = []
@@ -158,7 +135,7 @@ def _branch_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
     return float(np.real(np.sum(t * u)))
 
 
-def performance_per_message(code, channel: KrausChannel) -> np.ndarray:
+def performance_per_message(code: EtCode, channel: KrausChannel) -> np.ndarray:
     states = _post_channel_states(code, channel)
     vals = [
         _branch_overlap(sigma, code.branches[m].stacked, code.m2)
@@ -167,15 +144,9 @@ def performance_per_message(code, channel: KrausChannel) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def performance(code, channel: KrausChannel, n: int | None = None) -> float:
+def performance(code: EtCode, channel: KrausChannel) -> float:
     """Average fidelity with |m><m| (x) Phi over the message set."""
-    if n is not None and n != code.n:
-        raise DimensionMismatchError(f"code has blocklength {code.n}, not {n}")
     return float(np.mean(performance_per_message(code, channel)))
-
-
-def worst_case_performance(code, cset: CompoundSet) -> float:
-    return min(performance(code, member) for member in cset.members)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +219,7 @@ def sample_cq_codebook(w_family, p, n: int, m1: int, seed: int) -> CqCodebook:
     return pgm_codebook(w_family, words)
 
 
-def one_word_errors(cb: CqCodebook, w, n: int | None = None) -> np.ndarray:
+def one_word_errors(cb: CqCodebook, w) -> np.ndarray:
     outputs = _outputs_of(w)
     errs = []
     for word, d in zip(cb.codewords, cb.povm):
@@ -257,9 +228,9 @@ def one_word_errors(cb: CqCodebook, w, n: int | None = None) -> np.ndarray:
     return np.asarray(errs)
 
 
-def average_error(cb: CqCodebook, w, n: int | None = None) -> float:
+def average_error(cb: CqCodebook, w) -> float:
     """Mean of tr[(I - D_m) W^n(u_m)] over the messages."""
-    return float(np.mean(one_word_errors(cb, w, n)))
+    return float(np.mean(one_word_errors(cb, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +338,10 @@ def sample_et_code(
     return EtTransmissionCode(encoder, decoder, isometry, n, m2, subspace_dim)
 
 
-def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel, n: int) -> float:
+def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel) -> float:
     """F_e of the sampled code pair on an n-fold use of ``channel``."""
-    phi = maximally_entangled(et.m2).density().mat
-    state, dims = apply_channel_mat(et.encoder, phi, (et.m2, et.m2), [1])
-    for _ in range(n):  # one use at a time keeps the Kraus count flat
+    state, dims = _encoded_phi(et.encoder, et.m2), (et.m2,) + et.encoder.out_dims
+    for _ in range(et.n):  # one use at a time keeps the Kraus count flat
         state, dims = apply_channel_mat(channel, state, dims, [1])
     return _branch_overlap(state, et.decoder.stacked, et.m2)
 
@@ -484,7 +454,7 @@ def combine_hybrid(
         db=db,
         dc=dc,
         classical_states=classical_states,
-        encoder=et.encoder,
+        input_state=DensityMatrix(_encoded_phi(et.encoder, et.m2), (et.m2, db**n)),
         branches=tuple(branches),
     )
 
@@ -595,7 +565,7 @@ def hybrid_chain_report(
     if p_avg - aggregate_bound < -CHAIN_SLACK:
         violations += 1
     b_channel = effective_b_channel(qmac, p, v)
-    f_ensemble = et_entanglement_fidelity(et, b_channel, n)
+    f_ensemble = et_entanglement_fidelity(et, b_channel)
     reported_bound = 1.0 - 2.0 * e_bar - 3.0 * (1.0 - f_ensemble) - 4.0 * np.sqrt(e_bar)
     return {
         "per_message": rows,
@@ -626,29 +596,15 @@ def hybrid_chain_report(
 # ---------------------------------------------------------------------------
 
 
-def et_to_eg(code: EtCode, channel: KrausChannel, n: int | None = None) -> EgCode:
-    """Replace the encoder by its best eigenvector on the given channel."""
-    if n is not None and n != code.n:
-        raise DimensionMismatchError(f"code has blocklength {code.n}, not {n}")
-    xi = code.input_reference()
-    dims = (code.m2, code.db**code.n)
-    vals, vecs = np.linalg.eigh(xi)
+def et_to_eg(code: EtCode, channel: KrausChannel) -> EtCode:
+    """Replace the input state by its best eigenvector on the given channel."""
+    vals, vecs = np.linalg.eigh(code.input_state.mat)
     candidates = []
     for i in range(vals.size - 1, -1, -1):
         if vals[i] <= 1e-12:
             continue
-        psi = PureState(vecs[:, i], dims)
-        eg = EgCode(
-            n=code.n,
-            m1=code.m1,
-            m2=code.m2,
-            da=code.da,
-            db=code.db,
-            dc=code.dc,
-            classical_states=code.classical_states,
-            psi=psi,
-            branches=code.branches,
-        )
+        psi = PureState(vecs[:, i], code.input_state.dims)
+        eg = replace(code, input_state=psi.density())
         candidates.append((performance(eg, channel), -i, eg))
     best = max(candidates, key=lambda t: (t[0], t[1]))
     return best[2]
@@ -667,9 +623,14 @@ def concatenate(codes) -> EtCode:
     m1 = int(np.prod([c.m1 for c in codes]))
     m2 = int(np.prod([c.m2 for c in codes]))
     shape1 = tuple(c.m1 for c in codes)
-    encoder = codes[0].encoder
-    for c in codes[1:]:
-        encoder = channel_tensor(encoder, c.encoder)
+    # the product of the input states is ordered (F_1, B_1, F_2, B_2, ...);
+    # gather the references in front
+    k = len(codes)
+    tau = permute_mat(
+        tensor_all([c.input_state.mat for c in codes]),
+        [d for c in codes for d in c.input_state.dims],
+        list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)),
+    )
     classical_states = []
     branches = []
     for m in range(m1):
@@ -692,7 +653,7 @@ def concatenate(codes) -> EtCode:
         db=first.db,
         dc=first.dc,
         classical_states=tuple(classical_states),
-        encoder=KrausChannel(encoder.kraus_ops, (m2,), (first.db,) * n),
+        input_state=DensityMatrix(tau, (m2, first.db**n)),
         branches=tuple(branches),
     )
 
@@ -709,24 +670,18 @@ def pad(code: EtCode, b: int) -> EtCode:
         DensityMatrix(tensor(st.mat, pad_a), (da,) * (n + b))
         for st in code.classical_states
     )
-    enc_ops = []
-    for k in code.encoder.kraus_ops:
-        for i in range(db**b):
-            col = np.zeros((db**b, 1), dtype=complex)
-            col[i, 0] = 1.0 / np.sqrt(db**b)
-            enc_ops.append(tensor(k, col))
-    encoder = KrausChannel(tuple(enc_ops), (code.m2,), (db,) * (n + b))
-    branches = []
-    for br in code.branches:
-        ops = []
-        for k in br.kraus_ops:
-            for i in range(dc**b):
-                row = np.zeros((1, dc**b), dtype=complex)
-                row[0, i] = 1.0
-                ops.append(tensor(k, row))
-        branches.append(
-            KrausChannel(tuple(ops), (dc,) * (n + b), (code.m2,), trace_nonincreasing=True)
+    pad_b = np.eye(db**b, dtype=complex) / db**b
+    input_state = DensityMatrix(tensor(code.input_state.mat, pad_b), (code.m2, db ** (n + b)))
+    rows = np.eye(dc**b, dtype=complex)
+    branches = tuple(
+        KrausChannel(
+            tuple(tensor(k, rows[i : i + 1]) for k in br.kraus_ops for i in range(dc**b)),
+            (dc,) * (n + b),
+            (code.m2,),
+            trace_nonincreasing=True,
         )
+        for br in code.branches
+    )
     return EtCode(
         n=n + b,
         m1=code.m1,
@@ -735,8 +690,8 @@ def pad(code: EtCode, b: int) -> EtCode:
         db=db,
         dc=dc,
         classical_states=classical_states,
-        encoder=encoder,
-        branches=tuple(branches),
+        input_state=input_state,
+        branches=branches,
     )
 
 
@@ -745,15 +700,13 @@ def pad(code: EtCode, b: int) -> EtCode:
 # ---------------------------------------------------------------------------
 
 
-def converse_check(code, cset: CompoundSet, n: int | None = None, tol: float = 1e-9) -> dict:
+def converse_check(code: EtCode, cset: CompoundSet, tol: float = 1e-9) -> dict:
     """Compare achieved rates against the information-theoretic caps.
 
     Per member: the Fano/Holevo cap on the classical rate and the coherent
     information cap inflated by the continuity slack of the decoded state.
     Valid codes can never violate the caps; the report flags it if one does.
     """
-    if n is not None and n != code.n:
-        raise DimensionMismatchError(f"code has blocklength {code.n}, not {n}")
     n = code.n
     r1 = np.log2(code.m1) / n
     r2 = np.log2(code.m2) / n
@@ -768,7 +721,7 @@ def converse_check(code, cset: CompoundSet, n: int | None = None, tol: float = 1
             DensityMatrix(s, (code.m2, code.dc**n)) for s in sigmas
         )
         omega = CqqState(probs, conds)
-        cap1 = holevo_fano_rate_bound(omega, eps, code.m1) / n
+        cap1 = holevo_fano_rate_bound(omega, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)
         ic = coherent_information_b_cx(omega)
         if eps_tilde < 0.25:
@@ -835,6 +788,6 @@ def random_et_code(
         db=db,
         dc=dc,
         classical_states=classical_states,
-        encoder=encoder,
+        input_state=DensityMatrix(_encoded_phi(encoder, m2), (m2, db**n)),
         branches=tuple(branches),
     )

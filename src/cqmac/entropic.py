@@ -218,7 +218,7 @@ def alicki_fannes_bound(epsilon: float, dim_a: int) -> float:
     return 6.0 * epsilon * np.log2(dim_a) + (2.0 + 4.0 * epsilon) * h
 
 
-def holevo_fano_rate_bound(omega: CqqState, error: float, m1: int) -> float:
+def holevo_fano_rate_bound(omega: CqqState, error: float) -> float:
     """Cap on log2(m1) implied by a performance deficit ``error``.
 
     The classical decoding error probability is bounded by 2*sqrt(error);

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
+from .entropic import entropy_of_spectrum
 from .qmatrix import PureState, hermitian_eig, tensor_all
 from .regions import Rect, RateRegion, compound_rect_powered
 
@@ -75,24 +76,19 @@ def _param_count(x_size: int, da_l: int, db_l: int) -> int:
     return x_size + 2 * x_size * da_l + 2 * db_l * db_l
 
 
+def _split_flat(theta: np.ndarray, x_size: int, da_l: int):
+    """Softmax distribution plus the raw V and psi parameter blocks."""
+    logits = theta[:x_size]
+    shifted = logits - np.max(logits)
+    p = np.exp(shifted)
+    p = p / p.sum()
+    v_end = x_size + 2 * x_size * da_l
+    return p, theta[x_size:v_end], theta[v_end:]
+
+
 def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
-    logits = theta[:x_size]
-    shifted = logits - np.max(logits)
-    p = np.exp(shifted)
-    p = p / p.sum()
-    v_end = x_size + 2 * x_size * da_l
-    v_vecs = _state_vectors(theta[x_size:v_end], x_size, da_l)
-    psi_vec = _psi_vector(theta[v_end:], db_l)
-    return p, v_vecs, psi_vec
-
-
-def _ansatz_from_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int, seed: int) -> InputAnsatz:
-    logits = theta[:x_size]
-    shifted = logits - np.max(logits)
-    p = np.exp(shifted)
-    p = p / p.sum()
-    v_end = x_size + 2 * x_size * da_l
-    return InputAnsatz(p, theta[x_size:v_end], theta[v_end:], seed)
+    p, v_params, psi_params = _split_flat(theta, x_size, da_l)
+    return p, _state_vectors(v_params, x_size, da_l), _psi_vector(psi_params, db_l)
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -109,16 +105,10 @@ def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
     return theta
 
 
-def _entropy_of(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(mat)
-    vals = vals[vals > 1e-12]
-    return float(-np.sum(vals * np.log2(vals))) if vals.size else 0.0
-
-
 def _gram_entropy(columns: np.ndarray) -> float:
     """Entropy of sum_k u_k u_k† from the small Gram matrix of the columns."""
     gram = columns.conj().T @ columns
-    return _entropy_of(gram)
+    return entropy_of_spectrum(np.linalg.eigvalsh(gram))
 
 
 def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, da_l: int, db_l: int):
@@ -143,10 +133,10 @@ def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, da_l: int, db_l: int):
             u = np.einsum("rj,koj->rok", w, kstack)  # (ref, C, kraus)
             marg_c = np.einsum("rck,rdk->cd", u, u.conj())
             avg_c += p[x] * marg_c
-            s_c = _entropy_of(marg_c)
+            s_c = entropy_of_spectrum(np.linalg.eigvalsh(marg_c))
             holevo_cond += p[x] * s_c
             coherent += p[x] * (s_c - _gram_entropy(u.reshape(db_l * dc, -1)))
-        rates.append((_entropy_of(avg_c) - holevo_cond, coherent))
+        rates.append((entropy_of_spectrum(np.linalg.eigvalsh(avg_c)) - holevo_cond, coherent))
     return rates
 
 
@@ -249,7 +239,7 @@ def pareto_trace(
                 best = (value, r, res.x)
         if best is None:
             break
-        ans = _ansatz_from_flat(best[2], x_size, da_l, db_l, seed)
+        ans = InputAnsatz(*_split_flat(best[2], x_size, da_l), seed)
         rect = compound_rect_powered(powered, l, ans.p, ans.cq_channel(da_l), ans.psi(db_l))
         optima.append(WeightOptimum((w1, w2), rect, ans, best[0], best[1]))
         if truncated:

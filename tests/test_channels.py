@@ -165,6 +165,16 @@ class TestInstrumentFlag:
         with pytest.raises(CptpError):
             KrausChannel((half,), (2,), (2,))
 
+    @pytest.mark.parametrize("instrument", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, instrument, bad):
+        op = np.eye(2, dtype=complex)
+        op[0, 0] = bad
+        with pytest.raises(CptpError):
+            KrausChannel((op,), (2,), (2,), trace_nonincreasing=instrument)
+        with pytest.raises(CptpError):
+            KrausChannel((np.array([[bad]]),), (1,), (1,), trace_nonincreasing=instrument)
+
 
 class TestJson:
     def test_round_trip(self, id_deph_set, rng):
@@ -189,6 +199,15 @@ class TestJson:
             load_compound_json("{not json")
         with pytest.raises(ChannelFormatError):
             load_compound_json('{"members": [{"in_dims": [2]}]}')
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_rejected(self, token):
+        text = (
+            '{"in_dims": [2], "out_dims": [2], "kraus": '
+            f'[[[1, 0], [0, 0], [0, 0], [{token}, 0]]]}}'
+        )
+        with pytest.raises(ChannelFormatError):
+            load_compound_json(text)
 
     def test_cptp_violation_reports_defect(self):
         bad = {

@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cqmac.channels import CompoundSet, dump_compound_json
 from cqmac.cli import main
@@ -181,3 +183,101 @@ class TestNetCommand:
         ]) == 0
         net = json.loads(out.read_text())
         assert len(net["members"]) == 2
+
+
+def _identity_obj(d: int = 2) -> dict:
+    flat = [[int(i == j), 0] for i in range(d) for j in range(d)]
+    return {"in_dims": [d], "out_dims": [d], "kraus": [flat]}
+
+
+def _with(**fields) -> dict:
+    return {"members": [{**_identity_obj(), **fields}], "labels": ["id"]}
+
+
+def _run_net(tmp_path: Path, text: str) -> int:
+    path = tmp_path / "set.json"
+    path.write_text(text)
+    return main(["net", "--input", str(path), "--out-json", str(tmp_path / "net.json")])
+
+
+class TestLoaderRejects:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            _with(kraus=5),
+            _with(kraus=[[1, 2, 3, 4]]),
+            _with(kraus=[[["nan", 0], [0, 0], [0, 0], [1, 0]]]),
+            _with(kraus=[[[float("nan"), 0], [0, 0], [0, 0], [1, 0]]]),
+            _with(kraus=[[[1, 0], [0, 0], [0, 0], [float("inf"), 0]]]),
+            _with(in_dims=[0]),
+            {"members": [{**_identity_obj(4), "in_dims": [-2, -2]}]},
+            {"members": 5},
+            {"members": [_identity_obj()], "labels": 7},
+        ],
+        ids=[
+            "kraus-int", "kraus-flat-numbers", "entry-string", "entry-nan",
+            "entry-inf", "zero-dim", "negative-dims", "members-int", "labels-int",
+        ],
+    )
+    def test_malformed_set_exit_2(self, tmp_path, obj, capsys):
+        assert _run_net(tmp_path, json.dumps(obj)) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+_KEYS = st.sampled_from(["members", "labels", "in_dims", "out_dims", "kraus"]) | st.text(max_size=3)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _near_valid_sets(draw):
+    """Valid identity channels with one field or one Kraus entry replaced."""
+    d = draw(st.integers(1, 3))
+    flat = [[1.0 if i == j else 0.0, 0.0] for i in range(d) for j in range(d)]
+    member = {"in_dims": [d], "out_dims": [d], "kraus": [flat]}
+    target = draw(st.sampled_from(["in_dims", "out_dims", "kraus", "entry", None]))
+    if target == "entry":
+        flat[draw(st.integers(0, d * d - 1))][draw(st.integers(0, 1))] = draw(_SCALARS)
+    elif target is not None:
+        member[target] = draw(_JSON)
+    if draw(st.booleans()):
+        return member
+    labels = draw(st.just(["a"]) | st.lists(st.text(max_size=2), max_size=2) | _JSON)
+    return {"members": [member] * draw(st.integers(0, 2)), "labels": labels}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(value=_JSON | _near_valid_sets())
+def test_net_input_fuzz_gives_documented_exit(tmp_path, value):
+    assert _run_net(tmp_path, json.dumps(value)) in (0, 2, 3, 4)
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--l", "0"], ["--l", "x"], ["--weights", "1"]],
+        ids=["l-zero", "l-text", "weights-unpaired"],
+    )
+    def test_bad_region_argument_exit_2(self, tmp_path, identity_set_file, extra, capsys):
+        argv = [
+            "region", "--input", str(identity_set_file),
+            "--out-csv", str(tmp_path / "x.csv"), *extra,
+        ]
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            status = exc.code
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err

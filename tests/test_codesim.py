@@ -93,12 +93,12 @@ class TestEtCodeSampling:
     def test_identity_channel_perfect(self):
         for seed in (0, 3, 17):
             et = codesim.sample_et_code([identity_channel(2)], 2, 2, 2, seed=seed)
-            fe = codesim.et_entanglement_fidelity(et, identity_channel(2), 2)
+            fe = codesim.et_entanglement_fidelity(et, identity_channel(2))
             assert fe == pytest.approx(1.0, abs=1e-10)
 
     def test_m2_one_trivial(self, identity_b_channel):
         et = codesim.sample_et_code([identity_b_channel], 2, 1, 1, seed=4)
-        fe = codesim.et_entanglement_fidelity(et, identity_b_channel, 1)
+        fe = codesim.et_entanglement_fidelity(et, identity_b_channel)
         assert fe == pytest.approx(1.0, abs=1e-9)
 
     def test_oracle_agreement(self):
@@ -107,7 +107,7 @@ class TestEtCodeSampling:
         deph = dephasing_channel(0.1)
         for seed in range(6):
             et = codesim.sample_et_code([deph], 2, 2, 2, seed=seed)
-            fe = codesim.et_entanglement_fidelity(et, deph, 2)
+            fe = codesim.et_entanglement_fidelity(et, deph)
             from cqmac.channels import compose, tensor_power
 
             full = compose(et.decoder, compose(tensor_power(deph, 2), et.encoder))
@@ -123,7 +123,7 @@ class TestEtCodeSampling:
         oracle = []
         for seed in range(100):
             et = codesim.sample_et_code([deph], 2, 3, 2, seed=seed)
-            impl.append(codesim.et_entanglement_fidelity(et, deph, 3))
+            impl.append(codesim.et_entanglement_fidelity(et, deph))
             full = compose(et.decoder, compose(powered, et.encoder))
             oracle.append(entanglement_fidelity(maximally_mixed(2), full))
         assert np.mean(impl) >= np.mean(oracle) - 0.02
@@ -234,7 +234,7 @@ class TestPerformance:
         lazy = codesim.EtCode(
             n=1, m1=2, m2=2, da=2, db=2, dc=4,
             classical_states=code.classical_states,
-            encoder=code.encoder,
+            input_state=code.input_state,
             branches=tuple(dump),
         )
         val = codesim.performance(lazy, identity_qmac)
@@ -284,18 +284,17 @@ class TestEtToEg:
 
     def test_convex_combination_identity(self, rng, identity_qmac):
         code = codesim.random_et_code(rng)
-        xi = code.input_reference()
-        vals, vecs = np.linalg.eigh(xi)
+        vals, vecs = np.linalg.eigh(code.input_state.mat)
         total = 0.0
         from cqmac.qmatrix import PureState
 
         for i in range(vals.size):
             if vals[i] <= 1e-12:
                 continue
-            eg = codesim.EgCode(
+            eg = codesim.EtCode(
                 n=code.n, m1=code.m1, m2=code.m2, da=code.da, db=code.db, dc=code.dc,
                 classical_states=code.classical_states,
-                psi=PureState(vecs[:, i], (code.m2, code.db**code.n)),
+                input_state=PureState(vecs[:, i], (code.m2, code.db**code.n)).density(),
                 branches=code.branches,
             )
             total += vals[i] * codesim.performance(eg, identity_qmac)
