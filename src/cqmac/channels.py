@@ -12,7 +12,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
 
 import numpy as np
 
@@ -45,6 +44,11 @@ class BudgetExceededError(RuntimeError):
 class KrausChannel:
     """Completely positive map given by Kraus operators (out_dim x in_dim).
 
+    The operators are copied once, at construction, into one read-only
+    complex array ``stacked`` of shape (count, out_dim, in_dim);
+    ``kraus_ops`` is the tuple of its per-operator views. Any sequence of
+    equally shaped matrices, or a (count, out, in) array, is accepted.
+
     ``trace_nonincreasing`` marks an instrument branch: sum K†K <= I instead
     of equality.
     """
@@ -60,20 +64,21 @@ class KrausChannel:
         out_dims = tuple(int(d) for d in self.out_dims)
         din = int(np.prod(in_dims))
         dout = int(np.prod(out_dims))
-        ops = []
-        for k in self.kraus_ops:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (dout, din):
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} does not match ({dout}, {din})"
-                )
-            k = k.copy()
-            k.flags.writeable = False
-            ops.append(k)
-        if not ops:
+        if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        stacked = np.vstack(ops)
-        gram = stacked.conj().T @ stacked
+        try:
+            stacked = np.array(self.kraus_ops, dtype=complex)  # the one copy
+        except ValueError as exc:  # ragged operator shapes
+            raise DimensionMismatchError(
+                f"Kraus operators do not share the shape ({dout}, {din})"
+            ) from exc
+        if stacked.shape[1:] != (dout, din):
+            raise DimensionMismatchError(
+                f"Kraus operator shape {stacked.shape[1:]} does not match ({dout}, {din})"
+            )
+        stacked.flags.writeable = False
+        flat = stacked.reshape(-1, din)
+        gram = flat.conj().T @ flat
         # comparisons with NaN are false, so each test below fails closed
         if self.trace_nonincreasing:
             # eigvalsh returns arbitrary numbers for non-finite input; the
@@ -90,7 +95,8 @@ class KrausChannel:
                 raise CptpError(
                     f"channel is not trace preserving, defect {defect:.3e}", defect
                 )
-        object.__setattr__(self, "kraus_ops", tuple(ops))
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "kraus_ops", tuple(stacked))
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
 
@@ -102,11 +108,6 @@ class KrausChannel:
     def out_dim(self) -> int:
         return int(np.prod(self.out_dims))
 
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """Kraus operators as one (count, out, in) array."""
-        return np.stack(self.kraus_ops)
-
 
 def identity_channel(dims) -> KrausChannel:
     dims = tuple(int(d) for d in np.atleast_1d(dims))
@@ -116,13 +117,9 @@ def identity_channel(dims) -> KrausChannel:
 
 def depolarizing_channel(dim: int) -> KrausChannel:
     """Completely depolarizing map rho -> I/d."""
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(dim)
-            ops.append(k)
-    return KrausChannel(tuple(ops), (dim,), (dim,))
+    # op (i, j) is |i><j| / sqrt(d): the rows of the d^2 identity, reshaped
+    ops = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim) / np.sqrt(dim)
+    return KrausChannel(ops, (dim,), (dim,))
 
 
 def dephasing_channel(flip_prob: float = 0.5, full: bool = False) -> KrausChannel:
@@ -143,20 +140,27 @@ def dephasing_channel(flip_prob: float = 0.5, full: bool = False) -> KrausChanne
 
 def erasure_channel(dim: int, prob: float = 0.5) -> KrausChannel:
     """Erasure to a flag state: output dimension dim + 1."""
-    embed = np.zeros((dim + 1, dim), dtype=complex)
-    embed[:dim, :] = np.eye(dim)
-    ops = [np.sqrt(1.0 - prob) * embed]
-    for j in range(dim):
-        k = np.zeros((dim + 1, dim), dtype=complex)
-        k[dim, j] = np.sqrt(prob)
-        ops.append(k)
-    return KrausChannel(tuple(ops), (dim,), (dim + 1,))
+    ops = np.zeros((dim + 1, dim + 1, dim), dtype=complex)
+    ops[0, :dim, :] = np.sqrt(1.0 - prob) * np.eye(dim)
+    ops[1:, dim, :] = np.sqrt(prob) * np.eye(dim)  # op 1 + j sends |j> to the flag
+    return KrausChannel(ops, (dim,), (dim + 1,))
+
+
+def batch_kron(*stacks: np.ndarray) -> np.ndarray:
+    """Kronecker product of every choice of one operator per (count, rows, cols)
+    stack, the first stack's index running slowest (entries match ``np.kron``)."""
+    out = stacks[0]
+    for b in stacks[1:]:
+        ka, ra, ca = out.shape
+        kb, rb, cb = b.shape
+        prod = out[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+        out = prod.reshape(ka * kb, ra * rb, ca * cb)
+    return out
 
 
 def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    ops = tuple(tensor(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops)
     return KrausChannel(
-        ops,
+        batch_kron(a.stacked, b.stacked),
         a.in_dims + b.in_dims,
         a.out_dims + b.out_dims,
         trace_nonincreasing=a.trace_nonincreasing or b.trace_nonincreasing,
@@ -166,17 +170,17 @@ def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     if after.in_dim != before.out_dim:
         raise DimensionMismatchError("composition dimensions do not match")
-    ops = tuple(ka @ kb for ka in after.kraus_ops for kb in before.kraus_ops)
+    ops = after.stacked[:, None] @ before.stacked[None]
     return KrausChannel(
-        ops,
+        ops.reshape(-1, after.out_dim, before.in_dim),
         before.in_dims,
         after.out_dims,
         trace_nonincreasing=after.trace_nonincreasing or before.trace_nonincreasing,
     )
 
 
-def tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
-    """k-fold memoryless extension. Refuses to grow past the dense budget."""
+def _power_stack(channel: KrausChannel, k: int, budget: int) -> np.ndarray:
+    """Kraus stack of the k-fold power; refuses to grow past the dense budget."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
     if channel.in_dim**k > budget or channel.out_dim**k > budget:
@@ -184,9 +188,16 @@ def tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> Kra
             f"tensor power dimension {max(channel.in_dim, channel.out_dim) ** k} "
             f"exceeds budget {budget}"
         )
+    return batch_kron(*[channel.stacked] * k)
+
+
+def tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
+    """k-fold memoryless extension. Refuses to grow past the dense budget."""
+    ops = _power_stack(channel, k, budget)
     if k == 1:
         return channel
-    return reduce(channel_tensor, [channel] * k)
+    flag = channel.trace_nonincreasing
+    return KrausChannel(ops, channel.in_dims * k, channel.out_dims * k, trace_nonincreasing=flag)
 
 
 def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
@@ -198,19 +209,19 @@ def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET
     """
     if len(channel.in_dims) != 2:
         raise DimensionMismatchError("blocked power needs a two-part input (A, B)")
-    powered = tensor_power(channel, k, budget=budget)
+    ops = _power_stack(channel, k, budget)
     if k == 1:
-        return powered
+        return channel
     da, db = channel.in_dims
-    dout = powered.out_dim
-    col_perm = [1 + 2 * i for i in range(k)] + [2 + 2 * i for i in range(k)]
-    ops = tuple(
-        op.reshape((dout,) + (da, db) * k)
-        .transpose([0] + col_perm)
-        .reshape(dout, (da * db) ** k)
-        for op in powered.kraus_ops
+    shape = (len(ops), channel.out_dim**k)
+    grouped = [0, 1] + [2 + 2 * i for i in range(k)] + [3 + 2 * i for i in range(k)]
+    ops = ops.reshape(shape + (da, db) * k).transpose(grouped)
+    return KrausChannel(
+        ops.reshape(shape + ((da * db) ** k,)),
+        (da**k, db**k),
+        channel.out_dims * k,
+        trace_nonincreasing=channel.trace_nonincreasing,
     )
-    return KrausChannel(ops, (da**k, db**k), powered.out_dims)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix, positions=None) -> DensityMatrix:
@@ -282,12 +293,9 @@ class ChoiMatrix:
 
 
 def choi_matrix(channel: KrausChannel) -> ChoiMatrix:
-    din, dout = channel.in_dim, channel.out_dim
-    j = np.zeros((din * dout, din * dout), dtype=complex)
-    for k in channel.kraus_ops:
-        w = k.T.reshape(-1)  # w[(i, o)] = K[o, i]
-        j += np.outer(w, w.conj())
-    return ChoiMatrix(j, din, dout)
+    w = channel.stacked.transpose(0, 2, 1).reshape(len(channel.kraus_ops), -1)
+    # w[k, (i, o)] = K_k[o, i]
+    return ChoiMatrix(w.T @ w.conj(), channel.in_dim, channel.out_dim)
 
 
 def diamond_distance_bounds(a: KrausChannel, b: KrausChannel) -> tuple[float, float]:
@@ -386,7 +394,7 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
     Distances use the upper Choi trace-norm bound on the diamond distance,
     so the returned subset is a valid covering for the true metric as well.
     """
-    if theta <= 0:
+    if not theta > 0:  # NaN too: it would never stop the cover loop
         raise ValueError("theta must be positive")
     chois = [choi_matrix(m).matrix for m in cset.members]
     chosen = [0]

@@ -12,12 +12,19 @@ BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS``) is fixed as well: another
 count can change results in the last bits, which the full-precision
 ``simulate`` JSON shows. Exit codes: 0 ok, 2 malformed input, 3 CPTP
 violation in the input, 4 budget exceeded.
+
+Arguments are checked before any work starts, and a bad one exits 2:
+``region --l`` takes one blocking level (``simulate --l`` takes a list),
+the integer options ``--budget``, ``--alphabet``, ``--m1``, ``--m2`` and
+``--dim-budget`` must be >= 1, and ``--theta`` (> 0) and ``--tol`` must be
+finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +73,33 @@ def _parse_l(text: str) -> tuple[int, ...]:
     return vals
 
 
+def _parse_level(text: str) -> int:
+    vals = _parse_l(text)
+    if len(vals) != 1:
+        raise argparse.ArgumentTypeError(f"region traces one blocking level, got {text!r}")
+    return vals[0]
+
+
+def _checked(cast, accept, wanted: str):
+    """An argparse type: ``cast`` the text, then refuse what ``accept`` rejects."""
+
+    def parse(text: str):
+        try:
+            val = cast(text)
+        except ValueError:
+            val = None
+        if val is None or not accept(val):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return val
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqmac",
@@ -76,25 +110,25 @@ def _build_parser() -> argparse.ArgumentParser:
     region = sub.add_parser("region", help="trace an achievable rate region")
     region.set_defaults(handler=cmd_region)
     region.add_argument("--input", required=True, help="channel set JSON")
-    region.add_argument("--l", type=_parse_l, default="1", help="blocking level")
-    region.add_argument("--budget", type=int, default=16, help="optimizer restarts")
+    region.add_argument("--l", type=_parse_level, default="1", help="blocking level")
+    region.add_argument("--budget", type=_positive_int, default=16, help="optimizer restarts")
     region.add_argument("--seed", type=int, default=0)
     region.add_argument(
         "--weights", type=_parse_weights, default="1:0,0:1,1:1", help="pairs a:b,..."
     )
     region.add_argument("--out-csv", required=True)
     region.add_argument("--out-svg", default=None)
-    region.add_argument("--alphabet", type=int, default=None)
-    region.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
+    region.add_argument("--alphabet", type=_positive_int, default=None)
+    region.add_argument("--dim-budget", type=_positive_int, default=DEFAULT_DIM_BUDGET)
 
     sim = sub.add_parser("simulate", help="sample and evaluate hybrid codes")
     sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--input", required=True, help="channel set JSON")
     sim.add_argument("--l", type=_parse_l, default="1", help="blocklengths, comma separated")
-    sim.add_argument("--budget", type=int, default=20, help="number of seeds")
+    sim.add_argument("--budget", type=_positive_int, default=20, help="number of seeds")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--m1", type=int, default=2)
-    sim.add_argument("--m2", type=int, default=2)
+    sim.add_argument("--m1", type=_positive_int, default=2)
+    sim.add_argument("--m2", type=_positive_int, default=2)
     sim.add_argument("--out-json", required=True)
     sim.add_argument("--out-csv", default=None)
 
@@ -102,12 +136,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=cmd_verify)
     verify.add_argument("--suite", action="append", default=None, help="suite name")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--tol", type=_finite_float, default=None)
 
     net = sub.add_parser("net", help="greedy covering of a channel set")
     net.set_defaults(handler=cmd_net)
     net.add_argument("--input", required=True)
-    net.add_argument("--theta", type=float, default=0.3)
+    net.add_argument("--theta", type=_positive_float, default=0.3)
     net.add_argument("--out-json", required=True)
     return parser
 
@@ -142,7 +176,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     cset = _load_set(args.input)
     result = pareto_trace(
         cset,
-        args.l[0],
+        args.l,
         args.weights,
         budget=args.budget,
         seed=args.seed,
@@ -169,8 +203,6 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_seed: int):
-    if seeds < 1:
-        raise ValueError("budget must be >= 1")
     member0 = cset.members[0]
     da, db = member0.in_dims
     v = CqChannel.basis(da)

@@ -30,7 +30,7 @@ from .channels import (
     CqChannel,
     KrausChannel,
     apply_channel_mat,
-    channel_tensor,
+    batch_kron,
     tensor_power,
 )
 from .entropic import (
@@ -61,8 +61,8 @@ CHAIN_SLACK = 1e-9
 
 def _completeness_defect(branches) -> float:
     din = branches[0].in_dim
-    stacked = np.vstack([k for br in branches for k in br.kraus_ops])
-    gram = stacked.conj().T @ stacked
+    flat = np.concatenate([br.stacked for br in branches]).reshape(-1, din)
+    gram = flat.conj().T @ flat
     return float(np.max(np.abs(gram - np.eye(din))))
 
 
@@ -168,12 +168,9 @@ class CqCodebook:
         defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
         if defect > 1e-8:
             raise ValueError(f"POVM does not resolve the identity: defect {defect:.3e}")
-        ops = []
-        for d in self.povm:
-            d = np.asarray(d, dtype=complex).copy()
-            d.flags.writeable = False
-            ops.append(d)
-        object.__setattr__(self, "povm", tuple(ops))
+        povm = np.array(self.povm, dtype=complex)
+        povm.flags.writeable = False
+        object.__setattr__(self, "povm", tuple(povm))
         object.__setattr__(self, "codewords", tuple(tuple(int(x) for x in w) for w in self.codewords))
 
     @property
@@ -250,14 +247,6 @@ class EtTransmissionCode:
     subspace_dim: int
 
 
-def _batch_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of every pair from two stacks of operators."""
-    ka, ra, ca = a.shape
-    kb, rb, cb = b.shape
-    out = np.einsum("kij,lpq->klipjq", a, b)
-    return out.reshape(ka * kb, ra * rb, ca * cb)
-
-
 def _stack_matmul(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """(J, a, b) @ (b, c) as a single flat GEMM."""
     j, a, b = stack.shape
@@ -270,7 +259,7 @@ def _recovery_channel(
     """Pretty-good recovery for the n-fold averaged channel on the subspace."""
     d1 = single_ops.shape[1]
     dout = d1**n
-    single = KrausChannel(tuple(single_ops), (g0,), (d1,))
+    single = KrausChannel(single_ops, (g0,), (d1,))
     mat = isometry @ isometry.conj().T
     dims = (g0,) * n
     for _ in range(n):
@@ -279,23 +268,17 @@ def _recovery_channel(
     cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
     m_inv = (vecs * inv) @ vecs.conj().T
-    powered = single_ops
-    for _ in range(n - 1):
-        powered = _batch_kron(powered, single_ops)
-    fed = _stack_matmul(powered, isometry)  # (J, dout, m2)
+    fed = _stack_matmul(batch_kron(*[single.stacked] * n), isometry)  # (J, dout, m2)
     jcount = fed.shape[0]
     mixed = (m_inv @ fed.transpose(1, 0, 2).reshape(dout, -1)).reshape(
         dout, jcount, m2
     )
     recov = mixed.conj().transpose(1, 2, 0)  # B_j = V† N_j† M^(-1/2)
     # the recovery grams sum to the support projector of M; dump its kernel
-    completion = []
-    for i in range(dout):
-        if vals[i] <= cutoff:
-            op = np.zeros((m2, dout), dtype=complex)
-            op[0, :] = vecs[:, i].conj()
-            completion.append(op)
-    return KrausChannel(tuple(recov) + tuple(completion), (dout,), (m2,))
+    kernel = vecs[:, vals <= cutoff]
+    completion = np.zeros((kernel.shape[1], m2, dout), dtype=complex)
+    completion[:, 0, :] = kernel.T.conj()
+    return KrausChannel(np.concatenate([recov, completion]), (dout,), (m2,))
 
 
 def sample_et_code(
@@ -333,7 +316,7 @@ def sample_et_code(
         isometry = v_sub
     encoder = KrausChannel((isometry,), (m2,), (g0,) * n)
     scale = 1.0 / np.sqrt(len(channels))
-    avg_single = np.stack([scale * k for ch in channels for k in ch.kraus_ops])
+    avg_single = scale * np.concatenate([ch.stacked for ch in channels])
     decoder = _recovery_channel(avg_single, n, isometry, m2, g0)
     return EtTransmissionCode(encoder, decoder, isometry, n, m2, subspace_dim)
 
@@ -378,17 +361,14 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> KrausChannel:
     if v.dim != da:
         raise DimensionMismatchError("cq channel does not feed the A input")
     p = np.asarray(p, dtype=float)
+    tags = np.eye(v.alphabet_size, dtype=complex).reshape(-1, v.alphabet_size, 1)
     ops = []
     for x in range(v.alphabet_size):
         if p[x] <= 0:
             continue
-        vec = _pure_vector(v.outputs[x])
-        feed = np.kron(vec.reshape(-1, 1), np.eye(db))
-        tag = np.zeros((v.alphabet_size, 1), dtype=complex)
-        tag[x, 0] = 1.0
-        for k in qmac.kraus_ops:
-            ops.append(np.sqrt(p[x]) * np.kron(k @ feed, tag))
-    return KrausChannel(tuple(ops), (db,), (qmac.out_dim, v.alphabet_size))
+        feed = np.kron(_pure_vector(v.outputs[x]).reshape(-1, 1), np.eye(db))
+        ops.append(np.sqrt(p[x]) * batch_kron(qmac.stacked @ feed, tags[x : x + 1]))
+    return KrausChannel(np.concatenate(ops), (db,), (qmac.out_dim, v.alphabet_size))
 
 
 def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix):
@@ -440,9 +420,7 @@ def combine_hybrid(
     for word, d in zip(cq.codewords, cq.povm):
         gentle = _tag_embedding(word, dc, x_size) @ sqrt_psd(d)
         ops = _stack_matmul(dec_stack, gentle)
-        branches.append(
-            KrausChannel(tuple(ops), (dc,) * n, (et.m2,), trace_nonincreasing=True)
-        )
+        branches.append(KrausChannel(ops, (dc,) * n, (et.m2,), trace_nonincreasing=True))
     classical_states = tuple(
         DensityMatrix(_word_state(v.outputs, w), (da,) * n) for w in cq.codewords
     )
@@ -635,16 +613,10 @@ def concatenate(codes) -> EtCode:
     branches = []
     for m in range(m1):
         parts = np.unravel_index(m, shape1)
-        mats = [codes[i].classical_states[parts[i]].mat for i in range(len(codes))]
+        mats = [c.classical_states[i].mat for c, i in zip(codes, parts)]
         classical_states.append(DensityMatrix(tensor_all(mats), (first.da,) * n))
-        branch = codes[0].branches[parts[0]]
-        for i in range(1, len(codes)):
-            branch = channel_tensor(branch, codes[i].branches[parts[i]])
-        branches.append(
-            KrausChannel(
-                branch.kraus_ops, (first.dc,) * n, (m2,), trace_nonincreasing=True
-            )
-        )
+        ops = batch_kron(*[c.branches[i].stacked for c, i in zip(codes, parts)])
+        branches.append(KrausChannel(ops, (first.dc,) * n, (m2,), trace_nonincreasing=True))
     return EtCode(
         n=n,
         m1=m1,
@@ -672,13 +644,10 @@ def pad(code: EtCode, b: int) -> EtCode:
     )
     pad_b = np.eye(db**b, dtype=complex) / db**b
     input_state = DensityMatrix(tensor(code.input_state.mat, pad_b), (code.m2, db ** (n + b)))
-    rows = np.eye(dc**b, dtype=complex)
+    rows = np.eye(dc**b, dtype=complex).reshape(dc**b, 1, dc**b)
     branches = tuple(
         KrausChannel(
-            tuple(tensor(k, rows[i : i + 1]) for k in br.kraus_ops for i in range(dc**b)),
-            (dc,) * (n + b),
-            (code.m2,),
-            trace_nonincreasing=True,
+            batch_kron(br.stacked, rows), (dc,) * (n + b), (code.m2,), trace_nonincreasing=True
         )
         for br in code.branches
     )

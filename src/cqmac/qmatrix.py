@@ -107,10 +107,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        vals, _ = hermitian_eig(self.mat)
-        return vals
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -201,13 +197,6 @@ def fidelity(a, b) -> float:
         raise DimensionMismatchError(f"state shapes differ: {ma.shape} vs {mb.shape}")
     val = trace_norm(sqrt_psd(ma) @ sqrt_psd(mb)) ** 2
     return float(min(max(val, 0.0), 1.0 + 1e-9))
-
-
-def pure_fidelity(vec: np.ndarray, rho) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    return float(np.real(v.conj() @ m @ v))
 
 
 def purify(rho: DensityMatrix) -> PureState:

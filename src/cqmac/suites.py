@@ -68,7 +68,7 @@ def _collect(name: str, margins) -> SuiteResult:
     return SuiteResult(
         name=name,
         samples=margins.size,
-        violations=int(np.sum(margins < 0)),
+        violations=int(np.sum(~(margins >= 0))),  # a NaN margin is a violation
         worst_margin=float(margins.min()) if margins.size else 0.0,
     )
 

@@ -14,6 +14,20 @@ from cqmac.qmatrix import maximally_entangled
 
 
 @pytest.fixture
+def kraus_validations(monkeypatch) -> list:
+    """Every KrausChannel validated from here on, in construction order."""
+    seen = []
+    validate = KrausChannel.__post_init__
+
+    def counted(self):
+        seen.append(self)
+        validate(self)
+
+    monkeypatch.setattr(KrausChannel, "__post_init__", counted)
+    return seen
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

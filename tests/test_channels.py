@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,9 +26,11 @@ from cqmac.channels import (
     load_compound_json,
     tensor_power,
 )
-from cqmac.qmatrix import partial_trace_mat, tensor, trace_norm
+from cqmac.qmatrix import DimensionMismatchError, partial_trace_mat, tensor, trace_norm
 from cqmac.randutil import random_density, random_kraus_ops, random_pure
 from cqmac.suites import suite_diamond_bounds, suite_net_cover
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestApply:
@@ -53,6 +60,42 @@ class TestApply:
         assert np.allclose(out.mat, tensor(marg, np.eye(3) / 3), atol=1e-10)
 
 
+class TestKrausStorage:
+    def test_one_read_only_stack(self, rng):
+        ops = np.array(random_kraus_ops(rng, 2, 3, 4))
+        ch = KrausChannel(ops, (2,), (3,))
+        assert "stacked" not in vars(KrausChannel)  # no lazily cached second copy
+        assert ch.stacked.shape == (4, 3, 2) and ch.stacked.dtype == complex
+        assert not ch.stacked.flags.writeable
+        assert len(ch.kraus_ops) == 4
+        for i, k in enumerate(ch.kraus_ops):
+            assert np.shares_memory(k, ch.stacked)
+            assert np.array_equal(k, ops[i])
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 1.0
+        ops[0] *= 2.0  # the caller's array is not the channel's
+        assert np.array_equal(ch.stacked[1:], ops[1:])
+        assert np.array_equal(2.0 * ch.stacked[0], ops[0])
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (np.eye(3, dtype=complex),),
+            (np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)),
+            np.eye(2, dtype=complex),
+        ],
+        ids=["wrong-shape", "ragged", "matrix-not-family"],
+    )
+    def test_wrong_shape_raises(self, ops):
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(ops, (2,), (2,))
+
+    @pytest.mark.parametrize("ops", [(), np.zeros((0, 2, 2))], ids=["tuple", "stack"])
+    def test_empty_family_raises(self, ops):
+        with pytest.raises(ValueError, match="at least one"):
+            KrausChannel(ops, (2,), (2,))
+
+
 class TestTensorPower:
     def test_k_one(self, identity_qmac):
         assert tensor_power(identity_qmac, 1) is identity_qmac
@@ -75,6 +118,26 @@ class TestTensorPower:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             tensor_power(identity_channel(4), 4)
+        with pytest.raises(BudgetExceededError):
+            blocked_tensor_power(identity_channel((2, 2)), 4)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_power_validated_once(self, rng, kraus_validations, k):
+        ch = KrausChannel(random_kraus_ops(rng, 2, 2, 2), (2,), (2,))
+        qmac = KrausChannel(random_kraus_ops(rng, 4, 2, 2), (2, 2), (2,))
+        del kraus_validations[:]
+        powered = tensor_power(ch, k)
+        blocked = blocked_tensor_power(qmac, k)
+        assert len(kraus_validations) == 2
+        assert kraus_validations[0] is powered and kraus_validations[1] is blocked
+
+    def test_power_matches_kron_loop(self, rng):
+        ch = KrausChannel(random_kraus_ops(rng, 2, 3, 3), (2,), (3,))
+        cubed = tensor_power(ch, 3)
+        expect = [tensor(tensor(a, b), c) for a in ch.kraus_ops for b in ch.kraus_ops
+                  for c in ch.kraus_ops]
+        assert np.array_equal(cubed.stacked, np.array(expect))
+        assert cubed.in_dims == (2, 2, 2) and cubed.out_dims == (3, 3, 3)
 
     def test_blocked_matches_interleaved(self, rng, mild_dephasing_qmac):
         blocked = blocked_tensor_power(mild_dephasing_qmac, 2)
@@ -119,6 +182,28 @@ class TestDiamondBounds:
 
 
 class TestBuildNet:
+    @pytest.mark.parametrize("theta", [0.0, -1.0])
+    def test_non_positive_theta_raises(self, identity_qmac, theta):
+        with pytest.raises(ValueError, match="positive"):
+            build_net(CompoundSet((identity_qmac,)), theta)
+
+    def test_nan_theta_raises_promptly(self):
+        # in a subprocess, so a cover loop that never ends fails the test
+        program = (
+            "from cqmac.channels import CompoundSet, build_net, identity_channel\n"
+            "try:\n"
+            "    build_net(CompoundSet((identity_channel(2),)), float('nan'))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_singleton(self, identity_qmac):
         cset = CompoundSet((identity_qmac,))
         assert len(build_net(cset, 0.5).members) == 1

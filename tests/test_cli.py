@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -263,21 +266,97 @@ def test_net_input_fuzz_gives_documented_exit(tmp_path, value):
     assert _run_net(tmp_path, json.dumps(value)) in (0, 2, 3, 4)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_cli(argv: list[str], timeout: float, blas_threads: str | None = None):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run(
+        [sys.executable, "-m", "cqmac.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def _argv(command: str, set_file: Path, tmp_path: Path) -> list[str]:
+    """The smallest valid command line of each subcommand."""
+    return {
+        "region": ["region", "--input", str(set_file), "--out-csv", str(tmp_path / "x.csv")],
+        "simulate": ["simulate", "--input", str(set_file), "--out-json", str(tmp_path / "x.json")],
+        "verify": ["verify", "--suite", "timeshare"],
+        "net": ["net", "--input", str(set_file), "--out-json", str(tmp_path / "x.json")],
+    }[command]
+
+
 class TestArguments:
     @pytest.mark.parametrize(
-        "extra",
-        [["--l", "0"], ["--l", "x"], ["--weights", "1"]],
-        ids=["l-zero", "l-text", "weights-unpaired"],
+        "command, extra, message",
+        [
+            ("region", ["--l", "0"], "blocking levels must be >= 1"),
+            ("region", ["--l", "x"], "expected comma-separated integers"),
+            ("region", ["--weights", "1"], "is not a pair a:b"),
+            ("region", ["--l", "1,2"], "region traces one blocking level"),
+            ("region", ["--budget", "0"], "expected an integer >= 1"),
+            ("region", ["--alphabet", "0"], "expected an integer >= 1"),
+            ("region", ["--alphabet", "-1"], "expected an integer >= 1"),
+            ("region", ["--dim-budget", "0"], "expected an integer >= 1"),
+            ("simulate", ["--budget", "0"], "expected an integer >= 1"),
+            ("simulate", ["--m1", "0"], "expected an integer >= 1"),
+            ("simulate", ["--m2", "0"], "expected an integer >= 1"),
+            ("simulate", ["--m2", "two"], "expected an integer >= 1"),
+            ("verify", ["--tol", "nan"], "expected a finite number"),
+            ("verify", ["--tol", "inf"], "expected a finite number"),
+            ("net", ["--theta", "0"], "expected a finite number > 0"),
+            ("net", ["--theta", "-1"], "expected a finite number > 0"),
+            ("net", ["--theta", "inf"], "expected a finite number > 0"),
+        ],
+        ids=[
+            "region-l-zero", "region-l-text", "region-weights-unpaired", "region-l-list",
+            "region-budget-zero", "region-alphabet-zero", "region-alphabet-negative",
+            "region-dim-budget-zero", "simulate-budget-zero", "simulate-m1-zero",
+            "simulate-m2-zero", "simulate-m2-text", "verify-tol-nan", "verify-tol-inf",
+            "net-theta-zero", "net-theta-negative", "net-theta-inf",
+        ],
     )
-    def test_bad_region_argument_exit_2(self, tmp_path, identity_set_file, extra, capsys):
-        argv = [
-            "region", "--input", str(identity_set_file),
-            "--out-csv", str(tmp_path / "x.csv"), *extra,
-        ]
+    def test_bad_argument_exit_2(
+        self, tmp_path, identity_set_file, command, extra, message, capsys
+    ):
+        argv = [*_argv(command, identity_set_file, tmp_path), *extra]
         try:
             status = main(argv)
         except SystemExit as exc:  # argparse rejects the value itself
             status = exc.code
         assert status == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert f"error: argument {extra[0]}: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_net_theta_nan_exits_2_promptly(self, tmp_path, pair_set_file):
+        # in a subprocess, so a cover loop that never ends fails the test
+        proc = _run_cli(
+            ["net", "--input", str(pair_set_file), "--theta", "nan",
+             "--out-json", str(tmp_path / "net.json")],
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "--theta" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_byte_identical_at_fixed_blas_threads(tmp_path, pair_set_file, threads):
+    """The determinism contract: fresh processes, same config, seed and BLAS
+    thread count, identical files. Nothing is claimed across thread counts."""
+    outputs = []
+    for run in range(2):
+        out_json, out_csv = tmp_path / f"r{run}.json", tmp_path / f"r{run}.csv"
+        proc = _run_cli(
+            ["simulate", "--input", str(pair_set_file), "--l", "1,2", "--budget", "2",
+             "--seed", "4", "--out-json", str(out_json), "--out-csv", str(out_csv)],
+            timeout=120,
+            blas_threads=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out_json.read_bytes(), out_csv.read_bytes()))
+    assert outputs[0] == outputs[1]

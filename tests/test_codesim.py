@@ -323,6 +323,28 @@ class TestConcatenateAndPad:
         joint = codesim.concatenate(codes)
         assert codesim.performance(joint, identity_qmac) >= 1 - sum(1 - p for p in ps) - 1e-9
 
+    def test_each_product_branch_validated_once(self, rng, kraus_validations):
+        codes = [codesim.random_et_code(rng, m1=2), codesim.random_et_code(rng, m1=3)]
+        del kraus_validations[:]
+        joint = codesim.concatenate(codes)
+        assert len(kraus_validations) == len(joint.branches)
+        assert all(v is b for v, b in zip(kraus_validations, joint.branches))
+        for m, branch in enumerate(joint.branches):
+            a, b = codes[0].branches[m // 3], codes[1].branches[m % 3]
+            expect = [np.kron(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops]
+            assert np.array_equal(branch.stacked, np.array(expect))
+
+    def test_pad_branches_validated_once(self, rng, kraus_validations):
+        code = codesim.random_et_code(rng, m1=3)
+        del kraus_validations[:]
+        padded = codesim.pad(code, 1)
+        assert len(kraus_validations) == len(padded.branches)
+        assert all(v is b for v, b in zip(kraus_validations, padded.branches))
+        rows = np.eye(code.dc)
+        for br, pbr in zip(code.branches, padded.branches):
+            expect = [np.kron(k, rows[i : i + 1]) for k in br.kraus_ops for i in range(code.dc)]
+            assert np.array_equal(pbr.stacked, np.array(expect))
+
     def test_pad_zero(self, rng, identity_qmac):
         code = codesim.random_et_code(rng)
         assert codesim.pad(code, 0) is code

@@ -22,6 +22,7 @@ from cqmac.qmatrix import (
 )
 from cqmac.randutil import complex_gaussian, random_density, random_pure
 from cqmac.suites import (
+    _collect,
     suite_eig_reconstruction,
     suite_fidelity_monotone,
     suite_gentle_measurement,
@@ -250,3 +251,8 @@ class TestLemmaSuites:
 
     def test_product_fidelity_bound(self):
         assert suite_product_fidelity_bound(seed=6, samples=50).violations == 0
+
+    def test_nan_margin_is_a_violation(self):
+        res = _collect("nan", [1.0, float("nan"), 0.5])
+        assert res.violations == 1 and not res.passed
+        assert _collect("ok", [0.0, 1.0]).violations == 0
