@@ -20,11 +20,12 @@ from .qmatrix import (
     DimensionMismatchError,
     partial_trace_mat,
     permute_mat,
-    tensor,
+    pinv_sqrt_psd,
     trace_norm,
 )
 
 CPTP_TOL = 1e-8
+UNIT_NORM_TOL = 1e-7
 DIM_BUDGET = 64
 
 
@@ -38,6 +39,12 @@ class CptpError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Requested construction exceeds the dense matrix size budget."""
+
+
+def kraus_gram(stacked: np.ndarray) -> np.ndarray:
+    """sum_k K_k† K_k of a (count, out, in) Kraus stack."""
+    flat = stacked.reshape(-1, stacked.shape[-1])
+    return flat.conj().T @ flat
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class KrausChannel:
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     trace_nonincreasing: bool = False
-    cptp_tol: float = CPTP_TOL
 
     def __post_init__(self):
         in_dims = tuple(int(d) for d in self.in_dims)
@@ -77,21 +83,20 @@ class KrausChannel:
                 f"Kraus operator shape {stacked.shape[1:]} does not match ({dout}, {din})"
             )
         stacked.flags.writeable = False
-        flat = stacked.reshape(-1, din)
-        gram = flat.conj().T @ flat
+        gram = kraus_gram(stacked)
         # comparisons with NaN are false, so each test below fails closed
         if self.trace_nonincreasing:
             # eigvalsh returns arbitrary numbers for non-finite input; the
             # gram trace is finite exactly when every Kraus entry is
             finite = np.isfinite(np.trace(gram))
             defect = float(np.linalg.eigvalsh(gram)[-1]) - 1.0 if finite else np.nan
-            if not defect <= self.cptp_tol:
+            if not defect <= CPTP_TOL:
                 raise CptpError(
                     f"instrument exceeds trace preservation by {defect:.3e}", defect
                 )
         else:
             defect = float(np.max(np.abs(gram - np.eye(din))))
-            if not defect <= self.cptp_tol:
+            if not defect <= CPTP_TOL:
                 raise CptpError(
                     f"channel is not trace preserving, defect {defect:.3e}", defect
                 )
@@ -311,31 +316,32 @@ def diamond_distance_bounds(a: KrausChannel, b: KrausChannel) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class CqChannel:
-    """Finite alphabet to pure-state outputs."""
+    """Finite alphabet to pure-state outputs.
 
-    outputs: tuple[DensityMatrix, ...]
+    The letter states are stored once, as one read-only complex array
+    ``vectors`` of shape (alphabet, dim) whose rows are unit vectors V(x).
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if not self.outputs:
-            raise ValueError("cq channel needs a nonempty alphabet")
-        dim = self.outputs[0].dim
-        for i, out in enumerate(self.outputs):
-            if out.dim != dim:
-                raise DimensionMismatchError("cq outputs live on different spaces")
-            top = np.linalg.eigvalsh(out.mat)[-1]
-            if abs(top - 1.0) > 1e-7:
-                raise ValueError(f"cq output {i} is not pure (top eigenvalue {top})")
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        vecs = np.array(self.vectors, dtype=complex)  # the one copy
+        if vecs.ndim != 2 or vecs.shape[0] == 0:
+            raise DimensionMismatchError(
+                f"cq letters must form a nonempty (alphabet, dim) array, not shape {vecs.shape}"
+            )
+        # NaN compares false, so a non-finite letter fails this test; so does dim 0
+        defect = float(np.max(np.abs(np.sum(np.abs(vecs) ** 2, axis=1) - 1.0)))
+        if not defect <= UNIT_NORM_TOL:
+            raise ValueError(f"cq letters are not finite unit vectors: norm defect {defect:.3e}")
+        vecs.flags.writeable = False
+        object.__setattr__(self, "vectors", vecs)
 
     @classmethod
-    def from_vectors(cls, vectors, dims=None) -> "CqChannel":
-        outs = []
-        for v in vectors:
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            v = v / np.linalg.norm(v)
-            d = dims if dims is not None else (v.shape[0],)
-            outs.append(DensityMatrix(np.outer(v, v.conj()), d))
-        return cls(tuple(outs))
+    def from_vectors(cls, vectors) -> "CqChannel":
+        """Letters from arbitrary nonzero vectors, each scaled to unit norm."""
+        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        return cls([v / np.linalg.norm(v) for v in vecs])
 
     @classmethod
     def basis(cls, dim: int, alphabet_size: int | None = None) -> "CqChannel":
@@ -343,25 +349,21 @@ class CqChannel:
         size = dim if alphabet_size is None else alphabet_size
         if size > dim:
             raise DimensionMismatchError("alphabet larger than the space dimension")
-        eye = np.eye(dim, dtype=complex)
-        return cls.from_vectors([eye[:, x] for x in range(size)])
+        return cls(np.eye(dim, dtype=complex)[:size])
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.outputs)
+        return self.vectors.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.outputs[0].dim
+        return self.vectors.shape[1]
 
 
 def cq_tensor(a: CqChannel, b: CqChannel) -> CqChannel:
     """Product alphabet, row-major pairing (x_a, x_b)."""
-    outs = []
-    for oa in a.outputs:
-        for ob in b.outputs:
-            outs.append(DensityMatrix(tensor(oa.mat, ob.mat), oa.dims + ob.dims))
-    return CqChannel(tuple(outs))
+    prod = a.vectors[:, None, :, None] * b.vectors[None, :, None, :]
+    return CqChannel(prod.reshape(a.alphabet_size * b.alphabet_size, -1))
 
 
 @dataclass(frozen=True)
@@ -429,6 +431,7 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
 # ---------------------------------------------------------------------------
 
 LOAD_CPTP_TOL = 1e-6
+RENORMALIZE_TOL = 1e-12  # smaller defects keep their bits
 
 
 class ChannelFormatError(ValueError):
@@ -480,8 +483,8 @@ def _channel_from_obj(obj) -> KrausChannel:
     in_dims = _positive_dims(obj, "in_dims")
     out_dims = _positive_dims(obj, "out_dims")
     raw_ops = obj.get("kraus")
-    if not isinstance(raw_ops, list):
-        raise ChannelFormatError("'kraus' must be a list of operators")
+    if not isinstance(raw_ops, list) or not raw_ops:
+        raise ChannelFormatError("'kraus' must be a nonempty list of operators")
     din = math.prod(in_dims)
     dout = math.prod(out_dims)
     ops = []
@@ -492,13 +495,17 @@ def _channel_from_obj(obj) -> KrausChannel:
             )
         flat = np.array([_finite_entry(pair) for pair in entries], dtype=complex)
         ops.append(flat.reshape(dout, din))
-    try:
-        return KrausChannel(tuple(ops), in_dims, out_dims, cptp_tol=LOAD_CPTP_TOL)
-    except CptpError as exc:
+    stacked = np.array(ops)
+    gram = kraus_gram(stacked)
+    defect = float(np.max(np.abs(gram - np.eye(din))))
+    if not defect <= LOAD_CPTP_TOL:  # NaN too: entries can overflow in the gram
         raise CptpError(
-            f"channel in file is not CPTP within {LOAD_CPTP_TOL}: defect {exc.defect:.3e}",
-            exc.defect,
-        ) from exc
+            f"channel in file is not CPTP within {LOAD_CPTP_TOL}: defect {defect:.3e}", defect
+        )
+    if defect > RENORMALIZE_TOL:
+        # K G^(-1/2) is trace preserving to rounding, so later CPTP_TOL checks pass
+        stacked = stacked @ pinv_sqrt_psd(gram)
+    return KrausChannel(stacked, in_dims, out_dims)
 
 
 def dump_compound_json(cset: CompoundSet) -> str:

@@ -11,7 +11,8 @@ files. They are byte-identical for a fixed config and seed only while the
 BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS``) is fixed as well: another
 count can change results in the last bits, which the full-precision
 ``simulate`` JSON shows. Exit codes: 0 ok, 2 malformed input, 3 CPTP
-violation in the input, 4 budget exceeded.
+defect above 1e-6 in the input (smaller ones are renormalized at load),
+4 budget exceeded.
 
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),

@@ -31,6 +31,7 @@ from .channels import (
     KrausChannel,
     apply_channel_mat,
     batch_kron,
+    kraus_gram,
     tensor_power,
 )
 from .entropic import (
@@ -60,10 +61,8 @@ CHAIN_SLACK = 1e-9
 
 
 def _completeness_defect(branches) -> float:
-    din = branches[0].in_dim
-    flat = np.concatenate([br.stacked for br in branches]).reshape(-1, din)
-    gram = flat.conj().T @ flat
-    return float(np.max(np.abs(gram - np.eye(din))))
+    gram = kraus_gram(np.concatenate([br.stacked for br in branches]))
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 @dataclass(frozen=True)
@@ -135,18 +134,15 @@ def _branch_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
     return float(np.real(np.sum(t * u)))
 
 
-def performance_per_message(code: EtCode, channel: KrausChannel) -> np.ndarray:
-    states = _post_channel_states(code, channel)
-    vals = [
-        _branch_overlap(sigma, code.branches[m].stacked, code.m2)
-        for m, sigma in enumerate(states)
-    ]
-    return np.asarray(vals, dtype=float)
+def _message_overlaps(code: EtCode, states) -> np.ndarray:
+    """Per-message fidelity with |m><m| (x) Phi of the post-channel states."""
+    pairs = zip(states, code.branches)
+    return np.array([_branch_overlap(sigma, br.stacked, code.m2) for sigma, br in pairs])
 
 
 def performance(code: EtCode, channel: KrausChannel) -> float:
     """Average fidelity with |m><m| (x) Phi over the message set."""
-    return float(np.mean(performance_per_message(code, channel)))
+    return float(np.mean(_message_overlaps(code, _post_channel_states(code, channel))))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +174,15 @@ class CqCodebook:
         return len(self.codewords)
 
 
-def _outputs_of(w) -> list[DensityMatrix]:
+def _letter_states(w) -> list[np.ndarray]:
+    """Per-letter output matrices of a CqChannel or of a list of states."""
     if isinstance(w, CqChannel):
-        return list(w.outputs)
-    return list(w)
+        return [np.outer(v, v.conj()) for v in w.vectors]
+    return [st.mat for st in w]
 
 
-def _word_state(outputs, word) -> np.ndarray:
-    return tensor_all([outputs[x].mat for x in word])
+def _word_state(letter_states, word) -> np.ndarray:
+    return tensor_all([letter_states[x] for x in word])
 
 
 def pgm_codebook(w_family, words) -> CqCodebook:
@@ -194,7 +191,7 @@ def pgm_codebook(w_family, words) -> CqCodebook:
     Any part of the identity missed by the measurement is split evenly
     across the messages so the POVM is complete.
     """
-    families = [_outputs_of(w) for w in (w_family if isinstance(w_family, (list, tuple)) else [w_family])]
+    families = [_letter_states(w) for w in (w_family if isinstance(w_family, (list, tuple)) else [w_family])]
     words = [tuple(int(x) for x in w) for w in words]
     avg_states = [
         sum(_word_state(fam, w) for fam in families) / len(families) for w in words
@@ -216,18 +213,14 @@ def sample_cq_codebook(w_family, p, n: int, m1: int, seed: int) -> CqCodebook:
     return pgm_codebook(w_family, words)
 
 
-def one_word_errors(cb: CqCodebook, w) -> np.ndarray:
-    outputs = _outputs_of(w)
-    errs = []
-    for word, d in zip(cb.codewords, cb.povm):
-        st = _word_state(outputs, word)
-        errs.append(1.0 - float(np.real(np.trace(d @ st))))
-    return np.asarray(errs)
-
-
 def average_error(cb: CqCodebook, w) -> float:
     """Mean of tr[(I - D_m) W^n(u_m)] over the messages."""
-    return float(np.mean(one_word_errors(cb, w)))
+    letter_states = _letter_states(w)
+    errs = [
+        1.0 - float(np.real(np.trace(d @ _word_state(letter_states, word))))
+        for word, d in zip(cb.codewords, cb.povm)
+    ]
+    return float(np.mean(errs))
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +237,17 @@ class EtTransmissionCode:
     isometry: np.ndarray
     n: int
     m2: int
-    subspace_dim: int
 
 
 def _stack_matmul(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """(J, a, b) @ (b, c) as a single flat GEMM."""
     j, a, b = stack.shape
     return (stack.reshape(j * a, b) @ mat).reshape(j, a, mat.shape[1])
+
+
+def _fed_stack(single_ops: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarray:
+    """Kraus stack of the n-fold power fed through the isometry: N_j V."""
+    return _stack_matmul(batch_kron(*[single_ops] * n), isometry)
 
 
 def _recovery_channel(
@@ -268,7 +265,7 @@ def _recovery_channel(
     cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
     m_inv = (vecs * inv) @ vecs.conj().T
-    fed = _stack_matmul(batch_kron(*[single.stacked] * n), isometry)  # (J, dout, m2)
+    fed = _fed_stack(single.stacked, n, isometry)  # (J, dout, m2)
     jcount = fed.shape[0]
     mixed = (m_inv @ fed.transpose(1, 0, 2).reshape(dout, -1)).reshape(
         dout, jcount, m2
@@ -318,15 +315,22 @@ def sample_et_code(
     scale = 1.0 / np.sqrt(len(channels))
     avg_single = scale * np.concatenate([ch.stacked for ch in channels])
     decoder = _recovery_channel(avg_single, n, isometry, m2, g0)
-    return EtTransmissionCode(encoder, decoder, isometry, n, m2, subspace_dim)
+    return EtTransmissionCode(encoder, decoder, isometry, n, m2)
 
 
 def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel) -> float:
-    """F_e of the sampled code pair on an n-fold use of ``channel``."""
-    state, dims = _encoded_phi(et.encoder, et.m2), (et.m2,) + et.encoder.out_dims
-    for _ in range(et.n):  # one use at a time keeps the Kraus count flat
-        state, dims = apply_channel_mat(channel, state, dims, [1])
-    return _branch_overlap(state, et.decoder.stacked, et.m2)
+    """F_e of the sampled code pair on an n-fold use of ``channel``.
+
+    With decoder ops R_b, n-fold channel ops N_k and the encoder isometry V,
+    F_e = sum_{b,k} |tr(R_b N_k V)|^2 / m2^2.
+    """
+    n, m2 = et.n, et.m2
+    if channel.in_dim**n != et.isometry.shape[0] or channel.out_dim**n != et.decoder.in_dim:
+        raise DimensionMismatchError("channel spaces do not match the code")
+    fed = _fed_stack(channel.stacked, n, et.isometry)  # (K, dout, m2)
+    dec = et.decoder.stacked  # (B, m2, dout)
+    traces = dec.reshape(len(dec), -1) @ fed.transpose(0, 2, 1).reshape(len(fed), -1).T
+    return float(np.sum(np.abs(traces) ** 2)) / m2**2
 
 
 def expected_encoding_deviation(
@@ -363,10 +367,10 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> KrausChannel:
     p = np.asarray(p, dtype=float)
     tags = np.eye(v.alphabet_size, dtype=complex).reshape(-1, v.alphabet_size, 1)
     ops = []
-    for x in range(v.alphabet_size):
+    for x, letter in enumerate(v.vectors):
         if p[x] <= 0:
             continue
-        feed = np.kron(_pure_vector(v.outputs[x]).reshape(-1, 1), np.eye(db))
+        feed = np.kron(letter.reshape(-1, 1), np.eye(db))
         ops.append(np.sqrt(p[x]) * batch_kron(qmac.stacked @ feed, tags[x : x + 1]))
     return KrausChannel(np.concatenate(ops), (db,), (qmac.out_dim, v.alphabet_size))
 
@@ -375,26 +379,19 @@ def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix
     """Output ensemble of the classical sender with a fixed B input state."""
     da, db = qmac.in_dims
     outs = []
-    for x in range(v.alphabet_size):
-        joint = tensor(v.outputs[x].mat, b_state.mat)
+    for letter_state in _letter_states(v):
+        joint = tensor(letter_state, b_state.mat)
         out, _ = apply_channel_mat(qmac, joint, (da, db), [0, 1])
         outs.append(DensityMatrix(out, (qmac.out_dim,)))
     return outs
 
 
-def _pure_vector(state: DensityMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(state.mat)
-    return vecs[:, -1]
-
-
-def _tag_embedding(word, dc: int, x_size: int) -> np.ndarray:
-    """Isometry C^n -> (C (x) X)^n writing the word into the tag registers."""
-    blocks = []
+def _tag_columns(word, dc: int, x_size: int) -> np.ndarray:
+    """Column of (C (x) X)^n holding each C^n basis vector tagged with the word."""
+    cols = np.zeros(1, dtype=int)
     for x in word:
-        tag = np.zeros((x_size, 1), dtype=complex)
-        tag[x, 0] = 1.0
-        blocks.append(np.kron(np.eye(dc), tag))
-    return tensor_all(blocks)
+        cols = (cols[:, None] * (dc * x_size) + np.arange(dc) * x_size + x).reshape(-1)
+    return cols
 
 
 def combine_hybrid(
@@ -415,14 +412,13 @@ def combine_hybrid(
     x_size = v.alphabet_size
     if et.decoder.in_dim != (dc * x_size) ** n:
         raise DimensionMismatchError("quantum decoder does not act on tagged outputs")
-    dec_stack = et.decoder.stacked
     branches = []
     for word, d in zip(cq.codewords, cq.povm):
-        gentle = _tag_embedding(word, dc, x_size) @ sqrt_psd(d)
-        ops = _stack_matmul(dec_stack, gentle)
+        ops = _stack_matmul(et.decoder.stacked[:, :, _tag_columns(word, dc, x_size)], sqrt_psd(d))
         branches.append(KrausChannel(ops, (dc,) * n, (et.m2,), trace_nonincreasing=True))
+    letter_states = _letter_states(v)
     classical_states = tuple(
-        DensityMatrix(_word_state(v.outputs, w), (da,) * n) for w in cq.codewords
+        DensityMatrix(_word_state(letter_states, w), (da,) * n) for w in cq.codewords
     )
     return EtCode(
         n=n,
@@ -465,11 +461,7 @@ def hybrid_chain_report(
     x_size = v.alphabet_size
     sigmas = _post_channel_states(code, qmac)
     words = cq.codewords
-    dec_stack = et.decoder.stacked
-    tag_ops = {
-        word: _stack_matmul(dec_stack, _tag_embedding(word, dc, x_size))
-        for word in set(words)
-    }
+    tag_ops = {w: et.decoder.stacked[:, :, _tag_columns(w, dc, x_size)] for w in set(words)}
     rows = []
     violations = 0
 
@@ -484,12 +476,7 @@ def hybrid_chain_report(
         )
 
     sqrt_povm = [sqrt_psd(d) for d in cq.povm]
-    per_message_perf = np.asarray(
-        [
-            _branch_overlap(sigma, code.branches[m].stacked, m2)
-            for m, sigma in enumerate(sigmas)
-        ]
-    )
+    per_message_perf = _message_overlaps(code, sigmas)
     for m, word in enumerate(words):
         sigma = sigmas[m]
         marginal = partial_trace_mat(sigma, (m2, dc**n), [1])
@@ -682,14 +669,11 @@ def converse_check(code: EtCode, cset: CompoundSet, tol: float = 1e-9) -> dict:
     members = []
     violations = 0
     for label, member in zip(cset.labels, cset.members):
-        fid = performance(code, member)
-        eps = min(max(1.0 - fid, 0.0), 1.0)
         sigmas = _post_channel_states(code, member)
-        probs = np.full(code.m1, 1.0 / code.m1)
-        conds = tuple(
-            DensityMatrix(s, (code.m2, code.dc**n)) for s in sigmas
-        )
-        omega = CqqState(probs, conds)
+        fid = float(np.mean(_message_overlaps(code, sigmas)))
+        eps = min(max(1.0 - fid, 0.0), 1.0)
+        conds = tuple(DensityMatrix(s, (code.m2, code.dc**n)) for s in sigmas)
+        omega = CqqState(np.full(code.m1, 1.0 / code.m1), conds)
         cap1 = holevo_fano_rate_bound(omega, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)
         ic = coherent_information_b_cx(omega)

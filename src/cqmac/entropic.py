@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CqChannel, KrausChannel, apply_channel_mat
+from .channels import CqChannel, KrausChannel
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
@@ -127,6 +127,17 @@ class CqqState:
         return DensityMatrix(full, (x, self.b_dim, self.c_dim))
 
 
+def pure_output_factor(kraus_stack: np.ndarray, letter: np.ndarray, psi_grid: np.ndarray):
+    """Factor u[ref, out, k] of a channel's output on the pure input V(x) (x) psi.
+
+    ``kraus_stack`` is (K, out, A (x) in), ``letter`` is V(x) on A and
+    ``psi_grid`` holds psi as a (ref, in) matrix; the output state on
+    (ref, out) is sum_k u[:, :, k] u[:, :, k]†, of rank at most K.
+    """
+    w = np.einsum("rb,a->rab", psi_grid, letter).reshape(len(psi_grid), -1)
+    return np.einsum("rj,koj->rok", w, kraus_stack)
+
+
 def effective_cqq_state(
     t: KrausChannel, p, v: CqChannel, psi: PureState
 ) -> CqqState:
@@ -149,13 +160,11 @@ def effective_cqq_state(
         raise DimensionMismatchError(
             f"channel input {t.in_dim} != {da} x {d_in} from V and psi"
         )
-    psi_mat = psi.density().mat
+    psi_grid = psi.vec.reshape(d_ref, d_in)
     conds = []
-    for x in range(v.alphabet_size):
-        full = tensor(v.outputs[x].mat, psi_mat)  # order (A, ref, in)
-        full = permute_mat(full, (da, d_ref, d_in), [1, 0, 2])  # (ref, A, in)
-        out, _ = apply_channel_mat(t, full, (d_ref, da, d_in), [1, 2])
-        conds.append(DensityMatrix(out, (d_ref, t.out_dim)))
+    for letter in v.vectors:
+        u = pure_output_factor(t.stacked, letter, psi_grid).reshape(d_ref * t.out_dim, -1)
+        conds.append(DensityMatrix(u @ u.conj().T, (d_ref, t.out_dim)))
     return CqqState(p, tuple(conds))
 
 

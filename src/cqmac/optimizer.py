@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
-from .entropic import entropy_of_spectrum
+from .entropic import entropy_of_spectrum, pure_output_factor
 from .qmatrix import PureState, hermitian_eig, tensor_all
 from .regions import Rect, RateRegion, compound_rect_powered
 
@@ -128,9 +128,7 @@ def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, da_l: int, db_l: int):
         for x in range(p.size):
             if p[x] <= 0:
                 continue
-            # pure input on (ref, A (x) Bin) as a ref x in matrix
-            w = np.einsum("rb,a->rab", psi_grid, v_vecs[x]).reshape(db_l, da_l * db_l)
-            u = np.einsum("rj,koj->rok", w, kstack)  # (ref, C, kraus)
+            u = pure_output_factor(kstack, v_vecs[x], psi_grid)  # (ref, C, kraus)
             marg_c = np.einsum("rck,rdk->cd", u, u.conj())
             avg_c += p[x] * marg_c
             s_c = entropy_of_spectrum(np.linalg.eigvalsh(marg_c))

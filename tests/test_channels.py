@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -294,6 +296,17 @@ class TestJson:
         with pytest.raises(ChannelFormatError):
             load_compound_json(text)
 
+    def test_renormalizes_within_load_tolerance(self, id_deph_set):
+        exact = load_compound_json(dump_compound_json(id_deph_set))
+        for a, b in zip(exact.members, id_deph_set.members):  # defect ~1e-16 keeps its bits
+            assert np.array_equal(a.stacked, b.stacked)
+        obj = json.loads(dump_compound_json(CompoundSet((identity_channel(2),))))
+        obj["members"][0]["kraus"][0] = [[1.0 + 2.5e-7, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0 - 2e-7, 0.0]]
+        (loaded,) = load_compound_json(json.dumps(obj)).members
+        gram = loaded.stacked[0].conj().T @ loaded.stacked[0]
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+        assert len(tensor_power(loaded, 6).kraus_ops) == 1  # passes the strict check
+
     def test_cptp_violation_reports_defect(self):
         bad = {
             "in_dims": [2],
@@ -308,20 +321,45 @@ class TestJson:
 
 
 class TestCqChannel:
-    def test_rejects_mixed_output(self, rng):
-        with pytest.raises(ValueError):
-            CqChannel((random_density(rng, (2,)),))
+    def test_rejects_non_unit_or_non_finite_letter(self):
+        for bad in ([[1.0, 0.0], [0.6, 0.6]], [[1.0, 0.0], [np.nan, 0.0]], [[np.inf, 0.0]], [[]]):
+            with pytest.raises(ValueError, match="not finite unit vectors"):
+                CqChannel(np.array(bad, dtype=complex))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite unit"):
+            CqChannel.from_vectors([np.zeros(2)])  # 0/0 normalizes to NaN
+
+    @pytest.mark.parametrize(
+        "letters",
+        [np.ones(2), np.ones((1, 1, 2)), np.ones(()), [], np.zeros((0, 2))],
+        ids=["vector", "rank-3", "scalar", "empty-list", "empty-alphabet"],
+    )
+    def test_wrong_shape_or_empty_raises(self, letters):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            CqChannel(letters)
+
+    def test_one_read_only_vector_array(self, rng):
+        raw = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
+        v = CqChannel.from_vectors(raw)
+        assert [f.name for f in dataclasses.fields(CqChannel)] == ["vectors"]
+        assert v.vectors.shape == (2, 3) and v.vectors.dtype == complex
+        assert not v.vectors.flags.writeable
+        for row, r in zip(v.vectors, raw):  # per-vector normalisation keeps its bits
+            assert np.array_equal(row, r / np.linalg.norm(r))
+        letters = np.array(v.vectors)
+        w = CqChannel(letters)
+        letters[0] = 0.0  # the caller's array is not the channel's
+        assert np.array_equal(w.vectors, v.vectors)
 
     def test_basis(self):
         v = CqChannel.basis(3, 2)
-        assert v.alphabet_size == 2
-        assert np.allclose(v.outputs[0].mat, np.diag([1.0, 0.0, 0.0]))
+        assert v.alphabet_size == 2 and v.dim == 3
+        assert np.array_equal(v.vectors, np.eye(3)[:2])
 
     def test_tensor_pairing(self, basis_v):
         from cqmac.channels import cq_tensor
 
         prod = cq_tensor(basis_v, basis_v)
         assert prod.alphabet_size == 4
-        expect = np.zeros((4, 4))
-        expect[1, 1] = 1.0  # (x=0, y=1) row-major
-        assert np.allclose(prod.outputs[1].mat, expect)
+        expect = np.zeros(4)
+        expect[1] = 1.0  # (x=0, y=1) row-major
+        assert np.allclose(prod.vectors[1], expect)

@@ -227,6 +227,31 @@ class TestLoaderRejects:
         assert "error:" in capsys.readouterr().err
 
 
+def _scaled_identity_file(tmp_path: Path, scale: float) -> Path:
+    """The (2, 2) -> 4 identity with its Kraus operator scaled by ``scale``."""
+    flat = [[scale * (i == j), 0.0] for i in range(4) for j in range(4)]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"in_dims": [2, 2], "out_dims": [4], "kraus": [flat]}))
+    return path
+
+
+class TestLoadTolerance:
+    @pytest.mark.parametrize(
+        "command, level, out",
+        [("region", "1", "--out-csv"), ("region", "2", "--out-csv"), ("simulate", "2", "--out-json")],
+    )
+    def test_defect_within_load_tolerance_runs(self, tmp_path, command, level, out):
+        # defect 5e-7: accepted at load, and above the 1e-8 every later check uses
+        path = _scaled_identity_file(tmp_path, 1.0 + 2.5e-7)
+        argv = [command, "--input", str(path), "--l", level, "--budget", "1"]
+        assert main(argv + [out, str(tmp_path / "out")]) == 0
+
+    def test_defect_beyond_load_tolerance_exit_3(self, tmp_path, capsys):
+        path = _scaled_identity_file(tmp_path, 1.0 + 1e-6)
+        assert main(["net", "--input", str(path), "--out-json", str(tmp_path / "n.json")]) == 3
+        assert "defect 2.000e-06" in capsys.readouterr().err
+
+
 _KEYS = st.sampled_from(["members", "labels", "in_dims", "out_dims", "kraus"]) | st.text(max_size=3)
 _SCALARS = (
     st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=3)

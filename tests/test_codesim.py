@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,18 @@ from cqmac.channels import (
     CompoundSet,
     CqChannel,
     KrausChannel,
+    apply_channel_mat,
     dephasing_channel,
     identity_channel,
 )
 from cqmac.qmatrix import (
+    DimensionMismatchError,
     entanglement_fidelity,
     maximally_entangled,
     maximally_mixed,
+    tensor_all,
 )
+from cqmac.randutil import complex_gaussian, random_kraus_ops
 from cqmac.suites import suite_code_identities
 
 
@@ -63,9 +69,10 @@ class TestCqCodebook:
             # independent term-by-term evaluation
             total = 0.0
             for word, d in zip(cb.codewords, cb.povm):
-                state = w.outputs[word[0]].mat
+                letters = [np.outer(v, v.conj()) for v in w.vectors]
+                state = letters[word[0]]
                 for x in word[1:]:
-                    state = np.kron(state, w.outputs[x].mat)
+                    state = np.kron(state, letters[x])
                 total += 1.0 - np.real(np.trace(d @ state))
             oracle = total / cb.size
             assert impl == pytest.approx(oracle, abs=1e-10)
@@ -130,6 +137,24 @@ class TestEtCodeSampling:
         assert np.max(np.abs(np.array(impl) - np.array(oracle))) < 1e-9
         assert max(impl) > 0.9
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factored_fidelity_matches_dense_evolution(self, rng, n):
+        """Random complex channels against the encoded Phi evolved one use at a time."""
+        chans = [KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,)) for _ in range(2)]
+        et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
+        for ch in chans + [KrausChannel(random_kraus_ops(rng, 2, 3, 3), (2,), (3,))]:
+            state = codesim._encoded_phi(et.encoder, et.m2)
+            dims = (et.m2,) + et.encoder.out_dims
+            for _ in range(n):
+                state, dims = apply_channel_mat(ch, state, dims, [1])
+            oracle = codesim._branch_overlap(state, et.decoder.stacked, et.m2)
+            assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(oracle, abs=1e-12)
+
+    def test_fidelity_rejects_mismatched_channel(self):
+        et = codesim.sample_et_code([dephasing_channel(0.1)], 2, 2, 2, seed=1)
+        with pytest.raises(DimensionMismatchError):
+            codesim.et_entanglement_fidelity(et, identity_channel(3))
+
     def test_m2_too_large(self, identity_b_channel):
         with pytest.raises(ValueError):
             codesim.sample_et_code([identity_b_channel], 2, 1, 3, seed=0)
@@ -166,6 +191,18 @@ class TestCombineHybrid:
         assert row["one_word_error"] == pytest.approx(0.0, abs=1e-10)
         assert row["performance"] == pytest.approx(row["fidelity_decoded"], abs=1e-10)
         assert row["fidelity_decoded"] == pytest.approx(row["fidelity_ideal_tag"], abs=1e-10)
+
+    @pytest.mark.parametrize("n, dc, x_size", [(1, 4, 2), (2, 3, 2), (3, 2, 3)])
+    def test_tag_columns_equal_dense_embedding(self, rng, n, dc, x_size):
+        dec = complex_gaussian(rng, (5, 2, (dc * x_size) ** n))
+        for word in itertools.product(range(x_size), repeat=n):
+            blocks = []
+            for x in word:  # C -> C (x) X writing x into the tag register
+                tag = np.zeros((x_size, 1), dtype=complex)
+                tag[x, 0] = 1.0
+                blocks.append(np.kron(np.eye(dc), tag))
+            dense = codesim._stack_matmul(dec, tensor_all(blocks))
+            assert np.array_equal(dec[:, :, codesim._tag_columns(word, dc, x_size)], dense)
 
     def test_completeness(self, identity_qmac, basis_v, uniform_p):
         code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)

@@ -3,6 +3,8 @@ import pytest
 
 from cqmac.channels import (
     CqChannel,
+    KrausChannel,
+    apply_channel_mat,
     channel_tensor,
     depolarizing_channel,
     identity_channel,
@@ -21,8 +23,8 @@ from cqmac.entropic import (
     quantum_mutual_information,
     von_neumann_entropy,
 )
-from cqmac.qmatrix import DensityMatrix, maximally_entangled, tensor
-from cqmac.randutil import random_density
+from cqmac.qmatrix import DensityMatrix, maximally_entangled, permute_mat, tensor
+from cqmac.randutil import complex_gaussian, random_density, random_kraus_ops, random_pure
 from cqmac.suites import (
     suite_alicki_fannes,
     suite_data_processing,
@@ -136,6 +138,24 @@ class TestEffectiveCqqState:
         assert mutual_information_x_c(omega) == pytest.approx(i_xc, abs=1e-9)
         ic = coherent_information(dense, [1], [0, 2])
         assert coherent_information_b_cx(omega) == pytest.approx(ic, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 4, 2), (3, 2, 5, 3), (2, 3, 2, 1)], ids=["qubits", "qutrit-a", "1d-ref"]
+    )
+    def test_pure_route_matches_dense_oracle(self, rng, dims):
+        """Random complex channel, letters and psi against V(x) (x) psi evolved densely."""
+        da, d_in, dc, d_ref = dims
+        t = KrausChannel(random_kraus_ops(rng, da * d_in, dc, 3), (da, d_in), (dc,))
+        v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
+        psi = random_pure(rng, (d_ref, d_in))
+        p = rng.dirichlet(np.ones(3))
+        omega = effective_cqq_state(t, p, v, psi)
+        for letter, cond in zip(v.vectors, omega.cond_states):
+            full = tensor(np.outer(letter, letter.conj()), psi.density().mat)  # (A, ref, in)
+            full = permute_mat(full, (da, d_ref, d_in), [1, 0, 2])
+            dense, dense_dims = apply_channel_mat(t, full, (d_ref, da, d_in), [1, 2])
+            assert cond.dims == dense_dims
+            assert np.allclose(cond.mat, dense, rtol=0, atol=1e-12)
 
     def test_bad_distribution(self, identity_qmac, basis_v, bell_psi):
         with pytest.raises(ValueError):
