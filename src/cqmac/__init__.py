@@ -52,13 +52,27 @@ from .regions import (
     timeshare_closure,
     union,
 )
-from .optimizer import (
-    InputAnsatz,
-    SpectralDecomposition,
-    decompose_tensor_power,
-    empirical_approximation,
-    pareto_trace,
+
+# The optimizer imports scipy.optimize, which only the frontier search
+# needs, so its names are looked up on first use (PEP 562).
+_OPTIMIZER_NAMES = (
+    "InputAnsatz",
+    "SpectralDecomposition",
+    "decompose_tensor_power",
+    "empirical_approximation",
+    "pareto_trace",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name in _OPTIMIZER_NAMES:
+        from . import optimizer
+
+        return getattr(optimizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["optimizer", *_OPTIMIZER_NAMES]
+)
 __version__ = "0.1.0"

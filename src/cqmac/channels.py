@@ -27,6 +27,9 @@ from .qmatrix import (
 CPTP_TOL = 1e-8
 UNIT_NORM_TOL = 1e-7
 DIM_BUDGET = 64
+# dimension budget of the frontier search (`region --dim-budget`) and of the
+# code simulator's n-fold channel powers
+INTERNAL_DIM_BUDGET = 4096
 
 
 class CptpError(ValueError):

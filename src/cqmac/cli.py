@@ -10,9 +10,9 @@ All diagnostics go to stderr; data lands only in the requested output
 files. They are byte-identical for a fixed config and seed only while the
 BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS``) is fixed as well: another
 count can change results in the last bits, which the full-precision
-``simulate`` JSON shows. Exit codes: 0 ok, 2 malformed input, 3 CPTP
-defect above 1e-6 in the input (smaller ones are renormalized at load),
-4 budget exceeded.
+``simulate`` JSON shows. Exit codes: 0 ok, 1 a ``verify`` suite failed,
+2 malformed input, 3 CPTP defect above 1e-6 in the input (smaller ones are
+renormalized at load), 4 budget exceeded. Only ``region`` loads scipy.
 
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),
@@ -33,6 +33,7 @@ import numpy as np
 
 from . import codesim
 from .channels import (
+    INTERNAL_DIM_BUDGET,
     BudgetExceededError,
     ChannelFormatError,
     CompoundSet,
@@ -43,7 +44,6 @@ from .channels import (
     load_compound_json,
 )
 from .qmatrix import DimensionMismatchError, maximally_mixed
-from .optimizer import DEFAULT_DIM_BUDGET, pareto_trace
 from .regions import corners_csv, staircase_svg
 from .suites import run_suites
 
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     region.add_argument("--out-csv", required=True)
     region.add_argument("--out-svg", default=None)
     region.add_argument("--alphabet", type=_positive_int, default=None)
-    region.add_argument("--dim-budget", type=_positive_int, default=DEFAULT_DIM_BUDGET)
+    region.add_argument("--dim-budget", type=_positive_int, default=INTERNAL_DIM_BUDGET)
 
     sim = sub.add_parser("simulate", help="sample and evaluate hybrid codes")
     sim.set_defaults(handler=cmd_simulate)
@@ -174,6 +174,8 @@ def _load_set(path: str) -> CompoundSet:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    from .optimizer import pareto_trace  # scipy loads here, for this command only
+
     cset = _load_set(args.input)
     result = pareto_trace(
         cset,

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
+    INTERNAL_DIM_BUDGET,
     CompoundSet,
     CqChannel,
     KrausChannel,
@@ -56,7 +57,6 @@ from .qmatrix import (
 from .randutil import haar_isometry, random_kraus_ops
 
 DECODER_COMPLETENESS_TOL = 1e-7
-INTERNAL_DIM_BUDGET = 4096
 CHAIN_SLACK = 1e-9
 
 
@@ -263,19 +263,22 @@ def _recovery_channel(
         mat, dims = apply_channel_mat(single, mat, dims, [0])
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
-    inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
-    m_inv = (vecs * inv) @ vecs.conj().T
+    support = vals > cutoff
+    sup, kernel = vecs[:, support], vecs[:, ~support]
     fed = _fed_stack(single.stacked, n, isometry)  # (J, dout, m2)
     jcount = fed.shape[0]
-    mixed = (m_inv @ fed.transpose(1, 0, 2).reshape(dout, -1)).reshape(
-        dout, jcount, m2
-    )
-    recov = mixed.conj().transpose(1, 2, 0)  # B_j = V† N_j† M^(-1/2)
-    # the recovery grams sum to the support projector of M; dump its kernel
-    kernel = vecs[:, vals <= cutoff]
-    completion = np.zeros((kernel.shape[1], m2, dout), dtype=complex)
-    completion[:, 0, :] = kernel.T.conj()
-    return KrausChannel(np.concatenate([recov, completion]), (dout,), (m2,))
+    # M^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S, so
+    # B_j = V† N_j† M^(-1/2) = coeff_j† S† with coeff = diag(lam^-1/2) S† F
+    coeff = sup.conj().T @ fed.transpose(1, 0, 2).reshape(dout, -1)
+    coeff /= np.sqrt(vals[support])[:, None]
+    # the recovery grams sum to the support projector of M; one op per
+    # kernel vector completes them to the identity
+    ops = np.zeros((jcount + kernel.shape[1], m2, dout), dtype=complex)
+    recov = ops[:jcount].reshape(-1, dout)  # a view: row j*m2 + a is B_j[a]
+    np.matmul(coeff.T, sup.T, out=recov)
+    np.conjugate(recov, out=recov)
+    ops[jcount:, 0, :] = kernel.T.conj()
+    return KrausChannel(ops, (dout,), (m2,))
 
 
 def sample_et_code(

@@ -14,12 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
+from .channels import (
+    INTERNAL_DIM_BUDGET,
+    BudgetExceededError,
+    CompoundSet,
+    CqChannel,
+    blocked_tensor_power,
+)
 from .entropic import entropy_of_spectrum, pure_output_factor
 from .qmatrix import PureState, hermitian_eig, tensor_all
 from .regions import Rect, RateRegion, compound_rect_powered
 
-DEFAULT_DIM_BUDGET = 4096
 NM_ITERATIONS = 200
 
 
@@ -41,7 +46,7 @@ class InputAnsatz:
         object.__setattr__(self, "psi_params", np.asarray(self.psi_params, dtype=float))
 
     def cq_channel(self, da_l: int) -> CqChannel:
-        return CqChannel.from_vectors(_state_vectors(self.v_params, self.p.size, da_l))
+        return CqChannel(_state_vectors(self.v_params, self.p.size, da_l))
 
     def psi(self, db_l: int) -> PureState:
         return PureState(_psi_vector(self.psi_params, db_l), (db_l, db_l))
@@ -111,7 +116,7 @@ def _gram_entropy(columns: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(gram))
 
 
-def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, da_l: int, db_l: int):
+def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, db_l: int):
     """Rate pair per compound member, raw-array route for the search loop.
 
     Exploits purity of the ansatz: per label the channel output has rank at
@@ -162,7 +167,7 @@ def pareto_trace(
     budget: int,
     seed: int,
     alphabet_size: int | None = None,
-    dim_budget: int = DEFAULT_DIM_BUDGET,
+    dim_budget: int = INTERNAL_DIM_BUDGET,
     max_evaluations: int | None = None,
 ) -> TraceResult:
     """Trace the achievable-region frontier at blocking level l.
@@ -206,7 +211,7 @@ def pareto_trace(
             nonlocal evals
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            rates = _fast_rates(kraus_stacks, p, v_vecs, psi_vec, da_l, db_l)
+            rates = _fast_rates(kraus_stacks, p, v_vecs, psi_vec, db_l)
             r1 = max(0.0, min(r[0] for r in rates)) / l
             r2 = max(0.0, min(r[1] for r in rates)) / l
             val = w1 * r1 + w2 * r2

@@ -294,15 +294,19 @@ def test_net_input_fuzz_gives_documented_exit(tmp_path, value):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_cli(argv: list[str], timeout: float, blas_threads: str | None = None):
+def _run_python(args: list[str], timeout: float, blas_threads: str | None = None):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run(
-        [sys.executable, "-m", "cqmac.cli", *argv],
+        [sys.executable, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _run_cli(argv: list[str], timeout: float, blas_threads: str | None = None):
+    return _run_python(["-m", "cqmac.cli", *argv], timeout, blas_threads)
 
 
 def _argv(command: str, set_file: Path, tmp_path: Path) -> list[str]:
@@ -385,3 +389,39 @@ def test_simulate_byte_identical_at_fixed_blas_threads(tmp_path, pair_set_file, 
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_json.read_bytes(), out_csv.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from cqmac.cli import main
+
+set_file, out = sys.argv[1:]
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+codes = [
+    main(["simulate", "--input", set_file, "--l", "1", "--budget", "1",
+          "--out-json", out + "/sim.json"]),
+    main(["verify", "--suite", "timeshare"]),
+    main(["net", "--input", set_file, "--out-json", out + "/net.json"]),
+]
+before = scipy_modules()
+codes.append(main(["region", "--input", set_file, "--budget", "1", "--weights", "1:1",
+                   "--out-csv", out + "/region.csv"]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_region_loads_scipy(tmp_path, pair_set_file):
+    """In one fresh process, simulate, verify and net load no scipy module;
+    region then loads scipy.optimize and still runs."""
+    proc = _run_python(["-c", _SCIPY_PROBE, str(pair_set_file), str(tmp_path)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["before"] == []
+    assert "scipy.optimize" in seen["after"]
+    assert (tmp_path / "region.csv").read_text().startswith("r1,r2")

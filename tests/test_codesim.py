@@ -19,7 +19,7 @@ from cqmac.qmatrix import (
     maximally_mixed,
     tensor_all,
 )
-from cqmac.randutil import complex_gaussian, random_kraus_ops
+from cqmac.randutil import complex_gaussian, haar_isometry, random_kraus_ops
 from cqmac.suites import suite_code_identities
 
 
@@ -149,6 +149,39 @@ class TestEtCodeSampling:
                 state, dims = apply_channel_mat(ch, state, dims, [1])
             oracle = codesim._branch_overlap(state, et.decoder.stacked, et.m2)
             assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("n, kind", [(1, "random"), (2, "random"), (3, "random"),
+                                         (1, "tagged"), (2, "tagged")])
+    def test_recovery_matches_dense_inverse_root(self, rng, identity_b_channel, n, kind):
+        """The support-eigenvector recovery against M^(-1/2) formed densely.
+
+        Random complex channels give a full-rank M; the tagged identity
+        channel of the hybrid codes gives a kernel, hence completion ops.
+        """
+        if kind == "random":
+            ops = np.concatenate([random_kraus_ops(rng, 2, 3, 2) for _ in range(2)]) / np.sqrt(2)
+        else:
+            ops = identity_b_channel.stacked
+        g0, d1, m2 = ops.shape[2], ops.shape[1], 2
+        iso = haar_isometry(rng, g0**n, m2)
+        single = KrausChannel(ops, (g0,), (d1,))
+        mat, dims = iso @ iso.conj().T, (g0,) * n
+        for _ in range(n):
+            mat, dims = apply_channel_mat(single, mat, dims, [0])
+        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+        cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
+        inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
+        m_inv = (vecs * inv) @ vecs.conj().T
+        fed = codesim._fed_stack(ops, n, iso)
+        recov = np.array([(m_inv @ f).conj().T for f in fed])
+        kernel = vecs[:, vals <= cutoff]
+        completion = np.zeros((kernel.shape[1], m2, d1**n), dtype=complex)
+        completion[:, 0, :] = kernel.T.conj()
+        oracle = np.concatenate([recov, completion])
+        got = codesim._recovery_channel(ops, n, iso, m2, g0).stacked
+        assert (kind == "tagged") == (len(completion) > 0)
+        assert got.shape == oracle.shape
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
     def test_fidelity_rejects_mismatched_channel(self):
         et = codesim.sample_et_code([dephasing_channel(0.1)], 2, 2, 2, seed=1)

@@ -17,6 +17,21 @@ from cqmac.qmatrix import DensityMatrix, PureState, maximally_mixed, trace_norm
 from cqmac.regions import compound_rect_powered
 
 
+def test_package_resolves_optimizer_names_on_use():
+    import cqmac
+    from cqmac import optimizer
+    from cqmac import pareto_trace as lazy_trace
+
+    assert lazy_trace is pareto_trace
+    for name in ("InputAnsatz", "SpectralDecomposition", "decompose_tensor_power",
+                 "empirical_approximation", "pareto_trace"):
+        assert getattr(cqmac, name) is getattr(optimizer, name)
+        assert name in cqmac.__all__
+    assert "optimizer" in cqmac.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cqmac.no_such_name
+
+
 def _depolarizing_qmac():
     from cqmac.channels import KrausChannel, depolarizing_channel
 
@@ -83,7 +98,7 @@ class TestParetoTrace:
             for _ in range(3):
                 theta = rng.standard_normal(nd)
                 p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
-                fast = _fast_rates(stacks, p, vv, pv, da_l, db_l)
+                fast = _fast_rates(stacks, p, vv, pv, db_l)
                 r1 = max(0.0, min(r[0] for r in fast)) / l
                 r2 = max(0.0, min(r[1] for r in fast)) / l
                 rect = compound_rect_powered(
@@ -104,7 +119,7 @@ class TestParetoTrace:
         vals = []
         for t in ts:
             p, vv, pv = _materialize_flat(theta + t * direction, 2, 2, 2)
-            rates = _fast_rates(stacks, p, vv, pv, 2, 2)
+            rates = _fast_rates(stacks, p, vv, pv, 2)
             vals.append(rates[0][0] + rates[0][1])
         vals = np.asarray(vals)
         assert np.all(np.isfinite(vals))
