@@ -42,11 +42,11 @@ from .entropic import (
     holevo_fano_rate_bound,
 )
 from .qmatrix import (
+    EIGENVALUE_CLAMP,
     DensityMatrix,
     DimensionMismatchError,
     PureState,
     maximally_entangled,
-    partial_trace_mat,
     permute_mat,
     pinv_sqrt_psd,
     sqrt_psd,
@@ -58,6 +58,7 @@ from .randutil import haar_isometry, random_kraus_ops
 
 DECODER_COMPLETENESS_TOL = 1e-7
 CHAIN_SLACK = 1e-9
+CONVERSE_SLACK = 1e-9
 
 
 def _completeness_defect(branches) -> float:
@@ -109,40 +110,52 @@ def _encoded_phi(encoder: KrausChannel, m2: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _post_channel_states(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
-    """Per-message joint states on [F, C^n] after n channel uses."""
+def _state_factor(mat: np.ndarray) -> np.ndarray:
+    """F with F F† = mat: eigenvectors scaled by the root of eigenvalues above the clamp."""
+    vals, vecs = np.linalg.eigh(mat)
+    keep = vals > EIGENVALUE_CLAMP
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _message_factors(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
+    """Factors W_m[f, c, k] of the post-channel states W_m W_m† on [F, C^n].
+
+    Column (K, i, j) of W_m is the n-fold Kraus op K applied to the product
+    of the classical state's factor column i and the input state's column j.
+    """
     if channel.in_dims != (code.da, code.db) or channel.out_dim != code.dc:
         raise DimensionMismatchError("channel spaces do not match the code")
     n, m2, da, db = code.n, code.m2, code.da, code.db
-    powered = tensor_power(channel, n, budget=INTERNAL_DIM_BUDGET)
-    tau = code.input_state.mat
-    dims = (da,) * n + (m2,) + (db,) * n
-    positions = [x for i in range(n) for x in (i, n + 1 + i)]
-    states = []
+    ops = tensor_power(channel, n, budget=INTERNAL_DIM_BUDGET).stacked
+    tau = _state_factor(code.input_state.mat).reshape(m2, db**n, -1)
+    # the power's input is ordered (A_1, B_1, ..., A_n, B_n)
+    order = [i for pair in zip(range(n), range(n, 2 * n)) for i in pair] + [2 * n]
+    factors = []
     for st in code.classical_states:
-        joint = tensor(st.mat, tau)
-        out, _ = apply_channel_mat(powered, joint, dims, positions)
-        states.append(out)
-    return states
+        joint = np.einsum("ai,fbj->abfij", _state_factor(st.mat), tau)
+        joint = joint.reshape((da,) * n + (db,) * n + (-1,)).transpose(order)
+        w = ops @ joint.reshape((da * db) ** n, -1)  # (K, C^n, F i j)
+        w = w.reshape(len(ops), -1, m2, joint.shape[-1] // m2)
+        factors.append(w.transpose(2, 1, 0, 3).reshape(m2, w.shape[1], -1))
+    return factors
 
 
-def _branch_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
-    """<Phi| (id_F (x) branch)(sigma) |Phi> for sigma on [F, C^n]."""
+def _branch_overlap(factor: np.ndarray, branch_ops, m2: int) -> float:
+    """<Phi| (id_F (x) branch)(W W†) |Phi> for the factor W[f, c, k] on [F, C^n]."""
     ops = np.asarray(branch_ops)
-    u = ops.conj().reshape(ops.shape[0], -1) / np.sqrt(m2)
-    t = u.conj() @ sigma
-    return float(np.real(np.sum(t * u)))
+    t = ops.reshape(len(ops), -1) @ factor.reshape(ops[0].size, -1)
+    return float(np.vdot(t, t).real) / m2
 
 
-def _message_overlaps(code: EtCode, states) -> np.ndarray:
+def _message_overlaps(code: EtCode, factors) -> np.ndarray:
     """Per-message fidelity with |m><m| (x) Phi of the post-channel states."""
-    pairs = zip(states, code.branches)
-    return np.array([_branch_overlap(sigma, br.stacked, code.m2) for sigma, br in pairs])
+    pairs = zip(factors, code.branches)
+    return np.array([_branch_overlap(w, br.stacked, code.m2) for w, br in pairs])
 
 
 def performance(code: EtCode, channel: KrausChannel) -> float:
     """Average fidelity with |m><m| (x) Phi over the message set."""
-    return float(np.mean(_message_overlaps(code, _post_channel_states(code, channel))))
+    return float(np.mean(_message_overlaps(code, _message_factors(code, channel))))
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +198,14 @@ def _word_state(letter_states, word) -> np.ndarray:
     return tensor_all([letter_states[x] for x in word])
 
 
-def pgm_codebook(w_family, words) -> CqCodebook:
+def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement of the family-averaged codeword outputs.
 
-    Any part of the identity missed by the measurement is split evenly
+    ``w_families`` is a sequence of letter-state families (a CqChannel or a
+    list of DensityMatrix outputs each). Any part of the identity missed by the measurement is split evenly
     across the messages so the POVM is complete.
     """
-    families = [_letter_states(w) for w in (w_family if isinstance(w_family, (list, tuple)) else [w_family])]
+    families = [_letter_states(w) for w in w_families]
     words = [tuple(int(x) for x in w) for w in words]
     avg_states = [
         sum(_word_state(fam, w) for fam in families) / len(families) for w in words
@@ -205,12 +219,12 @@ def pgm_codebook(w_family, words) -> CqCodebook:
     return CqCodebook(tuple(words), tuple(povm))
 
 
-def sample_cq_codebook(w_family, p, n: int, m1: int, seed: int) -> CqCodebook:
+def sample_cq_codebook(w_families, p, n: int, m1: int, seed: int) -> CqCodebook:
     """Random codebook with i.i.d. codewords and a pretty-good measurement."""
     p = np.asarray(p, dtype=float)
     rng = np.random.default_rng(seed)
     words = [tuple(int(x) for x in rng.choice(p.size, size=n, p=p)) for _ in range(m1)]
-    return pgm_codebook(w_family, words)
+    return pgm_codebook(w_families, words)
 
 
 def average_error(cb: CqCodebook, w) -> float:
@@ -294,9 +308,10 @@ def sample_et_code(
     of the n-fold power of a ``subspace_dim``-dimensional input subspace
     (canonically embedded if the channels accept a larger space). The
     decoder is the pretty-good recovery built from the action of the
-    uniformly averaged channel on that subspace.
+    uniformly averaged channel on that subspace. ``channels`` is a
+    sequence of channels with one input and one output space.
     """
-    channels = list(channels) if isinstance(channels, (list, tuple)) else [channels]
+    channels = list(channels)
     g0 = channels[0].in_dim
     for ch in channels:
         if ch.in_dim != g0 or ch.out_dim != channels[0].out_dim:
@@ -457,51 +472,46 @@ def hybrid_chain_report(
     with the ensemble entanglement fidelity and a 4*sqrt(e) remainder is
     reported but not asserted because its intermediate identities mix
     expectations over the codeword draw into single realizations.
+    ``code``, when given, is combine_hybrid(cq, et, v, qmac) built earlier.
     """
     if code is None:
         code = combine_hybrid(cq, et, v, qmac)
     n, m2, dc = code.n, code.m2, code.dc
-    x_size = v.alphabet_size
-    sigmas = _post_channel_states(code, qmac)
+    factors = _message_factors(code, qmac)
     words = cq.codewords
-    tag_ops = {w: et.decoder.stacked[:, :, _tag_columns(w, dc, x_size)] for w in set(words)}
+    # overlaps[m, m'] is branch m''s fidelity on message m's state. Branch m' is
+    # sqrt(D_m') then the recovery on the tag word of m', so by linearity row m
+    # sums to the decoded tagged state's fidelity; the diagonal is performance.
+    overlaps = np.array(
+        [[_branch_overlap(w, br.stacked, m2) for br in code.branches] for w in factors]
+    )
     rows = []
     violations = 0
-
-    def _dhat(d_sqrt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        big = np.kron(np.eye(m2), d_sqrt)
-        return big @ sigma @ big
-
-    def _decode_blocks(blocks: dict) -> float:
-        # fidelity with Phi of the decoded tagged state, block by block
-        return sum(
-            _branch_overlap(block, tag_ops[word], m2) for word, block in blocks.items()
-        )
-
-    sqrt_povm = [sqrt_psd(d) for d in cq.povm]
-    per_message_perf = _message_overlaps(code, sigmas)
+    dressings = [np.kron(np.eye(m2), sqrt_psd(d)) for d in cq.povm]  # I_F (x) sqrt(D_m)
     for m, word in enumerate(words):
-        sigma = sigmas[m]
-        marginal = partial_trace_mat(sigma, (m2, dc**n), [1])
-        gamma = 1.0 - float(np.real(np.trace(cq.povm[m] @ marginal)))
+        cols = factors[m].reshape(m2 * dc**n, -1)
+        sigma = cols @ cols.conj().T
+        blocks = [big @ sigma @ big for big in dressings]
+        # the one-word error tr[(I - D_m) sigma] as the other branches' weight:
+        # exactly 0 where the codeword outputs are orthogonal, where
+        # 1 - tr[D_m sigma] leaves a rounding residue under the square roots
+        gamma = sum(float(np.trace(b).real) for mp, b in enumerate(blocks) if mp != m)
         gamma = min(max(gamma, 0.0), 1.0)
-        disturbed = _dhat(sqrt_povm[m], sigma)
-        gentle_lhs = trace_norm(disturbed - sigma)
+        gentle_lhs = trace_norm(blocks[m] - sigma)
         gentle_rhs = 3.0 * np.sqrt(gamma)
         gamma_blocks: dict[tuple, np.ndarray] = {}
-        for mp, word_p in enumerate(words):
-            block = _dhat(sqrt_povm[mp], sigma)
+        for word_p, block in zip(words, blocks):
             gamma_blocks[word_p] = gamma_blocks.get(word_p, 0) + block
-        ideal_blocks = {word: sigma}
-        tags = set(gamma_blocks) | set(ideal_blocks)
+        # the ideal tagged state is sigma in its own word's block and 0 elsewhere
         diff_norm = sum(
-            trace_norm(gamma_blocks.get(t, 0) - ideal_blocks.get(t, 0)) for t in tags
+            trace_norm(block - sigma if t == word else block) for t, block in gamma_blocks.items()
         )
         approx_rhs = gamma + 3.0 * np.sqrt(gamma)
-        f_hat = _decode_blocks(gamma_blocks)
-        f_ideal = _decode_blocks(ideal_blocks)
+        f_hat = float(np.sum(overlaps[m]))
+        tag_ops = et.decoder.stacked[:, :, _tag_columns(word, dc, v.alphabet_size)]
+        f_ideal = _branch_overlap(factors[m], tag_ops, m2)
         transfer_rhs = f_ideal - 0.5 * diff_norm
-        p_m = float(per_message_perf[m])
+        p_m = float(overlaps[m, m])
         final_rhs = 1.0 - 2.0 * gamma - 3.0 * (1.0 - f_hat)
         checks = {
             "gentle_measurement": gentle_rhs - gentle_lhs,
@@ -528,7 +538,7 @@ def hybrid_chain_report(
         )
     e_bar = float(np.mean([r["one_word_error"] for r in rows]))
     f_emp = float(np.mean([r["fidelity_ideal_tag"] for r in rows]))
-    p_avg = float(np.mean(per_message_perf))
+    p_avg = float(np.mean(np.diag(overlaps)))
     aggregate_bound = 1.0 - 2.0 * e_bar - 3.0 * (1.0 - f_emp) - 6.0 * np.sqrt(e_bar)
     if p_avg - aggregate_bound < -CHAIN_SLACK:
         violations += 1
@@ -659,7 +669,7 @@ def pad(code: EtCode, b: int) -> EtCode:
 # ---------------------------------------------------------------------------
 
 
-def converse_check(code: EtCode, cset: CompoundSet, tol: float = 1e-9) -> dict:
+def converse_check(code: EtCode, cset: CompoundSet) -> dict:
     """Compare achieved rates against the information-theoretic caps.
 
     Per member: the Fano/Holevo cap on the classical rate and the coherent
@@ -672,11 +682,10 @@ def converse_check(code: EtCode, cset: CompoundSet, tol: float = 1e-9) -> dict:
     members = []
     violations = 0
     for label, member in zip(cset.labels, cset.members):
-        sigmas = _post_channel_states(code, member)
-        fid = float(np.mean(_message_overlaps(code, sigmas)))
+        factors = _message_factors(code, member)
+        fid = float(np.mean(_message_overlaps(code, factors)))
         eps = min(max(1.0 - fid, 0.0), 1.0)
-        conds = tuple(DensityMatrix(s, (code.m2, code.dc**n)) for s in sigmas)
-        omega = CqqState(np.full(code.m1, 1.0 / code.m1), conds)
+        omega = CqqState(np.full(code.m1, 1.0 / code.m1), tuple(factors))
         cap1 = holevo_fano_rate_bound(omega, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)
         ic = coherent_information_b_cx(omega)
@@ -684,7 +693,7 @@ def converse_check(code: EtCode, cset: CompoundSet, tol: float = 1e-9) -> dict:
             cap2 = (ic + 2.0 * binary_entropy(min(eps_tilde, 1.0))) / (1.0 - 4.0 * eps_tilde) / n
         else:
             cap2 = float("inf")
-        member_violation = bool(r1 > cap1 + tol or r2 > cap2 + tol)
+        member_violation = bool(r1 > cap1 + CONVERSE_SLACK or r2 > cap2 + CONVERSE_SLACK)
         if member_violation:
             violations += 1
         members.append(

@@ -1,8 +1,10 @@
 """Entropic functionals on states and on classical-quantum-quantum blocks.
 
-All entropies are base 2 (bits). A CqqState keeps one conditional state per
-classical label instead of one big block-diagonal matrix, which is exact
-and keeps dimensions small.
+All entropies are base 2 (bits). A CqqState keeps, per classical label, a
+factor u of its conditional state (rho = u u†) instead of one big
+block-diagonal matrix, which is exact and keeps dimensions small. One kernel,
+``cqq_rates``, computes I(X;C) and I_c(B>CX) from the factors for the rate
+functions, the regions and the optimizer; dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     EIGENVALUE_CLAMP,
+    HERMITICITY_TOL,
     PureState,
     partial_trace,
     partial_trace_mat,
-    permute_mat,
-    tensor,
 )
 
 
@@ -75,32 +76,36 @@ def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
 class CqqState:
     """Classical label X with a conditional two-part (B, C) state per label.
 
-    Off-diagonal blocks between labels are zero by construction; the pair
-    (probs, cond_states) is the exact block-diagonal representation.
+    Label x carries a factor u[b, c, k] of its conditional state
+    rho_x = sum_k u[:, :, k] u[:, :, k]† (the rank k may differ by label).
+    Blocks between labels are zero, so (probs, factors) is the exact state.
     """
 
     probs: np.ndarray
-    cond_states: tuple[DensityMatrix, ...]
+    factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size != len(self.cond_states):
+        if p.ndim != 1 or p.size != len(self.factors):
             raise DimensionMismatchError("probability vector does not match label count")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        dims = self.cond_states[0].dims
-        if len(dims) != 2:
-            raise DimensionMismatchError("conditional states must have exactly parts (B, C)")
-        for st in self.cond_states:
-            if st.dims != dims:
-                raise DimensionMismatchError("conditional states on mismatched spaces")
+        factors = tuple(np.array(u, dtype=complex) for u in self.factors)
+        for u in factors:
+            if u.ndim != 3 or u.shape[:2] != factors[0].shape[:2]:
+                raise DimensionMismatchError("factors must share one (B, C, rank) layout")
+            if not np.all(np.isfinite(u)):
+                raise ValueError("factor entries must be finite")
+            if abs(np.vdot(u, u).real - 1.0) > HERMITICITY_TOL:
+                raise ValueError("conditional state trace differs from 1")
+            u.flags.writeable = False
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "cond_states", tuple(self.cond_states))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def alphabet_size(self) -> int:
@@ -108,23 +113,24 @@ class CqqState:
 
     @property
     def b_dim(self) -> int:
-        return self.cond_states[0].dims[0]
+        return self.factors[0].shape[0]
 
     @property
     def c_dim(self) -> int:
-        return self.cond_states[0].dims[1]
+        return self.factors[0].shape[1]
 
-    def c_marginals(self) -> list[np.ndarray]:
-        return [partial_trace_mat(st.mat, st.dims, [1]) for st in self.cond_states]
+    def dense_blocks(self) -> list[np.ndarray]:
+        """Conditional states u u† as matrices on (B, C); for oracles and small dimensions."""
+        cols = [u.reshape(-1, u.shape[2]) for u in self.factors]
+        return [c @ c.conj().T for c in cols]
 
     def to_density_matrix(self) -> DensityMatrix:
-        """Dense block-diagonal state on (X, B, C); for small dimensions only."""
-        x = self.alphabet_size
+        """Dense block-diagonal state on (X, B, C); for oracles and small dimensions."""
         d = self.b_dim * self.c_dim
-        full = np.zeros((x * d, x * d), dtype=complex)
-        for i, st in enumerate(self.cond_states):
-            full[i * d : (i + 1) * d, i * d : (i + 1) * d] = self.probs[i] * st.mat
-        return DensityMatrix(full, (x, self.b_dim, self.c_dim))
+        full = np.zeros((self.alphabet_size * d,) * 2, dtype=complex)
+        for i, block in enumerate(self.dense_blocks()):
+            full[i * d : (i + 1) * d, i * d : (i + 1) * d] = self.probs[i] * block
+        return DensityMatrix(full, (self.alphabet_size, self.b_dim, self.c_dim))
 
 
 def pure_output_factor(kraus_stack: np.ndarray, letter: np.ndarray, psi_grid: np.ndarray):
@@ -136,6 +142,30 @@ def pure_output_factor(kraus_stack: np.ndarray, letter: np.ndarray, psi_grid: np
     """
     w = np.einsum("rb,a->rab", psi_grid, letter).reshape(len(psi_grid), -1)
     return np.einsum("rj,koj->rok", w, kraus_stack)
+
+
+def cqq_rates(probs, factors) -> tuple[float, float]:
+    """(I(X;C), I_c(B>CX)) of the cqq state with label factors u[b, c, k].
+
+    Per label the C marginal is one contraction of u and S(BC) comes from the
+    small Gram matrix u† u (the nonzero spectrum of u u†); labels with p = 0
+    are skipped: 2|X| + 1 spectra in all. Nothing is validated, so the
+    optimizer's objective calls this on ``pure_output_factor`` outputs.
+    """
+    dc = factors[0].shape[1]
+    avg_c = np.zeros((dc, dc), dtype=complex)
+    holevo_cond = 0.0
+    coherent = 0.0
+    for px, u in zip(probs, factors):
+        if px <= 0:
+            continue
+        marg_c = np.einsum("rck,rdk->cd", u, u.conj())
+        avg_c += px * marg_c
+        s_c = entropy_of_spectrum(np.linalg.eigvalsh(marg_c))
+        holevo_cond += px * s_c
+        cols = u.reshape(-1, u.shape[2])
+        coherent += px * (s_c - entropy_of_spectrum(np.linalg.eigvalsh(cols.conj().T @ cols)))
+    return entropy_of_spectrum(np.linalg.eigvalsh(avg_c)) - holevo_cond, coherent
 
 
 def effective_cqq_state(
@@ -161,30 +191,19 @@ def effective_cqq_state(
             f"channel input {t.in_dim} != {da} x {d_in} from V and psi"
         )
     psi_grid = psi.vec.reshape(d_ref, d_in)
-    conds = []
-    for letter in v.vectors:
-        u = pure_output_factor(t.stacked, letter, psi_grid).reshape(d_ref * t.out_dim, -1)
-        conds.append(DensityMatrix(u @ u.conj().T, (d_ref, t.out_dim)))
-    return CqqState(p, tuple(conds))
+    return CqqState(p, tuple(pure_output_factor(t.stacked, x, psi_grid) for x in v.vectors))
 
 
 def mutual_information_x_c(omega: CqqState) -> float:
-    """I(X;C) evaluated on the block structure: S(X) + S(C) - S(XC)."""
-    p = omega.probs
-    h_x = entropy_of_spectrum(p)
-    c_margs = omega.c_marginals()
-    avg_c = sum(p[i] * c_margs[i] for i in range(p.size))
-    s_c = von_neumann_entropy(avg_c)
-    s_xc = h_x + float(
-        sum(p[i] * von_neumann_entropy(c_margs[i]) for i in range(p.size))
-    )
-    return h_x + s_c - s_xc
+    """I(X;C) = S(avg C) - avg S(C) on the block structure."""
+    return float(cqq_rates(omega.probs, omega.factors)[0])
 
 
 def holevo_information(omega: CqqState) -> float:
-    """Holevo quantity S(avg C) - avg S(C); oracle counterpart of I(X;C)."""
+    """Holevo quantity from dense C marginals; oracle counterpart of I(X;C)."""
     p = omega.probs
-    c_margs = omega.c_marginals()
+    dims = (omega.b_dim, omega.c_dim)
+    c_margs = [partial_trace_mat(block, dims, [1]) for block in omega.dense_blocks()]
     avg_c = sum(p[i] * c_margs[i] for i in range(p.size))
     return von_neumann_entropy(avg_c) - float(
         sum(p[i] * von_neumann_entropy(c_margs[i]) for i in range(p.size))
@@ -193,30 +212,18 @@ def holevo_information(omega: CqqState) -> float:
 
 def coherent_information_b_cx(omega: CqqState) -> float:
     """I_c(B>CX) = S(CX) - S(BCX) on the block structure."""
-    p = omega.probs
-    total = 0.0
-    for i, st in enumerate(omega.cond_states):
-        if p[i] <= EIGENVALUE_CLAMP:
-            continue
-        s_c = von_neumann_entropy(partial_trace_mat(st.mat, st.dims, [1]))
-        s_bc = von_neumann_entropy(st.mat)
-        total += p[i] * (s_c - s_bc)
-    return float(total)
+    return float(cqq_rates(omega.probs, omega.factors)[1])
 
 
 def cqq_tensor(a: CqqState, b: CqqState) -> CqqState:
     """Product state with parts regrouped to (B_a B_b, C_a C_b)."""
     probs = np.outer(a.probs, b.probs).reshape(-1)
-    conds = []
-    for sa in a.cond_states:
-        for sb in b.cond_states:
-            dims = sa.dims + sb.dims  # (Ba, Ca, Bb, Cb)
-            mat = tensor(sa.mat, sb.mat)
-            mat = permute_mat(mat, dims, [0, 2, 1, 3])
-            conds.append(
-                DensityMatrix(mat, (sa.dims[0] * sb.dims[0], sa.dims[1] * sb.dims[1]))
-            )
-    return CqqState(probs, tuple(conds))
+    factors = []
+    for ua in a.factors:
+        for ub in b.factors:
+            u = np.einsum("ack,bdl->abcdkl", ua, ub)
+            factors.append(u.reshape(len(ua) * len(ub), ua.shape[1] * ub.shape[1], -1))
+    return CqqState(probs, tuple(factors))
 
 
 def alicki_fannes_bound(epsilon: float, dim_a: int) -> float:

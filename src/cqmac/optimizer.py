@@ -21,7 +21,7 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
-from .entropic import entropy_of_spectrum, pure_output_factor
+from .entropic import cqq_rates, pure_output_factor
 from .qmatrix import PureState, hermitian_eig, tensor_all
 from .regions import Rect, RateRegion, compound_rect_powered
 
@@ -110,39 +110,6 @@ def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
     return theta
 
 
-def _gram_entropy(columns: np.ndarray) -> float:
-    """Entropy of sum_k u_k u_k† from the small Gram matrix of the columns."""
-    gram = columns.conj().T @ columns
-    return entropy_of_spectrum(np.linalg.eigvalsh(gram))
-
-
-def _fast_rates(kraus_stacks, p, v_vecs, psi_vec, db_l: int):
-    """Rate pair per compound member, raw-array route for the search loop.
-
-    Exploits purity of the ansatz: per label the channel output has rank at
-    most the Kraus count, so the joint entropy comes from a small Gram
-    matrix instead of the full output matrix.
-    """
-    psi_grid = psi_vec.reshape(db_l, db_l)
-    rates = []
-    for kstack in kraus_stacks:
-        dc = kstack.shape[1]
-        avg_c = np.zeros((dc, dc), dtype=complex)
-        holevo_cond = 0.0
-        coherent = 0.0
-        for x in range(p.size):
-            if p[x] <= 0:
-                continue
-            u = pure_output_factor(kstack, v_vecs[x], psi_grid)  # (ref, C, kraus)
-            marg_c = np.einsum("rck,rdk->cd", u, u.conj())
-            avg_c += p[x] * marg_c
-            s_c = entropy_of_spectrum(np.linalg.eigvalsh(marg_c))
-            holevo_cond += p[x] * s_c
-            coherent += p[x] * (s_c - _gram_entropy(u.reshape(db_l * dc, -1)))
-        rates.append((entropy_of_spectrum(np.linalg.eigvalsh(avg_c)) - holevo_cond, coherent))
-    return rates
-
-
 @dataclass(frozen=True)
 class WeightOptimum:
     weights: tuple[float, float]
@@ -211,7 +178,11 @@ def pareto_trace(
             nonlocal evals
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            rates = _fast_rates(kraus_stacks, p, v_vecs, psi_vec, db_l)
+            psi_grid = psi_vec.reshape(db_l, db_l)
+            rates = [
+                cqq_rates(p, [pure_output_factor(ks, v, psi_grid) for v in v_vecs])
+                for ks in kraus_stacks
+            ]
             r1 = max(0.0, min(r[0] for r in rates)) / l
             r2 = max(0.0, min(r[1] for r in rates)) / l
             val = w1 * r1 + w2 * r2

@@ -37,14 +37,19 @@ def random_pure(rng: np.random.Generator, dims) -> PureState:
     return PureState(v / np.linalg.norm(v), dims)
 
 
+def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
+    """Unit-norm Gaussian factor, shaped dims + (rank,), of a Wishart state."""
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    n = int(np.prod(dims))
+    g = complex_gaussian(rng, (n, n if rank is None else int(rank)))
+    return (g / np.linalg.norm(g)).reshape(dims + (-1,))
+
+
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
     """State sampled as a normalized Wishart matrix of the given rank."""
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    n = int(np.prod(dims))
-    r = n if rank is None else int(rank)
-    g = complex_gaussian(rng, (n, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)
+    g = random_factor(rng, dims, rank).reshape(int(np.prod(dims)), -1)
+    return DensityMatrix(g @ g.conj().T, dims)
 
 
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:

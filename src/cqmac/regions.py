@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CompoundSet, CqChannel, KrausChannel, blocked_tensor_power
-from .entropic import (
-    coherent_information_b_cx,
-    effective_cqq_state,
-    mutual_information_x_c,
-)
+from .entropic import cqq_rates, effective_cqq_state
 from .qmatrix import PureState
 
 BOUNDARY_TOL = 1e-6
@@ -74,7 +70,7 @@ def one_shot_region(
 ) -> Rect:
     """Rectangle of rate pairs for one channel and one input ansatz."""
     omega = effective_cqq_state(t, p, v, psi)
-    return Rect(mutual_information_x_c(omega), coherent_information_b_cx(omega))
+    return Rect(*cqq_rates(omega.probs, omega.factors))
 
 
 def compound_rect(

@@ -45,6 +45,7 @@ from .randutil import (
     complex_gaussian,
     random_density,
     random_effect,
+    random_factor,
     random_kraus_ops,
     random_pure,
 )
@@ -216,8 +217,7 @@ def suite_holevo_identity(seed: int, samples: int = 100, tol: float | None = Non
     for _ in range(samples):
         x = int(rng.integers(2, 4))
         p = rng.dirichlet(np.ones(x))
-        conds = tuple(random_density(rng, (2, 2)) for _ in range(x))
-        omega = CqqState(p, conds)
+        omega = CqqState(p, tuple(random_factor(rng, (2, 2)) for _ in range(x)))
         gap = abs(mutual_information_x_c(omega) - holevo_information(omega))
         margins.append(tol - gap)
     return _collect("holevo_identity", margins)

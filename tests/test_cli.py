@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,46 @@ class TestSimulateCommand:
         rows = out_csv.read_text().strip().splitlines()
         assert rows[0] == "n,best_fidelity,mean_fidelity"
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+
+
+    def test_config_records_tie_tolerance(self, tmp_path, identity_set_file):
+        out_json = tmp_path / "report.json"
+        assert main(["simulate", "--input", str(identity_set_file), "--budget", "1",
+                     "--out-json", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["config"]["best_seed_tie_rtol"] == 1e-12
+
+
+def test_best_seed_survives_decoder_rounding(monkeypatch, identity_qmac, mild_dephasing_qmac):
+    """On the pair set at n=1 seeds tie at 0.86 up to rounding; scaling one
+    tied seed's decoder by 1 + 1e-15 reorders the raw values, not the pick."""
+    from cqmac import cli, codesim
+    from cqmac.channels import KrausChannel
+
+    cset = CompoundSet((identity_qmac, mild_dephasing_qmac), ("id", "deph"))
+    base = cli._simulate_one(cset, 1, 2, 2, 4, 0)
+    worst = [r["worst_fidelity"] for r in base["runs"]]
+    tied = [i for i, w in enumerate(worst) if max(worst) - w <= 1e-12 * max(worst)]
+    assert len(tied) >= 2 and base["best_seed_index"] == tied[0]
+
+    combine = codesim.combine_hybrid
+    built = []
+
+    def perturbed(*args, **kwargs):
+        code = combine(*args, **kwargs)
+        built.append(code)
+        if len(built) - 1 != tied[-1]:
+            return code
+        scaled = tuple(
+            KrausChannel(br.stacked * (1 + 1e-15), br.in_dims, br.out_dims, trace_nonincreasing=True)
+            for br in code.branches
+        )
+        return replace(code, branches=scaled)
+
+    monkeypatch.setattr(codesim, "combine_hybrid", perturbed)
+    out = cli._simulate_one(cset, 1, 2, 2, 4, 0)
+    raw = [r["worst_fidelity"] for r in out["runs"]]
+    assert raw[tied[-1]] > max(raw[i] for i in tied[:-1])
+    assert out["best_seed_index"] == base["best_seed_index"]
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,39 @@ from cqmac.channels import (
     apply_channel_mat,
     dephasing_channel,
     identity_channel,
+    tensor_power,
 )
+from cqmac.entropic import binary_entropy, von_neumann_entropy
 from cqmac.qmatrix import (
     DimensionMismatchError,
     entanglement_fidelity,
     maximally_entangled,
     maximally_mixed,
+    partial_trace_mat,
+    sqrt_psd,
+    tensor,
     tensor_all,
 )
-from cqmac.randutil import complex_gaussian, haar_isometry, random_kraus_ops
+from cqmac.randutil import complex_gaussian, haar_isometry, random_density, random_kraus_ops
 from cqmac.suites import suite_code_identities
+
+
+def _dense_post_channel_states(code, channel) -> list[np.ndarray]:
+    """Per-message joint states on [F, C^n] evolved densely: the factor route's oracle."""
+    n = code.n
+    dims = (code.da,) * n + (code.m2,) + (code.db,) * n
+    positions = [x for i in range(n) for x in (i, n + 1 + i)]
+    powered = tensor_power(channel, n)
+    return [
+        apply_channel_mat(powered, tensor(st.mat, code.input_state.mat), dims, positions)[0]
+        for st in code.classical_states
+    ]
+
+
+def _dense_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
+    """<Phi| (id_F (x) branch)(sigma) |Phi> for a dense sigma on [F, C^n]."""
+    rows = np.asarray(branch_ops).reshape(len(branch_ops), -1)
+    return float(np.real(np.sum((rows @ sigma) * rows.conj()))) / m2
 
 
 @pytest.fixture
@@ -147,7 +171,7 @@ class TestEtCodeSampling:
             dims = (et.m2,) + et.encoder.out_dims
             for _ in range(n):
                 state, dims = apply_channel_mat(ch, state, dims, [1])
-            oracle = codesim._branch_overlap(state, et.decoder.stacked, et.m2)
+            oracle = _dense_overlap(state, et.decoder.stacked, et.m2)
             assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("n, kind", [(1, "random"), (2, "random"), (3, "random"),
@@ -321,7 +345,7 @@ class TestPerformance:
             tag = np.zeros(code.m1)
             tag[m] = 1.0
             target_vecs.append(np.kron(tag, phi.vec))
-        sigmas = codesim._post_channel_states(code, identity_qmac)
+        sigmas = _dense_post_channel_states(code, identity_qmac)
         total = 0.0
         for m in range(code.m1):
             big = np.zeros((code.m1 * code.m2 * code.m2,) * 2, dtype=complex)
@@ -474,3 +498,111 @@ class TestRandomEtCode:
         code = codesim.random_et_code(rng)
         val = codesim.performance(code, identity_qmac)
         assert -1e-9 <= val <= 1.0 + 1e-9
+
+
+def _oracle_codes(rng):
+    """Random complex codes, one with mixed classical states, and what the code
+    surgery makes of them, plus two random channels that fit them."""
+    chans = [KrausChannel(random_kraus_ops(rng, 4, 3, 3), (2, 2), (3,)) for _ in range(2)]
+    base = codesim.random_et_code(rng, dc=3)
+    mixed = replace(base, classical_states=tuple(random_density(rng, (2,)) for _ in range(2)))
+    codes = {
+        "random": base,
+        "mixed": mixed,
+        "pad": codesim.pad(mixed, 1),
+        "concatenate": codesim.concatenate([mixed, codesim.random_et_code(rng, dc=3)]),
+        "et_to_eg": codesim.et_to_eg(base, chans[0]),
+    }
+    return chans, codes
+
+
+class TestFactorRouteOracle:
+    """Post-channel factors W_m against the states evolved densely."""
+
+    KINDS = ["random", "mixed", "pad", "concatenate", "et_to_eg"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_performance_matches_dense_route(self, rng, kind):
+        chans, codes = _oracle_codes(rng)
+        code = codes[kind]
+        for ch in chans:
+            sigmas = _dense_post_channel_states(code, ch)
+            dense = np.mean(
+                [_dense_overlap(s, br.stacked, code.m2) for s, br in zip(sigmas, code.branches)]
+            )
+            assert codesim.performance(code, ch) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS + ["hybrid"])
+    def test_converse_check_matches_dense_route(self, rng, kind, identity_qmac, dephasing_qmac,
+                                                 basis_v, uniform_p):
+        if kind == "hybrid":  # high fidelity, so the caps are finite
+            code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
+            chans = [identity_qmac, dephasing_qmac]
+        else:
+            chans, codes = _oracle_codes(rng)
+            code = codes[kind]
+        report = codesim.converse_check(code, CompoundSet(tuple(chans)))
+        n, dims = code.n, (code.m2, code.dc**code.n)
+        for ch, row in zip(chans, report["members"]):
+            sigmas = _dense_post_channel_states(code, ch)
+            fid = np.mean([_dense_overlap(s, b.stacked, code.m2) for s, b in zip(sigmas, code.branches)])
+            margs = [partial_trace_mat(s, dims, [1]) for s in sigmas]
+            s_c = [von_neumann_entropy(c) for c in margs]
+            i_xc = von_neumann_entropy(sum(margs) / len(margs)) - np.mean(s_c)
+            ic = np.mean([sc - von_neumann_entropy(s) for sc, s in zip(s_c, sigmas)])
+            # the caps take the square root of 1 - fidelity, which turns a
+            # rounding residue near fidelity 1 into 1e-8; the fidelity itself
+            # is compared above, so the caps use the reported one
+            eps_tilde = 2.0 * np.sqrt(min(max(1.0 - row["fidelity"], 0.0), 1.0))
+            cap1 = (i_xc + 1.0) / (1.0 - eps_tilde) / n if eps_tilde < 1 else float("inf")
+            cap2 = float("inf")
+            if eps_tilde < 0.25:
+                cap2 = (ic + 2.0 * binary_entropy(eps_tilde)) / (1.0 - 4.0 * eps_tilde) / n
+            assert row["fidelity"] == pytest.approx(fid, abs=1e-12)
+            assert row["coherent_information_per_use"] == pytest.approx(ic / n, abs=1e-12)
+            assert row["r1_cap"] == pytest.approx(cap1, abs=1e-12)
+            assert row["r2_cap"] == pytest.approx(cap2, abs=1e-12)
+        if kind == "hybrid":
+            assert np.isfinite(report["members"][0]["r1_cap"])
+
+    @pytest.mark.parametrize("letters", ["basis", "skewed"])
+    def test_chain_report_matches_dense_blocks(self, identity_qmac, mild_dephasing_qmac,
+                                               uniform_p, letters):
+        """Row sums of the overlap matrix against the decoded blocks formed densely."""
+        if letters == "basis":
+            v = CqChannel.basis(2)
+        else:
+            v = CqChannel.from_vectors([np.array([1.0, 0.0]), np.array([np.cos(0.6), np.sin(0.6)])])
+        members = (identity_qmac, mild_dephasing_qmac)
+        a_fams = [codesim.effective_a_outputs(m, v, maximally_mixed(2)) for m in members]
+        b_chans = [codesim.effective_b_channel(m, uniform_p, v) for m in members]
+        n, m1 = 2, 3
+        cb = codesim.sample_cq_codebook(a_fams, uniform_p, n, m1, seed=12)
+        et = codesim.sample_et_code(b_chans, 2, n, 2, seed=13)
+        code = codesim.combine_hybrid(cb, et, v, identity_qmac)
+        m2, dc = code.m2, code.dc
+        sqrt_povm = [sqrt_psd(d) for d in cb.povm]
+        for member in members:
+            rep = codesim.hybrid_chain_report(cb, et, v, member, uniform_p, code=code)
+            for m, sigma in enumerate(_dense_post_channel_states(code, member)):
+                row = rep["per_message"][m]
+                blocks = {}
+                for d_sqrt, word in zip(sqrt_povm, cb.codewords):
+                    big = np.kron(np.eye(m2), d_sqrt)
+                    blocks[word] = blocks.get(word, 0) + big @ sigma @ big
+                tags = {w: et.decoder.stacked[:, :, codesim._tag_columns(w, dc, 2)] for w in blocks}
+                f_hat = sum(_dense_overlap(b, tags[w], m2) for w, b in blocks.items())
+                marginal = partial_trace_mat(sigma, (m2, dc**n), [1])
+                gamma = 1.0 - np.trace(cb.povm[m] @ marginal).real
+                word = cb.codewords[m]
+                assert row["fidelity_decoded"] == pytest.approx(f_hat, abs=1e-12)
+                assert row["fidelity_ideal_tag"] == pytest.approx(
+                    _dense_overlap(sigma, tags[word], m2), abs=1e-12)
+                assert row["performance"] == pytest.approx(
+                    _dense_overlap(sigma, code.branches[m].stacked, m2), abs=1e-12)
+                assert row["one_word_error"] == pytest.approx(max(gamma, 0.0), abs=1e-12)
+                if letters == "basis" and cb.codewords.count(word) == 1:
+                    # orthogonal outputs: no rounding residue for the square roots
+                    assert row["one_word_error"] < 1e-20
+                else:
+                    assert row["one_word_error"] > 1e-3

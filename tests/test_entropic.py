@@ -23,8 +23,20 @@ from cqmac.entropic import (
     quantum_mutual_information,
     von_neumann_entropy,
 )
-from cqmac.qmatrix import DensityMatrix, maximally_entangled, permute_mat, tensor
-from cqmac.randutil import complex_gaussian, random_density, random_kraus_ops, random_pure
+from cqmac.qmatrix import (
+    DensityMatrix,
+    DimensionMismatchError,
+    maximally_entangled,
+    permute_mat,
+    tensor,
+)
+from cqmac.randutil import (
+    complex_gaussian,
+    random_density,
+    random_factor,
+    random_kraus_ops,
+    random_pure,
+)
 from cqmac.suites import (
     suite_alicki_fannes,
     suite_data_processing,
@@ -114,8 +126,7 @@ class TestEffectiveCqqState:
         omega = effective_cqq_state(t, [1.0], v, bell_psi)
         assert omega.alphabet_size == 1
         # conditional state is pure: the untouched half plus the channel output
-        cond = omega.cond_states[0]
-        assert von_neumann_entropy(cond) == pytest.approx(0.0, abs=1e-9)
+        assert von_neumann_entropy(omega.dense_blocks()[0]) == pytest.approx(0.0, abs=1e-9)
         assert mutual_information_x_c(omega) == pytest.approx(0.0, abs=1e-10)
 
     def test_depolarizing_decouples(self, basis_v, bell_psi, uniform_p):
@@ -150,12 +161,12 @@ class TestEffectiveCqqState:
         psi = random_pure(rng, (d_ref, d_in))
         p = rng.dirichlet(np.ones(3))
         omega = effective_cqq_state(t, p, v, psi)
-        for letter, cond in zip(v.vectors, omega.cond_states):
+        for letter, cond in zip(v.vectors, omega.dense_blocks()):
             full = tensor(np.outer(letter, letter.conj()), psi.density().mat)  # (A, ref, in)
             full = permute_mat(full, (da, d_ref, d_in), [1, 0, 2])
             dense, dense_dims = apply_channel_mat(t, full, (d_ref, da, d_in), [1, 2])
-            assert cond.dims == dense_dims
-            assert np.allclose(cond.mat, dense, rtol=0, atol=1e-12)
+            assert (omega.b_dim, omega.c_dim) == dense_dims
+            assert np.allclose(cond, dense, rtol=0, atol=1e-12)
 
     def test_bad_distribution(self, identity_qmac, basis_v, bell_psi):
         with pytest.raises(ValueError):
@@ -222,12 +233,76 @@ class TestInvariantSuites:
 class TestCqqValidation:
     def test_probability_check(self, rng):
         with pytest.raises(ValueError):
-            CqqState(np.array([0.6, 0.6]), tuple(random_density(rng, (2, 2)) for _ in range(2)))
+            CqqState(np.array([0.6, 0.6]), tuple(random_factor(rng, (2, 2)) for _ in range(2)))
 
     def test_holevo_equals_mutual_information(self, rng):
         p = rng.dirichlet(np.ones(3))
-        conds = tuple(random_density(rng, (2, 2)) for _ in range(3))
-        omega = CqqState(p, conds)
+        omega = CqqState(p, tuple(random_factor(rng, (2, 2)) for _ in range(3)))
         assert mutual_information_x_c(omega) == pytest.approx(
             holevo_information(omega), abs=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (lambda u: u.reshape(4, 4), DimensionMismatchError),
+            (lambda u: u.reshape(4, 1, 4), DimensionMismatchError),
+            (lambda u: 2.0 * u, ValueError),
+            (lambda u: np.where(np.arange(16).reshape(2, 2, 4) == 3, np.nan, u), ValueError),
+        ],
+        ids=["rank-2", "other-layout", "trace-4", "nan"],
+    )
+    def test_rejects_bad_factor(self, rng, bad, error):
+        good = random_factor(rng, (2, 2))
+        with pytest.raises(error):
+            CqqState(np.array([0.5, 0.5]), (good, bad(random_factor(rng, (2, 2)))))
+
+    def test_validation_computes_no_spectrum(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum computed during validation")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        omega = CqqState(np.array([0.3, 0.7]), (random_factor(rng, (2, 3), 2),) * 2)
+        assert omega.factors[0].shape == (2, 3, 2) and not omega.factors[0].flags.writeable
+
+    def test_factor_draws_the_wishart_state_from_the_stream(self):
+        for dims, rank in [((2, 2), None), ((3, 2), 2)]:
+            u = random_factor(np.random.default_rng(4), dims, rank)
+            g = complex_gaussian(np.random.default_rng(4), (6 if rank else 4, rank or 4))
+            wishart = g @ g.conj().T
+            cols = u.reshape(len(g), -1)
+            assert np.allclose(cols @ cols.conj().T, wishart / np.trace(wishart).real,
+                               rtol=0, atol=1e-15)
+            rho = random_density(np.random.default_rng(4), dims, rank)
+            assert np.array_equal(rho.mat, cols @ cols.conj().T)
+
+
+class TestFactorOracle:
+    """Factor entropies against the dense block-diagonal state."""
+
+    @pytest.mark.parametrize("dims, ranks", [((2, 2), (1, 4, 2)), ((3, 2), (6, 2, 3)),
+                                             ((1, 4), (1, 2, 4))])
+    def test_rates_match_dense_blocks(self, rng, dims, ranks):
+        from cqmac.qmatrix import partial_trace
+
+        for p in (rng.dirichlet(np.ones(3)), np.array([0.4, 0.0, 0.6])):
+            omega = CqqState(p, tuple(random_factor(rng, dims, r) for r in ranks))
+            dense = omega.to_density_matrix()  # (X, B, C)
+            i_xc = quantum_mutual_information(partial_trace(dense, [0, 2]), [0], [1])
+            ic = coherent_information(dense, [1], [0, 2])
+            assert mutual_information_x_c(omega) == pytest.approx(i_xc, abs=1e-12)
+            assert holevo_information(omega) == pytest.approx(i_xc, abs=1e-12)
+            assert coherent_information_b_cx(omega) == pytest.approx(ic, abs=1e-12)
+
+    def test_tensor_matches_dense_product(self, rng):
+        a = CqqState(rng.dirichlet(np.ones(2)), tuple(random_factor(rng, (2, 3), 2) for _ in range(2)))
+        b = CqqState(rng.dirichlet(np.ones(3)), tuple(random_factor(rng, (2, 2), r) for r in (1, 3, 4)))
+        prod = cqq_tensor(a, b)
+        assert (prod.b_dim, prod.c_dim) == (4, 6)
+        blocks = iter(prod.dense_blocks())
+        for sa in a.dense_blocks():
+            for sb in b.dense_blocks():
+                dense = permute_mat(tensor(sa, sb), (2, 3, 2, 2), [0, 2, 1, 3])
+                assert np.allclose(next(blocks), dense, rtol=0, atol=1e-15)
+        assert np.allclose(prod.probs, np.outer(a.probs, b.probs).reshape(-1), rtol=0, atol=0)

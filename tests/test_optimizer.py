@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
+from cqmac.entropic import cqq_rates, pure_output_factor
 from cqmac.optimizer import (
     InputAnsatz,
-    _fast_rates,
     _materialize_flat,
     _param_count,
     decompose_tensor_power,
@@ -30,6 +30,12 @@ def test_package_resolves_optimizer_names_on_use():
     assert "optimizer" in cqmac.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         cqmac.no_such_name
+
+
+def _objective_rates(stacks, p, v_vecs, psi_vec, db_l):
+    """Rate pair per member as the objective computes it: the kernel on raw factors."""
+    psi_grid = psi_vec.reshape(db_l, db_l)
+    return [cqq_rates(p, [pure_output_factor(ks, v, psi_grid) for v in v_vecs]) for ks in stacks]
 
 
 def _depolarizing_qmac():
@@ -98,7 +104,7 @@ class TestParetoTrace:
             for _ in range(3):
                 theta = rng.standard_normal(nd)
                 p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
-                fast = _fast_rates(stacks, p, vv, pv, db_l)
+                fast = _objective_rates(stacks, p, vv, pv, db_l)
                 r1 = max(0.0, min(r[0] for r in fast)) / l
                 r2 = max(0.0, min(r[1] for r in fast)) / l
                 rect = compound_rect_powered(
@@ -106,6 +112,32 @@ class TestParetoTrace:
                 )
                 assert rect.r1_max == pytest.approx(r1, abs=1e-9)
                 assert rect.r2_max == pytest.approx(r2, abs=1e-9)
+
+    def test_objective_spectra_per_evaluation(self, id_deph_set, monkeypatch):
+        """One evaluation at l=2 takes (2|X| + 1) spectra per member: 18 on the pair."""
+        from cqmac import optimizer
+
+        objectives = []
+
+        def first_objective(fun, x0, **kwargs):
+            objectives.append((fun, x0))
+            raise StopIteration
+
+        monkeypatch.setattr(optimizer, "minimize", first_objective)
+        with pytest.raises(StopIteration):
+            pareto_trace(id_deph_set, 2, [(1.0, 1.0)], budget=1, seed=0)
+        (fun, x0), = objectives
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fun(np.random.default_rng(1).standard_normal(x0.size))
+        x_size, members = 4, len(id_deph_set.members)
+        assert len(calls) == (2 * x_size + 1) * members == 18
 
     def test_objective_is_numerically_tame(self, identity_qmac, rng):
         """Directional slices show no NaN and no explosive jumps."""
@@ -119,7 +151,7 @@ class TestParetoTrace:
         vals = []
         for t in ts:
             p, vv, pv = _materialize_flat(theta + t * direction, 2, 2, 2)
-            rates = _fast_rates(stacks, p, vv, pv, 2)
+            rates = _objective_rates(stacks, p, vv, pv, 2)
             vals.append(rates[0][0] + rates[0][1])
         vals = np.asarray(vals)
         assert np.all(np.isfinite(vals))
