@@ -59,6 +59,9 @@ from .randutil import haar_isometry, random_kraus_ops
 DECODER_COMPLETENESS_TOL = 1e-7
 CHAIN_SLACK = 1e-9
 CONVERSE_SLACK = 1e-9
+# fidelity deficits below this are rounding residues of fidelity 1 and count
+# as 0: the caps take sqrt(1 - fidelity), which turns 1e-16 into 1e-8
+CONVERSE_DEFICIT_FLOOR = 1e-12
 
 
 def _completeness_defect(branches) -> float:
@@ -684,7 +687,7 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
     for label, member in zip(cset.labels, cset.members):
         factors = _message_factors(code, member)
         fid = float(np.mean(_message_overlaps(code, factors)))
-        eps = min(max(1.0 - fid, 0.0), 1.0)
+        eps = 0.0 if 1.0 - fid < CONVERSE_DEFICIT_FLOOR else min(1.0 - fid, 1.0)
         omega = CqqState(np.full(code.m1, 1.0 / code.m1), tuple(factors))
         cap1 = holevo_fano_rate_bound(omega, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)

@@ -3,8 +3,10 @@
 All entropies are base 2 (bits). A CqqState keeps, per classical label, a
 factor u of its conditional state (rho = u u†) instead of one big
 block-diagonal matrix, which is exact and keeps dimensions small. One kernel,
-``cqq_rates``, computes I(X;C) and I_c(B>CX) from the factors for the rate
-functions, the regions and the optimizer; dense blocks serve only as oracles.
+``cqq_rates``, computes I(X;C) and I_c(B>CX) from factors for the rate
+functions, the regions and the optimizer, taking each spectrum from the
+smaller of the Gram matrices m m† and m† m of a factor m (they share their
+nonzero eigenvalues); dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ from .qmatrix import (
 )
 
 
-def entropy_of_spectrum(eigenvalues) -> float:
-    """- sum lam log2 lam over eigenvalues above the clamp threshold."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    lam = lam[lam > EIGENVALUE_CLAMP]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
+    """- sum lam log2 lam over the real eigenvalues above the clamp threshold."""
+    lam = eigenvalues[eigenvalues > EIGENVALUE_CLAMP]
+    return float(-lam @ np.log2(lam))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -133,39 +132,51 @@ class CqqState:
         return DensityMatrix(full, (self.alphabet_size, self.b_dim, self.c_dim))
 
 
-def pure_output_factor(kraus_stack: np.ndarray, letter: np.ndarray, psi_grid: np.ndarray):
-    """Factor u[ref, out, k] of a channel's output on the pure input V(x) (x) psi.
+def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
+    """Factors u[x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.
 
-    ``kraus_stack`` is (K, out, A (x) in), ``letter`` is V(x) on A and
-    ``psi_grid`` holds psi as a (ref, in) matrix; the output state on
-    (ref, out) is sum_k u[:, :, k] u[:, :, k]†, of rank at most K.
+    ``kraus_stack`` is (K, out, A (x) in), ``letters`` holds the V(x) as an
+    (X, A) array and ``psi_grid`` holds psi as a (ref, in) matrix. All labels
+    come from one product of the (X ref, A in) input grid with the stack; the
+    output state of label x on (ref, out) is sum_k u[x, :, :, k] u[x, :, :, k]†.
     """
-    w = np.einsum("rb,a->rab", psi_grid, letter).reshape(len(psi_grid), -1)
-    return np.einsum("rj,koj->rok", w, kraus_stack)
+    count, d_out, d_in = kraus_stack.shape
+    grid = letters[:, None, :, None] * psi_grid[None, :, None, :]
+    u = grid.reshape(-1, d_in) @ kraus_stack.reshape(count * d_out, d_in).T
+    return u.reshape(len(letters), len(psi_grid), count, d_out).transpose(0, 1, 3, 2)
+
+
+def _gram_entropies(m: np.ndarray) -> list[float]:
+    """S(m m†) for each matrix of the stack m, from the smaller of m m† and m† m."""
+    mh = m.conj().swapaxes(1, 2)
+    grams = m @ mh if m.shape[1] <= m.shape[2] else mh @ m
+    return [entropy_of_spectrum(np.linalg.eigvalsh(g)) for g in grams]
 
 
 def cqq_rates(probs, factors) -> tuple[float, float]:
-    """(I(X;C), I_c(B>CX)) of the cqq state with label factors u[b, c, k].
+    """(I(X;C), I_c(B>CX)) of the cqq state with label factors u[x, b, c, k].
 
-    Per label the C marginal is one contraction of u and S(BC) comes from the
-    small Gram matrix u† u (the nonzero spectrum of u u†); labels with p = 0
-    are skipped: 2|X| + 1 spectra in all. Nothing is validated, so the
-    optimizer's objective calls this on ``pure_output_factor`` outputs.
+    ``factors`` is an (X, B, C, rank) array or a sequence of (B, C, rank_x)
+    factors, padded with zero columns to one rank. Per label S(C) comes from
+    a = u's C rows, shape (c, b k), and S(BC) from u as a (b c, k) matrix;
+    the average C state from the sqrt(p_x) a_x side by side. Labels with
+    p = 0 are skipped: 2|X| + 1 spectra in all. Nothing is validated.
     """
-    dc = factors[0].shape[1]
-    avg_c = np.zeros((dc, dc), dtype=complex)
-    holevo_cond = 0.0
-    coherent = 0.0
-    for px, u in zip(probs, factors):
-        if px <= 0:
-            continue
-        marg_c = np.einsum("rck,rdk->cd", u, u.conj())
-        avg_c += px * marg_c
-        s_c = entropy_of_spectrum(np.linalg.eigvalsh(marg_c))
-        holevo_cond += px * s_c
-        cols = u.reshape(-1, u.shape[2])
-        coherent += px * (s_c - entropy_of_spectrum(np.linalg.eigvalsh(cols.conj().T @ cols)))
-    return entropy_of_spectrum(np.linalg.eigvalsh(avg_c)) - holevo_cond, coherent
+    probs = np.asarray(probs)
+    if not isinstance(factors, np.ndarray):
+        stack = np.zeros((len(factors), *factors[0].shape[:2], max(u.shape[2] for u in factors)),
+                         dtype=complex)
+        for x, u in enumerate(factors):
+            stack[x, :, :, : u.shape[2]] = u
+        factors = stack
+    keep = probs > 0
+    p, u = probs[keep], factors[keep]
+    n, b, c, k = u.shape
+    a = u.transpose(0, 2, 1, 3).reshape(n, c, b * k)
+    s_c = np.array(_gram_entropies(a))
+    s_bc = np.array(_gram_entropies(u.reshape(n, b * c, k)))
+    avg = (np.sqrt(p)[:, None, None] * a).transpose(1, 0, 2).reshape(1, c, n * b * k)
+    return _gram_entropies(avg)[0] - p @ s_c, p @ (s_c - s_bc)
 
 
 def effective_cqq_state(
@@ -184,14 +195,13 @@ def effective_cqq_state(
         raise DimensionMismatchError("distribution length does not match the cq alphabet")
     if len(psi.dims) != 2:
         raise DimensionMismatchError("psi must carry dims (reference, channel input)")
-    d_ref, d_in = psi.dims
+    d_in = psi.dims[1]
     da = v.dim
     if len(t.in_dims) < 1 or t.in_dim != da * d_in:
         raise DimensionMismatchError(
             f"channel input {t.in_dim} != {da} x {d_in} from V and psi"
         )
-    psi_grid = psi.vec.reshape(d_ref, d_in)
-    return CqqState(p, tuple(pure_output_factor(t.stacked, x, psi_grid) for x in v.vectors))
+    return CqqState(p, tuple(pure_output_factors(t.stacked, v.vectors, psi.vec.reshape(psi.dims))))
 
 
 def mutual_information_x_c(omega: CqqState) -> float:

@@ -4,7 +4,8 @@ The ansatz is parametrized by an unconstrained real vector: softmax for the
 distribution, paired real coordinates normalized to complex unit vectors
 for the pure states. Optimization is random restarts plus Nelder-Mead
 refinement (200 iterations), deterministic for a given seed regardless of
-how restarts are scheduled.
+how restarts are scheduled. Per compound member the objective makes one
+``pure_output_factors`` product and one ``cqq_rates`` call (smaller Grams).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
-from .entropic import cqq_rates, pure_output_factor
+from .entropic import cqq_rates, pure_output_factors
 from .qmatrix import PureState, hermitian_eig, tensor_all
 from .regions import Rect, RateRegion, compound_rect_powered
 
@@ -49,32 +50,19 @@ class InputAnsatz:
         return CqChannel(_state_vectors(self.v_params, self.p.size, da_l))
 
     def psi(self, db_l: int) -> PureState:
-        return PureState(_psi_vector(self.psi_params, db_l), (db_l, db_l))
+        return PureState(_state_vectors(self.psi_params, 1, db_l * db_l)[0], (db_l, db_l))
 
 
-def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> list[np.ndarray]:
+def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> np.ndarray:
+    """(X, A) unit vectors, psi as X = 1; a row of norm < 1e-12 becomes basis vector x mod A."""
     raw = v_params.reshape(x_size, da_l, 2)
-    vecs = []
-    for i in range(x_size):
-        v = raw[i, :, 0] + 1j * raw[i, :, 1]
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            v = np.zeros(da_l, dtype=complex)
-            v[i % da_l] = 1.0
-            norm = 1.0
-        vecs.append(v / norm)
-    return vecs
-
-
-def _psi_vector(psi_params: np.ndarray, db_l: int) -> np.ndarray:
-    raw = psi_params.reshape(db_l * db_l, 2)
-    v = raw[:, 0] + 1j * raw[:, 1]
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        v = np.zeros(db_l * db_l, dtype=complex)
-        v[0] = 1.0
-        norm = 1.0
-    return v / norm
+    norms = np.sqrt((raw * raw).sum(axis=(1, 2)))
+    vecs = raw[:, :, 0] + 1j * raw[:, :, 1]
+    small = norms < 1e-12
+    if small.any():
+        vecs[small] = np.eye(da_l)[np.flatnonzero(small) % da_l]
+        norms[small] = 1.0
+    return vecs / norms[:, None]
 
 
 def _param_count(x_size: int, da_l: int, db_l: int) -> int:
@@ -93,7 +81,7 @@ def _split_flat(theta: np.ndarray, x_size: int, da_l: int):
 
 def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
     p, v_params, psi_params = _split_flat(theta, x_size, da_l)
-    return p, _state_vectors(v_params, x_size, da_l), _psi_vector(psi_params, db_l)
+    return p, _state_vectors(v_params, x_size, da_l), _state_vectors(psi_params, 1, db_l * db_l)[0]
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -179,10 +167,7 @@ def pareto_trace(
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
             psi_grid = psi_vec.reshape(db_l, db_l)
-            rates = [
-                cqq_rates(p, [pure_output_factor(ks, v, psi_grid) for v in v_vecs])
-                for ks in kraus_stacks
-            ]
+            rates = [cqq_rates(p, pure_output_factors(ks, v_vecs, psi_grid)) for ks in kraus_stacks]
             r1 = max(0.0, min(r[0] for r in rates)) / l
             r2 = max(0.0, min(r[1] for r in rates)) / l
             val = w1 * r1 + w2 * r2

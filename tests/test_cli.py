@@ -10,7 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cqmac.channels import CompoundSet, dump_compound_json
+from cqmac.channels import (
+    CompoundSet,
+    channel_tensor,
+    dephasing_channel,
+    dump_compound_json,
+    identity_channel,
+)
 from cqmac.cli import main
 
 
@@ -414,22 +420,72 @@ class TestArguments:
         assert "--theta" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def simulate_runs(tmp_path_factory):
+    """Per BLAS thread count, (JSON, CSV) of two fresh-process runs of one
+    simulate config on the id/full-dephasing pair; each count runs once per
+    module and the tests below share the outputs."""
+    root = tmp_path_factory.mktemp("simulate")
+    set_file = root / "pair.json"
+    pair = CompoundSet(
+        tuple(channel_tensor(identity_channel(2), ch)
+              for ch in (identity_channel(2), dephasing_channel(full=True))),
+        ("id", "dephB"),
+    )
+    set_file.write_text(dump_compound_json(pair))
+    runs: dict[str, list[tuple[bytes, bytes]]] = {}
+
+    def outputs(threads: str) -> list[tuple[bytes, bytes]]:
+        if threads not in runs:
+            runs[threads] = []
+            for run in range(2):
+                out_json = root / f"t{threads}-r{run}.json"
+                out_csv = root / f"t{threads}-r{run}.csv"
+                proc = _run_cli(
+                    ["simulate", "--input", str(set_file), "--l", "1,2", "--budget", "2",
+                     "--seed", "4", "--out-json", str(out_json), "--out-csv", str(out_csv)],
+                    timeout=120,
+                    blas_threads=threads,
+                )
+                assert proc.returncode == 0, proc.stderr
+                runs[threads].append((out_json.read_bytes(), out_csv.read_bytes()))
+        return runs[threads]
+
+    return outputs
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_simulate_byte_identical_at_fixed_blas_threads(tmp_path, pair_set_file, threads):
+def test_simulate_byte_identical_at_fixed_blas_threads(simulate_runs, threads):
     """The determinism contract: fresh processes, same config, seed and BLAS
-    thread count, identical files. Nothing is claimed across thread counts."""
-    outputs = []
-    for run in range(2):
-        out_json, out_csv = tmp_path / f"r{run}.json", tmp_path / f"r{run}.csv"
-        proc = _run_cli(
-            ["simulate", "--input", str(pair_set_file), "--l", "1,2", "--budget", "2",
-             "--seed", "4", "--out-json", str(out_json), "--out-csv", str(out_csv)],
-            timeout=120,
-            blas_threads=threads,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out_json.read_bytes(), out_csv.read_bytes()))
-    assert outputs[0] == outputs[1]
+    thread count, identical files. Across thread counts see the next test."""
+    first, second = simulate_runs(threads)
+    assert first == second
+
+
+def _assert_floats_close(a, b, tol: float, where: str = "report") -> None:
+    """Same structure and non-float values; floats equal to ``tol``."""
+    if isinstance(a, float) and isinstance(b, float):
+        assert abs(a - b) <= tol * max(1.0, abs(a)), f"{where}: {a!r} vs {b!r}"
+    elif isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_floats_close(a[key], b[key], tol, f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_floats_close(x, y, tol, f"{where}[{i}]")
+    else:
+        assert a == b, f"{where}: {a!r} vs {b!r}"
+
+
+def test_simulate_agrees_across_blas_threads(simulate_runs):
+    """Between 1 and 2 BLAS threads the reports differ only by rounding: every
+    float agrees to 1e-12 and the same seed wins each block."""
+    one, two = (json.loads(simulate_runs(threads)[0][0]) for threads in ("1", "2"))
+    assert [b["best_seed_index"] for b in one["blocks"]] == [
+        b["best_seed_index"] for b in two["blocks"]
+    ]
+    _assert_floats_close(one, two, 1e-12)
 
 
 _SCIPY_PROBE = """

@@ -550,10 +550,9 @@ class TestFactorRouteOracle:
             s_c = [von_neumann_entropy(c) for c in margs]
             i_xc = von_neumann_entropy(sum(margs) / len(margs)) - np.mean(s_c)
             ic = np.mean([sc - von_neumann_entropy(s) for sc, s in zip(s_c, sigmas)])
-            # the caps take the square root of 1 - fidelity, which turns a
-            # rounding residue near fidelity 1 into 1e-8; the fidelity itself
-            # is compared above, so the caps use the reported one
-            eps_tilde = 2.0 * np.sqrt(min(max(1.0 - row["fidelity"], 0.0), 1.0))
+            eps = 1.0 - fid
+            eps = 0.0 if eps < codesim.CONVERSE_DEFICIT_FLOOR else min(eps, 1.0)
+            eps_tilde = 2.0 * np.sqrt(eps)
             cap1 = (i_xc + 1.0) / (1.0 - eps_tilde) / n if eps_tilde < 1 else float("inf")
             cap2 = float("inf")
             if eps_tilde < 0.25:

@@ -15,11 +15,13 @@ from cqmac.entropic import (
     binary_entropy,
     coherent_information,
     coherent_information_b_cx,
+    cqq_rates,
     cqq_tensor,
     effective_cqq_state,
     holevo_fano_rate_bound,
     holevo_information,
     mutual_information_x_c,
+    pure_output_factors,
     quantum_mutual_information,
     von_neumann_entropy,
 )
@@ -27,6 +29,7 @@ from cqmac.qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     maximally_entangled,
+    partial_trace,
     permute_mat,
     tensor,
 )
@@ -278,6 +281,12 @@ class TestCqqValidation:
             assert np.array_equal(rho.mat, cols @ cols.conj().T)
 
 
+def _per_letter_factor(kraus_stack, letter, psi_grid):
+    """Factor u[ref, out, k] of the output on V(x) (x) psi, one letter at a time."""
+    w = np.einsum("rb,a->rab", psi_grid, letter).reshape(len(psi_grid), -1)
+    return np.einsum("rj,koj->rok", w, kraus_stack)
+
+
 class TestFactorOracle:
     """Factor entropies against the dense block-diagonal state."""
 
@@ -294,6 +303,44 @@ class TestFactorOracle:
             assert mutual_information_x_c(omega) == pytest.approx(i_xc, abs=1e-12)
             assert holevo_information(omega) == pytest.approx(i_xc, abs=1e-12)
             assert coherent_information_b_cx(omega) == pytest.approx(ic, abs=1e-12)
+
+    @pytest.mark.parametrize("dims, rank", [((2, 6), 2), ((3, 2), 4), ((1, 2), 5)],
+                             ids=["bk-below-c", "bk-above-c", "rank-above-bc"])
+    def test_kernel_takes_the_smaller_gram(self, rng, dims, rank, monkeypatch):
+        """Stacked and per-label factors against the dense state, with every
+        spectrum taken on the smaller side of its Gram pair."""
+        b, c = dims
+        p = np.array([0.5, 0.0, 0.2, 0.3])
+        stack = np.stack([random_factor(rng, dims, rank) for _ in p])
+        omega = CqqState(p, tuple(stack))
+        dense = omega.to_density_matrix()  # (X, B, C)
+        i_xc = holevo_information(omega)
+        ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            shapes.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        for factors in (stack, omega.factors):
+            r1, r2 = cqq_rates(p, factors)
+            assert r1 == pytest.approx(i_xc, abs=1e-12)
+            assert r2 == pytest.approx(ic, abs=1e-12)
+        side_c, side_bc = min(c, b * rank), min(b * c, rank)
+        assert shapes == 2 * ([side_c] * 3 + [side_bc] * 3 + [min(c, 3 * b * rank)])
+
+    def test_factors_match_per_letter_route(self, rng):
+        """One product for all letters against the per-letter contraction."""
+        t = KrausChannel(random_kraus_ops(rng, 6, 5, 3), (3, 2), (5,))
+        letters = CqChannel.from_vectors([complex_gaussian(rng, 3) for _ in range(4)]).vectors
+        psi_grid = random_pure(rng, (3, 2)).vec.reshape(3, 2)
+        u = pure_output_factors(t.stacked, letters, psi_grid)
+        assert u.shape == (4, 3, 5, 3)
+        for x, letter in enumerate(letters):
+            assert np.allclose(u[x], _per_letter_factor(t.stacked, letter, psi_grid),
+                               rtol=0, atol=1e-12)
 
     def test_tensor_matches_dense_product(self, rng):
         a = CqqState(rng.dirichlet(np.ones(2)), tuple(random_factor(rng, (2, 3), 2) for _ in range(2)))

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
-from cqmac.entropic import cqq_rates, pure_output_factor
+from cqmac.entropic import cqq_rates, pure_output_factors
 from cqmac.optimizer import (
     InputAnsatz,
     _materialize_flat,
     _param_count,
+    _state_vectors,
     decompose_tensor_power,
     empirical_approximation,
     pareto_trace,
@@ -35,7 +36,21 @@ def test_package_resolves_optimizer_names_on_use():
 def _objective_rates(stacks, p, v_vecs, psi_vec, db_l):
     """Rate pair per member as the objective computes it: the kernel on raw factors."""
     psi_grid = psi_vec.reshape(db_l, db_l)
-    return [cqq_rates(p, [pure_output_factor(ks, v, psi_grid) for v in v_vecs]) for ks in stacks]
+    return [cqq_rates(p, pure_output_factors(ks, v_vecs, psi_grid)) for ks in stacks]
+
+
+def test_state_vectors_normalise_rows_with_basis_fallback():
+    """Rows become unit vectors; a row of norm below 1e-12 is basis vector x mod A."""
+    raw = np.random.default_rng(2).standard_normal((5, 3, 2))
+    raw[1] = 0.0
+    raw[4] = 1e-14
+    vecs = _state_vectors(raw.reshape(-1), 5, 3)
+    assert vecs.shape == (5, 3)
+    for x in (0, 2, 3):
+        v = raw[x, :, 0] + 1j * raw[x, :, 1]
+        assert np.allclose(vecs[x], v / np.linalg.norm(v), rtol=0, atol=1e-15)
+    assert np.array_equal(vecs[1], np.eye(3)[1]) and np.array_equal(vecs[4], np.eye(3)[1])
+    assert np.array_equal(InputAnsatz([1.0], np.zeros(2), np.zeros(8)).psi(2).vec, np.eye(4)[0])
 
 
 def _depolarizing_qmac():
