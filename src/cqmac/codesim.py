@@ -5,8 +5,9 @@ Wiring conventions used throughout:
 * a QMAC acts per use on (A, B) -> C, Kraus channel with in_dims (da, db);
 * classical encoder: one state on A^n per message;
 * quantum input: one joint state on (F, B^n) with F the reference space
-  (dim m2): the encoder applied to half of Phi for a transmission code, a
-  fixed pure state for a generation code;
+  (dim m2): the encoder isometry applied to half of Phi for a transmission
+  code, a fixed pure state for a generation code;
+* a code carries each of these states as a factor w with state w w†;
 * decoder branches: one trace-non-increasing map C^n -> F per message,
   with the branch Kraus grams summing to the identity (completeness);
 * joint states are ordered [F, ...] with the reference factor first, and
@@ -35,19 +36,11 @@ from .channels import (
     kraus_gram,
     tensor_power,
 )
-from .entropic import (
-    CqqState,
-    binary_entropy,
-    coherent_information_b_cx,
-    holevo_fano_rate_bound,
-)
+from .entropic import binary_entropy, cqq_rates, holevo_fano_rate_bound
 from .qmatrix import (
-    EIGENVALUE_CLAMP,
     DensityMatrix,
     DimensionMismatchError,
-    PureState,
-    maximally_entangled,
-    permute_mat,
+    checked_factor,
     pinv_sqrt_psd,
     sqrt_psd,
     tensor,
@@ -71,7 +64,12 @@ def _completeness_defect(branches) -> float:
 
 @dataclass(frozen=True)
 class EtCode:
-    """Hybrid code: classical states, the input state on (F, B^n), branches."""
+    """Hybrid code: factors of its input states, plus one decoder branch per message.
+
+    Message m's classical state on A^n is w w† for the (da^n, rank) factor
+    ``classical_factors[m]``. The quantum input is w w† for the
+    (m2 db^n, rank) factor ``input_factor``, whose rows are ordered (F, B^n).
+    """
 
     n: int
     m1: int
@@ -79,18 +77,20 @@ class EtCode:
     da: int
     db: int
     dc: int
-    classical_states: tuple[DensityMatrix, ...]
-    input_state: DensityMatrix
+    classical_factors: tuple[np.ndarray, ...]
+    input_factor: np.ndarray
     branches: tuple[KrausChannel, ...]
 
     def __post_init__(self):
-        if len(self.classical_states) != self.m1 or len(self.branches) != self.m1:
+        if len(self.classical_factors) != self.m1 or len(self.branches) != self.m1:
             raise DimensionMismatchError("message count does not match encoder/decoder lists")
-        for st in self.classical_states:
-            if st.dim != self.da**self.n:
-                raise DimensionMismatchError("classical state does not live on A^n")
-        if self.input_state.dims != (self.m2, self.db**self.n):
-            raise DimensionMismatchError("input state must live on (F, B^n)")
+        rows = (self.da**self.n,)
+        object.__setattr__(
+            self, "classical_factors", tuple(checked_factor(w, rows) for w in self.classical_factors)
+        )
+        object.__setattr__(
+            self, "input_factor", checked_factor(self.input_factor, (self.m2 * self.db**self.n,))
+        )
         for br in self.branches:
             if br.in_dim != self.dc**self.n or br.out_dim != self.m2:
                 raise DimensionMismatchError("decoder branch does not map C^n to F")
@@ -101,41 +101,27 @@ class EtCode:
             raise ValueError(f"decoder branches do not sum to a channel: defect {defect:.3e}")
 
 
-def _encoded_phi(encoder: KrausChannel, m2: int) -> np.ndarray:
-    """(id_F (x) encoder)(Phi) as a matrix on [F, B^n]."""
-    phi = maximally_entangled(m2).density().mat
-    out, _ = apply_channel_mat(encoder, phi, (m2, m2), [1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # performance evaluation
 # ---------------------------------------------------------------------------
-
-
-def _state_factor(mat: np.ndarray) -> np.ndarray:
-    """F with F F† = mat: eigenvectors scaled by the root of eigenvalues above the clamp."""
-    vals, vecs = np.linalg.eigh(mat)
-    keep = vals > EIGENVALUE_CLAMP
-    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _message_factors(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
     """Factors W_m[f, c, k] of the post-channel states W_m W_m† on [F, C^n].
 
     Column (K, i, j) of W_m is the n-fold Kraus op K applied to the product
-    of the classical state's factor column i and the input state's column j.
+    of the classical factor's column i and the input factor's column j.
     """
     if channel.in_dims != (code.da, code.db) or channel.out_dim != code.dc:
         raise DimensionMismatchError("channel spaces do not match the code")
     n, m2, da, db = code.n, code.m2, code.da, code.db
     ops = tensor_power(channel, n, budget=INTERNAL_DIM_BUDGET).stacked
-    tau = _state_factor(code.input_state.mat).reshape(m2, db**n, -1)
+    tau = code.input_factor.reshape(m2, db**n, -1)
     # the power's input is ordered (A_1, B_1, ..., A_n, B_n)
     order = [i for pair in zip(range(n), range(n, 2 * n)) for i in pair] + [2 * n]
     factors = []
-    for st in code.classical_states:
-        joint = np.einsum("ai,fbj->abfij", _state_factor(st.mat), tau)
+    for cls in code.classical_factors:
+        joint = np.einsum("ai,fbj->abfij", cls, tau)
         joint = joint.reshape((da,) * n + (db,) * n + (-1,)).transpose(order)
         w = ops @ joint.reshape((da * db) ** n, -1)  # (K, C^n, F i j)
         w = w.reshape(len(ops), -1, m2, joint.shape[-1] // m2)
@@ -247,9 +233,8 @@ def average_error(cb: CqCodebook, w) -> float:
 
 @dataclass(frozen=True)
 class EtTransmissionCode:
-    """Sampled subspace code: isometric encoder plus recovery decoder."""
+    """Sampled subspace code: encoder isometry plus recovery decoder."""
 
-    encoder: KrausChannel
     decoder: KrausChannel
     isometry: np.ndarray
     n: int
@@ -332,11 +317,10 @@ def sample_et_code(
         isometry = embed @ v_sub
     else:
         isometry = v_sub
-    encoder = KrausChannel((isometry,), (m2,), (g0,) * n)
     scale = 1.0 / np.sqrt(len(channels))
     avg_single = scale * np.concatenate([ch.stacked for ch in channels])
     decoder = _recovery_channel(avg_single, n, isometry, m2, g0)
-    return EtTransmissionCode(encoder, decoder, isometry, n, m2)
+    return EtTransmissionCode(decoder, isometry, n, m2)
 
 
 def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel) -> float:
@@ -425,7 +409,9 @@ def combine_hybrid(
 
     Branch m applies the square-root of the POVM element, embeds the
     decoded codeword into the tag registers the quantum decoder expects,
-    and finishes with the quantum recovery map.
+    and finishes with the quantum recovery map. Codeword m's classical
+    factor is the kron of its letter vectors; the input factor is the
+    encoded half of Phi, V|f> / sqrt(m2) in column order, with rows (F, B^n).
     """
     da, db = qmac.in_dims
     dc = qmac.out_dim
@@ -437,9 +423,8 @@ def combine_hybrid(
     for word, d in zip(cq.codewords, cq.povm):
         ops = _stack_matmul(et.decoder.stacked[:, :, _tag_columns(word, dc, x_size)], sqrt_psd(d))
         branches.append(KrausChannel(ops, (dc,) * n, (et.m2,), trace_nonincreasing=True))
-    letter_states = _letter_states(v)
-    classical_states = tuple(
-        DensityMatrix(_word_state(letter_states, w), (da,) * n) for w in cq.codewords
+    classical_factors = tuple(
+        tensor_all([v.vectors[x] for x in w]).reshape(-1, 1) for w in cq.codewords
     )
     return EtCode(
         n=n,
@@ -448,8 +433,8 @@ def combine_hybrid(
         da=da,
         db=db,
         dc=dc,
-        classical_states=classical_states,
-        input_state=DensityMatrix(_encoded_phi(et.encoder, et.m2), (et.m2, db**n)),
+        classical_factors=classical_factors,
+        input_factor=et.isometry.T.reshape(-1, 1) / np.sqrt(et.m2),
         branches=tuple(branches),
     )
 
@@ -579,13 +564,13 @@ def hybrid_chain_report(
 
 def et_to_eg(code: EtCode, channel: KrausChannel) -> EtCode:
     """Replace the input state by its best eigenvector on the given channel."""
-    vals, vecs = np.linalg.eigh(code.input_state.mat)
+    w = code.input_factor
+    vals, vecs = np.linalg.eigh(w @ w.conj().T)
     candidates = []
     for i in range(vals.size - 1, -1, -1):
         if vals[i] <= 1e-12:
             continue
-        psi = PureState(vecs[:, i], code.input_state.dims)
-        eg = replace(code, input_state=psi.density())
+        eg = replace(code, input_factor=vecs[:, i : i + 1])
         candidates.append((performance(eg, channel), -i, eg))
     best = max(candidates, key=lambda t: (t[0], t[1]))
     return best[2]
@@ -604,20 +589,17 @@ def concatenate(codes) -> EtCode:
     m1 = int(np.prod([c.m1 for c in codes]))
     m2 = int(np.prod([c.m2 for c in codes]))
     shape1 = tuple(c.m1 for c in codes)
-    # the product of the input states is ordered (F_1, B_1, F_2, B_2, ...);
-    # gather the references in front
+    # the rows of the product of the input factors are ordered
+    # (F_1, B_1, F_2, B_2, ...); gather the references in front
     k = len(codes)
-    tau = permute_mat(
-        tensor_all([c.input_state.mat for c in codes]),
-        [d for c in codes for d in c.input_state.dims],
-        list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)),
-    )
-    classical_states = []
+    tau = tensor_all([c.input_factor for c in codes])
+    tau = tau.reshape([d for c in codes for d in (c.m2, c.db**c.n)] + [-1])
+    tau = tau.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + [2 * k])
+    classical_factors = []
     branches = []
     for m in range(m1):
         parts = np.unravel_index(m, shape1)
-        mats = [c.classical_states[i].mat for c, i in zip(codes, parts)]
-        classical_states.append(DensityMatrix(tensor_all(mats), (first.da,) * n))
+        classical_factors.append(tensor_all([c.classical_factors[i] for c, i in zip(codes, parts)]))
         ops = batch_kron(*[c.branches[i].stacked for c, i in zip(codes, parts)])
         branches.append(KrausChannel(ops, (first.dc,) * n, (m2,), trace_nonincreasing=True))
     return EtCode(
@@ -627,8 +609,8 @@ def concatenate(codes) -> EtCode:
         da=first.da,
         db=first.db,
         dc=first.dc,
-        classical_states=tuple(classical_states),
-        input_state=DensityMatrix(tau, (m2, first.db**n)),
+        classical_factors=tuple(classical_factors),
+        input_factor=tau.reshape(m2 * first.db**n, -1),
         branches=tuple(branches),
     )
 
@@ -640,13 +622,10 @@ def pad(code: EtCode, b: int) -> EtCode:
     if b == 0:
         return code
     da, db, dc, n = code.da, code.db, code.dc, code.n
-    pad_a = np.eye(da**b, dtype=complex) / da**b
-    classical_states = tuple(
-        DensityMatrix(tensor(st.mat, pad_a), (da,) * (n + b))
-        for st in code.classical_states
-    )
-    pad_b = np.eye(db**b, dtype=complex) / db**b
-    input_state = DensityMatrix(tensor(code.input_state.mat, pad_b), (code.m2, db ** (n + b)))
+    # w (x) I/sqrt(d) is a factor of w w† (x) I/d
+    pad_a = np.eye(da**b) / np.sqrt(da**b)
+    classical_factors = tuple(np.kron(w, pad_a) for w in code.classical_factors)
+    input_factor = np.kron(code.input_factor, np.eye(db**b) / np.sqrt(db**b))
     rows = np.eye(dc**b, dtype=complex).reshape(dc**b, 1, dc**b)
     branches = tuple(
         KrausChannel(
@@ -661,8 +640,8 @@ def pad(code: EtCode, b: int) -> EtCode:
         da=da,
         db=db,
         dc=dc,
-        classical_states=classical_states,
-        input_state=input_state,
+        classical_factors=classical_factors,
+        input_factor=input_factor,
         branches=branches,
     )
 
@@ -688,10 +667,9 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
         factors = _message_factors(code, member)
         fid = float(np.mean(_message_overlaps(code, factors)))
         eps = 0.0 if 1.0 - fid < CONVERSE_DEFICIT_FLOOR else min(1.0 - fid, 1.0)
-        omega = CqqState(np.full(code.m1, 1.0 / code.m1), tuple(factors))
-        cap1 = holevo_fano_rate_bound(omega, eps) / n
+        i_xc, ic = map(float, cqq_rates(np.full(code.m1, 1.0 / code.m1), factors))
+        cap1 = holevo_fano_rate_bound(i_xc, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)
-        ic = coherent_information_b_cx(omega)
         if eps_tilde < 0.25:
             cap2 = (ic + 2.0 * binary_entropy(min(eps_tilde, 1.0))) / (1.0 - 4.0 * eps_tilde) / n
         else:
@@ -738,11 +716,10 @@ def random_et_code(
     """Structurally valid code with random encoder, states and decoder."""
     from .randutil import random_pure
 
-    classical_states = tuple(
-        random_pure(rng, (da,) * n).density() for _ in range(m1)
-    )
+    classical_factors = tuple(random_pure(rng, (da,) * n).vec[:, None] for _ in range(m1))
+    # column k is encoder op E_k applied to half of Phi: E_k^T in (F, B^n) rows
     enc_ops = random_kraus_ops(rng, m2, db**n, 2)
-    encoder = KrausChannel(enc_ops, (m2,), (db,) * n)
+    input_factor = np.stack([e.T.reshape(-1) for e in enc_ops], axis=1) / np.sqrt(m2)
     dec_ops = random_kraus_ops(rng, dc**n, m1 * m2, 2)
     branches = []
     for m in range(m1):
@@ -755,7 +732,7 @@ def random_et_code(
         da=da,
         db=db,
         dc=dc,
-        classical_states=classical_states,
-        input_state=DensityMatrix(_encoded_phi(encoder, m2), (m2, db**n)),
+        classical_factors=classical_factors,
+        input_factor=input_factor,
         branches=tuple(branches),
     )

@@ -20,8 +20,8 @@ from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     EIGENVALUE_CLAMP,
-    HERMITICITY_TOL,
     PureState,
+    checked_factor,
     partial_trace,
     partial_trace_mat,
 )
@@ -91,15 +91,9 @@ class CqqState:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        factors = tuple(np.array(u, dtype=complex) for u in self.factors)
-        for u in factors:
-            if u.ndim != 3 or u.shape[:2] != factors[0].shape[:2]:
-                raise DimensionMismatchError("factors must share one (B, C, rank) layout")
-            if not np.all(np.isfinite(u)):
-                raise ValueError("factor entries must be finite")
-            if abs(np.vdot(u, u).real - 1.0) > HERMITICITY_TOL:
-                raise ValueError("conditional state trace differs from 1")
-            u.flags.writeable = False
+        # every factor shares the first one's (B, C) rows
+        rows = np.shape(self.factors[0])[:2]
+        factors = tuple(checked_factor(u, rows) for u in self.factors)
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
         p.flags.writeable = False
@@ -244,8 +238,8 @@ def alicki_fannes_bound(epsilon: float, dim_a: int) -> float:
     return 6.0 * epsilon * np.log2(dim_a) + (2.0 + 4.0 * epsilon) * h
 
 
-def holevo_fano_rate_bound(omega: CqqState, error: float) -> float:
-    """Cap on log2(m1) implied by a performance deficit ``error``.
+def holevo_fano_rate_bound(information: float, error: float) -> float:
+    """Cap on log2(m1) implied by I(X;C) = ``information`` and a performance deficit ``error``.
 
     The classical decoding error probability is bounded by 2*sqrt(error);
     solving the Fano/Holevo chain for log M1 gives (I(X;C) + 1)/(1 - e~)
@@ -256,4 +250,4 @@ def holevo_fano_rate_bound(omega: CqqState, error: float) -> float:
     err_tilde = 2.0 * np.sqrt(error)
     if err_tilde >= 1.0:
         return float("inf")
-    return (mutual_information_x_c(omega) + 1.0) / (1.0 - err_tilde)
+    return (information + 1.0) / (1.0 - err_tilde)

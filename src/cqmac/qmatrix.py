@@ -78,6 +78,24 @@ def pinv_sqrt_psd(mat) -> np.ndarray:
     return (vecs * inv) @ vecs.conj().T
 
 
+def checked_factor(u, rows) -> np.ndarray:
+    """Read-only complex copy of a factor u of the state u u†.
+
+    u must have shape ``rows`` plus one trailing rank axis, finite entries
+    and ||u||^2 = 1; no spectrum is computed.
+    """
+    u = np.array(u, dtype=complex)
+    rows = tuple(rows)
+    if u.ndim != len(rows) + 1 or u.shape[:-1] != rows:
+        raise DimensionMismatchError(f"factor of shape {u.shape} does not have rows {rows}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("factor entries must be finite")
+    if abs(np.vdot(u, u).real - 1.0) > HERMITICITY_TOL:
+        raise ValueError("factor state trace differs from 1")
+    u.flags.writeable = False
+    return u
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """PSD unit-trace matrix with an ordered list of subsystem dimensions."""

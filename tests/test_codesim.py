@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqmac import codesim
+from cqmac import codesim, entropic
 from cqmac.channels import (
     CompoundSet,
     CqChannel,
@@ -25,8 +25,12 @@ from cqmac.qmatrix import (
     tensor,
     tensor_all,
 )
-from cqmac.randutil import complex_gaussian, haar_isometry, random_density, random_kraus_ops
+from cqmac.randutil import complex_gaussian, haar_isometry, random_factor, random_kraus_ops
 from cqmac.suites import suite_code_identities
+
+
+def _outer(w: np.ndarray) -> np.ndarray:
+    return w @ w.conj().T
 
 
 def _dense_post_channel_states(code, channel) -> list[np.ndarray]:
@@ -35,10 +39,22 @@ def _dense_post_channel_states(code, channel) -> list[np.ndarray]:
     dims = (code.da,) * n + (code.m2,) + (code.db,) * n
     positions = [x for i in range(n) for x in (i, n + 1 + i)]
     powered = tensor_power(channel, n)
+    tau = _outer(code.input_factor)
     return [
-        apply_channel_mat(powered, tensor(st.mat, code.input_state.mat), dims, positions)[0]
-        for st in code.classical_states
+        apply_channel_mat(powered, tensor(_outer(w), tau), dims, positions)[0]
+        for w in code.classical_factors
     ]
+
+
+def _encoder(et, g0: int) -> KrausChannel:
+    """The sampled code's isometry as a channel F -> (G0)^n."""
+    return KrausChannel((et.isometry,), (et.m2,), (g0,) * et.n)
+
+
+def _encoded_phi(et, g0: int) -> np.ndarray:
+    """(id_F (x) V)(Phi) formed densely on [F, (G0)^n]."""
+    phi = maximally_entangled(et.m2).density().mat
+    return apply_channel_mat(_encoder(et, g0), phi, (et.m2, et.m2), [1])[0]
 
 
 def _dense_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
@@ -141,7 +157,7 @@ class TestEtCodeSampling:
             fe = codesim.et_entanglement_fidelity(et, deph)
             from cqmac.channels import compose, tensor_power
 
-            full = compose(et.decoder, compose(tensor_power(deph, 2), et.encoder))
+            full = compose(et.decoder, compose(tensor_power(deph, 2), _encoder(et, 2)))
             oracle = entanglement_fidelity(maximally_mixed(2), full)
             assert fe == pytest.approx(oracle, abs=1e-9)
 
@@ -155,7 +171,7 @@ class TestEtCodeSampling:
         for seed in range(100):
             et = codesim.sample_et_code([deph], 2, 3, 2, seed=seed)
             impl.append(codesim.et_entanglement_fidelity(et, deph))
-            full = compose(et.decoder, compose(powered, et.encoder))
+            full = compose(et.decoder, compose(powered, _encoder(et, 2)))
             oracle.append(entanglement_fidelity(maximally_mixed(2), full))
         assert np.mean(impl) >= np.mean(oracle) - 0.02
         assert np.max(np.abs(np.array(impl) - np.array(oracle))) < 1e-9
@@ -167,8 +183,8 @@ class TestEtCodeSampling:
         chans = [KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,)) for _ in range(2)]
         et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
         for ch in chans + [KrausChannel(random_kraus_ops(rng, 2, 3, 3), (2,), (3,))]:
-            state = codesim._encoded_phi(et.encoder, et.m2)
-            dims = (et.m2,) + et.encoder.out_dims
+            state = _encoded_phi(et, 2)
+            dims = (et.m2,) + (2,) * n
             for _ in range(n):
                 state, dims = apply_channel_mat(ch, state, dims, [1])
             oracle = _dense_overlap(state, et.decoder.stacked, et.m2)
@@ -233,6 +249,27 @@ class TestCombineHybrid:
     def test_identity_exact(self, identity_qmac, basis_v, uniform_p):
         code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
         assert abs(codesim.performance(code, identity_qmac) - 1.0) < 1e-12
+
+    def test_factors_match_dense_states(self, rng, identity_qmac, uniform_p):
+        """Stored factors against (id (x) V)(Phi) and the codeword states formed densely.
+
+        Complex letters and a complex Haar isometry, so a missing or extra
+        conjugate shows.
+        """
+        v = CqChannel.from_vectors(complex_gaussian(rng, (2, 2)))
+        n = 2
+        outs = codesim.effective_a_outputs(identity_qmac, v, maximally_mixed(2))
+        cb = codesim.sample_cq_codebook([outs], uniform_p, n, 3, seed=3)
+        tb = codesim.effective_b_channel(identity_qmac, uniform_p, v)
+        et = codesim.sample_et_code([tb], 2, n, 2, seed=4)
+        assert np.max(np.abs(et.isometry.imag)) > 0.1
+        code = codesim.combine_hybrid(cb, et, v, identity_qmac)
+        assert code.input_factor.shape == (code.m2 * code.db**n, 1)
+        np.testing.assert_allclose(_outer(code.input_factor), _encoded_phi(et, 2), rtol=0, atol=1e-12)
+        letters = [np.outer(x, x.conj()) for x in v.vectors]
+        for w, word in zip(code.classical_factors, cb.codewords):
+            dense = tensor_all([letters[x] for x in word])
+            np.testing.assert_allclose(_outer(w), dense, rtol=0, atol=1e-12)
 
     def test_single_message_equals_fidelity_term(
         self, identity_qmac, basis_v, uniform_p
@@ -327,8 +364,8 @@ class TestPerformance:
             dump.append(KrausChannel(ops, (4,), (2,), trace_nonincreasing=True))
         lazy = codesim.EtCode(
             n=1, m1=2, m2=2, da=2, db=2, dc=4,
-            classical_states=code.classical_states,
-            input_state=code.input_state,
+            classical_factors=code.classical_factors,
+            input_factor=code.input_factor,
             branches=tuple(dump),
         )
         val = codesim.performance(lazy, identity_qmac)
@@ -378,17 +415,15 @@ class TestEtToEg:
 
     def test_convex_combination_identity(self, rng, identity_qmac):
         code = codesim.random_et_code(rng)
-        vals, vecs = np.linalg.eigh(code.input_state.mat)
+        vals, vecs = np.linalg.eigh(_outer(code.input_factor))
         total = 0.0
-        from cqmac.qmatrix import PureState
-
         for i in range(vals.size):
             if vals[i] <= 1e-12:
                 continue
             eg = codesim.EtCode(
                 n=code.n, m1=code.m1, m2=code.m2, da=code.da, db=code.db, dc=code.dc,
-                classical_states=code.classical_states,
-                input_state=PureState(vecs[:, i], (code.m2, code.db**code.n)).density(),
+                classical_factors=code.classical_factors,
+                input_factor=vecs[:, i : i + 1],
                 branches=code.branches,
             )
             total += vals[i] * codesim.performance(eg, identity_qmac)
@@ -489,6 +524,69 @@ class TestConverseCheck:
         assert by_label["id"]["coherent_information_per_use"] >= 1.0 - 1e-7
 
 
+    def test_one_rate_kernel_call_per_member(self, monkeypatch, identity_qmac, dephasing_qmac,
+                                              basis_v, uniform_p):
+        code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
+        calls = []
+        kernel = entropic.cqq_rates
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(entropic, "cqq_rates", counted)
+        monkeypatch.setattr(codesim, "cqq_rates", counted, raising=False)
+        codesim.converse_check(code, CompoundSet((identity_qmac, dephasing_qmac)))
+        assert len(calls) == 2
+
+
+class TestEtCodeValidation:
+    """Factors are checked by shape, finiteness and norm, and stored read-only."""
+
+    @staticmethod
+    def _with(code, field, bad):
+        if field == "input":
+            return replace(code, input_factor=bad(code.input_factor))
+        return replace(code, classical_factors=(bad(code.classical_factors[0]),)
+                       + code.classical_factors[1:])
+
+    @pytest.mark.parametrize("field", ["input", "classical"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (lambda w: np.vstack([w, w]) / np.sqrt(2), DimensionMismatchError),
+            (lambda w: w.reshape(-1), DimensionMismatchError),
+            (lambda w: w[None], DimensionMismatchError),
+            (lambda w: np.where(np.arange(w.size).reshape(w.shape) == 0, np.nan, w), ValueError),
+            (lambda w: 2.0 * w, ValueError),
+        ],
+        ids=["rows", "1-d", "3-d", "nan", "trace-4"],
+    )
+    def test_rejects_bad_factor(self, rng, field, bad, error):
+        code = codesim.random_et_code(rng)
+        with pytest.raises(error):
+            self._with(code, field, bad)
+
+    def test_stores_read_only_copies(self, rng):
+        code = codesim.random_et_code(rng)
+        w = np.array(code.input_factor)
+        built = replace(code, input_factor=w)
+        w[0, 0] = 5.0
+        assert built.input_factor[0, 0] != 5.0
+        for stored in (built.input_factor,) + built.classical_factors:
+            assert not stored.flags.writeable
+
+    def test_validation_computes_no_spectrum(self, rng, monkeypatch):
+        code = codesim.random_et_code(rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum computed during validation")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert replace(code, input_factor=code.input_factor).m1 == code.m1
+
+
 class TestRandomEtCode:
     def test_structurally_valid(self, rng):
         code = codesim.random_et_code(rng)
@@ -505,7 +603,7 @@ def _oracle_codes(rng):
     surgery makes of them, plus two random channels that fit them."""
     chans = [KrausChannel(random_kraus_ops(rng, 4, 3, 3), (2, 2), (3,)) for _ in range(2)]
     base = codesim.random_et_code(rng, dc=3)
-    mixed = replace(base, classical_states=tuple(random_density(rng, (2,)) for _ in range(2)))
+    mixed = replace(base, classical_factors=tuple(random_factor(rng, (2,)) for _ in range(2)))
     codes = {
         "random": base,
         "mixed": mixed,

@@ -209,16 +209,16 @@ class TestAlickiFannes:
 class TestHolevoFano:
     def test_zero_error(self, identity_qmac, basis_v, bell_psi, uniform_p):
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
-        cap = holevo_fano_rate_bound(omega, 0.0)
-        assert cap == pytest.approx(mutual_information_x_c(omega) + 1.0, abs=1e-9)
+        info = mutual_information_x_c(omega)
+        assert holevo_fano_rate_bound(info, 0.0) == pytest.approx(info + 1.0, abs=1e-9)
 
     def test_full_error_sentinel(self, identity_qmac, basis_v, bell_psi, uniform_p):
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
-        assert holevo_fano_rate_bound(omega, 1.0) == float("inf")
+        assert holevo_fano_rate_bound(mutual_information_x_c(omega), 1.0) == float("inf")
 
     def test_caps_simulated_rate(self, identity_qmac, basis_v, bell_psi, uniform_p):
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
-        cap = holevo_fano_rate_bound(omega, 0.01)
+        cap = holevo_fano_rate_bound(mutual_information_x_c(omega), 0.01)
         assert cap >= np.log2(2)  # achieved log M1 of the exact identity code
 
 
