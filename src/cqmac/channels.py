@@ -401,16 +401,15 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
     """
     if not theta > 0:  # NaN too: it would never stop the cover loop
         raise ValueError("theta must be positive")
-    chois = [choi_matrix(m).matrix for m in cset.members]
+    chois = np.array([choi_matrix(m).matrix for m in cset.members])
     chosen = [0]
-    min_dist = np.array([trace_norm(j - chois[0]) for j in chois])
+    min_dist = trace_norm(chois - chois[0])
     while True:
         far_idx = int(np.argmax(min_dist))
         if min_dist[far_idx] <= theta:
             break
         chosen.append(far_idx)
-        new_d = np.array([trace_norm(j - chois[far_idx]) for j in chois])
-        min_dist = np.minimum(min_dist, new_d)
+        min_dist = np.minimum(min_dist, trace_norm(chois - chois[far_idx]))
     chosen.sort()
     net = CompoundSet(
         tuple(cset.members[i] for i in chosen),

@@ -17,8 +17,8 @@ renormalized at load), 4 budget exceeded. Only ``region`` loads scipy.
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),
 the integer options ``--budget``, ``--alphabet``, ``--m1``, ``--m2`` and
-``--dim-budget`` must be >= 1, and ``--theta`` (> 0) and ``--tol`` must be
-finite.
+``--dim-budget`` must be >= 1, ``--theta`` (> 0) and ``--tol`` must be
+finite, and ``verify --suite`` must name at least one suite.
 
 ``simulate`` reports the seed with the largest worst-member fidelity; values
 within a relative ``BEST_SEED_TIE_RTOL`` (1e-12, recorded in the report's
@@ -312,6 +312,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = []
         for entry in args.suite:
             names.extend(s.strip() for s in entry.split(",") if s.strip())
+        if not names:
+            print("error: --suite names no suite", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         results = run_suites(args.seed, names=names, tol=args.tol)
     except KeyError as exc:

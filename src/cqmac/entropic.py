@@ -22,6 +22,7 @@ from .qmatrix import (
     EIGENVALUE_CLAMP,
     PureState,
     checked_factor,
+    dagger,
     partial_trace,
     partial_trace_mat,
 )
@@ -33,10 +34,14 @@ def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
     return float(-lam @ np.log2(lam))
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
+    """S(rho) in bits; on a (..., d, d) stack, the array of each matrix's entropy."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    return entropy_of_spectrum(vals)
+    vals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
+    if vals.ndim == 1:
+        return entropy_of_spectrum(vals)
+    rows = vals.reshape(-1, vals.shape[-1])
+    return np.array([entropy_of_spectrum(v) for v in rows]).reshape(vals.shape[:-1])
 
 
 def binary_entropy(x: float) -> float:

@@ -8,6 +8,13 @@ roots, norms and spectra here feed base-2 logarithms downstream.
 Subsystem bookkeeping convention: a state carries an ordered tuple ``dims``
 of subsystem dimensions whose product equals the matrix size; subsystem 0
 is the leftmost tensor factor.
+
+Stack convention: ``hermitian_eig``, ``sqrt_psd``, ``trace_norm``,
+``fidelity`` and ``partial_trace_mat`` act on the last two axes of a
+``(..., d, d)`` array, so a stack of N matrices costs one LAPACK call. On a
+2-D input they return what a single-matrix routine would (a Python float for
+the scalar ones); on a stack, an array over the leading axes whose entries
+equal the 2-D calls on each matrix.
 """
 
 from __future__ import annotations
@@ -26,14 +33,20 @@ class DimensionMismatchError(ValueError):
 
 
 def _square(mat) -> np.ndarray:
+    """Complex view of a square matrix or of a (..., d, d) stack of them."""
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitian_eig(mat):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (or of each in a stack).
 
     The input is symmetrized as (m + m†)/2 before solving. Returns
     (eigenvalues, eigenvectors) with eigenvalues sorted descending and the
@@ -42,9 +55,9 @@ def hermitian_eig(mat):
     m = _square(mat)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    h = (m + m.conj().T) / 2.0
+    h = (m + dagger(m)) / 2.0
     vals, vecs = np.linalg.eigh(h)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def tensor(a, b) -> np.ndarray:
@@ -56,10 +69,15 @@ def tensor_all(mats) -> np.ndarray:
     return reduce(tensor, mats)
 
 
-def trace_norm(mat) -> float:
-    """Sum of singular values of a square matrix."""
+def _scalar(values):
+    """A Python float for a 0-d result (a 2-D input), the array otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def trace_norm(mat):
+    """Sum of singular values of a square matrix (or of each in a stack)."""
     m = _square(mat)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return _scalar(np.sum(np.linalg.svd(m, compute_uv=False), axis=-1))
 
 
 def sqrt_psd(mat) -> np.ndarray:
@@ -67,7 +85,7 @@ def sqrt_psd(mat) -> np.ndarray:
     vals, vecs = hermitian_eig(mat)
     vals = np.where(np.abs(vals) < EIGENVALUE_CLAMP, 0.0, vals)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
 def pinv_sqrt_psd(mat) -> np.ndarray:
@@ -105,6 +123,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _square(self.mat)
+        if m.ndim != 2:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         dims = tuple(int(d) for d in self.dims)
         if int(np.prod(dims)) != m.shape[0]:
             raise DimensionMismatchError(
@@ -167,19 +187,21 @@ def maximally_mixed(d: int) -> DensityMatrix:
 
 
 def partial_trace_mat(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace on a raw matrix; ``keep`` lists the subsystem indices retained."""
+    """Partial trace on a raw matrix or (..., d, d) stack; ``keep`` lists the
+    subsystem indices retained."""
     dims = tuple(int(d) for d in dims)
     keep = sorted(set(int(i) for i in keep))
     k = len(dims)
     if any(i < 0 or i >= k for i in keep):
         raise DimensionMismatchError(f"keep indices {keep} out of range for {k} subsystems")
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    m = np.asarray(mat, dtype=complex)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     row = list(range(k))
     col = [i if i not in keep else k + i for i in range(k)]
     out = [i for i in keep] + [k + i for i in keep]
-    return np.einsum(t, row + col, out).reshape(
-        int(np.prod([dims[i] for i in keep])), -1
-    )
+    kept = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(t, [...] + row + col, [...] + out).reshape(lead + (kept, kept))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -207,14 +229,15 @@ def permute_vec(vec: np.ndarray, dims, perm) -> np.ndarray:
     return t.transpose(list(perm)).reshape(-1)
 
 
-def fidelity(a, b) -> float:
-    """Quantum fidelity ||sqrt(a) sqrt(b)||_1^2 of two states."""
+def fidelity(a, b):
+    """Quantum fidelity ||sqrt(a) sqrt(b)||_1^2 of two states (or of two
+    equally shaped stacks, pairwise)."""
     ma = a.mat if isinstance(a, DensityMatrix) else _square(a)
     mb = b.mat if isinstance(b, DensityMatrix) else _square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"state shapes differ: {ma.shape} vs {mb.shape}")
     val = trace_norm(sqrt_psd(ma) @ sqrt_psd(mb)) ** 2
-    return float(min(max(val, 0.0), 1.0 + 1e-9))
+    return _scalar(np.clip(val, 0.0, 1.0 + 1e-9))
 
 
 def purify(rho: DensityMatrix) -> PureState:

@@ -45,11 +45,17 @@ def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np
     return (g / np.linalg.norm(g)).reshape(dims + (-1,))
 
 
+def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
+    """The matrix of ``random_density``, from the same draws, without validation."""
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    g = random_factor(rng, dims, rank).reshape(int(np.prod(dims)), -1)
+    return g @ g.conj().T
+
+
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
     """State sampled as a normalized Wishart matrix of the given rank."""
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    g = random_factor(rng, dims, rank).reshape(int(np.prod(dims)), -1)
-    return DensityMatrix(g @ g.conj().T, dims)
+    return DensityMatrix(random_density_mat(rng, dims, rank), dims)
 
 
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:

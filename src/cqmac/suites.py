@@ -5,6 +5,15 @@ inequality or identity family, and reports the sample count, the number of
 violations and the worst margin (negative means violated). The ``tol``
 argument replaces the suite's default tolerance, so forcing it to zero
 makes every float-level identity fail on purpose.
+
+The matrix-only suites draw all their instances first, in the seed's
+order, so a seed always gives the same instances. They then group the
+instances by shape (``_by_shape``) and evaluate each group with one stacked
+call of each dense primitive; the result does not depend on that order,
+since it is a count and a minimum. The suites whose subject is a channel or
+code constructor (``holevo_identity``, ``data_processing``,
+``compound_monotonicity``, ``timeshare``, ``code_identities``) evaluate
+each instance as it is drawn.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from .channels import (
     apply_channel,
     build_net,
     choi_matrix,
-    diamond_distance_bounds,
 )
 from .entropic import (
     CqqState,
@@ -33,17 +41,17 @@ from .entropic import (
     von_neumann_entropy,
 )
 from .qmatrix import (
-    DensityMatrix,
+    dagger,
     fidelity,
     hermitian_eig,
-    partial_trace,
+    partial_trace_mat,
     sqrt_psd,
-    tensor,
     trace_norm,
 )
 from .randutil import (
     complex_gaussian,
     random_density,
+    random_density_mat,
     random_effect,
     random_factor,
     random_kraus_ops,
@@ -65,7 +73,8 @@ class SuiteResult:
 
 
 def _collect(name: str, margins) -> SuiteResult:
-    margins = np.asarray(list(margins), dtype=float)
+    """Result of a list of margins: floats, or arrays of them, in any order."""
+    margins = np.hstack([np.zeros(0), *margins])
     return SuiteResult(
         name=name,
         samples=margins.size,
@@ -74,47 +83,84 @@ def _collect(name: str, margins) -> SuiteResult:
     )
 
 
+def _by_shape(draws):
+    """Group drawn instances for stacked evaluation.
+
+    ``draws`` holds one (key, arrays) pair per sample, in draw order; the key
+    names the shapes (and any other parameter the evaluation needs). Returns
+    (key, stacks) per distinct key, first-seen first, where stacks[j] is the
+    (N, ...) stack of the group's j-th arrays.
+    """
+    groups: dict = {}
+    for key, arrays in draws:
+        groups.setdefault(key, []).append(arrays)
+    return [(key, [np.stack(column) for column in zip(*rows)]) for key, rows in groups.items()]
+
+
+def _pure_projector(rng: np.random.Generator, d: int) -> np.ndarray:
+    """|psi><psi| of ``random_pure(rng, (d,))``."""
+    v = random_pure(rng, (d,)).vec
+    return np.outer(v, v.conj())
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the matching matrices of two (N, r, c) stacks."""
+    n, ra, ca = a.shape
+    _, rb, cb = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+
+
+def _coherent_information(rho: np.ndarray, dims) -> np.ndarray:
+    """S(B) - S(AB) of each state of a stack on (A, B)."""
+    return von_neumann_entropy(partial_trace_mat(rho, dims, [1])) - von_neumann_entropy(rho)
+
+
 def suite_eig_reconstruction(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 17))
         g = complex_gaussian(rng, (d, d))
-        h = g + g.conj().T
+        draws.append((d, (g + g.conj().T,)))
+    margins = []
+    for d, (h,) in _by_shape(draws):
         vals, vecs = hermitian_eig(h)
-        err = np.max(np.abs((vecs * vals) @ vecs.conj().T - h))
-        ortho = np.max(np.abs(vecs.conj().T @ vecs - np.eye(d)))
-        scale = np.linalg.norm(h, 2)
-        margins.append(tol * scale - err)
-        margins.append(1e-9 - ortho)
+        err = np.max(np.abs((vecs * vals[:, None, :]) @ dagger(vecs) - h), axis=(1, 2))
+        ortho = np.max(np.abs(dagger(vecs) @ vecs - np.eye(d)), axis=(1, 2))
+        scale = np.linalg.norm(h, 2, axis=(1, 2))
+        margins += [tol * scale - err, 1e-9 - ortho]
     return _collect("eig_reconstruction", margins)
 
 
 def suite_partial_trace(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     tol = 1e-10 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rho = random_density(rng, dims)
-        keep = [0] if rng.uniform() < 0.5 else [1]
-        red = partial_trace(rho, keep)
-        margins.append(tol - abs(np.trace(red.mat).real - 1.0))
-        margins.append(np.linalg.eigvalsh(red.mat)[0] + 1e-10)
+        rho = random_density_mat(rng, dims)
+        keep = 0 if rng.uniform() < 0.5 else 1
+        draws.append(((dims, keep), (rho,)))
+    margins = []
+    for (dims, keep), (rho,) in _by_shape(draws):
+        red = partial_trace_mat(rho, dims, [keep])
+        trace = np.trace(red, axis1=1, axis2=2).real
+        margins += [tol - np.abs(trace - 1.0), np.linalg.eigvalsh(red)[:, 0] + 1e-10]
     return _collect("partial_trace", margins)
 
 
 def suite_fidelity_monotone(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     tol = 1e-8 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         dims = (2, int(rng.integers(2, 4)))
-        rho = random_density(rng, dims)
-        sig = random_density(rng, dims)
+        draws.append((dims, (random_density_mat(rng, dims), random_density_mat(rng, dims))))
+    margins = []
+    for dims, (rho, sig) in _by_shape(draws):
         full = fidelity(rho, sig)
-        reduced = fidelity(partial_trace(rho, [0]), partial_trace(sig, [0]))
+        reduced = fidelity(partial_trace_mat(rho, dims, [0]), partial_trace_mat(sig, dims, [0]))
         margins.append(reduced - full + tol)
     return _collect("fidelity_monotone", margins)
 
@@ -122,14 +168,15 @@ def suite_fidelity_monotone(seed: int, samples: int = 100, tol: float | None = N
 def suite_gentle_measurement(seed: int, samples: int = 500, tol: float | None = None) -> SuiteResult:
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 7))
-        rho = random_density(rng, (d,))
-        eff = random_effect(rng, d)
+        draws.append((d, (random_density_mat(rng, (d,)), random_effect(rng, d))))
+    margins = []
+    for _, (rho, eff) in _by_shape(draws):
         se = sqrt_psd(eff)
-        lhs = trace_norm(se @ rho.mat @ se - rho.mat)
-        rhs = 3.0 * np.sqrt(max(0.0, 1.0 - np.trace(eff @ rho.mat).real))
+        lhs = trace_norm(se @ rho @ se - rho)
+        rhs = 3.0 * np.sqrt(np.maximum(0.0, 1.0 - np.trace(eff @ rho, axis1=1, axis2=2).real))
         margins.append(rhs - lhs + tol)
     return _collect("gentle_measurement", margins)
 
@@ -138,14 +185,15 @@ def suite_pure_fidelity_perturbation(seed: int, samples: int = 500, tol: float |
     """F(psi, rho) >= F(psi, sigma) - ||rho - sigma||_1 / 2."""
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 7))
-        psi = random_pure(rng, (d,)).density()
-        rho = random_density(rng, (d,))
-        sig = random_density(rng, (d,))
+        psi = _pure_projector(rng, d)
+        draws.append((d, (psi, random_density_mat(rng, (d,)), random_density_mat(rng, (d,)))))
+    margins = []
+    for _, (psi, rho, sig) in _by_shape(draws):
         lhs = fidelity(psi, rho)
-        rhs = fidelity(psi, sig) - 0.5 * trace_norm(rho.mat - sig.mat)
+        rhs = fidelity(psi, sig) - 0.5 * trace_norm(rho - sig)
         margins.append(lhs - rhs + tol)
     return _collect("pure_fidelity_perturbation", margins)
 
@@ -154,18 +202,20 @@ def suite_product_fidelity_bound(seed: int, samples: int = 500, tol: float | Non
     """F(psi (x) rho, sigma) >= 1 - ||rho - sigma_B||_1 - 3(1 - F(psi, sigma_A))."""
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         da = int(rng.integers(2, 4))
         db = int(rng.integers(2, 4))
-        psi = random_pure(rng, (da,)).density()
-        rho = random_density(rng, (db,))
-        sig = random_density(rng, (da, db))
-        lhs = fidelity(DensityMatrix(tensor(psi.mat, rho.mat), (da, db)), sig)
+        psi = _pure_projector(rng, da)
+        rho = random_density_mat(rng, (db,))
+        draws.append(((da, db), (psi, rho, random_density_mat(rng, (da, db)))))
+    margins = []
+    for dims, (psi, rho, sig) in _by_shape(draws):
+        lhs = fidelity(_kron(psi, rho), sig)
         rhs = (
             1.0
-            - trace_norm(rho.mat - partial_trace(sig, [1]).mat)
-            - 3.0 * (1.0 - fidelity(psi, partial_trace(sig, [0])))
+            - trace_norm(rho - partial_trace_mat(sig, dims, [1]))
+            - 3.0 * (1.0 - fidelity(psi, partial_trace_mat(sig, dims, [0])))
         )
         margins.append(lhs - rhs + tol)
     return _collect("product_fidelity_bound", margins)
@@ -174,35 +224,35 @@ def suite_product_fidelity_bound(seed: int, samples: int = 500, tol: float | Non
 def suite_alicki_fannes(seed: int, samples: int = 500, tol: float | None = None) -> SuiteResult:
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
-        da = int(rng.integers(2, 4))
-        db = int(rng.integers(2, 4))
-        rho = random_density(rng, (da, db))
+        dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        rho = random_density_mat(rng, dims)
         # mix toward another state; lam <= 1/2 keeps the trace distance <= 1
-        other = random_density(rng, (da, db))
+        other = random_density_mat(rng, dims)
         lam = rng.uniform(0.0, 0.5) ** 2
-        sig = DensityMatrix((1 - lam) * rho.mat + lam * other.mat, (da, db))
-        eps = min(1.0, trace_norm(rho.mat - sig.mat))
-        gap = abs(
-            coherent_information(rho, [0], [1]) - coherent_information(sig, [0], [1])
-        )
-        margins.append(alicki_fannes_bound(eps, da) - gap + tol)
+        draws.append((dims, (rho, (1 - lam) * rho + lam * other)))
+    margins = []
+    for dims, (rho, sig) in _by_shape(draws):
+        eps = np.minimum(1.0, trace_norm(rho - sig))
+        gap = np.abs(_coherent_information(rho, dims) - _coherent_information(sig, dims))
+        bound = np.array([alicki_fannes_bound(e, dims[0]) for e in eps])
+        margins.append(bound - gap + tol)
     return _collect("alicki_fannes", margins)
 
 
 def suite_entropy_additivity(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     tol = 1e-7 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         da = int(rng.integers(2, 5))
         db = int(rng.integers(2, 5))
-        rho = random_density(rng, (da,))
-        sig = random_density(rng, (db,))
-        joint = DensityMatrix(tensor(rho.mat, sig.mat), (da, db))
-        gap = abs(
-            von_neumann_entropy(joint)
+        draws.append(((da, db), (random_density_mat(rng, (da,)), random_density_mat(rng, (db,)))))
+    margins = []
+    for _, (rho, sig) in _by_shape(draws):
+        gap = np.abs(
+            von_neumann_entropy(_kron(rho, sig))
             - von_neumann_entropy(rho)
             - von_neumann_entropy(sig)
         )
@@ -262,19 +312,22 @@ def suite_compound_monotonicity(seed: int, samples: int = 100, tol: float | None
 
 
 def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None) -> SuiteResult:
-    """Ordering and triangle inequality of the Choi trace-norm sandwich."""
+    """Ordering and triangle inequality of the Choi trace-norm sandwich.
+
+    The bounds are those of ``diamond_distance_bounds``: ||J_a - J_b||_1 over
+    the input dimension 3, and ||J_a - J_b||_1.
+    """
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
-        chans = [
-            KrausChannel(random_kraus_ops(rng, 3, 3, 2), (3,), (3,)) for _ in range(3)
-        ]
-        lo_ab, up_ab = diamond_distance_bounds(chans[0], chans[1])
-        lo_bc, up_bc = diamond_distance_bounds(chans[1], chans[2])
-        lo_ac, up_ac = diamond_distance_bounds(chans[0], chans[2])
-        margins.append(up_ab - lo_ab + tol)
-        margins.append(up_ab + up_bc - up_ac + tol)
+        chans = [KrausChannel(random_kraus_ops(rng, 3, 3, 2), (3,), (3,)) for _ in range(3)]
+        draws.append((None, [choi_matrix(ch).matrix for ch in chans]))
+    margins = []
+    for _, (ja, jb, jc) in _by_shape(draws):
+        up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
+        lo_ab = up_ab / 3
+        margins += [up_ab - lo_ab + tol, up_ab + up_bc - up_ac + tol]
     return _collect("diamond_bounds", margins)
 
 
@@ -290,11 +343,10 @@ def suite_net_cover(seed: int, samples: int = 3, tol: float | None = None) -> Su
         cset = CompoundSet(members)
         theta = 0.3 * float(rng.uniform(1.0, 3.0))
         net = build_net(cset, theta)
-        net_chois = [choi_matrix(m).matrix for m in net.members]
-        for m in cset.members:
-            j = choi_matrix(m).matrix
-            d = min(trace_norm(j - jn) for jn in net_chois)
-            margins.append(theta - d + tol)
+        chois = np.array([choi_matrix(m).matrix for m in cset.members])
+        net_chois = np.array([choi_matrix(m).matrix for m in net.members])
+        dist = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
+        margins.append(theta - dist + tol)
         tiny = build_net(cset, 1e-12)
         margins.append(float(len(tiny.members) == len(cset.members)) - 0.5)
     return _collect("net_cover", margins)

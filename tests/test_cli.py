@@ -209,10 +209,20 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "holevo_identity", "--seed", "999"]) == 0
 
     def test_zero_tolerance_fails(self):
-        assert main(["verify", "--suite", "entropy_additivity", "--tol", "0"]) == 1
+        # every suite whose default tolerance absorbs rounding fails at --tol 0:
+        # the override reaches the stacked and the per-instance evaluations
+        for suite in ("entropy_additivity", "eig_reconstruction", "partial_trace",
+                      "holevo_identity", "code_identities"):
+            assert main(["verify", "--suite", suite, "--tol", "0"]) == 1, suite
 
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "does_not_exist"]) == 2
+
+    @pytest.mark.parametrize("selection", [",", " , ,"])
+    def test_empty_suite_selection_exit_2(self, capsys, selection):
+        assert main(["verify", "--suite", selection]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "suites passed" not in err
 
 
 class TestNetCommand:

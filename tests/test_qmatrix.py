@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqmac.channels import KrausChannel, depolarizing_channel, identity_channel
+from cqmac.entropic import von_neumann_entropy
 from cqmac.qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
@@ -146,6 +147,88 @@ class TestTraceNorm:
         diff = random_density(rng, (2,)).mat - random_density(rng, (2,)).mat
         expect = np.sum(np.abs(np.linalg.eigvalsh(diff)))
         assert trace_norm(diff) == pytest.approx(expect, abs=1e-10)
+
+
+def _psd_stack(rng, lead, d):
+    g = complex_gaussian(rng, lead + (d, d))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None].real
+
+
+# (dims, keep) of each partial trace checked on stacks, d = prod(dims) <= 8
+PARTIAL_TRACES = [((2,), [0]), ((2, 2), [0]), ((2, 3), [1]), ((3, 2), [0]),
+                  ((2, 2), [1]), ((5,), [0]), ((2, 3), [0]), ((2, 2, 2), [0, 2])]
+
+
+class TestStackedPrimitives:
+    """A (..., d, d) stack gives what a loop of 2-D calls gives, to 1e-12."""
+
+    @pytest.mark.parametrize("lead", [(1,), (3,), (7,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_loop_of_2d_calls(self, rng, lead, d):
+        general = complex_gaussian(rng, lead + (d, d))
+        rho, sig = _psd_stack(rng, lead, d), _psd_stack(rng, lead, d)
+        cases = [
+            (hermitian_eig, (general,)),
+            (sqrt_psd, (rho,)),
+            (trace_norm, (general,)),
+            (fidelity, (rho, sig)),
+            (von_neumann_entropy, (rho,)),
+        ]
+        for fn, args in cases:
+            stacked = fn(*args)
+            for idx in np.ndindex(*lead):
+                single = fn(*(a[idx] for a in args))
+                if fn is hermitian_eig:  # (eigenvalues, eigenvectors)
+                    pairs = [(stacked[0][idx], single[0]), (stacked[1][idx], single[1])]
+                else:
+                    pairs = [(stacked[idx], single)]
+                for got, want in pairs:
+                    assert np.max(np.abs(got - want)) <= 1e-12, fn.__name__
+
+    @pytest.mark.parametrize("dims, keep", PARTIAL_TRACES, ids=str)
+    def test_partial_trace_matches_loop(self, rng, dims, keep):
+        d = int(np.prod(dims))
+        for lead in [(1,), (4,), (2, 3)]:
+            stack = complex_gaussian(rng, lead + (d, d))
+            out = partial_trace_mat(stack, dims, keep)
+            for idx in np.ndindex(*lead):
+                assert np.max(np.abs(out[idx] - partial_trace_mat(stack[idx], dims, keep))) <= 1e-12
+
+    def test_2d_calls_return_floats(self, rng):
+        rho, sig = _psd_stack(rng, (), 3), _psd_stack(rng, (), 3)
+        for value in (trace_norm(rho - sig), fidelity(rho, sig), von_neumann_entropy(rho),
+                      fidelity(DensityMatrix(rho, (3,)), DensityMatrix(sig, (3,)))):
+            assert type(value) is float
+
+    @pytest.mark.parametrize(
+        "fn, kinds",
+        [
+            (hermitian_eig, ("non-square", "non-finite")),
+            (sqrt_psd, ("non-square", "non-finite")),
+            (trace_norm, ("non-square", "non-finite")),
+            (lambda m: fidelity(m, m), ("non-square", "non-finite")),
+            (lambda m: partial_trace_mat(m, (3,), [0]), ("non-square",)),  # no finiteness check
+            (von_neumann_entropy, ("non-square", "non-finite")),
+        ],
+        ids=["hermitian_eig", "sqrt_psd", "trace_norm", "fidelity", "partial_trace_mat",
+             "von_neumann_entropy"],
+    )
+    def test_bad_stack_raises_like_bad_matrix(self, fn, kinds):
+        nan = np.eye(3, dtype=complex)
+        nan[0, 1] = np.nan
+        bad = {"non-square": np.ones((2, 3), dtype=complex), "non-finite": nan}
+        for kind in kinds:
+            mat = bad[kind]
+            with pytest.raises(ValueError) as single:
+                fn(mat)
+            with pytest.raises(ValueError) as stacked:
+                fn(np.stack([np.ones_like(mat), mat, np.ones_like(mat)]))
+            assert stacked.type is single.type, kind
+
+    def test_density_matrix_refuses_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(np.stack([np.eye(2) / 2] * 2), (2,))
 
 
 class TestEntanglementFidelity:
