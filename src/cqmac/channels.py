@@ -18,6 +18,7 @@ import numpy as np
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
+    factor_trace_norm,
     partial_trace_mat,
     permute_mat,
     pinv_sqrt_psd,
@@ -300,10 +301,20 @@ class ChoiMatrix:
         return float(np.max(np.abs(reduced - np.eye(self.in_dim))))
 
 
+def choi_factor(channel: KrausChannel, count: int = 0) -> np.ndarray:
+    """The (in_dim * out_dim, k) factor f of the Choi matrix f f†:
+    f[(i, o), k] = K_k[o, i], zero-padded to ``count`` columns if that is
+    more than the Kraus count."""
+    k = len(channel.kraus_ops)
+    f = channel.stacked.transpose(2, 1, 0).reshape(-1, k)
+    if count > k:
+        f = np.concatenate([f, np.zeros((f.shape[0], count - k))], axis=1)
+    return f
+
+
 def choi_matrix(channel: KrausChannel) -> ChoiMatrix:
-    w = channel.stacked.transpose(0, 2, 1).reshape(len(channel.kraus_ops), -1)
-    # w[k, (i, o)] = K_k[o, i]
-    return ChoiMatrix(w.T @ w.conj(), channel.in_dim, channel.out_dim)
+    f = choi_factor(channel)
+    return ChoiMatrix(f @ f.conj().T, channel.in_dim, channel.out_dim)
 
 
 def diamond_distance_bounds(a: KrausChannel, b: KrausChannel) -> tuple[float, float]:
@@ -398,18 +409,29 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
 
     Distances use the upper Choi trace-norm bound on the diamond distance,
     so the returned subset is a valid covering for the true metric as well.
+    Each step takes, in one ``factor_trace_norm`` call on the Choi factors
+    (zero-padded to the largest Kraus count), the distances from the newly
+    chosen member to the members still farther than theta from the net:
+    only those can be chosen later.
     """
     if not theta > 0:  # NaN too: it would never stop the cover loop
         raise ValueError("theta must be positive")
-    chois = np.array([choi_matrix(m).matrix for m in cset.members])
-    chosen = [0]
-    min_dist = trace_norm(chois - chois[0])
+    count = max(len(m.kraus_ops) for m in cset.members)
+    factors = np.array([choi_factor(m, count) for m in cset.members])
+    min_dist = np.full(len(factors), np.inf)
+    live = np.arange(len(factors))
+    chosen = []
+    far_idx = 0
     while True:
-        far_idx = int(np.argmax(min_dist))
-        if min_dist[far_idx] <= theta:
-            break
         chosen.append(far_idx)
-        min_dist = np.minimum(min_dist, trace_norm(chois - chois[far_idx]))
+        near = factors[live]
+        dist = factor_trace_norm(near, np.broadcast_to(factors[far_idx], near.shape))
+        min_dist[live] = np.minimum(min_dist[live], dist)
+        min_dist[far_idx] = 0.0  # a rounding residue above theta would choose it again
+        live = live[min_dist[live] > theta]
+        if not live.size:
+            break
+        far_idx = int(live[np.argmax(min_dist[live])])
     chosen.sort()
     net = CompoundSet(
         tuple(cset.members[i] for i in chosen),

@@ -10,11 +10,18 @@ of subsystem dimensions whose product equals the matrix size; subsystem 0
 is the leftmost tensor factor.
 
 Stack convention: ``hermitian_eig``, ``sqrt_psd``, ``trace_norm``,
-``fidelity`` and ``partial_trace_mat`` act on the last two axes of a
-``(..., d, d)`` array, so a stack of N matrices costs one LAPACK call. On a
+``factor_trace_norm``, ``fidelity`` and ``partial_trace_mat`` act on the last
+two axes of a ``(..., d, d)`` array (``(..., d, r)`` factors for
+``factor_trace_norm``), so a stack of N matrices costs one LAPACK call. On a
 2-D input they return what a single-matrix routine would (a Python float for
 the scalar ones); on a stack, an array over the leading axes whose entries
 equal the 2-D calls on each matrix.
+
+Every ``trace_norm`` in the program is of a Hermitian matrix (a difference
+of states or of Choi matrices), so it is the sum of the absolute
+eigenvalues: it reads only the lower triangle and requires Hermitian input.
+``fidelity`` takes the trace norm of a non-Hermitian product from its
+singular values instead.
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m itself; raises on NaN or inf, which LAPACK's Hermitian solvers accept."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def hermitian_eig(mat):
     """Eigendecomposition of a Hermitian matrix (or of each in a stack).
 
@@ -52,9 +66,7 @@ def hermitian_eig(mat):
     (eigenvalues, eigenvectors) with eigenvalues sorted descending and the
     matching orthonormal eigenvectors as columns.
     """
-    m = _square(mat)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    m = _finite(_square(mat))
     h = (m + dagger(m)) / 2.0
     vals, vecs = np.linalg.eigh(h)
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
@@ -74,10 +86,38 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _abs_spectrum_sum(h: np.ndarray):
+    # LAPACK's Hermitian solver reduces even a zero matrix at full cost, and
+    # the chain audit of a code with orthogonal codeword outputs takes trace
+    # norms of exact zeros
+    if not h.any():
+        return _scalar(np.zeros(h.shape[:-2]))
+    return _scalar(np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1))
+
+
 def trace_norm(mat):
-    """Sum of singular values of a square matrix (or of each in a stack)."""
-    m = _square(mat)
-    return _scalar(np.sum(np.linalg.svd(m, compute_uv=False), axis=-1))
+    """Trace norm of a Hermitian matrix (or of each in a stack).
+
+    The sum of |eigenvalues|, from the lower triangle only: the input must
+    be Hermitian, and no symmetrized copy is made.
+    """
+    return _abs_spectrum_sum(_finite(_square(mat)))
+
+
+def factor_trace_norm(x, y):
+    """||x x† - y y†||_1 of factor stacks x (..., d, r1) and y (..., d, r2).
+
+    With [x y] = q r (reduced QR), the difference is q r s r† q† where
+    s = diag(1, ..., 1, -1, ..., -1), so its spectrum is that of r s r†,
+    which is at most (r1 + r2)-square. Zero columns are allowed.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.ndim < 2 or x.shape[:-1] != y.shape[:-1]:
+        raise DimensionMismatchError(f"factor shapes {x.shape} and {y.shape} do not share rows")
+    r = np.linalg.qr(_finite(np.concatenate([x, y], axis=-1)), mode="r")
+    signs = np.concatenate([np.ones(x.shape[-1]), -np.ones(y.shape[-1])])
+    return _abs_spectrum_sum((r * signs) @ dagger(r))
 
 
 def sqrt_psd(mat) -> np.ndarray:
@@ -231,12 +271,17 @@ def permute_vec(vec: np.ndarray, dims, perm) -> np.ndarray:
 
 def fidelity(a, b):
     """Quantum fidelity ||sqrt(a) sqrt(b)||_1^2 of two states (or of two
-    equally shaped stacks, pairwise)."""
+    equally shaped stacks, pairwise).
+
+    The product is not Hermitian, so its trace norm is a sum of singular
+    values, not ``trace_norm``.
+    """
     ma = a.mat if isinstance(a, DensityMatrix) else _square(a)
     mb = b.mat if isinstance(b, DensityMatrix) else _square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"state shapes differ: {ma.shape} vs {mb.shape}")
-    val = trace_norm(sqrt_psd(ma) @ sqrt_psd(mb)) ** 2
+    singular = np.linalg.svd(sqrt_psd(ma) @ sqrt_psd(mb), compute_uv=False)
+    val = np.sum(singular, axis=-1) ** 2
     return _scalar(np.clip(val, 0.0, 1.0 + 1e-9))
 
 

@@ -10,10 +10,11 @@ The matrix-only suites draw all their instances first, in the seed's
 order, so a seed always gives the same instances. They then group the
 instances by shape (``_by_shape``) and evaluate each group with one stacked
 call of each dense primitive; the result does not depend on that order,
-since it is a count and a minimum. The suites whose subject is a channel or
-code constructor (``holevo_identity``, ``data_processing``,
-``compound_monotonicity``, ``timeshare``, ``code_identities``) evaluate
-each instance as it is drawn.
+since it is a count and a minimum. ``data_processing`` joins them: it
+builds each instance's channel and output state as it draws, then takes
+the entropies per shape. The suites whose subject is a channel or code
+constructor (``holevo_identity``, ``compound_monotonicity``, ``timeshare``,
+``code_identities``) evaluate each instance as it is drawn.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .channels import (
     CompoundSet,
     CqChannel,
     KrausChannel,
-    apply_channel,
+    apply_channel_mat,
     build_net,
     choi_matrix,
 )
 from .entropic import (
     CqqState,
     alicki_fannes_bound,
-    coherent_information,
     holevo_information,
     mutual_information_x_c,
     von_neumann_entropy,
@@ -50,7 +50,6 @@ from .qmatrix import (
 )
 from .randutil import (
     complex_gaussian,
-    random_density,
     random_density_mat,
     random_effect,
     random_factor,
@@ -277,15 +276,15 @@ def suite_data_processing(seed: int, samples: int = 100, tol: float | None = Non
     """Coherent information never grows under a channel on the second part."""
     tol = 1e-8 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
-        da = int(rng.integers(2, 4))
-        db = int(rng.integers(2, 4))
-        rho = random_density(rng, (da, db))
+        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        rho = random_density_mat(rng, (da, db))
         ch = KrausChannel(random_kraus_ops(rng, db, db, 2), (db,), (db,))
-        before = coherent_information(rho, [0], [1])
-        after = coherent_information(apply_channel(ch, rho, [1]), [0], [1])
-        margins.append(before - after + tol)
+        draws.append(((da, db), (rho, apply_channel_mat(ch, rho, (da, db), [1])[0])))
+    margins = []
+    for dims, (rho, out) in _by_shape(draws):
+        margins.append(_coherent_information(rho, dims) - _coherent_information(out, dims) + tol)
     return _collect("data_processing", margins)
 
 

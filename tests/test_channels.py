@@ -183,7 +183,57 @@ class TestDiamondBounds:
         assert suite_diamond_bounds(seed=8, samples=15).violations == 0
 
 
+def _dense_greedy_indices(cset: CompoundSet, theta: float) -> list[int]:
+    """Oracle for build_net: the greedy farthest-point loop on dense Choi
+    matrices, one SVD trace norm per member and step."""
+    chois = np.array([choi_matrix(m).matrix for m in cset.members])
+
+    def dist(j):
+        return np.sum(np.linalg.svd(chois - chois[j], compute_uv=False), axis=-1)
+
+    chosen = [0]
+    min_dist = dist(0)
+    while True:
+        far = int(np.argmax(min_dist))
+        if min_dist[far] <= theta:
+            break
+        chosen.append(far)
+        min_dist = np.minimum(min_dist, dist(far))
+    return sorted(chosen)
+
+
 class TestBuildNet:
+    # (in_dim, out_dim, Kraus counts): the padded factors of two members have
+    # fewer, as many or more columns in all than in_dim * out_dim rows
+    MIXED = [(4, 4, (1, 2, 3)), (3, 3, (2, 1)), (2, 3, (1, 2, 4)), (2, 2, (1, 3, 4)),
+             (3, 2, (2, 5))]
+
+    @pytest.mark.parametrize("din, dout, counts", MIXED, ids=str)
+    def test_matches_dense_greedy_oracle(self, rng, din, dout, counts):
+        for _ in range(3):
+            members = tuple(
+                KrausChannel(random_kraus_ops(rng, din, dout, counts[i % len(counts)]),
+                             (din,), (dout,))
+                for i in range(12)
+            )
+            cset = CompoundSet(members)
+            chois = np.array([choi_matrix(m).matrix for m in members])
+            pairwise = trace_norm(chois[:, None] - chois[None, :])
+            # quantiles between two of the 66 distances, so theta ties none
+            for q in (0.15, 0.45, 0.75):
+                theta = float(np.quantile(pairwise[np.triu_indices(12, 1)], q))
+                net = build_net(cset, theta)
+                got = [int(label[1:]) for label in net.labels]
+                assert got == _dense_greedy_indices(cset, theta)
+
+    def test_tiny_theta_chooses_each_member_once(self, rng):
+        """Repeated members are a rounding residue apart, not 0; the loop must
+        still end, with no member chosen twice."""
+        members = tuple(KrausChannel(random_kraus_ops(rng, 2, 2, 2), (2,), (2,)) for _ in range(4))
+        cset = CompoundSet(members + members)
+        net = build_net(cset, 1e-300)
+        assert len(set(net.labels)) == len(net.labels) <= len(cset)
+
     @pytest.mark.parametrize("theta", [0.0, -1.0])
     def test_non_positive_theta_raises(self, identity_qmac, theta):
         with pytest.raises(ValueError, match="positive"):

@@ -9,7 +9,9 @@ from cqmac.qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     PureState,
+    dagger,
     entanglement_fidelity,
+    factor_trace_norm,
     fidelity,
     hermitian_eig,
     maximally_entangled,
@@ -135,6 +137,23 @@ class TestFidelity:
         with pytest.raises(DimensionMismatchError):
             fidelity(random_density(rng, (2,)), random_density(rng, (3,)))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+    def test_pure_state_is_overlap(self, rng, d):
+        """F(|psi><psi|, rho) = <psi|rho|psi>, with the pure state on either side."""
+        for _ in range(5):
+            v = random_pure(rng, (d,)).vec
+            rho = random_density(rng, (d,)).mat
+            overlap = float(np.real(v.conj() @ rho @ v))
+            psi = np.outer(v, v.conj())
+            assert abs(fidelity(psi, rho) - overlap) <= 1e-12
+            assert abs(fidelity(rho, psi) - overlap) <= 1e-12
+
+    @pytest.mark.parametrize("small", [1e-7, 1e-9, 1e-11])
+    def test_state_with_tiny_eigenvalue_has_self_fidelity_one(self, rng, small):
+        u = np.linalg.qr(complex_gaussian(rng, (3, 3)))[0]
+        rho = (u * [1.0 - 1.5 * small, small, 0.5 * small]) @ dagger(u)
+        assert abs(fidelity(rho, rho) - 1.0) <= 1e-12
+
 
 class TestTraceNorm:
     def test_diag(self):
@@ -142,11 +161,63 @@ class TestTraceNorm:
 
     def test_zero(self):
         assert trace_norm(np.zeros((3, 3))) == pytest.approx(0.0)
+        assert type(trace_norm(np.zeros((3, 3)))) is float
+        assert np.array_equal(trace_norm(np.zeros((2, 4, 3, 3))), np.zeros((2, 4)))
 
     def test_eigenvalue_oracle(self, rng):
         diff = random_density(rng, (2,)).mat - random_density(rng, (2,)).mat
         expect = np.sum(np.abs(np.linalg.eigvalsh(diff)))
         assert trace_norm(diff) == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_matches_singular_values_on_hermitian_stacks(self, rng, lead, d):
+        g = complex_gaussian(rng, lead + (d, d))
+        h = g + dagger(g)
+        want = np.sum(np.linalg.svd(h, compute_uv=False), axis=-1)
+        assert np.max(np.abs(trace_norm(h) - want)) <= 1e-12 * max(1.0, np.max(want))
+
+
+def _svd_trace_norm(x, y):
+    """Dense oracle: singular values of x x† - y y†."""
+    return np.sum(np.linalg.svd(x @ dagger(x) - y @ dagger(y), compute_uv=False), axis=-1)
+
+
+class TestFactorTraceNorm:
+    """||x x† - y y†||_1 from factors, against the dense difference's SVD."""
+
+    # (d, r1, r2): r1 + r2 below, at and above d, where r from the QR is not square
+    SHAPES = [(6, 1, 2), (8, 3, 3), (16, 2, 2), (16, 1, 4), (4, 2, 2), (3, 2, 3), (5, 5, 1)]
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("d, r1, r2", SHAPES, ids=str)
+    def test_matches_dense_oracle(self, rng, lead, d, r1, r2):
+        x = complex_gaussian(rng, lead + (d, r1))
+        y = complex_gaussian(rng, lead + (d, r2))
+        got, want = factor_trace_norm(x, y), _svd_trace_norm(x, y)
+        assert np.shape(got) == lead
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(want))
+
+    @pytest.mark.parametrize("d, r1, r2", SHAPES, ids=str)
+    def test_equal_factors_give_zero(self, rng, d, r1, r2):
+        x = complex_gaussian(rng, (3, d, r1))
+        assert np.max(np.abs(factor_trace_norm(x, x))) <= 1e-12
+
+    @pytest.mark.parametrize("d, r1, r2", SHAPES, ids=str)
+    def test_zero_padded_columns(self, rng, d, r1, r2):
+        x = complex_gaussian(rng, (3, d, r1)) / np.sqrt(d)
+        y = complex_gaussian(rng, (3, d, r2)) / np.sqrt(d)
+        pad = np.zeros((3, d, 2), dtype=complex)
+        x_pad, y_pad = np.concatenate([x, pad], axis=-1), np.concatenate([pad, y], axis=-1)
+        want = _svd_trace_norm(x, y)
+        assert np.max(np.abs(factor_trace_norm(x_pad, y_pad) - want)) <= 1e-12
+        assert np.max(np.abs(factor_trace_norm(x_pad, y) - want)) <= 1e-12
+
+    def test_rows_must_match(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            factor_trace_norm(complex_gaussian(rng, (4, 1)), complex_gaussian(rng, (5, 1)))
+        with pytest.raises(DimensionMismatchError):
+            factor_trace_norm(complex_gaussian(rng, (2, 4, 1)), complex_gaussian(rng, (3, 4, 1)))
 
 
 def _psd_stack(rng, lead, d):
@@ -171,7 +242,7 @@ class TestStackedPrimitives:
         cases = [
             (hermitian_eig, (general,)),
             (sqrt_psd, (rho,)),
-            (trace_norm, (general,)),
+            (trace_norm, (general + dagger(general),)),
             (fidelity, (rho, sig)),
             (von_neumann_entropy, (rho,)),
         ]
@@ -207,12 +278,13 @@ class TestStackedPrimitives:
             (hermitian_eig, ("non-square", "non-finite")),
             (sqrt_psd, ("non-square", "non-finite")),
             (trace_norm, ("non-square", "non-finite")),
+            (lambda m: factor_trace_norm(m, m), ("non-finite",)),
             (lambda m: fidelity(m, m), ("non-square", "non-finite")),
             (lambda m: partial_trace_mat(m, (3,), [0]), ("non-square",)),  # no finiteness check
             (von_neumann_entropy, ("non-square", "non-finite")),
         ],
-        ids=["hermitian_eig", "sqrt_psd", "trace_norm", "fidelity", "partial_trace_mat",
-             "von_neumann_entropy"],
+        ids=["hermitian_eig", "sqrt_psd", "trace_norm", "factor_trace_norm", "fidelity",
+             "partial_trace_mat", "von_neumann_entropy"],
     )
     def test_bad_stack_raises_like_bad_matrix(self, fn, kinds):
         nan = np.eye(3, dtype=complex)
