@@ -1,9 +1,10 @@
 """CPTP maps, classical-quantum channels, compound sets and coverings.
 
 A channel is a Kraus-operator list between labeled input/output subsystem
-spaces. Trace-non-increasing instruments (decoder branches) carry an
-explicit flag; completeness of a branch family is checked where the family
-is assembled, not per branch.
+spaces; instruments (decoder branches) carry a trace-non-increasing flag.
+Kraus families are validated where numbers enter: in the public constructor
+and in the JSON loader. Library products of validated channels are complete
+by construction and skip the Gram (``KrausChannel._trusted``); tests check them.
 """
 
 from __future__ import annotations
@@ -70,10 +71,8 @@ class KrausChannel:
     trace_nonincreasing: bool = False
 
     def __post_init__(self):
-        in_dims = tuple(int(d) for d in self.in_dims)
-        out_dims = tuple(int(d) for d in self.out_dims)
-        din = int(np.prod(in_dims))
-        dout = int(np.prod(out_dims))
+        din = int(np.prod(self.in_dims))
+        dout = int(np.prod(self.out_dims))
         if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         try:
@@ -104,10 +103,21 @@ class KrausChannel:
                 raise CptpError(
                     f"channel is not trace preserving, defect {defect:.3e}", defect
                 )
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "kraus_ops", tuple(stacked))
-        object.__setattr__(self, "in_dims", in_dims)
-        object.__setattr__(self, "out_dims", out_dims)
+        self._store(stacked, self.in_dims, self.out_dims, self.trace_nonincreasing)
+
+    def _store(self, stacked, in_dims, out_dims, flag):
+        # straight into the instance dict, past the frozen __setattr__
+        self.__dict__.update(stacked=stacked, kraus_ops=tuple(stacked), trace_nonincreasing=flag,
+                             in_dims=tuple(map(int, in_dims)), out_dims=tuple(map(int, out_dims)))
+
+    @classmethod
+    def _trusted(cls, stacked, in_dims, out_dims, trace_nonincreasing=False) -> "KrausChannel":
+        """A library product, complete by construction: takes ownership of the
+        fresh complex (count, out, in) array ``stacked``; no copy, no Gram."""
+        stacked.flags.writeable = False
+        channel = object.__new__(cls)
+        channel._store(stacked, in_dims, out_dims, trace_nonincreasing)
+        return channel
 
     @property
     def in_dim(self) -> int:
@@ -168,7 +178,7 @@ def batch_kron(*stacks: np.ndarray) -> np.ndarray:
 
 
 def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    return KrausChannel(
+    return KrausChannel._trusted(
         batch_kron(a.stacked, b.stacked),
         a.in_dims + b.in_dims,
         a.out_dims + b.out_dims,
@@ -180,7 +190,7 @@ def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     if after.in_dim != before.out_dim:
         raise DimensionMismatchError("composition dimensions do not match")
     ops = after.stacked[:, None] @ before.stacked[None]
-    return KrausChannel(
+    return KrausChannel._trusted(
         ops.reshape(-1, after.out_dim, before.in_dim),
         before.in_dims,
         after.out_dims,
@@ -206,7 +216,7 @@ def tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> Kra
     if k == 1:
         return channel
     flag = channel.trace_nonincreasing
-    return KrausChannel(ops, channel.in_dims * k, channel.out_dims * k, trace_nonincreasing=flag)
+    return KrausChannel._trusted(ops, channel.in_dims * k, channel.out_dims * k, flag)
 
 
 def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
@@ -225,7 +235,7 @@ def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET
     shape = (len(ops), channel.out_dim**k)
     grouped = [0, 1] + [2 + 2 * i for i in range(k)] + [3 + 2 * i for i in range(k)]
     ops = ops.reshape(shape + (da, db) * k).transpose(grouped)
-    return KrausChannel(
+    return KrausChannel._trusted(
         ops.reshape(shape + ((da * db) ** k,)),
         (da**k, db**k),
         channel.out_dims * k,

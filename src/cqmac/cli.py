@@ -18,7 +18,8 @@ Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),
 the integer options ``--budget``, ``--alphabet``, ``--m1``, ``--m2`` and
 ``--dim-budget`` must be >= 1, ``--theta`` (> 0) and ``--tol`` must be
-finite, and ``verify --suite`` must name at least one suite.
+finite, each ``region --weights`` pair a:b must be finite, >= 0 and not
+0:0, and ``verify --suite`` must name at least one suite.
 
 ``simulate`` reports the seed with the largest worst-member fidelity; values
 within a relative ``BEST_SEED_TIE_RTOL`` (1e-12, recorded in the report's
@@ -66,6 +67,8 @@ def _parse_weights(text: str) -> tuple[tuple[float, float], ...]:
             pairs.append((float(a), float(b)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"weight {chunk!r} is not a pair a:b of numbers")
+        if not (all(math.isfinite(w) and w >= 0 for w in pairs[-1]) and any(pairs[-1])):
+            raise argparse.ArgumentTypeError(f"weight {chunk!r} must be finite, >= 0 and not 0:0")
     return tuple(pairs)
 
 
@@ -224,8 +227,8 @@ def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_
     for idx in range(seeds):
         ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, n, idx])
         cb_seed, et_seed = (int(s) for s in ss.generate_state(2))
+        et = codesim.sample_et_code(b_channels, db, n, m2, seed=et_seed)  # first: checks the budget
         cb = codesim.sample_cq_codebook(a_families, p, n, m1, seed=cb_seed)
-        et = codesim.sample_et_code(b_channels, db, n, m2, seed=et_seed)
         code = codesim.combine_hybrid(cb, et, v, member0)
         fids = [codesim.performance(code, m) for m in cset.members]
         runs.append(

@@ -28,6 +28,7 @@ import numpy as np
 
 from .channels import (
     INTERNAL_DIM_BUDGET,
+    BudgetExceededError,
     CompoundSet,
     CqChannel,
     KrausChannel,
@@ -82,6 +83,20 @@ class EtCode:
     branches: tuple[KrausChannel, ...]
 
     def __post_init__(self):
+        self._check_parts()
+        defect = _completeness_defect(self.branches)
+        if not defect <= DECODER_COMPLETENESS_TOL:
+            raise ValueError(f"decoder branches do not sum to a channel: defect {defect:.3e}")
+
+    @classmethod
+    def _trusted(cls, **fields) -> "EtCode":
+        """A library product, complete by construction: every check but the completeness Gram."""
+        code = object.__new__(cls)
+        code.__dict__.update(fields)
+        code._check_parts()
+        return code
+
+    def _check_parts(self):
         if len(self.classical_factors) != self.m1 or len(self.branches) != self.m1:
             raise DimensionMismatchError("message count does not match encoder/decoder lists")
         rows = (self.da**self.n,)
@@ -96,9 +111,6 @@ class EtCode:
                 raise DimensionMismatchError("decoder branch does not map C^n to F")
             if not br.trace_nonincreasing:
                 raise ValueError("decoder branches must be flagged trace-non-increasing")
-        defect = _completeness_defect(self.branches)
-        if not defect <= DECODER_COMPLETENESS_TOL:
-            raise ValueError(f"decoder branches do not sum to a channel: defect {defect:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +270,7 @@ def _recovery_channel(
     """Pretty-good recovery for the n-fold averaged channel on the subspace."""
     d1 = single_ops.shape[1]
     dout = d1**n
-    single = KrausChannel(single_ops, (g0,), (d1,))
+    single = KrausChannel._trusted(single_ops, (g0,), (d1,))
     mat = isometry @ isometry.conj().T
     dims = (g0,) * n
     for _ in range(n):
@@ -280,7 +292,7 @@ def _recovery_channel(
     np.matmul(coeff.T, sup.T, out=recov)
     np.conjugate(recov, out=recov)
     ops[jcount:, 0, :] = kernel.T.conj()
-    return KrausChannel(ops, (dout,), (m2,))
+    return KrausChannel._trusted(ops, (dout,), (m2,))
 
 
 def sample_et_code(
@@ -308,6 +320,8 @@ def sample_et_code(
         raise DimensionMismatchError("subspace dimension exceeds the channel input")
     if m2 > subspace_dim**n:
         raise ValueError(f"m2 = {m2} exceeds subspace capacity {subspace_dim ** n}")
+    if max(g0, channels[0].out_dim) ** n > INTERNAL_DIM_BUDGET:  # before any allocation
+        raise BudgetExceededError(f"n = {n} recovery exceeds dimension budget {INTERNAL_DIM_BUDGET}")
     rng = np.random.default_rng(seed)
     v_sub = haar_isometry(rng, subspace_dim**n, m2)
     if subspace_dim < g0:
@@ -422,11 +436,11 @@ def combine_hybrid(
     branches = []
     for word, d in zip(cq.codewords, cq.povm):
         ops = _stack_matmul(et.decoder.stacked[:, :, _tag_columns(word, dc, x_size)], sqrt_psd(d))
-        branches.append(KrausChannel(ops, (dc,) * n, (et.m2,), trace_nonincreasing=True))
+        branches.append(KrausChannel._trusted(ops, (dc,) * n, (et.m2,), True))
     classical_factors = tuple(
         tensor_all([v.vectors[x] for x in w]).reshape(-1, 1) for w in cq.codewords
     )
-    return EtCode(
+    return EtCode._trusted(
         n=n,
         m1=cq.size,
         m2=et.m2,
@@ -601,8 +615,8 @@ def concatenate(codes) -> EtCode:
         parts = np.unravel_index(m, shape1)
         classical_factors.append(tensor_all([c.classical_factors[i] for c, i in zip(codes, parts)]))
         ops = batch_kron(*[c.branches[i].stacked for c, i in zip(codes, parts)])
-        branches.append(KrausChannel(ops, (first.dc,) * n, (m2,), trace_nonincreasing=True))
-    return EtCode(
+        branches.append(KrausChannel._trusted(ops, (first.dc,) * n, (m2,), True))
+    return EtCode._trusted(
         n=n,
         m1=m1,
         m2=m2,
@@ -628,12 +642,10 @@ def pad(code: EtCode, b: int) -> EtCode:
     input_factor = np.kron(code.input_factor, np.eye(db**b) / np.sqrt(db**b))
     rows = np.eye(dc**b, dtype=complex).reshape(dc**b, 1, dc**b)
     branches = tuple(
-        KrausChannel(
-            batch_kron(br.stacked, rows), (dc,) * (n + b), (code.m2,), trace_nonincreasing=True
-        )
+        KrausChannel._trusted(batch_kron(br.stacked, rows), (dc,) * (n + b), (code.m2,), True)
         for br in code.branches
     )
-    return EtCode(
+    return EtCode._trusted(
         n=n + b,
         m1=code.m1,
         m2=code.m2,

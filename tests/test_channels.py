@@ -19,12 +19,15 @@ from cqmac.channels import (
     apply_channel_mat,
     blocked_tensor_power,
     build_net,
+    channel_tensor,
     choi_matrix,
+    compose,
     dephasing_channel,
     depolarizing_channel,
     diamond_distance_bounds,
     dump_compound_json,
     identity_channel,
+    kraus_gram,
     load_compound_json,
     tensor_power,
 )
@@ -125,13 +128,15 @@ class TestTensorPower:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_power_validated_once(self, rng, kraus_validations, k):
+        """The operands are validated when built; their powers form no Gram
+        (TestTrustedProducts checks that the powers are channels)."""
         ch = KrausChannel(random_kraus_ops(rng, 2, 2, 2), (2,), (2,))
         qmac = KrausChannel(random_kraus_ops(rng, 4, 2, 2), (2, 2), (2,))
+        assert kraus_validations == [ch, qmac]
         del kraus_validations[:]
-        powered = tensor_power(ch, k)
-        blocked = blocked_tensor_power(qmac, k)
-        assert len(kraus_validations) == 2
-        assert kraus_validations[0] is powered and kraus_validations[1] is blocked
+        tensor_power(ch, k)
+        blocked_tensor_power(qmac, k)
+        assert kraus_validations == []
 
     def test_power_matches_kron_loop(self, rng):
         ch = KrausChannel(random_kraus_ops(rng, 2, 3, 3), (2,), (3,))
@@ -148,6 +153,68 @@ class TestTensorPower:
         out_blocked, _ = apply_channel_mat(blocked, rho.mat, (4, 4), [0, 1])
         out_plain, _ = apply_channel_mat(plain, rho.mat, (2, 2, 2, 2), [0, 2, 1, 3])
         assert np.allclose(out_blocked, out_plain, atol=1e-10)
+
+
+def _gram_defect(channel: KrausChannel) -> float:
+    return float(np.max(np.abs(kraus_gram(channel.stacked) - np.eye(channel.in_dim))))
+
+
+def _largest_gram_eigenvalue(channel: KrausChannel) -> float:
+    return float(np.linalg.eigvalsh(kraus_gram(channel.stacked))[-1])
+
+
+class TestTrustedProducts:
+    """The library's products skip the constructor's Gram, so their
+    completeness is checked here, on random valid operands."""
+
+    def test_takes_ownership_read_only(self, rng, kraus_validations):
+        ops = np.array(random_kraus_ops(rng, 2, 3, 4))
+        ch = KrausChannel._trusted(ops, (np.int64(2),), [3])
+        assert kraus_validations == []
+        assert ch.stacked is ops and not ops.flags.writeable
+        assert ch.in_dims == (2,) and ch.out_dims == (3,) and type(ch.in_dims[0]) is int
+        assert not ch.trace_nonincreasing
+        assert len(ch.kraus_ops) == 4
+        for i, k in enumerate(ch.kraus_ops):
+            assert k.base is ops and np.shares_memory(k, ops)
+            assert np.array_equal(k, ops[i])
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.in_dims = (3,)
+
+    def _random(self, rng, din, dout, count=2, dims=None):
+        return KrausChannel(random_kraus_ops(rng, din, dout, count), dims or (din,), (dout,))
+
+    def _branch(self, rng, din, dout):
+        """One operator of a random channel: an instrument branch."""
+        return KrausChannel(random_kraus_ops(rng, din, dout, 3)[:1], (din,), (dout,),
+                            trace_nonincreasing=True)
+
+    def test_tensor_and_compose_are_channels(self, rng):
+        for din, dmid, dout in [(2, 3, 2), (3, 2, 4), (1, 4, 3)]:
+            a, b = self._random(rng, din, dmid), self._random(rng, dmid, dout, 3)
+            for out in (channel_tensor(a, b), compose(b, a)):
+                assert not out.trace_nonincreasing
+                assert _gram_defect(out) <= 1e-12
+
+    def test_products_with_a_branch_stay_below_identity(self, rng):
+        for din, dout in [(2, 3), (3, 2)]:
+            br, ch = self._branch(rng, din, dout), self._random(rng, dout, din)
+            for out in (channel_tensor(br, ch), channel_tensor(ch, br), compose(ch, br),
+                        compose(br, ch), tensor_power(br, 2)):
+                assert out.trace_nonincreasing
+                assert _largest_gram_eigenvalue(out) <= 1 + 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_powers_are_channels(self, rng, k):
+        for din, dout, count in [(2, 2, 2), (3, 2, 3), (2, 3, 1)]:
+            powered = tensor_power(self._random(rng, din, dout, count), k)
+            assert powered.in_dims == (din,) * k and _gram_defect(powered) <= 1e-12
+        for da, db, dc in [(2, 2, 2), (2, 2, 4), (1, 3, 2)]:
+            qmac = self._random(rng, da * db, dc, 2, dims=(da, db))
+            blocked = blocked_tensor_power(qmac, k)
+            assert blocked.in_dims == (da**k, db**k) and _gram_defect(blocked) <= 1e-12
 
 
 class TestChoi:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cqmac import codesim
 from cqmac.channels import (
     CompoundSet,
     channel_tensor,
@@ -128,6 +129,21 @@ class TestRegionCommand:
 
 
 class TestSimulateCommand:
+    def test_budget_exceeded_exit_4_before_any_work(
+        self, tmp_path, identity_set_file, monkeypatch, capsys
+    ):
+        """(dc |X|)^5 = 8^5 > 4096: refused before a codebook is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the budget")
+
+        monkeypatch.setattr(codesim, "pgm_codebook", refuse)
+        code = main([
+            "simulate", "--input", str(identity_set_file), "--l", "5", "--budget", "1",
+            "--out-json", str(tmp_path / "r.json"),
+        ])
+        assert code == 4 and "exceeds dimension budget 4096" in capsys.readouterr().err
+
     def test_identity_perfect_and_deterministic(self, tmp_path, identity_set_file):
         out_json = tmp_path / "report.json"
         out_csv = tmp_path / "trend.csv"
@@ -383,6 +399,10 @@ class TestArguments:
             ("region", ["--l", "0"], "blocking levels must be >= 1"),
             ("region", ["--l", "x"], "expected comma-separated integers"),
             ("region", ["--weights", "1"], "is not a pair a:b"),
+            ("region", ["--weights", "nan:1"], "must be finite, >= 0 and not 0:0"),
+            ("region", ["--weights", "1:0,inf:1"], "must be finite, >= 0 and not 0:0"),
+            ("region", ["--weights", "0:0"], "must be finite, >= 0 and not 0:0"),
+            ("region", ["--weights=-1:1"], "must be finite, >= 0 and not 0:0"),
             ("region", ["--l", "1,2"], "region traces one blocking level"),
             ("region", ["--budget", "0"], "expected an integer >= 1"),
             ("region", ["--alphabet", "0"], "expected an integer >= 1"),
@@ -399,7 +419,9 @@ class TestArguments:
             ("net", ["--theta", "inf"], "expected a finite number > 0"),
         ],
         ids=[
-            "region-l-zero", "region-l-text", "region-weights-unpaired", "region-l-list",
+            "region-l-zero", "region-l-text", "region-weights-unpaired", "region-weights-nan",
+            "region-weights-inf", "region-weights-zero-pair", "region-weights-negative",
+            "region-l-list",
             "region-budget-zero", "region-alphabet-zero", "region-alphabet-negative",
             "region-dim-budget-zero", "simulate-budget-zero", "simulate-m1-zero",
             "simulate-m2-zero", "simulate-m2-text", "verify-tol-nan", "verify-tol-inf",
@@ -416,7 +438,8 @@ class TestArguments:
             status = exc.code
         assert status == 2
         err = capsys.readouterr().err
-        assert f"error: argument {extra[0]}: " in err and message in err
+        flag = extra[0].partition("=")[0]  # --weights=-1:1: a bare -1:1 would read as a flag
+        assert f"error: argument {flag}: " in err and message in err
         assert "Traceback" not in err
 
     def test_net_theta_nan_exits_2_promptly(self, tmp_path, pair_set_file):

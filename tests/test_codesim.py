@@ -6,12 +6,14 @@ import pytest
 
 from cqmac import codesim, entropic
 from cqmac.channels import (
+    BudgetExceededError,
     CompoundSet,
     CqChannel,
     KrausChannel,
     apply_channel_mat,
     dephasing_channel,
     identity_channel,
+    kraus_gram,
     tensor_power,
 )
 from cqmac.entropic import binary_entropy, von_neumann_entropy
@@ -222,6 +224,18 @@ class TestEtCodeSampling:
         assert (kind == "tagged") == (len(completion) > 0)
         assert got.shape == oracle.shape
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    def test_budget_refused_before_any_allocation(self, monkeypatch, identity_b_channel):
+        """n = 5 on the tagged identity needs an 8^5 = 32768-dimensional recovery."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recovery matrix built")
+
+        monkeypatch.setattr(codesim, "apply_channel_mat", refuse)
+        with pytest.raises(BudgetExceededError, match="4096"):
+            codesim.sample_et_code([identity_b_channel], 2, 5, 2, seed=0)
+        with pytest.raises(AssertionError, match="recovery matrix built"):  # 8^4 fits
+            codesim.sample_et_code([identity_b_channel], 2, 4, 2, seed=0)
 
     def test_fidelity_rejects_mismatched_channel(self):
         et = codesim.sample_et_code([dephasing_channel(0.1)], 2, 2, 2, seed=1)
@@ -453,22 +467,23 @@ class TestConcatenateAndPad:
         assert codesim.performance(joint, identity_qmac) >= 1 - sum(1 - p for p in ps) - 1e-9
 
     def test_each_product_branch_validated_once(self, rng, kraus_validations):
+        """The factor codes' branches are validated when built; the product
+        branches form no Gram (TestTrustedProducts checks completeness)."""
         codes = [codesim.random_et_code(rng, m1=2), codesim.random_et_code(rng, m1=3)]
         del kraus_validations[:]
         joint = codesim.concatenate(codes)
-        assert len(kraus_validations) == len(joint.branches)
-        assert all(v is b for v, b in zip(kraus_validations, joint.branches))
+        assert kraus_validations == []
         for m, branch in enumerate(joint.branches):
             a, b = codes[0].branches[m // 3], codes[1].branches[m % 3]
             expect = [np.kron(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops]
             assert np.array_equal(branch.stacked, np.array(expect))
 
     def test_pad_branches_validated_once(self, rng, kraus_validations):
+        """As for concatenate: the padded branches form no Gram."""
         code = codesim.random_et_code(rng, m1=3)
         del kraus_validations[:]
         padded = codesim.pad(code, 1)
-        assert len(kraus_validations) == len(padded.branches)
-        assert all(v is b for v, b in zip(kraus_validations, padded.branches))
+        assert kraus_validations == []
         rows = np.eye(code.dc)
         for br, pbr in zip(code.branches, padded.branches):
             expect = [np.kron(k, rows[i : i + 1]) for k in br.kraus_ops for i in range(code.dc)]
@@ -612,6 +627,83 @@ def _oracle_codes(rng):
         "et_to_eg": codesim.et_to_eg(base, chans[0]),
     }
     return chans, codes
+
+
+def _assert_complete_family(branches, tol=1e-12):
+    """Branch Grams that sum to the identity, each of them at most the identity."""
+    grams = np.array([kraus_gram(br.stacked) for br in branches])
+    assert np.max(np.abs(grams.sum(axis=0) - np.eye(grams.shape[-1]))) <= tol
+    assert np.linalg.eigvalsh(grams)[:, -1].max() <= 1 + tol
+
+
+def _random_qmac_pair(rng, dc):
+    return tuple(KrausChannel(random_kraus_ops(rng, 4, dc, 2), (2, 2), (dc,)) for _ in range(2))
+
+
+class TestTrustedProducts:
+    """The recovery, the hybrid branches, concatenate and pad skip the
+    completeness Grams of KrausChannel and EtCode, so they are checked here
+    on random valid inputs, at 1e-12."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_recovery_and_hybrid_branches_complete(self, rng, id_deph_set, basis_v,
+                                                   uniform_p, n):
+        # the pair set, then random QMAC pairs (at n = 3 with dc = 2, so d1^n = 64)
+        dcs = (2, 2, 2) if n == 3 else (2, 3, 4) * 3
+        pairs = [id_deph_set.members] + [_random_qmac_pair(rng, dc) for dc in dcs]
+        for members in pairs:
+            a_fams = [codesim.effective_a_outputs(m, basis_v, maximally_mixed(2)) for m in members]
+            b_chans = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in members]
+            seeds = [int(s) for s in rng.integers(1 << 30, size=2)]
+            et = codesim.sample_et_code(b_chans, 2, n, 2, seed=seeds[0])
+            dec = et.decoder
+            assert np.max(np.abs(kraus_gram(dec.stacked) - np.eye(dec.in_dim))) <= 1e-12
+            cb = codesim.sample_cq_codebook(a_fams, uniform_p, n, 3, seed=seeds[1])
+            _assert_complete_family(codesim.combine_hybrid(cb, et, basis_v, members[0]).branches)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_recovery_of_random_channels_complete(self, rng, n):
+        """Full-rank recovery matrices: no kernel, no completion ops."""
+        for _ in range(5):
+            chans = [KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,)) for _ in range(2)]
+            dec = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30))).decoder
+            assert np.max(np.abs(kraus_gram(dec.stacked) - np.eye(dec.in_dim))) <= 1e-12
+
+    def test_concatenate_and_pad_complete(self, rng, identity_qmac, basis_v, uniform_p):
+        hybrid, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
+        for _ in range(4):
+            codes = [codesim.random_et_code(rng, m1=int(rng.integers(1, 4))) for _ in range(2)]
+            for code in codes + [hybrid]:
+                _assert_complete_family(codesim.pad(code, int(rng.integers(1, 3))).branches)
+            _assert_complete_family(codesim.concatenate(codes).branches)
+            _assert_complete_family(codesim.concatenate([hybrid, codes[0], codes[1]]).branches)
+
+    def test_products_form_no_completeness_gram(self, rng, monkeypatch, identity_qmac,
+                                                basis_v, uniform_p):
+        code = codesim.random_et_code(rng)
+        cb, _ = _orthogonal_codebook(identity_qmac, basis_v)
+        tb = codesim.effective_b_channel(identity_qmac, uniform_p, basis_v)
+        et = codesim.sample_et_code([tb], 2, 1, 2, seed=5)
+
+        def refuse(branches):
+            raise AssertionError("completeness Gram formed")
+
+        monkeypatch.setattr(codesim, "_completeness_defect", refuse)
+        codesim.combine_hybrid(cb, et, basis_v, identity_qmac)
+        codesim.concatenate([code, code])
+        codesim.pad(code, 1)
+        with pytest.raises(AssertionError, match="completeness Gram"):  # the public constructor
+            replace(code, input_factor=code.input_factor)
+
+    def test_trusted_code_keeps_the_factor_checks(self, rng):
+        code = codesim.random_et_code(rng)
+        fields = {f: getattr(code, f) for f in code.__dataclass_fields__}
+        built = codesim.EtCode._trusted(**fields)
+        assert not built.input_factor.flags.writeable
+        with pytest.raises(ValueError, match="trace differs"):
+            codesim.EtCode._trusted(**{**fields, "input_factor": 2.0 * code.input_factor})
+        with pytest.raises(DimensionMismatchError):
+            codesim.EtCode._trusted(**{**fields, "branches": code.branches[:1]})
 
 
 class TestFactorRouteOracle:
