@@ -47,9 +47,14 @@ class BudgetExceededError(RuntimeError):
 
 
 def kraus_gram(stacked: np.ndarray) -> np.ndarray:
-    """sum_k K_k† K_k of a (count, out, in) Kraus stack."""
+    """sum_k K_k† K_k of a (count, out, in) Kraus stack.
+
+    Entries beyond about 1e154 overflow to inf or NaN, with no warning: every
+    caller's normalization test then fails closed.
+    """
     flat = stacked.reshape(-1, stacked.shape[-1])
-    return flat.conj().T @ flat
+    with np.errstate(over="ignore", invalid="ignore"):
+        return flat.conj().T @ flat
 
 
 @dataclass(frozen=True)
@@ -86,13 +91,12 @@ class KrausChannel:
                 f"Kraus operator shape {stacked.shape[1:]} does not match ({dout}, {din})"
             )
         stacked.flags.writeable = False
+        if not np.all(np.isfinite(stacked)):  # before the Gram, where inf meets 0
+            raise CptpError("Kraus operators have non-finite entries")
         gram = kraus_gram(stacked)
         # comparisons with NaN are false, so each test below fails closed
         if self.trace_nonincreasing:
-            # eigvalsh returns arbitrary numbers for non-finite input; the
-            # gram trace is finite exactly when every Kraus entry is
-            finite = np.isfinite(np.trace(gram))
-            defect = float(np.linalg.eigvalsh(gram)[-1]) - 1.0 if finite else np.nan
+            defect = float(np.linalg.eigvalsh(gram)[-1]) - 1.0
             if not defect <= CPTP_TOL:
                 raise CptpError(
                     f"instrument exceeds trace preservation by {defect:.3e}", defect
@@ -539,7 +543,7 @@ def _channel_from_obj(obj) -> KrausChannel:
     if defect > RENORMALIZE_TOL:
         # K G^(-1/2) is trace preserving to rounding, so later CPTP_TOL checks pass
         stacked = stacked @ pinv_sqrt_psd(gram)
-    return KrausChannel(stacked, in_dims, out_dims)
+    return KrausChannel._trusted(stacked, in_dims, out_dims)  # checked above
 
 
 def dump_compound_json(cset: CompoundSet) -> str:

@@ -64,7 +64,7 @@ def _parse_weights(text: str) -> tuple[tuple[float, float], ...]:
     for chunk in text.split(","):
         a, _, b = chunk.partition(":")
         try:
-            pairs.append((float(a), float(b)))
+            pairs.append((float(a) + 0.0, float(b) + 0.0))  # + 0.0 turns -0.0 into 0.0
         except ValueError:
             raise argparse.ArgumentTypeError(f"weight {chunk!r} is not a pair a:b of numbers")
         if not (all(math.isfinite(w) and w >= 0 for w in pairs[-1]) and any(pairs[-1])):

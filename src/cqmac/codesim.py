@@ -7,7 +7,9 @@ Wiring conventions used throughout:
 * quantum input: one joint state on (F, B^n) with F the reference space
   (dim m2): the encoder isometry applied to half of Phi for a transmission
   code, a fixed pure state for a generation code;
-* a code carries each of these states as a factor w with state w w†;
+* a code carries each of these states as a factor w with state w w†, and
+  every later state stays a factor too: the classical sender's letter
+  outputs, the post-channel states and the chain audit's measured blocks;
 * decoder branches: one trace-non-increasing map C^n -> F per message,
   with the branch Kraus grams summing to the identity (completeness);
 * joint states are ordered [F, ...] with the reference factor first, and
@@ -37,14 +39,14 @@ from .channels import (
     kraus_gram,
     tensor_power,
 )
-from .entropic import binary_entropy, cqq_rates, holevo_fano_rate_bound
+from .entropic import binary_entropy, cqq_rates, holevo_fano_rate_bound, pure_output_factors
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     checked_factor,
+    factor_trace_norm,
     pinv_sqrt_psd,
     sqrt_psd,
-    tensor,
     tensor_all,
     trace_norm,
 )
@@ -188,29 +190,20 @@ class CqCodebook:
         return len(self.codewords)
 
 
-def _letter_states(w) -> list[np.ndarray]:
-    """Per-letter output matrices of a CqChannel or of a list of states."""
-    if isinstance(w, CqChannel):
-        return [np.outer(v, v.conj()) for v in w.vectors]
-    return [st.mat for st in w]
-
-
-def _word_state(letter_states, word) -> np.ndarray:
-    return tensor_all([letter_states[x] for x in word])
-
-
 def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement of the family-averaged codeword outputs.
 
-    ``w_families`` is a sequence of letter-state families (a CqChannel or a
-    list of DensityMatrix outputs each). Any part of the identity missed by the measurement is split evenly
-    across the messages so the POVM is complete.
+    ``w_families`` is a sequence of (alphabet, d, r) letter-output factor
+    stacks, as ``effective_a_outputs`` returns them: letter x of a family
+    outputs f f† for f = family[x], and a word outputs F F† for F the kron of
+    its letters' factors. Any part of the identity missed by the measurement
+    is split evenly across the messages so the POVM is complete.
     """
-    families = [_letter_states(w) for w in w_families]
     words = [tuple(int(x) for x in w) for w in words]
-    avg_states = [
-        sum(_word_state(fam, w) for fam in families) / len(families) for w in words
-    ]
+    avg_states = []
+    for w in words:
+        cols = np.concatenate([tensor_all([fam[x] for x in w]) for fam in w_families], axis=1)
+        avg_states.append(cols @ cols.conj().T / len(w_families))
     total = sum(avg_states)
     whitener = pinv_sqrt_psd(total)
     povm = [whitener @ st @ whitener for st in avg_states]
@@ -229,12 +222,11 @@ def sample_cq_codebook(w_families, p, n: int, m1: int, seed: int) -> CqCodebook:
 
 
 def average_error(cb: CqCodebook, w) -> float:
-    """Mean of tr[(I - D_m) W^n(u_m)] over the messages."""
-    letter_states = _letter_states(w)
-    errs = [
-        1.0 - float(np.real(np.trace(d @ _word_state(letter_states, word))))
-        for word, d in zip(cb.codewords, cb.povm)
-    ]
+    """Mean of tr[(I - D_m) W^n(u_m)] over the messages, for the (alphabet, d, r) factors w."""
+    errs = []
+    for word, d in zip(cb.codewords, cb.povm):
+        f = tensor_all([w[x] for x in word])
+        errs.append(1.0 - float(np.vdot(f, d @ f).real))
     return float(np.mean(errs))
 
 
@@ -347,9 +339,8 @@ def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel) -> f
     if channel.in_dim**n != et.isometry.shape[0] or channel.out_dim**n != et.decoder.in_dim:
         raise DimensionMismatchError("channel spaces do not match the code")
     fed = _fed_stack(channel.stacked, n, et.isometry)  # (K, dout, m2)
-    dec = et.decoder.stacked  # (B, m2, dout)
-    traces = dec.reshape(len(dec), -1) @ fed.transpose(0, 2, 1).reshape(len(fed), -1).T
-    return float(np.sum(np.abs(traces) ** 2)) / m2**2
+    # tr(R_b N_k V) = sum_{f,c} R_b[f, c] (N_k V)[c, f]: the overlap of the factor (N_k V)^T
+    return _branch_overlap(fed.transpose(2, 1, 0), et.decoder.stacked, m2) / m2
 
 
 def expected_encoding_deviation(
@@ -394,15 +385,17 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> KrausChannel:
     return KrausChannel(np.concatenate(ops), (db,), (qmac.out_dim, v.alphabet_size))
 
 
-def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix):
-    """Output ensemble of the classical sender with a fixed B input state."""
+def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix) -> np.ndarray:
+    """Letter-output factors of the classical sender with a fixed B input state.
+
+    The (alphabet, C, r) stack f has f[x] f[x]† = qmac(V(x) (x) rho_B): the
+    outputs of the purification of b_state by sqrt(rho_B), its reference traced out.
+    """
     da, db = qmac.in_dims
-    outs = []
-    for letter_state in _letter_states(v):
-        joint = tensor(letter_state, b_state.mat)
-        out, _ = apply_channel_mat(qmac, joint, (da, db), [0, 1])
-        outs.append(DensityMatrix(out, (qmac.out_dim,)))
-    return outs
+    if v.dim != da or b_state.mat.shape != (db, db):
+        raise DimensionMismatchError("cq channel or B state does not feed the QMAC inputs")
+    u = pure_output_factors(qmac.stacked, v.vectors, sqrt_psd(b_state.mat).T)  # (X, ref, C, K)
+    return u.transpose(0, 2, 1, 3).reshape(v.alphabet_size, qmac.out_dim, -1)
 
 
 def _tag_columns(word, dc: int, x_size: int) -> np.ndarray:
@@ -464,7 +457,7 @@ def hybrid_chain_report(
     v: CqChannel,
     qmac: KrausChannel,
     p,
-    code: EtCode | None = None,
+    code: EtCode,
 ) -> dict:
     """Evaluate every verifiable step of the hybrid error estimate.
 
@@ -474,46 +467,46 @@ def hybrid_chain_report(
     with the ensemble entanglement fidelity and a 4*sqrt(e) remainder is
     reported but not asserted because its intermediate identities mix
     expectations over the codeword draw into single realizations.
-    ``code``, when given, is combine_hybrid(cq, et, v, qmac) built earlier.
+    ``code`` is combine_hybrid(cq, et, v, qmac) built earlier.
+
+    Every state stays a factor: message m's post-channel state is
+    sigma_m = W W†, and its block dressed by message m' is X X† with
+    X = (I_F (x) sqrt(D_m')) W.
     """
-    if code is None:
-        code = combine_hybrid(cq, et, v, qmac)
-    n, m2, dc = code.n, code.m2, code.dc
+    m2, dc = code.m2, code.dc
     factors = _message_factors(code, qmac)
     words = cq.codewords
-    # overlaps[m, m'] is branch m''s fidelity on message m's state. Branch m' is
-    # sqrt(D_m') then the recovery on the tag word of m', so by linearity row m
-    # sums to the decoded tagged state's fidelity; the diagonal is performance.
-    overlaps = np.array(
-        [[_branch_overlap(w, br.stacked, m2) for br in code.branches] for w in factors]
-    )
+    sqrt_povm = sqrt_psd(np.array(cq.povm))
+    decoder, x_size = et.decoder.stacked, v.alphabet_size
+    tag_ops = {w: decoder[:, :, _tag_columns(w, dc, x_size)] for w in set(words)}
+    overlaps = []
     rows = []
     violations = 0
-    dressings = [np.kron(np.eye(m2), sqrt_psd(d)) for d in cq.povm]  # I_F (x) sqrt(D_m)
     for m, word in enumerate(words):
-        cols = factors[m].reshape(m2 * dc**n, -1)
-        sigma = cols @ cols.conj().T
-        blocks = [big @ sigma @ big for big in dressings]
+        w_cols = factors[m].reshape(-1, factors[m].shape[-1])
+        dressed = np.einsum("acd,fdk->afck", sqrt_povm, factors[m])  # X_m' for every m'
+        dressed = dressed.reshape(len(words), *w_cols.shape)  # rows (F, C^n)
+        # overlaps[m][m'] is branch m''s fidelity on message m's state: the
+        # recovery on the tag word of m' applied to X_m'. By linearity row m
+        # sums to the decoded tagged state's fidelity; the diagonal is performance.
+        overlaps.append([_branch_overlap(x, tag_ops[wp], m2) for x, wp in zip(dressed, words)])
+        weights = np.sum(np.abs(dressed) ** 2, axis=(1, 2))  # tr X X†
+        own = np.array([wp == word for wp in words])
         # the one-word error tr[(I - D_m) sigma] as the other branches' weight:
         # exactly 0 where the codeword outputs are orthogonal, where
         # 1 - tr[D_m sigma] leaves a rounding residue under the square roots
-        gamma = sum(float(np.trace(b).real) for mp, b in enumerate(blocks) if mp != m)
-        gamma = min(max(gamma, 0.0), 1.0)
-        gentle_lhs = trace_norm(blocks[m] - sigma)
+        gamma = min(max(float(np.sum(np.delete(weights, m))), 0.0), 1.0)
+        gentle_lhs = factor_trace_norm(dressed[m], w_cols)
         gentle_rhs = 3.0 * np.sqrt(gamma)
-        gamma_blocks: dict[tuple, np.ndarray] = {}
-        for word_p, block in zip(words, blocks):
-            gamma_blocks[word_p] = gamma_blocks.get(word_p, 0) + block
-        # the ideal tagged state is sigma in its own word's block and 0 elsewhere
-        diff_norm = sum(
-            trace_norm(block - sigma if t == word else block) for t, block in gamma_blocks.items()
-        )
+        # the ideal tagged state is sigma in its own word's block and 0 elsewhere;
+        # each other word's block is positive, so its trace norm is its trace
+        diff_norm = factor_trace_norm(np.hstack(dressed[own]), w_cols)
+        diff_norm += float(np.sum(weights[~own]))
         approx_rhs = gamma + 3.0 * np.sqrt(gamma)
         f_hat = float(np.sum(overlaps[m]))
-        tag_ops = et.decoder.stacked[:, :, _tag_columns(word, dc, v.alphabet_size)]
-        f_ideal = _branch_overlap(factors[m], tag_ops, m2)
+        f_ideal = _branch_overlap(factors[m], tag_ops[word], m2)
         transfer_rhs = f_ideal - 0.5 * diff_norm
-        p_m = float(overlaps[m, m])
+        p_m = overlaps[m][m]
         final_rhs = 1.0 - 2.0 * gamma - 3.0 * (1.0 - f_hat)
         checks = {
             "gentle_measurement": gentle_rhs - gentle_lhs,

@@ -87,11 +87,6 @@ def _scalar(values):
 
 
 def _abs_spectrum_sum(h: np.ndarray):
-    # LAPACK's Hermitian solver reduces even a zero matrix at full cost, and
-    # the chain audit of a code with orthogonal codeword outputs takes trace
-    # norms of exact zeros
-    if not h.any():
-        return _scalar(np.zeros(h.shape[:-2]))
     return _scalar(np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1))
 
 

@@ -379,6 +379,12 @@ class TestInstrumentFlag:
         with pytest.raises(CptpError):
             KrausChannel((np.array([[bad]]),), (1,), (1,), trace_nonincreasing=instrument)
 
+    @pytest.mark.parametrize("instrument", [False, True])
+    def test_overflowing_gram_raises_without_warning(self, instrument):
+        op = np.array([[1e200, 1e200j], [0.0, 1.0]])  # finite, but K†K overflows
+        with pytest.raises(CptpError):
+            KrausChannel((op,), (2,), (2,), trace_nonincreasing=instrument)
+
 
 class TestJson:
     def test_round_trip(self, id_deph_set, rng):
@@ -422,7 +428,17 @@ class TestJson:
         (loaded,) = load_compound_json(json.dumps(obj)).members
         gram = loaded.stacked[0].conj().T @ loaded.stacked[0]
         assert np.max(np.abs(gram - np.eye(2))) < 1e-15
-        assert len(tensor_power(loaded, 6).kraus_ops) == 1  # passes the strict check
+        # passes the public constructor's CPTP_TOL check
+        KrausChannel(loaded.stacked, loaded.in_dims, loaded.out_dims)
+
+    def test_load_validates_once(self, id_deph_set, kraus_validations):
+        """The loader's own Gram check stands in for the constructor's."""
+        loaded = load_compound_json(dump_compound_json(id_deph_set))
+        assert kraus_validations == []
+        for m in loaded.members:
+            assert not m.stacked.flags.writeable
+            KrausChannel(m.stacked, m.in_dims, m.out_dims)  # within CPTP_TOL
+        assert len(kraus_validations) == len(loaded.members)
 
     def test_cptp_violation_reports_defect(self):
         bad = {

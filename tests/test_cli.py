@@ -88,6 +88,18 @@ class TestRegionCommand:
         r1_vals = [float(r.split(",")[0]) for r in rows]
         assert r1_vals == sorted(r1_vals)
 
+    def test_negative_zero_weight_tagged_as_zero(self, tmp_path, pair_set_file):
+        csvs = []
+        for weights in (["--weights=-0:1"], ["--weights", "0:1"]):
+            out_csv = tmp_path / f"region{len(csvs)}.csv"
+            assert main([
+                "region", "--input", str(pair_set_file), "--l", "1", "--budget", "1",
+                *weights, "--out-csv", str(out_csv),
+            ]) == 0
+            csvs.append(out_csv.read_bytes())
+        assert b"w0:1" in csvs[0]
+        assert csvs[0] == csvs[1]
+
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -323,6 +335,11 @@ class TestLoadTolerance:
         path = _scaled_identity_file(tmp_path, 1.0 + 1e-6)
         assert main(["net", "--input", str(path), "--out-json", str(tmp_path / "n.json")]) == 3
         assert "defect 2.000e-06" in capsys.readouterr().err
+
+    def test_overflowing_gram_exit_3(self, tmp_path):
+        # a finite entry whose square overflows: rejected with no RuntimeWarning
+        obj = {"in_dims": [1], "out_dims": [1], "kraus": [[[1.3407807929942597e154, 0.0]]]}
+        assert _run_net(tmp_path, json.dumps(obj)) == 3
 
 
 _KEYS = st.sampled_from(["members", "labels", "in_dims", "out_dims", "kraus"]) | st.text(max_size=3)

@@ -27,7 +27,13 @@ from cqmac.qmatrix import (
     tensor,
     tensor_all,
 )
-from cqmac.randutil import complex_gaussian, haar_isometry, random_factor, random_kraus_ops
+from cqmac.randutil import (
+    complex_gaussian,
+    haar_isometry,
+    random_density,
+    random_factor,
+    random_kraus_ops,
+)
 from cqmac.suites import suite_code_identities
 
 
@@ -46,6 +52,11 @@ def _dense_post_channel_states(code, channel) -> list[np.ndarray]:
         apply_channel_mat(powered, tensor(_outer(w), tau), dims, positions)[0]
         for w in code.classical_factors
     ]
+
+
+def _abs_eig_sum(h: np.ndarray) -> float:
+    """Trace norm of a dense Hermitian matrix."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
 def _encoder(et, g0: int) -> KrausChannel:
@@ -96,7 +107,7 @@ class TestCqCodebook:
     def test_povm_completeness(self, rng):
         vectors = [np.array([1.0, 0.0]), np.array([np.cos(0.6), np.sin(0.6)])]
         w = CqChannel.from_vectors(vectors)
-        cb = codesim.sample_cq_codebook([w], [0.5, 0.5], 4, 2, seed=11)
+        cb = codesim.sample_cq_codebook([w.vectors[:, :, None]], [0.5, 0.5], 4, 2, seed=11)
         total = sum(cb.povm)
         assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-8
 
@@ -106,8 +117,8 @@ class TestCqCodebook:
         impl_means = []
         oracle_means = []
         for seed in range(200):
-            cb = codesim.sample_cq_codebook([w], [0.5, 0.5], 4, 2, seed=seed)
-            impl = codesim.average_error(cb, w)
+            cb = codesim.sample_cq_codebook([w.vectors[:, :, None]], [0.5, 0.5], 4, 2, seed=seed)
+            impl = codesim.average_error(cb, w.vectors[:, :, None])
             # independent term-by-term evaluation
             total = 0.0
             for word, d in zip(cb.codewords, cb.povm):
@@ -131,8 +142,8 @@ class TestCqCodebook:
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         w = CqChannel.from_vectors(vectors)
-        a = codesim.sample_cq_codebook([w], [0.3, 0.7], 3, 2, seed=21)
-        b = codesim.sample_cq_codebook([w], [0.3, 0.7], 3, 2, seed=21)
+        a = codesim.sample_cq_codebook([w.vectors[:, :, None]], [0.3, 0.7], 3, 2, seed=21)
+        b = codesim.sample_cq_codebook([w.vectors[:, :, None]], [0.3, 0.7], 3, 2, seed=21)
         assert a.codewords == b.codewords
         for da, db in zip(a.povm, b.povm):
             assert np.array_equal(da, db)
@@ -292,7 +303,8 @@ class TestCombineHybrid:
         cb = codesim.pgm_codebook([outs], [(0,)])
         tb = codesim.effective_b_channel(identity_qmac, uniform_p, basis_v)
         et = codesim.sample_et_code([tb], 2, 1, 2, seed=9)
-        rep = codesim.hybrid_chain_report(cb, et, basis_v, identity_qmac, uniform_p)
+        code = codesim.combine_hybrid(cb, et, basis_v, identity_qmac)
+        rep = codesim.hybrid_chain_report(cb, et, basis_v, identity_qmac, uniform_p, code=code)
         row = rep["per_message"][0]
         # identity POVM leaves the state untouched: decoded fidelity equals
         # the ideal-tag fidelity and the performance itself
@@ -330,8 +342,9 @@ class TestCombineHybrid:
         for idx in range(3):
             cb = codesim.sample_cq_codebook(a_fams, uniform_p, 3, 2, seed=100 + idx)
             et = codesim.sample_et_code(b_chans, 2, 3, 2, seed=200 + idx)
+            code = codesim.combine_hybrid(cb, et, basis_v, identity_qmac)
             for member in cset.members:
-                rep = codesim.hybrid_chain_report(cb, et, basis_v, member, uniform_p)
+                rep = codesim.hybrid_chain_report(cb, et, basis_v, member, uniform_p, code=code)
                 assert rep["violations"] == 0
 
 
@@ -722,6 +735,24 @@ class TestFactorRouteOracle:
             )
             assert codesim.performance(code, ch) == pytest.approx(dense, abs=1e-12)
 
+    @pytest.mark.parametrize("da, db, dc", [(2, 2, 3), (3, 2, 4), (2, 3, 2)])
+    def test_letter_output_factors_match_dense_route(self, rng, da, db, dc):
+        """f[x] f[x]† against qmac(V(x) (x) rho_B) evolved densely, for a random rho_B."""
+        qmac = KrausChannel(random_kraus_ops(rng, da * db, dc, 3), (da, db), (dc,))
+        v = CqChannel.from_vectors(complex_gaussian(rng, (4, da)))
+        b_state = random_density(rng, (db,))
+        assert np.linalg.norm(b_state.mat - np.eye(db) / db) > 0.1
+        outs = codesim.effective_a_outputs(qmac, v, b_state)
+        assert outs.shape[:2] == (v.alphabet_size, dc)
+        for f, letter in zip(outs, v.vectors):
+            dense, _ = apply_channel_mat(qmac, tensor(np.outer(letter, letter.conj()), b_state.mat),
+                                         (da, db), [0, 1])
+            np.testing.assert_allclose(_outer(f), dense, rtol=0, atol=1e-12)
+        with pytest.raises(DimensionMismatchError):
+            codesim.effective_a_outputs(qmac, CqChannel.basis(da + 1), b_state)
+        with pytest.raises(DimensionMismatchError):
+            codesim.effective_a_outputs(qmac, v, random_density(rng, (db + 1,)))
+
     @pytest.mark.parametrize("kind", KINDS + ["hybrid"])
     def test_converse_check_matches_dense_route(self, rng, kind, identity_qmac, dephasing_qmac,
                                                  basis_v, uniform_p):
@@ -770,15 +801,15 @@ class TestFactorRouteOracle:
         et = codesim.sample_et_code(b_chans, 2, n, 2, seed=13)
         code = codesim.combine_hybrid(cb, et, v, identity_qmac)
         m2, dc = code.m2, code.dc
-        sqrt_povm = [sqrt_psd(d) for d in cb.povm]
+        dressings = [np.kron(np.eye(m2), sqrt_psd(d)) for d in cb.povm]  # I_F (x) sqrt(D_m)
         for member in members:
             rep = codesim.hybrid_chain_report(cb, et, v, member, uniform_p, code=code)
             for m, sigma in enumerate(_dense_post_channel_states(code, member)):
                 row = rep["per_message"][m]
+                dressed = [big @ sigma @ big for big in dressings]
                 blocks = {}
-                for d_sqrt, word in zip(sqrt_povm, cb.codewords):
-                    big = np.kron(np.eye(m2), d_sqrt)
-                    blocks[word] = blocks.get(word, 0) + big @ sigma @ big
+                for block, word in zip(dressed, cb.codewords):
+                    blocks[word] = blocks.get(word, 0) + block
                 tags = {w: et.decoder.stacked[:, :, codesim._tag_columns(w, dc, 2)] for w in blocks}
                 f_hat = sum(_dense_overlap(b, tags[w], m2) for w, b in blocks.items())
                 marginal = partial_trace_mat(sigma, (m2, dc**n), [1])
@@ -790,6 +821,10 @@ class TestFactorRouteOracle:
                 assert row["performance"] == pytest.approx(
                     _dense_overlap(sigma, code.branches[m].stacked, m2), abs=1e-12)
                 assert row["one_word_error"] == pytest.approx(max(gamma, 0.0), abs=1e-12)
+                assert row["gentle_lhs"] == pytest.approx(_abs_eig_sum(dressed[m] - sigma), abs=1e-12)
+                # the ideal tagged state is sigma in its own word's block and 0 elsewhere
+                diff = sum(_abs_eig_sum(b - sigma if w == word else b) for w, b in blocks.items())
+                assert row["tagged_diff"] == pytest.approx(diff, abs=1e-12)
                 if letters == "basis" and cb.codewords.count(word) == 1:
                     # orthogonal outputs: no rounding residue for the square roots
                     assert row["one_word_error"] < 1e-20
