@@ -256,33 +256,57 @@ def _fed_stack(single_ops: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarr
     return _stack_matmul(batch_kron(*[single_ops] * n), isometry)
 
 
-def _recovery_channel(
-    single_ops: np.ndarray, n: int, isometry: np.ndarray, m2: int, g0: int
-) -> KrausChannel:
-    """Pretty-good recovery for the n-fold averaged channel on the subspace."""
-    d1 = single_ops.shape[1]
+def _block_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian mat from its blocks, the rows linked by nonzero entries.
+
+    vals[i] and column i of vecs belong to row i's block (unsorted); one eigh per width > 1.
+    """
+    linked = mat != 0
+    labels, last = np.arange(len(mat)), None
+    while not np.array_equal(labels, last):  # least label over a row and its links, then jump
+        last, labels = labels, np.where(linked, labels, labels[:, None]).min(axis=1)
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")  # rows grouped by block
+    widths = np.bincount(labels)[labels[order]]
+    vals, vecs = np.empty(len(mat)), np.zeros_like(mat)
+    for width in np.unique(widths):
+        rows = order[widths == width].reshape(-1, width)  # (blocks, width)
+        cells = (rows[:, :, None], rows[:, None, :])
+        sub = mat[cells]
+        vals[rows], vecs[cells] = (sub.real[:, 0], 1.0) if width == 1 else np.linalg.eigh(sub)
+    return vals, vecs
+
+
+def _recovery_channel(single_ops: np.ndarray, n: int, isometry: np.ndarray) -> KrausChannel:
+    """Pretty-good recovery for the n-fold averaged channel on the subspace.
+
+    M = sum_j N_j V V† N_j† is decomposed by ``_block_eigh``, with the cutoff relative
+    to its largest eigenvalue over all blocks: the channel is the one a dense eigh gives.
+    """
+    (_, d1, g0), m2 = single_ops.shape, isometry.shape[1]
     dout = d1**n
     single = KrausChannel._trusted(single_ops, (g0,), (d1,))
     mat = isometry @ isometry.conj().T
     dims = (g0,) * n
     for _ in range(n):
         mat, dims = apply_channel_mat(single, mat, dims, [0])
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
+    vals, vecs = _block_eigh((mat + mat.conj().T) / 2.0)
+    cutoff = max(1e-12, 1e-12 * max(float(vals.max()), 0.0))
     support = vals > cutoff
     sup, kernel = vecs[:, support], vecs[:, ~support]
+    live = np.flatnonzero(sup.any(axis=1))  # S is exactly 0 on every other row
+    sup = sup[live]
     fed = _fed_stack(single.stacked, n, isometry)  # (J, dout, m2)
     jcount = fed.shape[0]
     # M^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S, so
     # B_j = V† N_j† M^(-1/2) = coeff_j† S† with coeff = diag(lam^-1/2) S† F
-    coeff = sup.conj().T @ fed.transpose(1, 0, 2).reshape(dout, -1)
+    coeff = sup.conj().T @ fed[:, live].transpose(1, 0, 2).reshape(len(live), -1)
     coeff /= np.sqrt(vals[support])[:, None]
     # the recovery grams sum to the support projector of M; one op per
     # kernel vector completes them to the identity
     ops = np.zeros((jcount + kernel.shape[1], m2, dout), dtype=complex)
     recov = ops[:jcount].reshape(-1, dout)  # a view: row j*m2 + a is B_j[a]
-    np.matmul(coeff.T, sup.T, out=recov)
-    np.conjugate(recov, out=recov)
+    recov[:, live] = (coeff.T @ sup.T).conj()
     ops[jcount:, 0, :] = kernel.T.conj()
     return KrausChannel._trusted(ops, (dout,), (m2,))
 
@@ -316,16 +340,10 @@ def sample_et_code(
         raise BudgetExceededError(f"n = {n} recovery exceeds dimension budget {INTERNAL_DIM_BUDGET}")
     rng = np.random.default_rng(seed)
     v_sub = haar_isometry(rng, subspace_dim**n, m2)
-    if subspace_dim < g0:
-        embed_one = np.zeros((g0, subspace_dim), dtype=complex)
-        embed_one[:subspace_dim, :] = np.eye(subspace_dim)
-        embed = tensor_all([embed_one] * n) if n > 1 else embed_one
-        isometry = embed @ v_sub
-    else:
-        isometry = v_sub
+    isometry = tensor_all([np.eye(g0, subspace_dim)] * n) @ v_sub
     scale = 1.0 / np.sqrt(len(channels))
     avg_single = scale * np.concatenate([ch.stacked for ch in channels])
-    decoder = _recovery_channel(avg_single, n, isometry, m2, g0)
+    decoder = _recovery_channel(avg_single, n, isometry)
     return EtTransmissionCode(decoder, isometry, n, m2)
 
 
@@ -662,6 +680,8 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
     Per member: the Fano/Holevo cap on the classical rate and the coherent
     information cap inflated by the continuity slack of the decoded state.
     Valid codes can never violate the caps; the report flags it if one does.
+    r2_cap = (ic + 2 h(eps~)) / (1 - 4 eps~) / n amplifies fidelity rounding near
+    eps~ = 0.25, so compare it across builds with a relative tolerance.
     """
     n = code.n
     r1 = np.log2(code.m1) / n

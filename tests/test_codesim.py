@@ -11,6 +11,7 @@ from cqmac.channels import (
     CqChannel,
     KrausChannel,
     apply_channel_mat,
+    choi_matrix,
     dephasing_channel,
     identity_channel,
     kraus_gram,
@@ -68,6 +69,32 @@ def _encoded_phi(et, g0: int) -> np.ndarray:
     """(id_F (x) V)(Phi) formed densely on [F, (G0)^n]."""
     phi = maximally_entangled(et.m2).density().mat
     return apply_channel_mat(_encoder(et, g0), phi, (et.m2, et.m2), [1])[0]
+
+
+def _dense_recovery(ops: np.ndarray, n: int, iso: np.ndarray):
+    """The pretty-good recovery from one dense eigh of M: the block route's oracle.
+
+    Returns the recovery ops B_j = V† N_j† M^(-1/2) and an orthonormal basis
+    of M's kernel, with the cutoff of ``codesim._recovery_channel``.
+    """
+    single = KrausChannel(ops, (ops.shape[2],), (ops.shape[1],))
+    mat, dims = iso @ iso.conj().T, (ops.shape[2],) * n
+    for _ in range(n):
+        mat, dims = apply_channel_mat(single, mat, dims, [0])
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
+    inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
+    m_inv = (vecs * inv) @ vecs.conj().T
+    recov = np.array([(m_inv @ f).conj().T for f in codesim._fed_stack(ops, n, iso)])
+    return recov, vecs[:, vals <= cutoff]
+
+
+def _dense_decoder(ops: np.ndarray, n: int, iso: np.ndarray) -> KrausChannel:
+    """The dense route's decoder: recovery ops plus one completion op per kernel vector."""
+    recov, kernel = _dense_recovery(ops, n, iso)
+    completion = np.zeros((kernel.shape[1], iso.shape[1], len(kernel)), dtype=complex)
+    completion[:, 0, :] = kernel.T.conj()
+    return KrausChannel(np.concatenate([recov, completion]), (len(kernel),), (iso.shape[1],))
 
 
 def _dense_overlap(sigma: np.ndarray, branch_ops, m2: int) -> float:
@@ -206,10 +233,12 @@ class TestEtCodeSampling:
     @pytest.mark.parametrize("n, kind", [(1, "random"), (2, "random"), (3, "random"),
                                          (1, "tagged"), (2, "tagged")])
     def test_recovery_matches_dense_inverse_root(self, rng, identity_b_channel, n, kind):
-        """The support-eigenvector recovery against M^(-1/2) formed densely.
+        """The block-wise recovery against M^(-1/2) formed from one dense eigh.
 
         Random complex channels give a full-rank M; the tagged identity
-        channel of the hybrid codes gives a kernel, hence completion ops.
+        channel of the hybrid codes gives a kernel, hence completion ops. Any
+        orthonormal basis of M's kernel completes the channel, so the
+        completion ops are checked by the projector they form.
         """
         if kind == "random":
             ops = np.concatenate([random_kraus_ops(rng, 2, 3, 2) for _ in range(2)]) / np.sqrt(2)
@@ -217,24 +246,16 @@ class TestEtCodeSampling:
             ops = identity_b_channel.stacked
         g0, d1, m2 = ops.shape[2], ops.shape[1], 2
         iso = haar_isometry(rng, g0**n, m2)
-        single = KrausChannel(ops, (g0,), (d1,))
-        mat, dims = iso @ iso.conj().T, (g0,) * n
-        for _ in range(n):
-            mat, dims = apply_channel_mat(single, mat, dims, [0])
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-        cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
-        inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
-        m_inv = (vecs * inv) @ vecs.conj().T
-        fed = codesim._fed_stack(ops, n, iso)
-        recov = np.array([(m_inv @ f).conj().T for f in fed])
-        kernel = vecs[:, vals <= cutoff]
-        completion = np.zeros((kernel.shape[1], m2, d1**n), dtype=complex)
-        completion[:, 0, :] = kernel.T.conj()
-        oracle = np.concatenate([recov, completion])
-        got = codesim._recovery_channel(ops, n, iso, m2, g0).stacked
-        assert (kind == "tagged") == (len(completion) > 0)
-        assert got.shape == oracle.shape
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+        recov, kernel = _dense_recovery(ops, n, iso)
+        got = codesim._recovery_channel(ops, n, iso).stacked
+        assert (kind == "tagged") == (kernel.shape[1] > 0)
+        assert got.shape == (len(recov) + kernel.shape[1], m2, d1**n)
+        np.testing.assert_allclose(got[: len(recov)], recov, rtol=0, atol=1e-12)
+        completion = got[len(recov) :]
+        assert not np.any(completion[:, 1:])
+        np.testing.assert_allclose(
+            kraus_gram(completion), kernel @ kernel.conj().T, rtol=0, atol=1e-12
+        )
 
     def test_budget_refused_before_any_allocation(self, monkeypatch, identity_b_channel):
         """n = 5 on the tagged identity needs an 8^5 = 32768-dimensional recovery."""
@@ -268,6 +289,69 @@ class TestEtCodeSampling:
         assert np.array_equal(a.isometry, b.isometry)
         for ka, kb in zip(a.decoder.kraus_ops, b.decoder.kraus_ops):
             assert np.array_equal(ka, kb)
+
+
+@pytest.fixture
+def eigh_dims(monkeypatch) -> list:
+    """The trailing dimension of every np.linalg.eigh call from here on."""
+    seen, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return seen
+
+
+class TestBlockRecovery:
+    """The recovery from M's exact diagonal blocks against one dense eigh of M."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decoder_matches_dense_channel(self, rng, identity_b_channel, id_deph_set,
+                                           basis_v, uniform_p, n):
+        """The tagged identity, the pair set's averaged channel as simulate forms it, and a
+        tag letter of probability 1e-14, whose blocks fall under the cutoff of all blocks."""
+        pair = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in id_deph_set.members]
+        skewed = codesim.effective_b_channel(id_deph_set.members[0], [1 - 1e-14, 1e-14], basis_v)
+        for chans in ([identity_b_channel], pair, [skewed]):
+            ops = np.concatenate([c.stacked for c in chans]) / np.sqrt(len(chans))
+            iso = haar_isometry(rng, 2**n, 2)
+            got = choi_matrix(codesim._recovery_channel(ops, n, iso)).matrix
+            want = choi_matrix(_dense_decoder(ops, n, iso)).matrix
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_pair_set_layout_at_n3(self, eigh_dims, id_deph_set, basis_v, uniform_p):
+        """Each tag word's 64 rows hold 8 linked rows and 56 zero rows; the 664-op layout stays."""
+        pair = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in id_deph_set.members]
+        et = codesim.sample_et_code(pair, 2, 3, 2, seed=0)
+        assert eigh_dims == [8]
+        assert et.decoder.stacked.shape == (664, 2, 512)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_rows_go_to_the_kernel(self, rng, eigh_dims, identity_qmac, dephasing_qmac, n):
+        """A letter of probability 0 leaves every tag word holding it with zero rows of M."""
+        v = CqChannel.from_vectors([[1, 0], [0, 1], [1, 1]])
+        p = np.array([0.5, 0.5, 0.0])
+        chans = [codesim.effective_b_channel(q, p, v) for q in (identity_qmac, dephasing_qmac)]
+        ops = chans[0].stacked
+        iso = haar_isometry(rng, 2**n, 2)
+        dec = codesim._recovery_channel(ops, n, iso)
+        assert 1 not in eigh_dims and len(eigh_dims) == len(set(eigh_dims))
+        mat, dims = iso @ iso.conj().T, (2,) * n
+        for _ in range(n):
+            mat, dims = apply_channel_mat(chans[0], mat, dims, [0])
+        zero = ~mat.any(axis=1)
+        assert 0 < zero.sum() < len(mat)
+        units = dec.stacked[len(ops) ** n :, 0][:, zero]  # completion ops on the zero rows
+        assert np.all(np.count_nonzero(units, axis=0) == 1) and np.all(units.sum(axis=0) == 1)
+        np.testing.assert_allclose(kraus_gram(dec.stacked), np.eye(len(mat)), rtol=0, atol=1e-12)
+        et = codesim.sample_et_code(chans[:1], 2, n, 2, seed=0)
+        dense = replace(et, decoder=_dense_decoder(ops, n, et.isometry))
+        for ch in chans:
+            assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(
+                codesim.et_entanglement_fidelity(dense, ch), abs=1e-12
+            )
 
 
 class TestCombineHybrid:
