@@ -24,6 +24,7 @@ from .qmatrix import (
     permute_mat,
     pinv_sqrt_psd,
     trace_norm,
+    zero_padded,
 )
 
 CPTP_TOL = 1e-8
@@ -315,15 +316,9 @@ class ChoiMatrix:
         return float(np.max(np.abs(reduced - np.eye(self.in_dim))))
 
 
-def choi_factor(channel: KrausChannel, count: int = 0) -> np.ndarray:
-    """The (in_dim * out_dim, k) factor f of the Choi matrix f f†:
-    f[(i, o), k] = K_k[o, i], zero-padded to ``count`` columns if that is
-    more than the Kraus count."""
-    k = len(channel.kraus_ops)
-    f = channel.stacked.transpose(2, 1, 0).reshape(-1, k)
-    if count > k:
-        f = np.concatenate([f, np.zeros((f.shape[0], count - k))], axis=1)
-    return f
+def choi_factor(channel: KrausChannel) -> np.ndarray:
+    """The (in_dim * out_dim, k) factor f of the Choi matrix f f†: f[(i, o), k] = K_k[o, i]."""
+    return channel.stacked.transpose(2, 1, 0).reshape(-1, len(channel.kraus_ops))
 
 
 def choi_matrix(channel: KrausChannel) -> ChoiMatrix:
@@ -430,8 +425,7 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
     """
     if not theta > 0:  # NaN too: it would never stop the cover loop
         raise ValueError("theta must be positive")
-    count = max(len(m.kraus_ops) for m in cset.members)
-    factors = np.array([choi_factor(m, count) for m in cset.members])
+    factors = zero_padded([choi_factor(m) for m in cset.members], -1)
     min_dist = np.full(len(factors), np.inf)
     live = np.arange(len(factors))
     chosen = []

@@ -6,7 +6,9 @@ block-diagonal matrix, which is exact and keeps dimensions small. One kernel,
 ``cqq_rates``, computes I(X;C) and I_c(B>CX) from factors for the rate
 functions, the regions and the optimizer, taking each spectrum from the
 smaller of the Gram matrices m m† and m† m of a factor m (they share their
-nonzero eigenvalues); dense blocks serve only as oracles.
+nonzero eigenvalues). With a leading member axis it rates every member of a
+compound set at once, one ``eigvalsh`` per stack of Grams; dense blocks
+serve only as oracles.
 """
 
 from __future__ import annotations
@@ -25,23 +27,30 @@ from .qmatrix import (
     dagger,
     partial_trace,
     partial_trace_mat,
+    zero_padded,
 )
 
 
-def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
-    """- sum lam log2 lam over the real eigenvalues above the clamp threshold."""
-    lam = eigenvalues[eigenvalues > EIGENVALUE_CLAMP]
-    return float(-lam @ np.log2(lam))
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i], one dot per row: bit-equal to ``a_row @ b_row``."""
+    out = a[..., None, :] @ b[..., :, None]
+    return out[..., 0, 0] if out.ndim > 2 else out[0, 0]
+
+
+def entropy_of_spectrum(eigenvalues: np.ndarray):
+    """- sum lam log2 lam over the eigenvalues above the clamp threshold, along
+    the last axis: a float for one spectrum, an array for a stack of them."""
+    if eigenvalues.ndim == 1:
+        lam = eigenvalues[eigenvalues > EIGENVALUE_CLAMP]
+        return float(-lam @ np.log2(lam))
+    lam = np.where(eigenvalues > EIGENVALUE_CLAMP, eigenvalues, 1.0)  # log2(1) = 0 drops them
+    return -_row_dot(lam, np.log2(lam))
 
 
 def von_neumann_entropy(rho):
     """S(rho) in bits; on a (..., d, d) stack, the array of each matrix's entropy."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    if vals.ndim == 1:
-        return entropy_of_spectrum(vals)
-    rows = vals.reshape(-1, vals.shape[-1])
-    return np.array([entropy_of_spectrum(v) for v in rows]).reshape(vals.shape[:-1])
+    return entropy_of_spectrum(np.linalg.eigvalsh((mat + dagger(mat)) / 2.0))
 
 
 def binary_entropy(x: float) -> float:
@@ -76,6 +85,20 @@ def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
     )
 
 
+def _checked_probs(p, size: int) -> np.ndarray:
+    """A distribution over ``size`` labels, entries below -1e-12 and a sum off 1
+    by more than 1e-10 refused, then clipped to >= 0 and renormalized."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size != size:
+        raise DimensionMismatchError(f"{p.size} probabilities for {size} labels")
+    if np.any(p < -1e-12):
+        raise ValueError("negative probability")
+    if abs(p.sum() - 1.0) > 1e-10:
+        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
 @dataclass(frozen=True)
 class CqqState:
     """Classical label X with a conditional two-part (B, C) state per label.
@@ -89,18 +112,10 @@ class CqqState:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size != len(self.factors):
-            raise DimensionMismatchError("probability vector does not match label count")
-        if np.any(p < -1e-12):
-            raise ValueError("negative probability")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        p = _checked_probs(self.probs, len(self.factors))
         # every factor shares the first one's (B, C) rows
         rows = np.shape(self.factors[0])[:2]
         factors = tuple(checked_factor(u, rows) for u in self.factors)
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "factors", factors)
@@ -132,74 +147,75 @@ class CqqState:
 
 
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
-    """Factors u[x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.
+    """Factors u[..., x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.
 
-    ``kraus_stack`` is (K, out, A (x) in), ``letters`` holds the V(x) as an
-    (X, A) array and ``psi_grid`` holds psi as a (ref, in) matrix. All labels
-    come from one product of the (X ref, A in) input grid with the stack; the
-    output state of label x on (ref, out) is sum_k u[x, :, :, k] u[x, :, :, k]†.
+    ``kraus_stack`` is (K, out, A (x) in), or (M, K, out, A (x) in) for M
+    channels with one Kraus count (``qmatrix.zero_padded``); ``letters``
+    holds the V(x) as an (X, A) array and ``psi_grid`` holds psi as a (ref,
+    in) matrix. Every channel and label comes from one product of the (X ref,
+    A in) input grid with the stack; the output state of label x on (ref, out)
+    is sum_k u[..., x, :, :, k] u[..., x, :, :, k]†.
     """
-    count, d_out, d_in = kraus_stack.shape
+    *members, count, d_out, d_in = kraus_stack.shape
     grid = letters[:, None, :, None] * psi_grid[None, :, None, :]
-    u = grid.reshape(-1, d_in) @ kraus_stack.reshape(count * d_out, d_in).T
-    return u.reshape(len(letters), len(psi_grid), count, d_out).transpose(0, 1, 3, 2)
+    u = grid.reshape(-1, d_in) @ kraus_stack.reshape(-1, d_in).T
+    u = u.reshape(len(letters), len(psi_grid), *members, count, d_out)
+    return np.moveaxis(u, (0, 1), (-4, -3)).swapaxes(-1, -2)
 
 
-def _gram_entropies(m: np.ndarray) -> list[float]:
-    """S(m m†) for each matrix of the stack m, from the smaller of m m† and m† m."""
-    mh = m.conj().swapaxes(1, 2)
-    grams = m @ mh if m.shape[1] <= m.shape[2] else mh @ m
-    return [entropy_of_spectrum(np.linalg.eigvalsh(g)) for g in grams]
+def _gram_entropies(m: np.ndarray) -> np.ndarray:
+    """S(m m†) for each matrix of the (..., r, c) stack m: one ``eigvalsh`` of
+    the stack of the smaller Grams, m m† or m† m."""
+    mh = m.conj().swapaxes(-1, -2)
+    grams = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
+    return entropy_of_spectrum(np.linalg.eigvalsh(grams))
 
 
-def cqq_rates(probs, factors) -> tuple[float, float]:
+def cqq_rates(probs, factors):
     """(I(X;C), I_c(B>CX)) of the cqq state with label factors u[x, b, c, k].
 
     ``factors`` is an (X, B, C, rank) array or a sequence of (B, C, rank_x)
-    factors, padded with zero columns to one rank. Per label S(C) comes from
-    a = u's C rows, shape (c, b k), and S(BC) from u as a (b c, k) matrix;
-    the average C state from the sqrt(p_x) a_x side by side. Labels with
-    p = 0 are skipped: 2|X| + 1 spectra in all. Nothing is validated.
+    factors, padded with zero columns (zero eigenvalues) to one rank. An (M,
+    X, B, C, rank) array holds one state per compound member, all with this
+    p, and gives the rates as arrays over the members. Per label S(C) comes
+    from a = u's C rows, shape (c, b k), and S(BC) from u as a (b c, k)
+    matrix; the average C state from the sqrt(p_x) a_x side by side. Labels
+    with p = 0 are skipped. Three ``eigvalsh`` calls, one per stack, whatever
+    M and |X|; nothing is validated.
     """
     probs = np.asarray(probs)
     if not isinstance(factors, np.ndarray):
-        stack = np.zeros((len(factors), *factors[0].shape[:2], max(u.shape[2] for u in factors)),
-                         dtype=complex)
-        for x, u in enumerate(factors):
-            stack[x, :, :, : u.shape[2]] = u
-        factors = stack
+        factors = zero_padded(factors, -1)
     keep = probs > 0
-    p, u = probs[keep], factors[keep]
-    n, b, c, k = u.shape
-    a = u.transpose(0, 2, 1, 3).reshape(n, c, b * k)
-    s_c = np.array(_gram_entropies(a))
-    s_bc = np.array(_gram_entropies(u.reshape(n, b * c, k)))
-    avg = (np.sqrt(p)[:, None, None] * a).transpose(1, 0, 2).reshape(1, c, n * b * k)
-    return _gram_entropies(avg)[0] - p @ s_c, p @ (s_c - s_bc)
+    p, u = probs[keep], factors[..., keep, :, :, :]
+    *members, n, b, c, k = u.shape
+    a = u.swapaxes(-3, -2).reshape(*members, n, c, b * k)
+    s_c = _gram_entropies(a)
+    s_bc = _gram_entropies(u.reshape(*members, n, b * c, k))
+    avg = (np.sqrt(p)[:, None, None] * a).swapaxes(-3, -2).reshape(*members, c, n * b * k)
+    return _gram_entropies(avg) - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
 
 
-def effective_cqq_state(
-    t: KrausChannel, p, v: CqChannel, psi: PureState
-) -> CqqState:
+def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:
+    """p as ``CqqState`` keeps it, once (p, V, psi) is checked as an input to each
+    channel: one p per letter, psi on (reference, input), V (x) input fills it."""
+    p = _checked_probs(p, v.alphabet_size)
+    if len(psi.dims) != 2:
+        raise DimensionMismatchError("psi must carry dims (reference, channel input)")
+    for t in channels:
+        if len(t.in_dims) < 1 or t.in_dim != v.dim * psi.dims[1]:
+            raise DimensionMismatchError(f"channel input {t.in_dim} != {v.dim} x {psi.dims[1]}")
+    return p
+
+
+def effective_cqq_state(t: KrausChannel, p, v: CqChannel, psi: PureState) -> CqqState:
     """Classical-quantum-quantum state of an input ensemble through a channel.
 
     Per label x the channel acts on V(x) together with the second factor of
     the pure state psi = (reference, input); the first factor rides along
     untouched and becomes the B part of the result.
     """
-    p = np.asarray(p, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"input distribution sums to {p.sum()}, not 1")
-    if p.size != v.alphabet_size:
-        raise DimensionMismatchError("distribution length does not match the cq alphabet")
-    if len(psi.dims) != 2:
-        raise DimensionMismatchError("psi must carry dims (reference, channel input)")
-    d_in = psi.dims[1]
-    da = v.dim
-    if len(t.in_dims) < 1 or t.in_dim != da * d_in:
-        raise DimensionMismatchError(
-            f"channel input {t.in_dim} != {da} x {d_in} from V and psi"
-        )
+    p = checked_ensemble([t], p, v, psi)
     return CqqState(p, tuple(pure_output_factors(t.stacked, v.vectors, psi.vec.reshape(psi.dims))))
 
 

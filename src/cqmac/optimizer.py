@@ -4,8 +4,10 @@ The ansatz is parametrized by an unconstrained real vector: softmax for the
 distribution, paired real coordinates normalized to complex unit vectors
 for the pure states. Optimization is random restarts plus Nelder-Mead
 refinement (200 iterations), deterministic for a given seed regardless of
-how restarts are scheduled. Per compound member the objective makes one
-``pure_output_factors`` product and one ``cqq_rates`` call (smaller Grams).
+how restarts are scheduled. The objective rates all compound members at
+once, on their Kraus stacks zero-padded to one count when the powers are
+built: one ``pure_output_factors`` product and one member-stacked
+``cqq_rates`` call (``regions.stacked_rect``), three ``eigvalsh`` calls.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
-from .entropic import cqq_rates, pure_output_factors
-from .qmatrix import PureState, hermitian_eig, tensor_all
-from .regions import Rect, RateRegion, compound_rect_powered
+from .qmatrix import PureState, hermitian_eig, tensor_all, zero_padded
+from .regions import Rect, RateRegion, compound_rect_powered, stacked_rect
 
 NM_ITERATIONS = 200
 
@@ -86,16 +87,11 @@ def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
     """Uniform p, computational-basis V, maximally entangled psi."""
-    theta = np.zeros(_param_count(x_size, da_l, db_l))
     v = np.zeros((x_size, da_l, 2))
-    for i in range(x_size):
-        v[i, i % da_l, 0] = 1.0
-    psi = np.zeros((db_l * db_l, 2))
-    for i in range(db_l):
-        psi[i * db_l + i, 0] = 1.0
-    theta[x_size : x_size + v.size] = v.reshape(-1)
-    theta[x_size + v.size :] = psi.reshape(-1)
-    return theta
+    v[np.arange(x_size), np.arange(x_size) % da_l, 0] = 1.0
+    psi = np.zeros((db_l, db_l, 2))
+    psi[np.arange(db_l), np.arange(db_l), 0] = 1.0
+    return np.concatenate([np.zeros(x_size), v.reshape(-1), psi.reshape(-1)])
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def pareto_trace(
             f"block dimension {x_size * db_l * dc_l} exceeds budget {dim_budget}"
         )
     powered = [blocked_tensor_power(m, l, budget=dim_budget) for m in cset.members]
-    kraus_stacks = [m.stacked for m in powered]
+    stack = zero_padded([m.stacked for m in powered], 0)
     ndim = _param_count(x_size, da_l, db_l)
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
 
@@ -166,14 +162,9 @@ def pareto_trace(
             nonlocal evals
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            psi_grid = psi_vec.reshape(db_l, db_l)
-            rates = [cqq_rates(p, pure_output_factors(ks, v_vecs, psi_grid)) for ks in kraus_stacks]
-            r1 = max(0.0, min(r[0] for r in rates)) / l
-            r2 = max(0.0, min(r[1] for r in rates)) / l
-            val = w1 * r1 + w2 * r2
-            if not np.isfinite(val):
-                return 1e6
-            return -val
+            rect = stacked_rect(stack, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
+            val = w1 * rect.r1_max + w2 * rect.r2_max
+            return -val if np.isfinite(val) else 1e6
 
         return negated
 
@@ -236,12 +227,7 @@ def decompose_tensor_power(rho, l: int, dim_budget: int = 1024) -> SpectralDecom
         raise BudgetExceededError(f"dimension {dim ** l} exceeds budget {dim_budget}")
     vals, vecs = hermitian_eig(rho.mat)
     # group equal base eigenvalues so type classes are exact
-    groups: list[int] = []
-    gid = 0
-    for i, v in enumerate(vals):
-        if i > 0 and abs(v - vals[i - 1]) > 1e-10:
-            gid += 1
-        groups.append(gid)
+    groups = [0] + np.cumsum(np.abs(np.diff(vals)) > 1e-10).tolist()
     index_tuples = np.indices((dim,) * l).reshape(l, -1).T
     buckets: dict[tuple[int, ...], list[int]] = {}
     for col, tup in enumerate(index_tuples):

@@ -52,6 +52,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def zero_padded(arrays, axis: int) -> np.ndarray:
+    """The arrays stacked on a new first axis, each zero-padded at the end of
+    ``axis`` to the largest length there; their other axes must agree."""
+    shape = list(arrays[0].shape)
+    shape[axis] = max(a.shape[axis] for a in arrays)
+    out = np.zeros((len(arrays), *shape), dtype=complex)
+    lead = (slice(None),) * (axis % len(shape))
+    for o, a in zip(out, arrays):
+        o[lead + (slice(a.shape[axis]),)] = a
+    return out
+
+
 def _finite(m: np.ndarray) -> np.ndarray:
     """m itself; raises on NaN or inf, which LAPACK's Hermitian solvers accept."""
     if not np.all(np.isfinite(m)):
@@ -284,16 +296,8 @@ def purify(rho: DensityMatrix) -> PureState:
     """Purification with the reference system appended as the last factor."""
     vals, vecs = hermitian_eig(rho.mat)
     vals = np.clip(vals, 0.0, None)
-    vals = vals / np.sum(vals)
-    d = rho.dim
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if vals[i] <= 0.0:
-            continue
-        ref = np.zeros(d, dtype=complex)
-        ref[i] = 1.0
-        vec += np.sqrt(vals[i]) * np.kron(vecs[:, i], ref)
-    return PureState(vec / np.linalg.norm(vec), (d, d))
+    vec = (vecs * np.sqrt(vals / np.sum(vals))).reshape(-1)  # sum_i sqrt(p_i) |v_i>|i>
+    return PureState(vec / np.linalg.norm(vec), (rho.dim, rho.dim))
 
 
 def entanglement_fidelity(rho: DensityMatrix, channel) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CompoundSet, CqChannel, KrausChannel, blocked_tensor_power
-from .entropic import cqq_rates, effective_cqq_state
-from .qmatrix import PureState
+from .entropic import checked_ensemble, cqq_rates, pure_output_factors
+from .qmatrix import PureState, zero_padded
 
 BOUNDARY_TOL = 1e-6
 
@@ -65,32 +65,32 @@ def as_region(obj) -> RateRegion:
     return RateRegion(tuple(obj))
 
 
-def one_shot_region(
-    t: KrausChannel, p, v: CqChannel, psi: PureState
-) -> Rect:
+def stacked_rect(stack: np.ndarray, l: int, p, letters, psi_grid) -> Rect:
+    """Componentwise minimum of the members' rate pairs, per use, for the
+    (M, K, out, in) Kraus stack of the members zero-padded to one count (zero
+    operators change no output): one factor product and one ``cqq_rates``
+    call. Nothing is validated; this is also the optimizer objective's route."""
+    r1, r2 = cqq_rates(p, pure_output_factors(stack, letters, psi_grid))
+    return Rect(r1.min() / l, r2.min() / l)
+
+
+def one_shot_region(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Rect:
     """Rectangle of rate pairs for one channel and one input ansatz."""
-    omega = effective_cqq_state(t, p, v, psi)
-    return Rect(*cqq_rates(omega.probs, omega.factors))
+    return compound_rect_powered([t], 1, p, v, psi)
 
 
-def compound_rect(
-    cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState
-) -> Rect:
+def compound_rect(cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState) -> Rect:
     """Componentwise minimum of the blocked one-shot rectangles, per use."""
     powered = [blocked_tensor_power(m, l) for m in cset.members]
     return compound_rect_powered(powered, l, p, v, psi)
 
 
-def compound_rect_powered(
-    powered_members, l: int, p, v: CqChannel, psi: PureState
-) -> Rect:
-    r1 = np.inf
-    r2 = np.inf
-    for member in powered_members:
-        rect = one_shot_region(member, p, v, psi)
-        r1 = min(r1, rect.r1_max)
-        r2 = min(r2, rect.r2_max)
-    return Rect(r1 / l, r2 / l)
+def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureState) -> Rect:
+    """``compound_rect`` on members already raised to the power l, with
+    (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
+    p = checked_ensemble(powered_members, p, v, psi)
+    stack = zero_padded([m.stacked for m in powered_members], 0)
+    return stacked_rect(stack, l, p, v.vectors, psi.vec.reshape(psi.dims))
 
 
 def scale(region, l: int) -> RateRegion:

@@ -307,8 +307,8 @@ class TestFactorOracle:
     @pytest.mark.parametrize("dims, rank", [((2, 6), 2), ((3, 2), 4), ((1, 2), 5)],
                              ids=["bk-below-c", "bk-above-c", "rank-above-bc"])
     def test_kernel_takes_the_smaller_gram(self, rng, dims, rank, monkeypatch):
-        """Stacked and per-label factors against the dense state, with every
-        spectrum taken on the smaller side of its Gram pair."""
+        """Stacked and per-label factors against the dense state, with one
+        spectrum call per Gram stack, each on the smaller side of its pair."""
         b, c = dims
         p = np.array([0.5, 0.0, 0.2, 0.3])
         stack = np.stack([random_factor(rng, dims, rank) for _ in p])
@@ -320,7 +320,7 @@ class TestFactorOracle:
         eigvalsh = np.linalg.eigvalsh
 
         def recorded(a):
-            shapes.append(a.shape[0])
+            shapes.append(a.shape[-1])
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
@@ -329,7 +329,58 @@ class TestFactorOracle:
             assert r1 == pytest.approx(i_xc, abs=1e-12)
             assert r2 == pytest.approx(ic, abs=1e-12)
         side_c, side_bc = min(c, b * rank), min(b * c, rank)
-        assert shapes == 2 * ([side_c] * 3 + [side_bc] * 3 + [min(c, 3 * b * rank)])
+        assert shapes == 2 * [side_c, side_bc, min(c, 3 * b * rank)]
+
+    @pytest.mark.parametrize("da, d_in, b, dc", [(2, 2, 2, 4), (2, 2, 1, 6), (2, 1, 1, 2)],
+                             ids=["c-side", "bk-side", "bc-side"])
+    def test_member_stack_matches_dense_oracle(self, rng, da, d_in, b, dc, monkeypatch):
+        """Member-stacked rates against each member's dense state, for Kraus
+        counts 1, 3 and 4 zero-padded to 4 and a p with a zero entry."""
+        from cqmac.qmatrix import partial_trace
+        from cqmac.qmatrix import zero_padded
+
+        members = [KrausChannel(random_kraus_ops(rng, da * d_in, dc, count), (da, d_in), (dc,))
+                   for count in (1, 3, 4)]
+        v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
+        psi = random_pure(rng, (b, d_in))
+        p = np.array([0.3, 0.0, 0.7])
+        stack = zero_padded([t.stacked for t in members], 0)
+        assert stack.shape == (3, 4, dc, da * d_in)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        r1, r2 = cqq_rates(p, pure_output_factors(stack, v.vectors, psi.vec.reshape(b, d_in)))
+        monkeypatch.undo()
+        c_side, bc_side = min(dc, b * 4), min(b * dc, 4)
+        assert shapes == [(3, 2, c_side, c_side), (3, 2, bc_side, bc_side),
+                          (3, min(dc, 2 * b * 4), min(dc, 2 * b * 4))]
+        assert r1.shape == r2.shape == (3,)
+        for i, t in enumerate(members):
+            omega = effective_cqq_state(t, p, v, psi)
+            dense = omega.to_density_matrix()  # (X, B, C)
+            ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
+            assert r1[i] == pytest.approx(holevo_information(omega), abs=1e-12)
+            assert r2[i] == pytest.approx(ic, abs=1e-12)
+
+    def test_zero_probability_labels_never_enter_a_spectrum(self, rng):
+        """A p = 0 label's factor may hold anything, NaN included, in every member."""
+        stack = np.stack([np.stack([random_factor(rng, (2, 3), 2) for _ in range(3)])
+                          for _ in range(2)])
+        p = np.array([0.4, 0.0, 0.6])
+        clean = cqq_rates(p, stack)
+        stack[:, 1] = np.nan
+        poisoned = cqq_rates(p, stack)
+        for a, b in zip(clean, poisoned):
+            assert np.array_equal(a, b)
+        for i in range(2):
+            single = cqq_rates(p[[0, 2]], stack[i, [0, 2]])
+            assert all(isinstance(r, np.floating) for r in single)  # scalars without a member axis
+            assert single == (clean[0][i], clean[1][i])
 
     def test_factors_match_per_letter_route(self, rng):
         """One product for all letters against the per-letter contraction."""

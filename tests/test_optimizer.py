@@ -129,7 +129,8 @@ class TestParetoTrace:
                 assert rect.r2_max == pytest.approx(r2, abs=1e-9)
 
     def test_objective_spectra_per_evaluation(self, id_deph_set, monkeypatch):
-        """One evaluation at l=2 takes (2|X| + 1) spectra per member: 18 on the pair."""
+        """One evaluation at l=2 takes three stacked spectrum calls, whatever |X|
+        and the member count: S(C), S(BC) and the average C state."""
         from cqmac import optimizer
 
         objectives = []
@@ -152,7 +153,45 @@ class TestParetoTrace:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         fun(np.random.default_rng(1).standard_normal(x0.size))
         x_size, members = 4, len(id_deph_set.members)
-        assert len(calls) == (2 * x_size + 1) * members == 18
+        # B = 2^2, C = 4^2, and the identity's one Kraus op padded to the dephasing's 4
+        b, c, k = 4, 16, 4
+        side_c, side_bc, side_avg = min(c, b * k), min(b * c, k), min(c, x_size * b * k)
+        assert calls == [(members, x_size, side_c, side_c), (members, x_size, side_bc, side_bc),
+                         (members, side_avg, side_avg)]
+
+    @pytest.mark.parametrize("case", ["pair-l2", "random-3"])
+    def test_stacked_objective_matches_member_loop(self, id_deph_set, rng, monkeypatch, case):
+        """The objective against the per-member loop it replaced, at 1e-12 on 50 θ."""
+        from cqmac import optimizer
+        from cqmac.channels import KrausChannel
+        from cqmac.randutil import random_kraus_ops
+
+        if case == "pair-l2":
+            cset, l = id_deph_set, 2
+        else:
+            cset, l = CompoundSet(tuple(
+                KrausChannel(random_kraus_ops(rng, 4, 4, count), (2, 2), (4,))
+                for count in (1, 3, 4))), 1
+        objectives = []
+
+        def first_objective(fun, x0, **kwargs):
+            objectives.append((fun, x0))
+            raise StopIteration
+
+        monkeypatch.setattr(optimizer, "minimize", first_objective)
+        w1, w2 = 0.3, 0.7
+        with pytest.raises(StopIteration):
+            pareto_trace(cset, l, [(w1, w2)], budget=1, seed=0)
+        (fun, x0), = objectives
+        stacks = [blocked_tensor_power(m, l).stacked for m in cset.members]
+        da_l = db_l = 2**l
+        for _ in range(50):
+            theta = rng.standard_normal(x0.size)
+            p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
+            rates = _objective_rates(stacks, p, vv, pv, db_l)
+            r1 = max(0.0, min(r[0] for r in rates)) / l
+            r2 = max(0.0, min(r[1] for r in rates)) / l
+            assert fun(theta) == pytest.approx(-(w1 * r1 + w2 * r2), abs=1e-12)
 
     def test_objective_is_numerically_tame(self, identity_qmac, rng):
         """Directional slices show no NaN and no explosive jumps."""

@@ -12,10 +12,11 @@ from cqmac.entropic import (
     effective_cqq_state,
     mutual_information_x_c,
 )
-from cqmac.qmatrix import PureState, permute_vec, tensor
+from cqmac.qmatrix import DimensionMismatchError, PureState, maximally_entangled, permute_vec, tensor
 from cqmac.regions import (
     Rect,
     compound_rect,
+    compound_rect_powered,
     contains,
     corners_csv,
     fatten,
@@ -82,6 +83,50 @@ class TestCompoundRect:
         rect2 = compound_rect(id_deph_set, 2, p2, v2, psi2)
         assert rect2.r1_max == pytest.approx(rect1.r1_max, abs=1e-7)
         assert rect2.r2_max == pytest.approx(rect1.r2_max, abs=1e-7)
+
+
+class TestTrustBoundary:
+    """``compound_rect`` refuses what ``effective_cqq_state`` refuses."""
+
+    def _qmac(self, rng, in_dims):
+        from cqmac.channels import KrausChannel
+        from cqmac.randutil import random_kraus_ops
+
+        return KrausChannel(random_kraus_ops(rng, int(np.prod(in_dims)), 4, 2), in_dims, (4,))
+
+    @pytest.mark.parametrize("p, error", [([0.5, 0.6], ValueError), ([1.5, -0.5], ValueError),
+                                          ([0.5, 0.25, 0.25], DimensionMismatchError)],
+                             ids=["sum", "negative", "alphabet"])
+    def test_bad_distribution(self, id_deph_set, basis_v, bell_psi, p, error):
+        with pytest.raises(error):
+            effective_cqq_state(id_deph_set.members[0], np.array(p), basis_v, bell_psi)
+        with pytest.raises(error):
+            compound_rect(id_deph_set, 1, np.array(p), basis_v, bell_psi)
+
+    def test_psi_needs_two_parts(self, id_deph_set, basis_v, uniform_p):
+        psi = PureState(np.eye(4)[0], (1, 2, 2))
+        with pytest.raises(DimensionMismatchError):
+            compound_rect(id_deph_set, 1, uniform_p, basis_v, psi)
+
+    def test_member_input_mismatch(self, rng, id_deph_set, basis_v, uniform_p):
+        psi = PureState(np.eye(6)[0], (2, 3))  # V(x) (x) psi input is 2 x 3, members take 4
+        with pytest.raises(DimensionMismatchError):
+            compound_rect(id_deph_set, 1, uniform_p, basis_v, psi)
+        odd = CompoundSet((self._qmac(rng, (2, 3)), self._qmac(rng, (2, 3))))
+        with pytest.raises(DimensionMismatchError):
+            compound_rect(odd, 1, uniform_p, basis_v, maximally_entangled(2))
+        members = [id_deph_set.members[0], self._qmac(rng, (2, 3))]
+        with pytest.raises(DimensionMismatchError):
+            compound_rect_powered(members, 1, uniform_p, basis_v, maximally_entangled(2))
+
+    def test_one_member_is_one_shot(self, rng, basis_v, bell_psi):
+        t = self._qmac(rng, (2, 2))
+        p = np.array([0.25, 0.75])
+        rect = one_shot_region(t, p, basis_v, bell_psi)
+        omega = effective_cqq_state(t, p, basis_v, bell_psi)
+        assert rect == compound_rect(CompoundSet((t,)), 1, p, basis_v, bell_psi)
+        assert rect.r1_max == pytest.approx(mutual_information_x_c(omega), abs=1e-12)
+        assert rect.r2_max == pytest.approx(max(0.0, coherent_information_b_cx(omega)), abs=1e-12)
 
 
 class TestRegionOps:
