@@ -10,6 +10,9 @@ Wiring conventions used throughout:
 * a code carries each of these states as a factor w with state w w†, and
   every later state stays a factor too: the classical sender's letter
   outputs, the post-channel states and the chain audit's measured blocks;
+* tag words are block indices, not tensor factors: the quantum sender's
+  channel is a per-letter Kraus family, and the quantum decoder holds one
+  op stack per tag word, since the receiver decodes the word first;
 * decoder branches: one trace-non-increasing map C^n -> F per message,
   with the branch Kraus grams summing to the identity (completeness);
 * joint states are ordered [F, ...] with the reference factor first, and
@@ -18,8 +21,8 @@ Wiring conventions used throughout:
 
 The classical decoder surrogate is the square-root (pretty-good)
 measurement of the averaged output ensemble, and the quantum decoder is a
-pretty-good recovery map built from the averaged channel restricted to the
-code subspace.
+pretty-good recovery map, per tag word, built from the averaged channel
+restricted to the code subspace.
 """
 
 from __future__ import annotations
@@ -34,16 +37,17 @@ from .channels import (
     CompoundSet,
     CqChannel,
     KrausChannel,
-    apply_channel_mat,
     batch_kron,
     kraus_gram,
     tensor_power,
 )
+from .entropic import _checked_probs
 from .entropic import binary_entropy, cqq_rates, holevo_fano_rate_bound, pure_output_factors
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     checked_factor,
+    dagger,
     factor_trace_norm,
     pinv_sqrt_psd,
     sqrt_psd,
@@ -237,78 +241,79 @@ def average_error(cb: CqCodebook, w) -> float:
 
 @dataclass(frozen=True)
 class EtTransmissionCode:
-    """Sampled subspace code: encoder isometry plus recovery decoder."""
+    """Sampled subspace code: encoder isometry plus the recovery decoder per tag word.
 
-    decoder: KrausChannel
+    The receiver decodes the classical word (x_1, ..., x_n) first, so ``blocks[w]``,
+    w its row-major index, holds that word's read-only (count, m2, dc^n) ops on C^n.
+    """
+
+    blocks: np.ndarray
     isometry: np.ndarray
     n: int
     m2: int
 
+    @property
+    def decoder(self) -> KrausChannel:
+        """The dense decoder on (C (x) X)^n, its nonzero ops only: for oracles and small n."""
+        words, _, m2, dout = self.blocks.shape
+        x_size, dc = round(words ** (1 / self.n)), round(dout ** (1 / self.n))
+        # word w's ops act on the C^n basis vectors tagged with w: op (I_C (x) <x_1|) (x) ...
+        ops = np.concatenate([
+            self.blocks[w] @ tensor_all([np.kron(np.eye(dc), np.eye(x_size)[x]) for x in word])
+            for w, word in enumerate(np.ndindex((x_size,) * self.n))
+        ])
+        return KrausChannel._trusted(ops[np.any(ops, axis=(1, 2))], (ops.shape[2],), (m2,))
 
-def _stack_matmul(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """(J, a, b) @ (b, c) as a single flat GEMM."""
-    j, a, b = stack.shape
-    return (stack.reshape(j * a, b) @ mat).reshape(j, a, mat.shape[1])
+
+def _letter_family(channel) -> np.ndarray:
+    """A checked (X, K, out, in) per-letter Kraus family; a KrausChannel is the one-letter case."""
+    if isinstance(channel, KrausChannel):
+        return channel.stacked[None]
+    family = np.asarray(channel)
+    if family.ndim != 4 or family.size == 0:
+        raise DimensionMismatchError(f"Kraus family shape {family.shape} is not (X, K, out, in)")
+    # all letters' ops together must form a channel
+    ops = KrausChannel(family.reshape(-1, *family.shape[2:]), family.shape[3:], family.shape[2:3])
+    return ops.stacked.reshape(family.shape)
 
 
-def _fed_stack(single_ops: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarray:
-    """Kraus stack of the n-fold power fed through the isometry: N_j V."""
-    return _stack_matmul(batch_kron(*[single_ops] * n), isometry)
+def _fed_stack(family: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarray:
+    """Every word's fed ops N_{w,k} V, (X^n, K^n, out^n, m2), for an (X, K, out, in) family.
 
-
-def _block_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian mat from its blocks, the rows linked by nonzero entries.
-
-    vals[i] and column i of vecs belong to row i's block (unsorted); one eigh per width > 1.
+    N_{w,k} is the kron of family[x_i, k_i] over the uses; w and k are row-major.
     """
-    linked = mat != 0
-    labels, last = np.arange(len(mat)), None
-    while not np.array_equal(labels, last):  # least label over a row and its links, then jump
-        last, labels = labels, np.where(linked, labels, labels[:, None]).min(axis=1)
-        labels = labels[labels]
-    order = np.argsort(labels, kind="stable")  # rows grouped by block
-    widths = np.bincount(labels)[labels[order]]
-    vals, vecs = np.empty(len(mat)), np.zeros_like(mat)
-    for width in np.unique(widths):
-        rows = order[widths == width].reshape(-1, width)  # (blocks, width)
-        cells = (rows[:, :, None], rows[:, None, :])
-        sub = mat[cells]
-        vals[rows], vecs[cells] = (sub.real[:, 0], 1.0) if width == 1 else np.linalg.eigh(sub)
-    return vals, vecs
+    fed = isometry.reshape(family.shape[3:] * n + (-1,))
+    for _ in range(n):  # use i's input axis leads; its (x, k, out) axes go last
+        fed = np.tensordot(fed, family, axes=([0], [3]))
+    # fed is (F, x_1, k_1, c_1, ..., x_n, k_n, c_n)
+    order = [i for axis in (1, 2, 3) for i in range(axis, 3 * n + 1, 3)] + [0]
+    return fed.transpose(order).reshape([dim**n for dim in family.shape[:3]] + [-1])
 
 
-def _recovery_channel(single_ops: np.ndarray, n: int, isometry: np.ndarray) -> KrausChannel:
-    """Pretty-good recovery for the n-fold averaged channel on the subspace.
+def _recovery_blocks(family: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarray:
+    """Pretty-good recovery of the n-fold family on the subspace, per tag word.
 
-    M = sum_j N_j V V† N_j† is decomposed by ``_block_eigh``, with the cutoff relative
-    to its largest eigenvalue over all blocks: the channel is the one a dense eigh gives.
+    Word w's ops are B_{w,k} = V† N_{w,k}† M_w^(-1/2) with M_w = sum_k N_{w,k} V V† N_{w,k}†
+    (Barnum and Knill, J. Math. Phys. 43, 2097, 2002), then one op per eigenvector
+    of M_w. The support cutoff is relative to the largest eigenvalue over all
+    words, so the decoder is the channel that one dense eigh of the tagged M gives.
     """
-    (_, d1, g0), m2 = single_ops.shape, isometry.shape[1]
-    dout = d1**n
-    single = KrausChannel._trusted(single_ops, (g0,), (d1,))
-    mat = isometry @ isometry.conj().T
-    dims = (g0,) * n
-    for _ in range(n):
-        mat, dims = apply_channel_mat(single, mat, dims, [0])
-    vals, vecs = _block_eigh((mat + mat.conj().T) / 2.0)
+    fed = _fed_stack(family, n, isometry)  # (W, K, dout, m2)
+    words, count, dout, m2 = fed.shape
+    sides = fed.transpose(0, 2, 1, 3).reshape(words, dout, -1)  # M_w = sides_w sides_w†
+    vals, vecs = np.linalg.eigh(sides @ dagger(sides))
     cutoff = max(1e-12, 1e-12 * max(float(vals.max()), 0.0))
     support = vals > cutoff
-    sup, kernel = vecs[:, support], vecs[:, ~support]
-    live = np.flatnonzero(sup.any(axis=1))  # S is exactly 0 on every other row
-    sup = sup[live]
-    fed = _fed_stack(single.stacked, n, isometry)  # (J, dout, m2)
-    jcount = fed.shape[0]
-    # M^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S, so
-    # B_j = V† N_j† M^(-1/2) = coeff_j† S† with coeff = diag(lam^-1/2) S† F
-    coeff = sup.conj().T @ fed[:, live].transpose(1, 0, 2).reshape(len(live), -1)
-    coeff /= np.sqrt(vals[support])[:, None]
-    # the recovery grams sum to the support projector of M; one op per
-    # kernel vector completes them to the identity
-    ops = np.zeros((jcount + kernel.shape[1], m2, dout), dtype=complex)
-    recov = ops[:jcount].reshape(-1, dout)  # a view: row j*m2 + a is B_j[a]
-    recov[:, live] = (coeff.T @ sup.T).conj()
-    ops[jcount:, 0, :] = kernel.T.conj()
-    return KrausChannel._trusted(ops, (dout,), (m2,))
+    # M_w^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S
+    inv = np.where(support, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
+    recovery = dagger(fed).reshape(words, -1, dout) @ (vecs * inv[:, None, :]) @ dagger(vecs)
+    # the recovery grams sum to the support projector of M_w; one op |0><v| per
+    # kernel vector v completes them to the identity, and a support vector's op is 0
+    completion = np.zeros((words, dout, m2, dout), dtype=complex)
+    completion[:, :, 0] = np.where(support[:, :, None], 0.0, dagger(vecs))
+    blocks = np.concatenate([recovery.reshape(words, count, m2, dout), completion], axis=1)
+    blocks.flags.writeable = False
+    return blocks
 
 
 def sample_et_code(
@@ -323,42 +328,46 @@ def sample_et_code(
     The encoder is an isometry onto a Haar-random m2-dimensional subspace
     of the n-fold power of a ``subspace_dim``-dimensional input subspace
     (canonically embedded if the channels accept a larger space). The
-    decoder is the pretty-good recovery built from the action of the
-    uniformly averaged channel on that subspace. ``channels`` is a
-    sequence of channels with one input and one output space.
+    decoder is the pretty-good recovery built, per tag word, from the action
+    of the uniformly averaged channel on that subspace. ``channels`` is a
+    sequence of per-letter Kraus families, as ``effective_b_channel`` gives
+    them, or of KrausChannels with one input and one output space.
     """
-    channels = list(channels)
-    g0 = channels[0].in_dim
-    for ch in channels:
-        if ch.in_dim != g0 or ch.out_dim != channels[0].out_dim:
+    families = [_letter_family(ch) for ch in channels]
+    x_size, _, dout, g0 = families[0].shape
+    for fam in families:
+        if (fam.shape[0],) + fam.shape[2:] != (x_size, dout, g0):
             raise DimensionMismatchError("channel family members have mismatched spaces")
     if subspace_dim > g0:
         raise DimensionMismatchError("subspace dimension exceeds the channel input")
     if m2 > subspace_dim**n:
         raise ValueError(f"m2 = {m2} exceeds subspace capacity {subspace_dim ** n}")
-    if max(g0, channels[0].out_dim) ** n > INTERNAL_DIM_BUDGET:  # before any allocation
+    if max(g0, dout * x_size) ** n > INTERNAL_DIM_BUDGET:  # before any allocation
         raise BudgetExceededError(f"n = {n} recovery exceeds dimension budget {INTERNAL_DIM_BUDGET}")
     rng = np.random.default_rng(seed)
     v_sub = haar_isometry(rng, subspace_dim**n, m2)
     isometry = tensor_all([np.eye(g0, subspace_dim)] * n) @ v_sub
-    scale = 1.0 / np.sqrt(len(channels))
-    avg_single = scale * np.concatenate([ch.stacked for ch in channels])
-    decoder = _recovery_channel(avg_single, n, isometry)
-    return EtTransmissionCode(decoder, isometry, n, m2)
+    averaged = np.concatenate(families, axis=1) / np.sqrt(len(families))
+    return EtTransmissionCode(_recovery_blocks(averaged, n, isometry), isometry, n, m2)
 
 
-def et_entanglement_fidelity(et: EtTransmissionCode, channel: KrausChannel) -> float:
+def et_entanglement_fidelity(et: EtTransmissionCode, channel) -> float:
     """F_e of the sampled code pair on an n-fold use of ``channel``.
 
-    With decoder ops R_b, n-fold channel ops N_k and the encoder isometry V,
-    F_e = sum_{b,k} |tr(R_b N_k V)|^2 / m2^2.
+    ``channel`` is a per-letter Kraus family or a KrausChannel, as in
+    ``sample_et_code``. With word w's decoder ops R_{w,b}, its n-fold channel
+    ops N_{w,k} and the encoder isometry V,
+    F_e = sum_{w,b,k} |tr(R_{w,b} N_{w,k} V)|^2 / m2^2.
     """
+    family = _letter_family(channel)
+    x_size, _, dout, din = family.shape
     n, m2 = et.n, et.m2
-    if channel.in_dim**n != et.isometry.shape[0] or channel.out_dim**n != et.decoder.in_dim:
+    if (x_size**n, dout**n, din**n) != (len(et.blocks), et.blocks.shape[-1], len(et.isometry)):
         raise DimensionMismatchError("channel spaces do not match the code")
-    fed = _fed_stack(channel.stacked, n, et.isometry)  # (K, dout, m2)
+    fed = _fed_stack(family, n, et.isometry)  # (W, K, dout, m2)
     # tr(R_b N_k V) = sum_{f,c} R_b[f, c] (N_k V)[c, f]: the overlap of the factor (N_k V)^T
-    return _branch_overlap(fed.transpose(2, 1, 0), et.decoder.stacked, m2) / m2
+    pairs = zip(fed, et.blocks)
+    return sum(_branch_overlap(f.transpose(2, 1, 0), ops, m2) for f, ops in pairs) / m2
 
 
 def expected_encoding_deviation(
@@ -384,23 +393,21 @@ def expected_encoding_deviation(
 # ---------------------------------------------------------------------------
 
 
-def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> KrausChannel:
-    """Single-use channel seen by the quantum sender, with a classical tag.
+def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> np.ndarray:
+    """Per-letter Kraus families of the single-use channel seen by the quantum sender.
 
-    tau -> sum_x p(x) qmac(V(x) (x) tau) (x) |x><x| on output parts (C, X).
+    The read-only (X, K, C, B) array holds sqrt(p(x)) K_k (V(x) (x) I_B) for the QMAC's
+    ops K_k: the receiver decodes the letter x first, so x's ops act alone, in x's block.
+    A letter with p(x) = 0 gives a zero family.
     """
     da, db = qmac.in_dims
     if v.dim != da:
         raise DimensionMismatchError("cq channel does not feed the A input")
-    p = np.asarray(p, dtype=float)
-    tags = np.eye(v.alphabet_size, dtype=complex).reshape(-1, v.alphabet_size, 1)
-    ops = []
-    for x, letter in enumerate(v.vectors):
-        if p[x] <= 0:
-            continue
-        feed = np.kron(letter.reshape(-1, 1), np.eye(db))
-        ops.append(np.sqrt(p[x]) * batch_kron(qmac.stacked @ feed, tags[x : x + 1]))
-    return KrausChannel(np.concatenate(ops), (db,), (qmac.out_dim, v.alphabet_size))
+    p = _checked_probs(p, v.alphabet_size)
+    ops = qmac.stacked.reshape(-1, qmac.out_dim, da, db)  # each op's input split as (A, B)
+    family = np.sqrt(p)[:, None, None, None] * np.einsum("kcab,xa->xkcb", ops, v.vectors)
+    family.flags.writeable = False
+    return family
 
 
 def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix) -> np.ndarray:
@@ -416,14 +423,6 @@ def effective_a_outputs(qmac: KrausChannel, v: CqChannel, b_state: DensityMatrix
     return u.transpose(0, 2, 1, 3).reshape(v.alphabet_size, qmac.out_dim, -1)
 
 
-def _tag_columns(word, dc: int, x_size: int) -> np.ndarray:
-    """Column of (C (x) X)^n holding each C^n basis vector tagged with the word."""
-    cols = np.zeros(1, dtype=int)
-    for x in word:
-        cols = (cols[:, None] * (dc * x_size) + np.arange(dc) * x_size + x).reshape(-1)
-    return cols
-
-
 def combine_hybrid(
     cq: CqCodebook,
     et: EtTransmissionCode,
@@ -432,21 +431,21 @@ def combine_hybrid(
 ) -> EtCode:
     """Hybrid code: measure the message gently, tag it, then recover.
 
-    Branch m applies the square-root of the POVM element, embeds the
-    decoded codeword into the tag registers the quantum decoder expects,
-    and finishes with the quantum recovery map. Codeword m's classical
-    factor is the kron of its letter vectors; the input factor is the
+    Branch m applies the square-root of the POVM element and finishes with
+    the quantum recovery ops of its codeword's tag word alone. Codeword m's
+    classical factor is the kron of its letter vectors; the input factor is the
     encoded half of Phi, V|f> / sqrt(m2) in column order, with rows (F, B^n).
     """
     da, db = qmac.in_dims
     dc = qmac.out_dim
     n = len(cq.codewords[0])
-    x_size = v.alphabet_size
-    if et.decoder.in_dim != (dc * x_size) ** n:
+    tags = (v.alphabet_size,) * n
+    if (len(et.blocks), et.blocks.shape[-1]) != (np.prod(tags), dc**n):
         raise DimensionMismatchError("quantum decoder does not act on tagged outputs")
     branches = []
     for word, d in zip(cq.codewords, cq.povm):
-        ops = _stack_matmul(et.decoder.stacked[:, :, _tag_columns(word, dc, x_size)], sqrt_psd(d))
+        block = et.blocks[np.ravel_multi_index(word, tags)]
+        ops = (block.reshape(-1, dc**n) @ sqrt_psd(d)).reshape(block.shape)  # one flat GEMM
         branches.append(KrausChannel._trusted(ops, (dc,) * n, (et.m2,), True))
     classical_factors = tuple(
         tensor_all([v.vectors[x] for x in w]).reshape(-1, 1) for w in cq.codewords
@@ -491,12 +490,11 @@ def hybrid_chain_report(
     sigma_m = W W†, and its block dressed by message m' is X X† with
     X = (I_F (x) sqrt(D_m')) W.
     """
-    m2, dc = code.m2, code.dc
+    m2, tags = code.m2, (v.alphabet_size,) * code.n
     factors = _message_factors(code, qmac)
     words = cq.codewords
     sqrt_povm = sqrt_psd(np.array(cq.povm))
-    decoder, x_size = et.decoder.stacked, v.alphabet_size
-    tag_ops = {w: decoder[:, :, _tag_columns(w, dc, x_size)] for w in set(words)}
+    tag_ops = {w: et.blocks[np.ravel_multi_index(w, tags)] for w in set(words)}
     overlaps = []
     rows = []
     violations = 0

@@ -195,6 +195,20 @@ class TestSimulateCommand:
         assert json.loads(out_json.read_text())["config"]["best_seed_tie_rtol"] == 1e-12
 
 
+def test_simulate_never_forms_the_dense_decoder(monkeypatch, identity_qmac, mild_dephasing_qmac):
+    """The dense (C (x) X)^n decoder is a test oracle: simulate reads the word blocks only."""
+    from cqmac import cli
+
+    def refuse(self):
+        raise AssertionError("dense decoder formed")
+
+    monkeypatch.setattr(codesim.EtTransmissionCode, "decoder", property(refuse))
+    cset = CompoundSet((identity_qmac, mild_dephasing_qmac), ("id", "deph"))
+    out = cli._simulate_one(cset, 3, 2, 2, 2, 0)
+    assert out["converse"]["violations"] == 0
+    assert all(chain["violations"] == 0 for chain in out["chain"].values())
+
+
 def test_best_seed_survives_decoder_rounding(monkeypatch, identity_qmac, mild_dephasing_qmac):
     """On the pair set at n=1 seeds tie at 0.86 up to rounding; scaling one
     tied seed's decoder by 1 + 1e-15 reorders the raw values, not the pick."""

@@ -8,9 +8,11 @@ from cqmac import codesim, entropic
 from cqmac.channels import (
     BudgetExceededError,
     CompoundSet,
+    CptpError,
     CqChannel,
     KrausChannel,
     apply_channel_mat,
+    batch_kron,
     choi_matrix,
     dephasing_channel,
     identity_channel,
@@ -30,7 +32,6 @@ from cqmac.qmatrix import (
 )
 from cqmac.randutil import (
     complex_gaussian,
-    haar_isometry,
     random_density,
     random_factor,
     random_kraus_ops,
@@ -71,11 +72,31 @@ def _encoded_phi(et, g0: int) -> np.ndarray:
     return apply_channel_mat(_encoder(et, g0), phi, (et.m2, et.m2), [1])[0]
 
 
-def _dense_recovery(ops: np.ndarray, n: int, iso: np.ndarray):
-    """The pretty-good recovery from one dense eigh of M: the block route's oracle.
+def _tagged_ops(channels) -> np.ndarray:
+    """The averaged channel with the letter as a tensor factor: ops family[x, k] (x) |x> on (C, X).
 
-    Returns the recovery ops B_j = V† N_j† M^(-1/2) and an orthonormal basis
-    of M's kernel, with the cutoff of ``codesim._recovery_channel``.
+    ``channels`` are per-letter families or KrausChannels (one letter, so no tag).
+    """
+    ops = []
+    for ch in channels:
+        family = ch.stacked[None] if isinstance(ch, KrausChannel) else ch
+        tags = np.eye(len(family), dtype=complex)[:, :, None]  # |x> as an (X, 1) column
+        ops += [batch_kron(letter, tag[None]) for letter, tag in zip(family, tags)]
+    return np.concatenate(ops) / np.sqrt(len(channels))
+
+
+def _tag_embedding(word, dc: int, x_size: int) -> np.ndarray:
+    """C^n -> (C (x) X)^n writing the word into the tag registers."""
+    tags = np.eye(x_size)[:, :, None]
+    return tensor_all([np.kron(np.eye(dc), tags[x]) for x in word])
+
+
+def _dense_recovery(ops: np.ndarray, n: int, iso: np.ndarray):
+    """The pretty-good recovery from one dense eigh of M: the per-word route's oracle.
+
+    Returns the recovery ops B_j = V† N_j† M^(-1/2) of the n-fold tagged ops
+    N_j and an orthonormal basis of M's kernel, with the cutoff of
+    ``codesim._recovery_blocks``.
     """
     single = KrausChannel(ops, (ops.shape[2],), (ops.shape[1],))
     mat, dims = iso @ iso.conj().T, (ops.shape[2],) * n
@@ -85,13 +106,14 @@ def _dense_recovery(ops: np.ndarray, n: int, iso: np.ndarray):
     cutoff = max(1e-12, 1e-12 * max(float(vals[-1]), 0.0))
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
     m_inv = (vecs * inv) @ vecs.conj().T
-    recov = np.array([(m_inv @ f).conj().T for f in codesim._fed_stack(ops, n, iso)])
+    recov = np.array([(m_inv @ f).conj().T for f in batch_kron(*[ops] * n) @ iso])
     return recov, vecs[:, vals <= cutoff]
 
 
-def _dense_decoder(ops: np.ndarray, n: int, iso: np.ndarray) -> KrausChannel:
-    """The dense route's decoder: recovery ops plus one completion op per kernel vector."""
-    recov, kernel = _dense_recovery(ops, n, iso)
+def _dense_decoder(channels, n: int, iso: np.ndarray) -> KrausChannel:
+    """The dense route's decoder on the tagged channel: recovery ops plus one
+    completion op per kernel vector."""
+    recov, kernel = _dense_recovery(_tagged_ops(channels), n, iso)
     completion = np.zeros((kernel.shape[1], iso.shape[1], len(kernel)), dtype=complex)
     completion[:, 0, :] = kernel.T.conj()
     return KrausChannel(np.concatenate([recov, completion]), (len(kernel),), (iso.shape[1],))
@@ -233,40 +255,37 @@ class TestEtCodeSampling:
     @pytest.mark.parametrize("n, kind", [(1, "random"), (2, "random"), (3, "random"),
                                          (1, "tagged"), (2, "tagged")])
     def test_recovery_matches_dense_inverse_root(self, rng, identity_b_channel, n, kind):
-        """The block-wise recovery against M^(-1/2) formed from one dense eigh.
+        """The per-word recovery against M^(-1/2) formed from one dense eigh of the tagged M.
 
         Random complex channels give a full-rank M; the tagged identity
         channel of the hybrid codes gives a kernel, hence completion ops. Any
-        orthonormal basis of M's kernel completes the channel, so the
-        completion ops are checked by the projector they form.
+        orthonormal basis of M's kernel completes the channel, so the decoders
+        are compared by their Choi matrices.
         """
         if kind == "random":
-            ops = np.concatenate([random_kraus_ops(rng, 2, 3, 2) for _ in range(2)]) / np.sqrt(2)
+            chans = [KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,)) for _ in range(2)]
         else:
-            ops = identity_b_channel.stacked
-        g0, d1, m2 = ops.shape[2], ops.shape[1], 2
-        iso = haar_isometry(rng, g0**n, m2)
-        recov, kernel = _dense_recovery(ops, n, iso)
-        got = codesim._recovery_channel(ops, n, iso).stacked
+            chans = [identity_b_channel]
+        et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
+        recov, kernel = _dense_recovery(_tagged_ops(chans), n, et.isometry)
         assert (kind == "tagged") == (kernel.shape[1] > 0)
-        assert got.shape == (len(recov) + kernel.shape[1], m2, d1**n)
-        np.testing.assert_allclose(got[: len(recov)], recov, rtol=0, atol=1e-12)
-        completion = got[len(recov) :]
-        assert not np.any(completion[:, 1:])
+        got = et.decoder
+        assert got.stacked.shape == (len(recov) + kernel.shape[1],) + recov.shape[1:]
+        want = _dense_decoder(chans, n, et.isometry)
         np.testing.assert_allclose(
-            kraus_gram(completion), kernel @ kernel.conj().T, rtol=0, atol=1e-12
+            choi_matrix(got).matrix, choi_matrix(want).matrix, rtol=0, atol=1e-12
         )
 
     def test_budget_refused_before_any_allocation(self, monkeypatch, identity_b_channel):
         """n = 5 on the tagged identity needs an 8^5 = 32768-dimensional recovery."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("recovery matrix built")
+            raise AssertionError("encoder isometry allocated")
 
-        monkeypatch.setattr(codesim, "apply_channel_mat", refuse)
+        monkeypatch.setattr(codesim, "haar_isometry", refuse)
         with pytest.raises(BudgetExceededError, match="4096"):
             codesim.sample_et_code([identity_b_channel], 2, 5, 2, seed=0)
-        with pytest.raises(AssertionError, match="recovery matrix built"):  # 8^4 fits
+        with pytest.raises(AssertionError, match="isometry allocated"):  # 8^4 fits
             codesim.sample_et_code([identity_b_channel], 2, 4, 2, seed=0)
 
     def test_fidelity_rejects_mismatched_channel(self):
@@ -292,12 +311,12 @@ class TestEtCodeSampling:
 
 
 @pytest.fixture
-def eigh_dims(monkeypatch) -> list:
-    """The trailing dimension of every np.linalg.eigh call from here on."""
+def eigh_shapes(monkeypatch) -> list:
+    """The shape of every np.linalg.eigh argument from here on."""
     seen, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        seen.append(np.shape(a)[-1])
+        seen.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -305,52 +324,73 @@ def eigh_dims(monkeypatch) -> list:
 
 
 class TestBlockRecovery:
-    """The recovery from M's exact diagonal blocks against one dense eigh of M."""
+    """The recovery per tag word against one dense eigh of the tagged M."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_decoder_matches_dense_channel(self, rng, identity_b_channel, id_deph_set,
                                            basis_v, uniform_p, n):
         """The tagged identity, the pair set's averaged channel as simulate forms it, and a
-        tag letter of probability 1e-14, whose blocks fall under the cutoff of all blocks."""
+        tag letter of probability 1e-14, whose words fall under the cutoff of all words."""
         pair = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in id_deph_set.members]
         skewed = codesim.effective_b_channel(id_deph_set.members[0], [1 - 1e-14, 1e-14], basis_v)
         for chans in ([identity_b_channel], pair, [skewed]):
-            ops = np.concatenate([c.stacked for c in chans]) / np.sqrt(len(chans))
-            iso = haar_isometry(rng, 2**n, 2)
-            got = choi_matrix(codesim._recovery_channel(ops, n, iso)).matrix
-            want = choi_matrix(_dense_decoder(ops, n, iso)).matrix
+            et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
+            got = choi_matrix(et.decoder).matrix
+            want = choi_matrix(_dense_decoder(chans, n, et.isometry)).matrix
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_pair_set_layout_at_n3(self, eigh_dims, id_deph_set, basis_v, uniform_p):
-        """Each tag word's 64 rows hold 8 linked rows and 56 zero rows; the 664-op layout stays."""
+    def test_cutoff_is_relative_to_all_words(self):
+        """Letter 0 replaces the input by |0>, so M_0 = 2 p0 |0><0| holds the largest
+        eigenvalue, 2 - 3e-12; letter 1 is the identity with p1 = 1.5e-12, above the 1e-12
+        floor but below 1e-12 times that largest eigenvalue, so its word is all kernel."""
+        p1 = 1.5e-12
+        replace_ops = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
+        identity_ops = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+        family = np.array([np.sqrt(1 - p1) * replace_ops, np.sqrt(p1) * identity_ops])
+        et = codesim.sample_et_code([family], 2, 1, 2, seed=0)
+        assert not np.any(et.blocks[1, :2])
+        np.testing.assert_allclose(
+            choi_matrix(et.decoder).matrix,
+            choi_matrix(_dense_decoder([family], 1, et.isometry)).matrix,
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_pair_set_layout_at_n3(self, eigh_shapes, id_deph_set, basis_v, uniform_p):
+        """One eigh over the 8 words' 64x64 M_w; each word holds 27 recovery and 64
+        completion ops, and the dense form keeps the 216 + 8 * 56 nonzero ones."""
         pair = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in id_deph_set.members]
         et = codesim.sample_et_code(pair, 2, 3, 2, seed=0)
-        assert eigh_dims == [8]
+        assert eigh_shapes == [(8, 64, 64)]
+        assert et.blocks.shape == (8, 91, 2, 64)
+        assert not et.blocks.flags.writeable
         assert et.decoder.stacked.shape == (664, 2, 512)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_zero_rows_go_to_the_kernel(self, rng, eigh_dims, identity_qmac, dephasing_qmac, n):
-        """A letter of probability 0 leaves every tag word holding it with zero rows of M."""
+    def test_zero_rows_go_to_the_kernel(self, eigh_shapes, identity_qmac, dephasing_qmac, n):
+        """A letter of probability 0 gives a zero family, so every word holding it is all kernel."""
         v = CqChannel.from_vectors([[1, 0], [0, 1], [1, 1]])
         p = np.array([0.5, 0.5, 0.0])
         chans = [codesim.effective_b_channel(q, p, v) for q in (identity_qmac, dephasing_qmac)]
-        ops = chans[0].stacked
-        iso = haar_isometry(rng, 2**n, 2)
-        dec = codesim._recovery_channel(ops, n, iso)
-        assert 1 not in eigh_dims and len(eigh_dims) == len(set(eigh_dims))
-        mat, dims = iso @ iso.conj().T, (2,) * n
-        for _ in range(n):
-            mat, dims = apply_channel_mat(chans[0], mat, dims, [0])
-        zero = ~mat.any(axis=1)
-        assert 0 < zero.sum() < len(mat)
-        units = dec.stacked[len(ops) ** n :, 0][:, zero]  # completion ops on the zero rows
-        assert np.all(np.count_nonzero(units, axis=0) == 1) and np.all(units.sum(axis=0) == 1)
-        np.testing.assert_allclose(kraus_gram(dec.stacked), np.eye(len(mat)), rtol=0, atol=1e-12)
+        assert not np.any(chans[0][2])
         et = codesim.sample_et_code(chans[:1], 2, n, 2, seed=0)
-        dense = replace(et, decoder=_dense_decoder(ops, n, et.isometry))
+        assert eigh_shapes == [(3**n, 4**n, 4**n)]
+        count = len(et.blocks[0]) - 4**n  # recovery ops per word
+        for w, word in enumerate(itertools.product(range(3), repeat=n)):
+            np.testing.assert_allclose(kraus_gram(et.blocks[w]), np.eye(4**n), rtol=0, atol=1e-12)
+            if 2 in word:
+                assert not np.any(et.blocks[w, :count])
+        dense = _dense_decoder(chans[:1], n, et.isometry)
+        np.testing.assert_allclose(
+            choi_matrix(et.decoder).matrix, choi_matrix(dense).matrix, rtol=0, atol=1e-12
+        )
         for ch in chans:
+            state, dims = _encoded_phi(et, 2), (et.m2,) + (2,) * n
+            tagged = KrausChannel(_tagged_ops([ch]), (2,), (12,))
+            for _ in range(n):
+                state, dims = apply_channel_mat(tagged, state, dims, [1])
             assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(
-                codesim.et_entanglement_fidelity(dense, ch), abs=1e-12
+                _dense_overlap(state, dense.stacked, et.m2), abs=1e-12
             )
 
 
@@ -396,17 +436,26 @@ class TestCombineHybrid:
         assert row["performance"] == pytest.approx(row["fidelity_decoded"], abs=1e-10)
         assert row["fidelity_decoded"] == pytest.approx(row["fidelity_ideal_tag"], abs=1e-10)
 
-    @pytest.mark.parametrize("n, dc, x_size", [(1, 4, 2), (2, 3, 2), (3, 2, 3)])
-    def test_tag_columns_equal_dense_embedding(self, rng, n, dc, x_size):
-        dec = complex_gaussian(rng, (5, 2, (dc * x_size) ** n))
-        for word in itertools.product(range(x_size), repeat=n):
-            blocks = []
-            for x in word:  # C -> C (x) X writing x into the tag register
-                tag = np.zeros((x_size, 1), dtype=complex)
-                tag[x, 0] = 1.0
-                blocks.append(np.kron(np.eye(dc), tag))
-            dense = codesim._stack_matmul(dec, tensor_all(blocks))
-            assert np.array_equal(dec[:, :, codesim._tag_columns(word, dc, x_size)], dense)
+    def test_branch_holds_its_word_block_only(self, id_deph_set, basis_v, uniform_p):
+        """On the pair set at n = 3 each branch carries its word's K^n + dc^n = 27 + 64 ops,
+        and performs as the dense decoder's ops on that word's tag columns."""
+        members, n = id_deph_set.members, 3
+        a_fams = [codesim.effective_a_outputs(m, basis_v, maximally_mixed(2)) for m in members]
+        b_chans = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in members]
+        cb = codesim.sample_cq_codebook(a_fams, uniform_p, n, 3, seed=21)
+        et = codesim.sample_et_code(b_chans, 2, n, 2, seed=22)
+        code = codesim.combine_hybrid(cb, et, basis_v, members[0])
+        dense_ops = et.decoder.stacked
+        dense_branches = []
+        for branch, word, d in zip(code.branches, cb.codewords, cb.povm):
+            assert branch.stacked.shape == (27 + 64, 2, 64)
+            ops = dense_ops @ _tag_embedding(word, 4, 2) @ sqrt_psd(d)
+            dense_branches.append(KrausChannel(ops, (4,) * n, (2,), trace_nonincreasing=True))
+        dense = replace(code, branches=tuple(dense_branches))  # the public, checked constructor
+        for member in members:
+            assert codesim.performance(code, member) == pytest.approx(
+                codesim.performance(dense, member), abs=1e-12
+            )
 
     def test_completeness(self, identity_qmac, basis_v, uniform_p):
         code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
@@ -430,6 +479,79 @@ class TestCombineHybrid:
             for member in cset.members:
                 rep = codesim.hybrid_chain_report(cb, et, basis_v, member, uniform_p, code=code)
                 assert rep["violations"] == 0
+
+
+class TestLetterFamilies:
+    """Per-letter Kraus families are checked where they enter: p in
+    ``effective_b_channel``, the family arrays in ``sample_et_code`` and
+    ``et_entanglement_fidelity``."""
+
+    def test_family_holds_each_letter_block(self, identity_qmac, dephasing_qmac):
+        """family[x] is sqrt(p(x)) times the QMAC's ops fed with V(x) on A, read-only."""
+        v = CqChannel.from_vectors([[1, 0], [0.6, 0.8j], [1, 1]])
+        p = np.array([0.2, 0.8, 0.0])
+        for qmac in (identity_qmac, dephasing_qmac):
+            family = codesim.effective_b_channel(qmac, p, v)
+            assert family.shape == (3, len(qmac.kraus_ops), 4, 2) and not family.flags.writeable
+            for x, letter in enumerate(v.vectors):
+                feed = np.kron(letter.reshape(-1, 1), np.eye(2))
+                np.testing.assert_allclose(
+                    family[x], np.sqrt(p[x]) * (qmac.stacked @ feed), rtol=0, atol=1e-15
+                )
+
+    @pytest.mark.parametrize(
+        "p, error", [([1.0], DimensionMismatchError), ([0.5, 0.6], ValueError)], ids=["short", "sum"]
+    )
+    def test_effective_channel_checks_p(self, identity_qmac, basis_v, p, error):
+        with pytest.raises(error):
+            codesim.effective_b_channel(identity_qmac, p, basis_v)
+
+    @pytest.mark.parametrize("entry", ["sample", "fidelity"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (lambda f: f[0], DimensionMismatchError),
+            (lambda f: f[:, :, :, :, None], DimensionMismatchError),
+            (lambda f: f[:, :0], DimensionMismatchError),
+            (lambda f: np.where(np.arange(f.size).reshape(f.shape) == 0, np.nan, f), CptpError),
+            (lambda f: 1.01 * f, CptpError),
+            (lambda f: f[:1], CptpError),
+        ],
+        ids=["3-d", "5-d", "empty", "nan", "overcomplete", "one-letter-missing"],
+    )
+    def test_family_refused(self, identity_b_channel, entry, bad, error):
+        family = bad(identity_b_channel)
+        with pytest.raises(error):
+            if entry == "sample":
+                codesim.sample_et_code([family], 2, 1, 2, seed=0)
+            else:
+                et = codesim.sample_et_code([identity_b_channel], 2, 1, 2, seed=0)
+                codesim.et_entanglement_fidelity(et, family)
+
+    def test_members_must_agree(self, identity_qmac, basis_v, uniform_p):
+        three = CqChannel.from_vectors([[1, 0], [0, 1], [1, 1]])
+        fams = [codesim.effective_b_channel(identity_qmac, p, v)
+                for p, v in ((uniform_p, basis_v), ([0.5, 0.5, 0.0], three))]
+        with pytest.raises(DimensionMismatchError, match="mismatched spaces"):
+            codesim.sample_et_code(fams, 2, 1, 2, seed=0)
+
+
+class TestBlocklengthFour:
+    def test_pair_set_seed_at_n4(self, identity_qmac, mild_dephasing_qmac, basis_v, uniform_p):
+        """One n = 4 seed on the pair set: complete word blocks, no chain or converse violation."""
+        cset = CompoundSet((identity_qmac, mild_dephasing_qmac), ("id", "deph"))
+        a_fams = [codesim.effective_a_outputs(m, basis_v, maximally_mixed(2)) for m in cset.members]
+        b_chans = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in cset.members]
+        et = codesim.sample_et_code(b_chans, 2, 4, 2, seed=4)
+        assert et.blocks.shape == (16, 81 + 256, 2, 256)
+        for block in et.blocks:
+            np.testing.assert_allclose(kraus_gram(block), np.eye(256), rtol=0, atol=1e-12)
+        cb = codesim.sample_cq_codebook(a_fams, uniform_p, 4, 2, seed=3)
+        code = codesim.combine_hybrid(cb, et, basis_v, identity_qmac)
+        assert codesim.converse_check(code, cset)["violations"] == 0
+        for member in cset.members:
+            rep = codesim.hybrid_chain_report(cb, et, basis_v, member, uniform_p, code=code)
+            assert rep["violations"] == 0
 
 
 class TestFidelityTrend:
@@ -894,7 +1016,7 @@ class TestFactorRouteOracle:
                 blocks = {}
                 for block, word in zip(dressed, cb.codewords):
                     blocks[word] = blocks.get(word, 0) + block
-                tags = {w: et.decoder.stacked[:, :, codesim._tag_columns(w, dc, 2)] for w in blocks}
+                tags = {w: et.decoder.stacked @ _tag_embedding(w, dc, 2) for w in blocks}
                 f_hat = sum(_dense_overlap(b, tags[w], m2) for w, b in blocks.items())
                 marginal = partial_trace_mat(sigma, (m2, dc**n), [1])
                 gamma = 1.0 - np.trace(cb.povm[m] @ marginal).real
