@@ -22,7 +22,6 @@ from .channels import (
     CptpError,
     CqChannel,
     KrausChannel,
-    apply_channel,
     build_net,
     choi_matrix,
     diamond_distance_bounds,
@@ -57,18 +56,16 @@ from .regions import (
 # needs, so its names are looked up on first use (PEP 562).
 _OPTIMIZER_NAMES = (
     "InputAnsatz",
-    "SpectralDecomposition",
-    "decompose_tensor_power",
-    "empirical_approximation",
     "pareto_trace",
 )
 
 
 def __getattr__(name):
-    if name in _OPTIMIZER_NAMES:
-        from . import optimizer
+    if name == "optimizer" or name in _OPTIMIZER_NAMES:
+        from importlib import import_module  # ``from . import`` would probe this hook again
 
-        return getattr(optimizer, name)
+        optimizer = import_module(".optimizer", __name__)
+        return optimizer if name == "optimizer" else getattr(optimizer, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

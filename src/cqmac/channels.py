@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import (
-    DensityMatrix,
     DimensionMismatchError,
     factor_trace_norm,
     partial_trace_mat,
@@ -139,13 +138,6 @@ def identity_channel(dims) -> KrausChannel:
     return KrausChannel((np.eye(n, dtype=complex),), dims, dims)
 
 
-def depolarizing_channel(dim: int) -> KrausChannel:
-    """Completely depolarizing map rho -> I/d."""
-    # op (i, j) is |i><j| / sqrt(d): the rows of the d^2 identity, reshaped
-    ops = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim) / np.sqrt(dim)
-    return KrausChannel(ops, (dim,), (dim,))
-
-
 def dephasing_channel(flip_prob: float = 0.5, full: bool = False) -> KrausChannel:
     """Qubit phase noise; ``full`` kills all off-diagonal terms."""
     if full:
@@ -188,18 +180,6 @@ def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
         a.in_dims + b.in_dims,
         a.out_dims + b.out_dims,
         trace_nonincreasing=a.trace_nonincreasing or b.trace_nonincreasing,
-    )
-
-
-def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    if after.in_dim != before.out_dim:
-        raise DimensionMismatchError("composition dimensions do not match")
-    ops = after.stacked[:, None] @ before.stacked[None]
-    return KrausChannel._trusted(
-        ops.reshape(-1, after.out_dim, before.in_dim),
-        before.in_dims,
-        after.out_dims,
-        trace_nonincreasing=after.trace_nonincreasing or before.trace_nonincreasing,
     )
 
 
@@ -248,20 +228,15 @@ def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET
     )
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix, positions=None) -> DensityMatrix:
-    """Apply a channel to the listed subsystems of a state.
-
-    ``positions`` gives the state's subsystem indices forming the channel
-    input, in channel input order; the remaining subsystems are untouched.
-    The result orders untouched subsystems first (original order), then the
-    channel output subsystems.
-    """
-    mat, dims = apply_channel_mat(channel, rho.mat, rho.dims, positions)
-    return DensityMatrix(mat, dims)
-
-
 def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=None):
-    """Raw-array version of :func:`apply_channel`; returns (matrix, dims)."""
+    """Apply a channel to the listed subsystems of a state matrix; returns (matrix, dims).
+
+    ``mat`` is a state on subsystems of dimensions ``dims``. ``positions``
+    gives the subsystem indices forming the channel input, in channel input
+    order (all of them, in order, by default); the remaining subsystems are
+    untouched. The result orders untouched subsystems first (original
+    order), then the channel output subsystems.
+    """
     dims = tuple(int(d) for d in dims)
     k = len(dims)
     if positions is None:
@@ -282,18 +257,13 @@ def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=No
     t = work.reshape(r, din, r, din).transpose(0, 2, 1, 3).reshape(r * r, din, din)
     ops = channel.stacked
     j = ops.shape[0]
-    if r * r * j * dout * din <= 1 << 22:
-        # two flat GEMMs: a[k,o,rr,j'] then contract (k,j') away
-        a = (ops.reshape(j * dout, din) @ t.transpose(1, 0, 2).reshape(din, -1)).reshape(
-            j, dout, r * r, din
-        )
-        b = a.transpose(2, 1, 0, 3).reshape(r * r * dout, j * din)
-        c = ops.conj().transpose(1, 0, 2).reshape(dout, j * din)
-        out4 = (b @ c.T).reshape(r * r, dout, dout)
-    else:
-        out4 = np.zeros((r * r, dout, dout), dtype=complex)
-        for op in channel.kraus_ops:
-            out4 += (op @ t) @ op.conj().T
+    # two flat GEMMs: a[k,o,rr,j'] then contract (k,j') away
+    a = (ops.reshape(j * dout, din) @ t.transpose(1, 0, 2).reshape(din, -1)).reshape(
+        j, dout, r * r, din
+    )
+    b = a.transpose(2, 1, 0, 3).reshape(r * r * dout, j * din)
+    c = ops.conj().transpose(1, 0, 2).reshape(dout, j * din)
+    out4 = (b @ c.T).reshape(r * r, dout, dout)
     out = (
         out4.reshape(r, r, dout, dout)
         .transpose(0, 2, 1, 3)

@@ -17,9 +17,10 @@ renormalized at load), 4 budget exceeded. Only ``region`` loads scipy.
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),
 the integer options ``--budget``, ``--alphabet``, ``--m1``, ``--m2`` and
-``--dim-budget`` must be >= 1, ``--theta`` (> 0) and ``--tol`` must be
-finite, each ``region --weights`` pair a:b must be finite, >= 0 and not
-0:0, and ``verify --suite`` must name at least one suite.
+``--dim-budget`` must be >= 1, every ``--seed`` must be >= 0, ``--theta``
+(> 0) and ``--tol`` must be finite, each ``region --weights`` pair a:b must
+be finite, >= 0 and not 0:0, and ``verify --suite`` must name at least one
+suite.
 
 ``simulate`` reports the seed with the largest worst-member fidelity; values
 within a relative ``BEST_SEED_TIE_RTOL`` (1e-12, recorded in the report's
@@ -105,6 +106,7 @@ def _checked(cast, accept, wanted: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     region.add_argument("--input", required=True, help="channel set JSON")
     region.add_argument("--l", type=_parse_level, default="1", help="blocking level")
     region.add_argument("--budget", type=_positive_int, default=16, help="optimizer restarts")
-    region.add_argument("--seed", type=int, default=0)
+    region.add_argument("--seed", type=_seed, default=0)
     region.add_argument(
         "--weights", type=_parse_weights, default="1:0,0:1,1:1", help="pairs a:b,..."
     )
@@ -135,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--input", required=True, help="channel set JSON")
     sim.add_argument("--l", type=_parse_l, default="1", help="blocklengths, comma separated")
     sim.add_argument("--budget", type=_positive_int, default=20, help="number of seeds")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--m1", type=_positive_int, default=2)
     sim.add_argument("--m2", type=_positive_int, default=2)
     sim.add_argument("--out-json", required=True)
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the property suites")
     verify.set_defaults(handler=cmd_verify)
     verify.add_argument("--suite", action="append", default=None, help="suite name")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--tol", type=_finite_float, default=None)
 
     net = sub.add_parser("net", help="greedy covering of a channel set")
@@ -215,6 +217,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def _simulate_one(cset: CompoundSet, n: int, m1: int, m2: int, seeds: int, base_seed: int):
     member0 = cset.members[0]
+    if len(member0.in_dims) != 2:
+        raise DimensionMismatchError("compound members must have a two-part (A, B) input")
     da, db = member0.in_dims
     v = CqChannel.basis(da)
     p = np.full(da, 1.0 / da)

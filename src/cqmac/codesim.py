@@ -225,15 +225,6 @@ def sample_cq_codebook(w_families, p, n: int, m1: int, seed: int) -> CqCodebook:
     return pgm_codebook(w_families, words)
 
 
-def average_error(cb: CqCodebook, w) -> float:
-    """Mean of tr[(I - D_m) W^n(u_m)] over the messages, for the (alphabet, d, r) factors w."""
-    errs = []
-    for word, d in zip(cb.codewords, cb.povm):
-        f = tensor_all([w[x] for x in word])
-        errs.append(1.0 - float(np.vdot(f, d @ f).real))
-    return float(np.mean(errs))
-
-
 # ---------------------------------------------------------------------------
 # random entanglement-transmission codes and the pretty-good recovery
 # ---------------------------------------------------------------------------
@@ -254,7 +245,11 @@ class EtTransmissionCode:
 
     @property
     def decoder(self) -> KrausChannel:
-        """The dense decoder on (C (x) X)^n, its nonzero ops only: for oracles and small n."""
+        """The dense decoder on (C (x) X)^n, its nonzero ops only: for oracles and small n.
+
+        It stays here, not with the test oracles, because the benchmark's
+        tracer reads it (``perfbench/tracer.py``, ``_after_sample_et_code``).
+        """
         words, _, m2, dout = self.blocks.shape
         x_size, dc = round(words ** (1 / self.n)), round(dout ** (1 / self.n))
         # word w's ops act on the C^n basis vectors tagged with w: op (I_C (x) <x_1|) (x) ...

@@ -137,14 +137,6 @@ class CqqState:
         cols = [u.reshape(-1, u.shape[2]) for u in self.factors]
         return [c @ c.conj().T for c in cols]
 
-    def to_density_matrix(self) -> DensityMatrix:
-        """Dense block-diagonal state on (X, B, C); for oracles and small dimensions."""
-        d = self.b_dim * self.c_dim
-        full = np.zeros((self.alphabet_size * d,) * 2, dtype=complex)
-        for i, block in enumerate(self.dense_blocks()):
-            full[i * d : (i + 1) * d, i * d : (i + 1) * d] = self.probs[i] * block
-        return DensityMatrix(full, (self.alphabet_size, self.b_dim, self.c_dim))
-
 
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
     """Factors u[..., x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.

@@ -24,7 +24,7 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
-from .qmatrix import PureState, hermitian_eig, tensor_all, zero_padded
+from .qmatrix import PureState, zero_padded
 from .regions import Rect, RateRegion, compound_rect_powered, stacked_rect
 
 NM_ITERATIONS = 200
@@ -197,80 +197,3 @@ def pareto_trace(
     region = RateRegion(tuple(opt.rect for opt in optima)) if optima else RateRegion((Rect(0, 0),))
     return TraceResult(region, tuple(optima), truncated, evals)
 
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """rho^(x l) written as sum_i q(i) pi_i with pi_i maximally mixed on
-    mutually orthogonal subspaces."""
-
-    weights: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    subspace_dims: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return self.weights.size
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(
-            q * proj / d
-            for q, proj, d in zip(self.weights, self.projectors, self.subspace_dims)
-        )
-
-
-def decompose_tensor_power(rho, l: int, dim_budget: int = 1024) -> SpectralDecomposition:
-    """Group the spectrum of rho^(x l) by base-eigenvalue type classes."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    dim = rho.dim
-    if dim**l > dim_budget:
-        raise BudgetExceededError(f"dimension {dim ** l} exceeds budget {dim_budget}")
-    vals, vecs = hermitian_eig(rho.mat)
-    # group equal base eigenvalues so type classes are exact
-    groups = [0] + np.cumsum(np.abs(np.diff(vals)) > 1e-10).tolist()
-    index_tuples = np.indices((dim,) * l).reshape(l, -1).T
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for col, tup in enumerate(index_tuples):
-        key = tuple(sorted(groups[i] for i in tup))
-        buckets.setdefault(key, []).append(col)
-    full_vecs = tensor_all([vecs] * l) if l > 1 else vecs
-    weights = []
-    projectors = []
-    sub_dims = []
-    for key in sorted(buckets):
-        cols = buckets[key]
-        value = float(np.prod([vals[index_tuples[cols[0]][j]] for j in range(l)]))
-        if value * len(cols) <= 1e-12:  # zero-mass blocks carry nothing
-            continue
-        block = full_vecs[:, cols]
-        weights.append(value * len(cols))
-        projectors.append(block @ block.conj().T)
-        sub_dims.append(len(cols))
-    if len(weights) > (l + 1) ** dim:
-        raise AssertionError("type-class count exceeded the (l+1)^dim bound")
-    return SpectralDecomposition(
-        np.asarray(weights, dtype=float), tuple(projectors), tuple(sub_dims)
-    )
-
-
-def empirical_approximation(q, t: int) -> np.ndarray:
-    """Integer frequencies N_i with sum t approximating t * q.
-
-    Floor rule with the remainder assigned to the first support point.
-    Requires t > 2 / min support probability so every supported symbol
-    keeps a share of at least (min support probability / 2) * t.
-    """
-    q = np.asarray(q, dtype=float)
-    if abs(q.sum() - 1.0) > 1e-9 or np.any(q < 0):
-        raise ValueError("q is not a probability distribution")
-    supp = np.flatnonzero(q > 0)
-    min_p = q[supp].min()
-    if t <= 2.0 / min_p:
-        raise ValueError(f"t = {t} too small; need t > {2.0 / min_p:.6g}")
-    n = np.zeros(q.size, dtype=int)
-    x0 = int(supp[0])
-    for x in supp:
-        if x != x0:
-            n[x] = int(np.floor(t * q[x]))
-    n[x0] = t - int(n.sum())
-    return n

@@ -11,6 +11,7 @@ from cqmac.channels import (
     identity_channel,
 )
 from cqmac.qmatrix import maximally_entangled
+from oracles import depolarizing_channel
 
 
 @pytest.fixture
@@ -45,6 +46,12 @@ def dephasing_qmac() -> KrausChannel:
 @pytest.fixture
 def mild_dephasing_qmac() -> KrausChannel:
     return channel_tensor(identity_channel(2), dephasing_channel(0.1))
+
+
+@pytest.fixture
+def depolarizing_qmac() -> KrausChannel:
+    """The completely depolarizing map on (A, B) -> C = A B: no rate for either sender."""
+    return KrausChannel(depolarizing_channel(4).kraus_ops, (2, 2), (4,))
 
 
 @pytest.fixture

@@ -15,15 +15,12 @@ from cqmac.channels import (
     CptpError,
     CqChannel,
     KrausChannel,
-    apply_channel,
     apply_channel_mat,
     blocked_tensor_power,
     build_net,
     channel_tensor,
     choi_matrix,
-    compose,
     dephasing_channel,
-    depolarizing_channel,
     diamond_distance_bounds,
     dump_compound_json,
     identity_channel,
@@ -31,9 +28,16 @@ from cqmac.channels import (
     load_compound_json,
     tensor_power,
 )
-from cqmac.qmatrix import DimensionMismatchError, partial_trace_mat, tensor, trace_norm
+from cqmac.qmatrix import (
+    DimensionMismatchError,
+    partial_trace_mat,
+    permute_mat,
+    tensor,
+    trace_norm,
+)
 from cqmac.randutil import random_density, random_kraus_ops, random_pure
 from cqmac.suites import suite_diamond_bounds, suite_net_cover
+from oracles import compose, depolarizing_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,28 +45,55 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestApply:
     def test_identity(self, rng):
         rho = random_density(rng, (3,))
-        out = apply_channel(identity_channel(3), rho)
-        assert np.allclose(out.mat, rho.mat)
+        out, dims = apply_channel_mat(identity_channel(3), rho.mat, rho.dims)
+        assert dims == (3,) and np.allclose(out, rho.mat)
 
     def test_depolarizing(self, rng):
         rho = random_density(rng, (2,))
-        out = apply_channel(depolarizing_channel(2), rho)
-        assert np.allclose(out.mat, np.eye(2) / 2, atol=1e-10)
+        out, _ = apply_channel_mat(depolarizing_channel(2), rho.mat, rho.dims)
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-10)
 
     def test_choi_contraction_oracle(self, rng):
         ch = KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,))
         rho = random_density(rng, (2,))
-        out = apply_channel(ch, rho)
+        out, dims = apply_channel_mat(ch, rho.mat, rho.dims)
         j = choi_matrix(ch).matrix
         lifted = tensor(rho.mat.T, np.eye(3)) @ j
         expect = partial_trace_mat(lifted, (2, 3), [1])
-        assert np.allclose(out.mat, expect, atol=1e-10)
+        assert dims == (3,) and np.allclose(out, expect, atol=1e-10)
 
     def test_positioned_apply(self, rng):
         rho = random_density(rng, (2, 3))
-        out = apply_channel(depolarizing_channel(3), rho, positions=[1])
+        out, dims = apply_channel_mat(depolarizing_channel(3), rho.mat, rho.dims, positions=[1])
         marg = partial_trace_mat(rho.mat, (2, 3), [0])
-        assert np.allclose(out.mat, tensor(marg, np.eye(3) / 3), atol=1e-10)
+        assert dims == (2, 3) and np.allclose(out, tensor(marg, np.eye(3) / 3), atol=1e-10)
+
+    def test_untouched_subsystems_come_first(self, rng):
+        """Channel on subsystem 0 of (2, 3): the result is ordered (3, out)."""
+        rho = random_density(rng, (2, 3))
+        ch = KrausChannel(random_kraus_ops(rng, 2, 4, 2), (2,), (4,))
+        out, dims = apply_channel_mat(ch, rho.mat, rho.dims, positions=[0])
+        assert dims == (3, 4)
+        # the same map on the swapped state, with the channel input already last
+        swapped = permute_mat(rho.mat, (2, 3), [1, 0])
+        expect, _ = apply_channel_mat(channel_tensor(identity_channel(3), ch), swapped, (3, 2))
+        assert np.allclose(out, expect, atol=1e-12)
+
+    def test_positions_in_channel_input_order(self, rng):
+        """positions [2, 0] feed subsystem 2 to the channel's first input."""
+        rho = random_density(rng, (2, 3, 2))
+        ch = KrausChannel(random_kraus_ops(rng, 4, 2, 3), (2, 2), (2,))
+        out, dims = apply_channel_mat(ch, rho.mat, rho.dims, positions=[2, 0])
+        assert dims == (3, 2)
+        reordered = permute_mat(rho.mat, (2, 3, 2), [1, 2, 0])
+        expect, _ = apply_channel_mat(ch, reordered, (3, 2, 2), positions=[1, 2])
+        assert np.allclose(out, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("positions", [[0, 0], [1]], ids=["duplicate", "wrong-dimension"])
+    def test_bad_positions_raise(self, rng, positions):
+        rho = random_density(rng, (2, 3))
+        with pytest.raises(DimensionMismatchError):
+            apply_channel_mat(identity_channel(4), rho.mat, rho.dims, positions)
 
 
 class TestKrausStorage:
@@ -114,11 +145,11 @@ class TestTensorPower:
         deph = dephasing_channel(0.3)
         squared = tensor_power(deph, 2)
         rho = random_density(rng, (2, 2))
-        joint = apply_channel(squared, rho)
+        joint, _ = apply_channel_mat(squared, rho.mat, rho.dims)
         # one copy at a time
-        step = apply_channel(deph, rho, positions=[0])  # -> (old 1, out) order
-        step = apply_channel(deph, step, positions=[0])  # -> (out1, out2)
-        assert np.allclose(joint.mat, step.mat, atol=1e-10)
+        step, dims = apply_channel_mat(deph, rho.mat, rho.dims, positions=[0])  # (old 1, out)
+        step, _ = apply_channel_mat(deph, step, dims, positions=[0])  # -> (out1, out2)
+        assert np.allclose(joint, step, atol=1e-10)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -240,9 +271,9 @@ class TestDiamondBounds:
         best = 0.0
         for _ in range(30):
             psi = random_pure(rng, (2, 2)).density()
-            a = apply_channel(identity_channel(2), psi, positions=[1])
-            b = apply_channel(depolarizing_channel(2), psi, positions=[1])
-            best = max(best, trace_norm(a.mat - b.mat))
+            a, _ = apply_channel_mat(identity_channel(2), psi.mat, psi.dims, positions=[1])
+            b, _ = apply_channel_mat(depolarizing_channel(2), psi.mat, psi.dims, positions=[1])
+            best = max(best, trace_norm(a - b))
         assert best <= up + 1e-9
         assert best <= 1.5 + 1e-9
 
@@ -393,7 +424,8 @@ class TestJson:
         assert loaded.labels == id_deph_set.labels
         rho = random_density(rng, (2, 2))
         for a, b in zip(loaded.members, id_deph_set.members):
-            assert np.allclose(apply_channel(a, rho).mat, apply_channel(b, rho).mat)
+            assert np.allclose(apply_channel_mat(a, rho.mat, rho.dims)[0],
+                               apply_channel_mat(b, rho.mat, rho.dims)[0])
 
     def test_single_channel_object(self):
         ch = identity_channel(2)

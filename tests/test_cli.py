@@ -156,6 +156,21 @@ class TestSimulateCommand:
         ])
         assert code == 4 and "exceeds dimension budget 4096" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "region"])
+    @pytest.mark.parametrize("in_dims", [[4], [2, 1, 2]], ids=["one-part", "three-part"])
+    def test_input_not_two_part_exit_2_before_sampling(
+        self, tmp_path, monkeypatch, capsys, command, in_dims
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a code for a malformed input")
+
+        monkeypatch.setattr(codesim, "sample_et_code", refuse)
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({**_identity_obj(4), "in_dims": in_dims}))
+        assert main(_argv(command, path, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: compound members must have a two-part (A, B) input" in err
+
     def test_identity_perfect_and_deterministic(self, tmp_path, identity_set_file):
         out_json = tmp_path / "report.json"
         out_csv = tmp_path / "trend.csv"
@@ -439,10 +454,13 @@ class TestArguments:
             ("region", ["--alphabet", "0"], "expected an integer >= 1"),
             ("region", ["--alphabet", "-1"], "expected an integer >= 1"),
             ("region", ["--dim-budget", "0"], "expected an integer >= 1"),
+            ("region", ["--seed", "-1"], "expected an integer >= 0"),
             ("simulate", ["--budget", "0"], "expected an integer >= 1"),
             ("simulate", ["--m1", "0"], "expected an integer >= 1"),
             ("simulate", ["--m2", "0"], "expected an integer >= 1"),
             ("simulate", ["--m2", "two"], "expected an integer >= 1"),
+            ("simulate", ["--seed", "-1"], "expected an integer >= 0"),
+            ("verify", ["--seed", "-1"], "expected an integer >= 0"),
             ("verify", ["--tol", "nan"], "expected a finite number"),
             ("verify", ["--tol", "inf"], "expected a finite number"),
             ("net", ["--theta", "0"], "expected a finite number > 0"),
@@ -454,8 +472,9 @@ class TestArguments:
             "region-weights-inf", "region-weights-zero-pair", "region-weights-negative",
             "region-l-list",
             "region-budget-zero", "region-alphabet-zero", "region-alphabet-negative",
-            "region-dim-budget-zero", "simulate-budget-zero", "simulate-m1-zero",
-            "simulate-m2-zero", "simulate-m2-text", "verify-tol-nan", "verify-tol-inf",
+            "region-dim-budget-zero", "region-seed-negative", "simulate-budget-zero",
+            "simulate-m1-zero", "simulate-m2-zero", "simulate-m2-text", "simulate-seed-negative",
+            "verify-seed-negative", "verify-tol-nan", "verify-tol-inf",
             "net-theta-zero", "net-theta-negative", "net-theta-inf",
         ],
     )

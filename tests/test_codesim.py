@@ -37,6 +37,7 @@ from cqmac.randutil import (
     random_kraus_ops,
 )
 from cqmac.suites import suite_code_identities
+from oracles import average_error, compose
 
 
 def _outer(w: np.ndarray) -> np.ndarray:
@@ -146,12 +147,12 @@ def _identity_hybrid(identity_qmac, basis_v, uniform_p, seed=5):
 class TestCqCodebook:
     def test_orthogonal_distinct_words_zero_error(self, identity_qmac, basis_v):
         cb, outs = _orthogonal_codebook(identity_qmac, basis_v)
-        assert codesim.average_error(cb, outs) == pytest.approx(0.0, abs=1e-10)
+        assert average_error(cb, outs) == pytest.approx(0.0, abs=1e-10)
 
     def test_single_message_zero_error(self, identity_qmac, basis_v):
         outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
         cb = codesim.pgm_codebook([outs], [(0,)])
-        assert codesim.average_error(cb, outs) == pytest.approx(0.0, abs=1e-10)
+        assert average_error(cb, outs) == pytest.approx(0.0, abs=1e-10)
 
     def test_povm_completeness(self, rng):
         vectors = [np.array([1.0, 0.0]), np.array([np.cos(0.6), np.sin(0.6)])]
@@ -167,7 +168,7 @@ class TestCqCodebook:
         oracle_means = []
         for seed in range(200):
             cb = codesim.sample_cq_codebook([w.vectors[:, :, None]], [0.5, 0.5], 4, 2, seed=seed)
-            impl = codesim.average_error(cb, w.vectors[:, :, None])
+            impl = average_error(cb, w.vectors[:, :, None])
             # independent term-by-term evaluation
             total = 0.0
             for word, d in zip(cb.codewords, cb.povm):
@@ -186,7 +187,7 @@ class TestCqCodebook:
         outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
         m = 2
         cb = codesim.CqCodebook(((0,), (1,)), tuple(np.eye(4) / m for _ in range(m)))
-        assert codesim.average_error(cb, outs) == pytest.approx(1 - 1 / m, abs=1e-10)
+        assert average_error(cb, outs) == pytest.approx(1 - 1 / m, abs=1e-10)
 
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -217,15 +218,11 @@ class TestEtCodeSampling:
         for seed in range(6):
             et = codesim.sample_et_code([deph], 2, 2, 2, seed=seed)
             fe = codesim.et_entanglement_fidelity(et, deph)
-            from cqmac.channels import compose, tensor_power
-
             full = compose(et.decoder, compose(tensor_power(deph, 2), _encoder(et, 2)))
             oracle = entanglement_fidelity(maximally_mixed(2), full)
             assert fe == pytest.approx(oracle, abs=1e-9)
 
     def test_dephasing_mean_fidelity_vs_oracle(self):
-        from cqmac.channels import compose, tensor_power
-
         deph = dephasing_channel(0.1)
         powered = tensor_power(deph, 3)
         impl = []

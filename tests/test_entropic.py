@@ -6,7 +6,6 @@ from cqmac.channels import (
     KrausChannel,
     apply_channel_mat,
     channel_tensor,
-    depolarizing_channel,
     identity_channel,
 )
 from cqmac.entropic import (
@@ -46,6 +45,7 @@ from cqmac.suites import (
     suite_entropy_additivity,
     suite_holevo_identity,
 )
+from oracles import to_density_matrix
 
 
 class TestVonNeumann:
@@ -132,8 +132,8 @@ class TestEffectiveCqqState:
         assert von_neumann_entropy(omega.dense_blocks()[0]) == pytest.approx(0.0, abs=1e-9)
         assert mutual_information_x_c(omega) == pytest.approx(0.0, abs=1e-10)
 
-    def test_depolarizing_decouples(self, basis_v, bell_psi, uniform_p):
-        omega = effective_cqq_state(_depolarizing_qmac(), uniform_p, basis_v, bell_psi)
+    def test_depolarizing_decouples(self, depolarizing_qmac, basis_v, bell_psi, uniform_p):
+        omega = effective_cqq_state(depolarizing_qmac, uniform_p, basis_v, bell_psi)
         assert mutual_information_x_c(omega) == pytest.approx(0.0, abs=1e-8)
 
     def test_identity_qmac_values(self, identity_qmac, basis_v, bell_psi, uniform_p):
@@ -145,7 +145,7 @@ class TestEffectiveCqqState:
         from cqmac.qmatrix import partial_trace
 
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
-        dense = omega.to_density_matrix()
+        dense = to_density_matrix(omega)
         assert dense.dim == 16
         # X part is subsystem 0, B is 1, C is 2
         i_xc = quantum_mutual_information(partial_trace(dense, [0, 2]), [0], [1])
@@ -181,12 +181,6 @@ class TestEffectiveCqqState:
         assert prod.alphabet_size == 4
         assert mutual_information_x_c(prod) == pytest.approx(2.0, abs=1e-8)
         assert coherent_information_b_cx(prod) == pytest.approx(2.0, abs=1e-8)
-
-
-def _depolarizing_qmac():
-    from cqmac.channels import KrausChannel
-
-    return KrausChannel(depolarizing_channel(4).kraus_ops, (2, 2), (4,))
 
 
 class TestAlickiFannes:
@@ -297,7 +291,7 @@ class TestFactorOracle:
 
         for p in (rng.dirichlet(np.ones(3)), np.array([0.4, 0.0, 0.6])):
             omega = CqqState(p, tuple(random_factor(rng, dims, r) for r in ranks))
-            dense = omega.to_density_matrix()  # (X, B, C)
+            dense = to_density_matrix(omega)  # (X, B, C)
             i_xc = quantum_mutual_information(partial_trace(dense, [0, 2]), [0], [1])
             ic = coherent_information(dense, [1], [0, 2])
             assert mutual_information_x_c(omega) == pytest.approx(i_xc, abs=1e-12)
@@ -313,7 +307,7 @@ class TestFactorOracle:
         p = np.array([0.5, 0.0, 0.2, 0.3])
         stack = np.stack([random_factor(rng, dims, rank) for _ in p])
         omega = CqqState(p, tuple(stack))
-        dense = omega.to_density_matrix()  # (X, B, C)
+        dense = to_density_matrix(omega)  # (X, B, C)
         i_xc = holevo_information(omega)
         ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
         shapes = []
@@ -362,7 +356,7 @@ class TestFactorOracle:
         assert r1.shape == r2.shape == (3,)
         for i, t in enumerate(members):
             omega = effective_cqq_state(t, p, v, psi)
-            dense = omega.to_density_matrix()  # (X, B, C)
+            dense = to_density_matrix(omega)  # (X, B, C)
             ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
             assert r1[i] == pytest.approx(holevo_information(omega), abs=1e-12)
             assert r2[i] == pytest.approx(ic, abs=1e-12)

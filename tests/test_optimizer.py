@@ -1,7 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
 from cqmac.entropic import cqq_rates, pure_output_factors
@@ -10,11 +13,9 @@ from cqmac.optimizer import (
     _materialize_flat,
     _param_count,
     _state_vectors,
-    decompose_tensor_power,
-    empirical_approximation,
     pareto_trace,
 )
-from cqmac.qmatrix import DensityMatrix, PureState, maximally_mixed, trace_norm
+from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered
 
 
@@ -24,13 +25,23 @@ def test_package_resolves_optimizer_names_on_use():
     from cqmac import pareto_trace as lazy_trace
 
     assert lazy_trace is pareto_trace
-    for name in ("InputAnsatz", "SpectralDecomposition", "decompose_tensor_power",
-                 "empirical_approximation", "pareto_trace"):
+    for name in ("InputAnsatz", "pareto_trace"):
         assert getattr(cqmac, name) is getattr(optimizer, name)
         assert name in cqmac.__all__
     assert "optimizer" in cqmac.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         cqmac.no_such_name
+
+
+def test_every_exported_name_resolves():
+    """In a fresh process every name in ``cqmac.__all__`` resolves, the lazily
+    imported ``optimizer`` submodule first: a stale lazy name fails here."""
+    probe = "import cqmac\nfor name in ('optimizer', *cqmac.__all__):\n    getattr(cqmac, name)\n"
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _objective_rates(stacks, p, v_vecs, psi_vec, db_l):
@@ -53,12 +64,6 @@ def test_state_vectors_normalise_rows_with_basis_fallback():
     assert np.array_equal(InputAnsatz([1.0], np.zeros(2), np.zeros(8)).psi(2).vec, np.eye(4)[0])
 
 
-def _depolarizing_qmac():
-    from cqmac.channels import KrausChannel, depolarizing_channel
-
-    return KrausChannel(depolarizing_channel(4).kraus_ops, (2, 2), (4,))
-
-
 class TestParetoTrace:
     def test_identity_reaches_corner(self, identity_qmac):
         res = pareto_trace(CompoundSet((identity_qmac,)), 1, [(1.0, 1.0)], budget=4, seed=3)
@@ -66,8 +71,8 @@ class TestParetoTrace:
         assert rect.r1_max >= 1.0 - 0.02
         assert rect.r2_max >= 1.0 - 0.02
 
-    def test_depolarizing_flat(self):
-        res = pareto_trace(CompoundSet((_depolarizing_qmac(),)), 1, [(1.0, 1.0)], budget=2, seed=3)
+    def test_depolarizing_flat(self, depolarizing_qmac):
+        res = pareto_trace(CompoundSet((depolarizing_qmac,)), 1, [(1.0, 1.0)], budget=2, seed=3)
         rect = res.optima[0].rect
         assert rect.r1_max <= 0.02
         assert rect.r2_max <= 0.02
@@ -224,73 +229,3 @@ class TestInputAnsatz:
     def test_rejects_bad_distribution(self):
         with pytest.raises(ValueError):
             InputAnsatz(np.array([0.5, 0.6]), np.ones(8), np.ones(8))
-
-
-class TestDecomposeTensorPower:
-    def test_pure_state(self, rng):
-        from cqmac.randutil import random_pure
-
-        dec = decompose_tensor_power(random_pure(rng, (2,)).density(), 3)
-        assert dec.count == 1
-        assert dec.weights[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_maximally_mixed(self):
-        dec = decompose_tensor_power(maximally_mixed(2), 2)
-        assert dec.count == 1
-        assert dec.subspace_dims == (4,)
-
-    def test_binomial_grouping(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]), (2,))
-        dec = decompose_tensor_power(rho, 2)
-        assert dec.count == 3
-        assert sorted(np.round(dec.weights, 10)) == pytest.approx(
-            sorted([1 / 16, 6 / 16, 9 / 16])
-        )
-
-    def test_reconstruction_and_count_bound(self, rng):
-        for dim in (2, 3):
-            for l in (2, 3):
-                rho = DensityMatrix(np.diag(rng.dirichlet(np.ones(dim))), (dim,))
-                dec = decompose_tensor_power(rho, l)
-                target = rho.mat
-                for _ in range(l - 1):
-                    target = np.kron(target, rho.mat)
-                assert trace_norm(dec.reconstruct() - target) <= 1e-8
-                assert dec.count <= (l + 1) ** dim
-                # subspaces mutually orthogonal
-                for i in range(dec.count):
-                    for j in range(i + 1, dec.count):
-                        assert np.max(np.abs(dec.projectors[i] @ dec.projectors[j])) < 1e-9
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            decompose_tensor_power(maximally_mixed(4), 6)
-
-
-class TestEmpiricalApproximation:
-    def test_point_mass(self):
-        assert list(empirical_approximation([1.0], 5)) == [5]
-
-    def test_even_split(self):
-        assert list(empirical_approximation([0.5, 0.5], 10)) == [5, 5]
-
-    def test_floor_rule(self):
-        assert list(empirical_approximation([0.3, 0.7], 100)) == [30, 70]
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            empirical_approximation([0.9, 0.1], 15)
-
-    @given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.integers(1, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_postconditions(self, masses, scale):
-        q = np.array(masses, dtype=float)
-        q /= q.sum()
-        min_p = q[q > 0].min()
-        t = int(np.ceil(2.0 / min_p)) + scale
-        n = empirical_approximation(q, t)
-        assert n.sum() == t
-        assert np.all((n == 0) == (q == 0))
-        supp = q > 0
-        assert np.all(np.abs(q - n / t) < np.sum(supp) / t)
-        assert np.all(n[supp] >= min_p / 2 * t - 1e-9)

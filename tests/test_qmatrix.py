@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqmac.channels import KrausChannel, depolarizing_channel, identity_channel
+from cqmac.channels import KrausChannel, identity_channel
 from cqmac.entropic import von_neumann_entropy
 from cqmac.qmatrix import (
     DensityMatrix,
@@ -33,6 +33,7 @@ from cqmac.suites import (
     suite_product_fidelity_bound,
     suite_pure_fidelity_perturbation,
 )
+from oracles import depolarizing_channel
 
 
 class TestHermitianEig:

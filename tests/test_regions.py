@@ -30,20 +30,14 @@ from cqmac.regions import (
 from cqmac.suites import suite_compound_monotonicity, suite_timeshare
 
 
-def _depolarizing_qmac():
-    from cqmac.channels import KrausChannel, depolarizing_channel
-
-    return KrausChannel(depolarizing_channel(4).kraus_ops, (2, 2), (4,))
-
-
 class TestOneShot:
     def test_identity(self, identity_qmac, basis_v, bell_psi, uniform_p):
         rect = one_shot_region(identity_qmac, uniform_p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(1.0, abs=1e-9)
         assert rect.r2_max == pytest.approx(1.0, abs=1e-9)
 
-    def test_depolarizing(self, basis_v, bell_psi, uniform_p):
-        rect = one_shot_region(_depolarizing_qmac(), uniform_p, basis_v, bell_psi)
+    def test_depolarizing(self, depolarizing_qmac, basis_v, bell_psi, uniform_p):
+        rect = one_shot_region(depolarizing_qmac, uniform_p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(0.0, abs=1e-8)
         assert rect.r2_max == pytest.approx(0.0, abs=1e-8)
 
