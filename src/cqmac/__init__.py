@@ -4,13 +4,11 @@ from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
     PureState,
-    entanglement_fidelity,
     fidelity,
     hermitian_eig,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
-    purify,
     tensor,
     trace_norm,
 )
@@ -31,12 +29,10 @@ from .channels import (
 from .entropic import (
     CqqState,
     alicki_fannes_bound,
-    coherent_information,
     coherent_information_b_cx,
     effective_cqq_state,
     holevo_fano_rate_bound,
     mutual_information_x_c,
-    quantum_mutual_information,
     von_neumann_entropy,
 )
 from .regions import (
@@ -45,7 +41,6 @@ from .regions import (
     compound_rect,
     contains,
     fatten,
-    intersect,
     one_shot_region,
     scale,
     timeshare_closure,

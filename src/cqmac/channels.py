@@ -242,8 +242,8 @@ def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=No
     if positions is None:
         positions = list(range(k))
     positions = [int(p) for p in positions]
-    if sorted(set(positions)) != sorted(positions):
-        raise DimensionMismatchError("duplicate positions")
+    if len(set(positions)) != len(positions) or not all(0 <= p < k for p in positions):
+        raise DimensionMismatchError(f"positions {positions} are not distinct subsystems of {k}")
     rest = [i for i in range(k) if i not in positions]
     if int(np.prod([dims[p] for p in positions])) != channel.in_dim:
         raise DimensionMismatchError(

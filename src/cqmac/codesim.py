@@ -54,7 +54,7 @@ from .qmatrix import (
     tensor_all,
     trace_norm,
 )
-from .randutil import haar_isometry, random_kraus_ops
+from .randutil import gaussian_raw, haar_isometry, kraus_raw, unit_factors, whitened_kraus
 
 DECODER_COMPLETENESS_TOL = 1e-7
 CHAIN_SLACK = 1e-9
@@ -722,35 +722,30 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def random_et_code(
-    rng: np.random.Generator,
-    n: int = 1,
-    m1: int = 2,
-    m2: int = 2,
-    da: int = 2,
-    db: int = 2,
-    dc: int = 4,
-) -> EtCode:
-    """Structurally valid code with random encoder, states and decoder."""
-    from .randutil import random_pure
+def et_code_raw(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4):
+    """Raw numbers of one ``random_et_code``, in its draw order: the m1 classical
+    vectors (m1, 2, da^n), then the encoder's and the decoder's Kraus draws."""
+    states = np.stack([gaussian_raw(rng, da**n) for _ in range(m1)])
+    return states, kraus_raw(rng, m2, db**n, 2), kraus_raw(rng, dc**n, m1 * m2, 2)
 
-    classical_factors = tuple(random_pure(rng, (da,) * n).vec[:, None] for _ in range(m1))
+
+def random_et_codes(states, enc, dec, n=1, m1=2, m2=2, da=2, db=2, dc=4) -> list[EtCode]:
+    """The codes of stacked ``et_code_raw`` draws, (N, ...) each part."""
+    vectors = unit_factors(states.reshape(-1, *states.shape[2:])).reshape(len(states), m1, -1, 1)
     # column k is encoder op E_k applied to half of Phi: E_k^T in (F, B^n) rows
-    enc_ops = random_kraus_ops(rng, m2, db**n, 2)
-    input_factor = np.stack([e.T.reshape(-1) for e in enc_ops], axis=1) / np.sqrt(m2)
-    dec_ops = random_kraus_ops(rng, dc**n, m1 * m2, 2)
-    branches = []
-    for m in range(m1):
-        ops = tuple(k[m * m2 : (m + 1) * m2, :] for k in dec_ops)
-        branches.append(KrausChannel(ops, (dc,) * n, (m2,), trace_nonincreasing=True))
-    return EtCode(
-        n=n,
-        m1=m1,
-        m2=m2,
-        da=da,
-        db=db,
-        dc=dc,
-        classical_factors=classical_factors,
-        input_factor=input_factor,
-        branches=tuple(branches),
-    )
+    inputs = whitened_kraus(enc).swapaxes(-1, -2).reshape(len(enc), 2, -1).swapaxes(1, 2)
+    codes = []
+    for w, f, ops in zip(vectors, inputs / np.sqrt(m2), whitened_kraus(dec)):
+        branches = tuple(
+            KrausChannel(ops[:, m * m2 : (m + 1) * m2], (dc,) * n, (m2,), trace_nonincreasing=True)
+            for m in range(m1)
+        )
+        codes.append(EtCode(n=n, m1=m1, m2=m2, da=da, db=db, dc=dc, classical_factors=tuple(w),
+                            input_factor=f, branches=branches))
+    return codes
+
+
+def random_et_code(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4) -> EtCode:
+    """Structurally valid code with random encoder, states and decoder."""
+    raw = et_code_raw(rng, n, m1, m2, da, db, dc)
+    return random_et_codes(*(part[None] for part in raw), n=n, m1=m1, m2=m2, da=da, db=db, dc=dc)[0]

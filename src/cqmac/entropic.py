@@ -25,7 +25,6 @@ from .qmatrix import (
     PureState,
     checked_factor,
     dagger,
-    partial_trace,
     partial_trace_mat,
     zero_padded,
 )
@@ -53,36 +52,12 @@ def von_neumann_entropy(rho):
     return entropy_of_spectrum(np.linalg.eigvalsh((mat + dagger(mat)) / 2.0))
 
 
-def binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
-
-
-def _check_partition(rho: DensityMatrix, part_a, part_b):
-    a = sorted(set(int(i) for i in part_a))
-    b = sorted(set(int(i) for i in part_b))
-    if sorted(a + b) != list(range(len(rho.dims))):
-        raise DimensionMismatchError(
-            f"parts {a} and {b} do not partition {len(rho.dims)} subsystems"
-        )
-    return a, b
-
-
-def coherent_information(rho: DensityMatrix, first_part, second_part) -> float:
-    """S(rho restricted to second_part) - S(rho), for a full bipartition."""
-    _, b = _check_partition(rho, first_part, second_part)
-    return von_neumann_entropy(partial_trace(rho, b)) - von_neumann_entropy(rho)
-
-
-def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
-    """S(rho_A) + S(rho_B) - S(rho)."""
-    a, b = _check_partition(rho, part_a, part_b)
-    return (
-        von_neumann_entropy(partial_trace(rho, a))
-        + von_neumann_entropy(partial_trace(rho, b))
-        - von_neumann_entropy(rho)
-    )
+def binary_entropy(x):
+    """h(x) in bits, 0 outside (0, 1); an array of x gives the array of h."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where((x <= 0.0) | (x >= 1.0), 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    return float(h) if h.ndim == 0 else h
 
 
 def _checked_probs(p, size: int) -> np.ndarray:
@@ -243,12 +218,15 @@ def cqq_tensor(a: CqqState, b: CqqState) -> CqqState:
     return CqqState(probs, tuple(factors))
 
 
-def alicki_fannes_bound(epsilon: float, dim_a: int) -> float:
-    """Continuity bound for coherent-type quantities at trace distance epsilon."""
-    if not 0.0 <= epsilon <= 1.0:
+def alicki_fannes_bound(epsilon, dim_a: int):
+    """Continuity bound for coherent-type quantities at trace distance epsilon;
+    an array of epsilons gives the array of bounds."""
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):  # NaN fails closed
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    h = binary_entropy(2.0 * epsilon / (1.0 + 2.0 * epsilon)) if epsilon > 0 else 0.0
-    return 6.0 * epsilon * np.log2(dim_a) + (2.0 + 4.0 * epsilon) * h
+    h = binary_entropy(2.0 * eps / (1.0 + 2.0 * eps))
+    bound = 6.0 * eps * np.log2(dim_a) + (2.0 + 4.0 * eps) * h
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def holevo_fano_rate_bound(information: float, error: float) -> float:

@@ -136,11 +136,12 @@ def sqrt_psd(mat) -> np.ndarray:
 
 
 def pinv_sqrt_psd(mat) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix (zero block on the kernel)."""
+    """Pseudo-inverse square root of a PSD matrix (zero block on the kernel), or
+    of each in a stack; the cutoff is relative to each matrix's largest eigenvalue."""
     vals, vecs = hermitian_eig(mat)
-    cutoff = max(EIGENVALUE_CLAMP, 1e-12 * max(vals[0], 0.0))
+    cutoff = np.maximum(EIGENVALUE_CLAMP, 1e-12 * np.maximum(vals[..., :1], 0.0))
     inv = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
+    return (vecs * inv[..., None, :]) @ dagger(vecs)
 
 
 def checked_factor(u, rows) -> np.ndarray:
@@ -290,35 +291,3 @@ def fidelity(a, b):
     singular = np.linalg.svd(sqrt_psd(ma) @ sqrt_psd(mb), compute_uv=False)
     val = np.sum(singular, axis=-1) ** 2
     return _scalar(np.clip(val, 0.0, 1.0 + 1e-9))
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Purification with the reference system appended as the last factor."""
-    vals, vecs = hermitian_eig(rho.mat)
-    vals = np.clip(vals, 0.0, None)
-    vec = (vecs * np.sqrt(vals / np.sum(vals))).reshape(-1)  # sum_i sqrt(p_i) |v_i>|i>
-    return PureState(vec / np.linalg.norm(vec), (rho.dim, rho.dim))
-
-
-def entanglement_fidelity(rho: DensityMatrix, channel) -> float:
-    """Entanglement fidelity of ``rho`` under a channel acting on its full space.
-
-    Evaluated through a purification: the channel is applied to the system
-    half of |psi><psi| and the overlap with psi itself is returned. The
-    channel must map the state space to itself.
-    """
-    ops = channel.kraus_ops if hasattr(channel, "kraus_ops") else tuple(channel)
-    d = rho.dim
-    for k in ops:
-        if k.shape != (d, d):
-            raise DimensionMismatchError(
-                f"channel Kraus shape {k.shape} does not match state dimension {d}"
-            )
-    psi = purify(rho)
-    v = psi.vec
-    out = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for k in ops:
-        w = np.kron(k, eye) @ v
-        out += np.outer(w, w.conj())
-    return float(min(max(np.real(v.conj() @ out @ v), 0.0), 1.0 + 1e-9))

@@ -2,54 +2,112 @@
 
 All samplers take a numpy Generator so that every downstream artifact is
 bit-reproducible from a single integer seed.
+
+The draw contract: a complex Gaussian draw of shape s is one generator
+call, ``rng.standard_normal((2,) + s)`` (real parts, then imaginary parts),
+in the same order and with the same numbers as a real and then an imaginary
+draw of shape s. The ``*_raw`` functions make one instance's generator
+calls and return its raw real arrays; the stacked functions take N of them,
+(N, 2, ...), and do the arithmetic for all N at once. Each sampler is its
+draw plus its stacked function on a stack of one, so N draws built stacked
+give the numbers of N sampler calls and leave the generator where they would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qmatrix import DensityMatrix, PureState
+from .qmatrix import DensityMatrix, PureState, dagger, pinv_sqrt_psd
+
+
+def gaussian_raw(rng: np.random.Generator, shape) -> np.ndarray:
+    """Raw numbers of one complex Gaussian draw: a (2,) + shape real array."""
+    return rng.standard_normal((2, *np.atleast_1d(shape)))
+
+
+def kraus_raw(rng: np.random.Generator, in_dim: int, out_dim: int, count: int) -> np.ndarray:
+    """Raw numbers of ``random_kraus_ops``: (count, 2, out_dim, in_dim), op by op."""
+    return rng.standard_normal((count, 2, out_dim, in_dim))
+
+
+def effect_raw(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw numbers of ``random_effect``: the eigenbasis's Gaussians, then the spectrum."""
+    return gaussian_raw(rng, (dim, dim)), rng.uniform(0.0, 1.0, dim)
+
+
+def gaussians(raw: np.ndarray) -> np.ndarray:
+    """The complex arrays of an (N, 2, ...) raw stack."""
+    return raw[:, 0] + 1j * raw[:, 1]
+
+
+def unit_factors(raw: np.ndarray) -> np.ndarray:
+    """Each complex array of an (N, 2, ...) raw stack over its Frobenius norm."""
+    g = gaussians(raw)
+    flat = g.reshape(len(g), -1)
+    re, im = flat.real, flat.imag
+    # per-row dots of the strided parts: bit-equal to np.linalg.norm of each array
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    return g / norms.reshape((-1,) + (1,) * (g.ndim - 1))
+
+
+def wishart_states(raw: np.ndarray) -> np.ndarray:
+    """Normalised Wishart states g g† / ||g||^2 of an (N, 2, d, rank) raw stack;
+    rank 1 gives the projectors of unit vectors."""
+    f = unit_factors(raw)
+    return f @ dagger(f)
+
+
+def haar_isometries(raw: np.ndarray) -> np.ndarray:
+    """Haar isometries (N, rows, cols) from the QR of an (N, 2, rows, cols) raw stack."""
+    rows, cols = raw.shape[-2:]
+    if cols > rows:
+        raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
+    q, r = np.linalg.qr(gaussians(raw))
+    # fix phases so the sample does not depend on the QR sign convention
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = d / np.abs(np.where(np.abs(d) < 1e-300, 1.0, d))
+    return q * phases.conj()[:, None, :]
+
+
+def effects(raw: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Operators U diag(u) U†, 0 <= E <= I, of an (N, 2, d, d) raw stack and (N, d) spectra."""
+    u = haar_isometries(raw)
+    return (u * spectra[:, None, :]) @ dagger(u)
+
+
+def whitened_kraus(raw: np.ndarray) -> np.ndarray:
+    """Kraus stacks K_k S^(-1/2), S = sum_k K_k† K_k, of a (..., count, 2, out, in) raw stack."""
+    ops = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+    s = (dagger(ops) @ ops).sum(axis=-3)
+    return ops @ pinv_sqrt_psd(s)[..., None, :, :]
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return gaussians(gaussian_raw(rng, shape)[None])[0]
 
 
 def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Isometry (rows x cols, rows >= cols) from QR of a Gaussian matrix."""
-    if cols > rows:
-        raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
-    g = complex_gaussian(rng, (rows, cols))
-    q, r = np.linalg.qr(g)
-    # fix phases so the sample does not depend on the QR sign convention
-    d = np.diagonal(r)
-    phases = d / np.abs(np.where(np.abs(d) < 1e-300, 1.0, d))
-    return q * phases.conj()
-
-
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return haar_isometry(rng, dim, dim)
+    return haar_isometries(gaussian_raw(rng, (rows, cols))[None])[0]
 
 
 def random_pure(rng: np.random.Generator, dims) -> PureState:
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    v = complex_gaussian(rng, int(np.prod(dims)))
-    return PureState(v / np.linalg.norm(v), dims)
+    return PureState(unit_factors(gaussian_raw(rng, int(np.prod(dims)))[None])[0], dims)
 
 
 def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
     """Unit-norm Gaussian factor, shaped dims + (rank,), of a Wishart state."""
     dims = tuple(int(d) for d in np.atleast_1d(dims))
     n = int(np.prod(dims))
-    g = complex_gaussian(rng, (n, n if rank is None else int(rank)))
-    return (g / np.linalg.norm(g)).reshape(dims + (-1,))
+    raw = gaussian_raw(rng, (n, n if rank is None else int(rank)))
+    return unit_factors(raw[None])[0].reshape(dims + (-1,))
 
 
 def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
     """The matrix of ``random_density``, from the same draws, without validation."""
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    g = random_factor(rng, dims, rank).reshape(int(np.prod(dims)), -1)
-    return g @ g.conj().T
+    n = int(np.prod(np.atleast_1d(dims)))
+    return wishart_states(gaussian_raw(rng, (n, n if rank is None else int(rank)))[None])[0]
 
 
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
@@ -60,17 +118,12 @@ def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> D
 
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random operator with 0 <= E <= I (uniform spectrum, Haar eigenbasis)."""
-    u = haar_unitary(rng, dim)
-    return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
+    raw, spectrum = effect_raw(rng, dim)
+    return effects(raw[None], spectrum[None])[0]
 
 
 def random_kraus_ops(
     rng: np.random.Generator, in_dim: int, out_dim: int, count: int
 ) -> tuple[np.ndarray, ...]:
     """Kraus operators of a random CPTP map (Gaussian ops, whitened)."""
-    from .qmatrix import pinv_sqrt_psd
-
-    raw = [complex_gaussian(rng, (out_dim, in_dim)) for _ in range(count)]
-    s = sum(k.conj().T @ k for k in raw)
-    w = pinv_sqrt_psd(s)
-    return tuple(k @ w for k in raw)
+    return tuple(whitened_kraus(kraus_raw(rng, in_dim, out_dim, count)[None])[0])

@@ -2,8 +2,8 @@
 
 A Rect(r1_max, r2_max) stands for the box [0, r1_max] x [0, r2_max] of rate
 pairs in bits per channel use. Regions are unions of such boxes kept in a
-canonical Pareto-maximal form, which makes scaling, fattening, intersection
-and membership exact.
+canonical Pareto-maximal form, which makes scaling, fattening, union and
+membership exact.
 """
 
 from __future__ import annotations
@@ -114,21 +114,6 @@ def union(*regions) -> RateRegion:
     for reg in regions:
         rects.extend(as_region(reg).rects)
     return RateRegion(tuple(rects))
-
-
-def intersect(*regions) -> RateRegion:
-    regs = [as_region(r) for r in regions]
-    if not regs:
-        raise ValueError("intersection of nothing")
-    acc = regs[0]
-    for reg in regs[1:]:
-        rects = [
-            Rect(min(a.r1_max, b.r1_max), min(a.r2_max, b.r2_max))
-            for a in acc.rects
-            for b in reg.rects
-        ]
-        acc = RateRegion(tuple(rects))
-    return acc
 
 
 def contains(region, point, tol: float = BOUNDARY_TOL) -> bool:

@@ -6,15 +6,15 @@ violations and the worst margin (negative means violated). The ``tol``
 argument replaces the suite's default tolerance, so forcing it to zero
 makes every float-level identity fail on purpose.
 
-The matrix-only suites draw all their instances first, in the seed's
-order, so a seed always gives the same instances. They then group the
-instances by shape (``_by_shape``) and evaluate each group with one stacked
-call of each dense primitive; the result does not depend on that order,
-since it is a count and a minimum. ``data_processing`` joins them: it
-builds each instance's channel and output state as it draws, then takes
-the entropies per shape. The suites whose subject is a channel or code
-constructor (``holevo_identity``, ``compound_monotonicity``, ``timeshare``,
-``code_identities``) evaluate each instance as it is drawn.
+Every suite but ``timeshare`` first draws each instance's raw numbers, in
+the seed's order (the draw contract of ``randutil``), then groups the
+instances by shape (``_by_shape``) and builds each group's states, effects
+and whitened Kraus stacks with one stacked ``randutil`` call each. The
+matrix-only suites evaluate each group with one stacked call of each dense
+primitive; the suites about channel, state and code constructors build
+those objects publicly from the stacked numbers and evaluate them one by
+one. ``timeshare`` evaluates each instance as it draws it. The result does
+not depend on the evaluation order, since it is a count and a minimum.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .entropic import (
     von_neumann_entropy,
 )
 from .qmatrix import (
+    PureState,
     dagger,
     fidelity,
     hermitian_eig,
@@ -49,12 +50,14 @@ from .qmatrix import (
     trace_norm,
 )
 from .randutil import (
-    complex_gaussian,
-    random_density_mat,
-    random_effect,
-    random_factor,
-    random_kraus_ops,
-    random_pure,
+    effect_raw,
+    effects,
+    gaussian_raw,
+    gaussians,
+    kraus_raw,
+    unit_factors,
+    whitened_kraus,
+    wishart_states,
 )
 from .regions import Rect, compound_rect, contains, timeshare_closure, union
 
@@ -96,10 +99,8 @@ def _by_shape(draws):
     return [(key, [np.stack(column) for column in zip(*rows)]) for key, rows in groups.items()]
 
 
-def _pure_projector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """|psi><psi| of ``random_pure(rng, (d,))``."""
-    v = random_pure(rng, (d,)).vec
-    return np.outer(v, v.conj())
+def _qmac(ops: np.ndarray) -> KrausChannel:
+    return KrausChannel(ops, (2, 2), (ops.shape[1],))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,10 +121,11 @@ def suite_eig_reconstruction(seed: int, samples: int = 100, tol: float | None = 
     draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 17))
-        g = complex_gaussian(rng, (d, d))
-        draws.append((d, (g + g.conj().T,)))
+        draws.append((d, (gaussian_raw(rng, (d, d)),)))
     margins = []
-    for d, (h,) in _by_shape(draws):
+    for d, (raw,) in _by_shape(draws):
+        g = gaussians(raw)
+        h = g + dagger(g)
         vals, vecs = hermitian_eig(h)
         err = np.max(np.abs((vecs * vals[:, None, :]) @ dagger(vecs) - h), axis=(1, 2))
         ortho = np.max(np.abs(dagger(vecs) @ vecs - np.eye(d)), axis=(1, 2))
@@ -138,12 +140,12 @@ def suite_partial_trace(seed: int, samples: int = 100, tol: float | None = None)
     draws = []
     for _ in range(samples):
         dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rho = random_density_mat(rng, dims)
+        raw = gaussian_raw(rng, (dims[0] * dims[1],) * 2)
         keep = 0 if rng.uniform() < 0.5 else 1
-        draws.append(((dims, keep), (rho,)))
+        draws.append(((dims, keep), (raw,)))
     margins = []
-    for (dims, keep), (rho,) in _by_shape(draws):
-        red = partial_trace_mat(rho, dims, [keep])
+    for (dims, keep), (raw,) in _by_shape(draws):
+        red = partial_trace_mat(wishart_states(raw), dims, [keep])
         trace = np.trace(red, axis1=1, axis2=2).real
         margins += [tol - np.abs(trace - 1.0), np.linalg.eigvalsh(red)[:, 0] + 1e-10]
     return _collect("partial_trace", margins)
@@ -155,9 +157,11 @@ def suite_fidelity_monotone(seed: int, samples: int = 100, tol: float | None = N
     draws = []
     for _ in range(samples):
         dims = (2, int(rng.integers(2, 4)))
-        draws.append((dims, (random_density_mat(rng, dims), random_density_mat(rng, dims))))
+        n = 2 * dims[1]
+        draws.append((dims, (gaussian_raw(rng, (n, n)), gaussian_raw(rng, (n, n)))))
     margins = []
-    for dims, (rho, sig) in _by_shape(draws):
+    for dims, raws in _by_shape(draws):
+        rho, sig = map(wishart_states, raws)
         full = fidelity(rho, sig)
         reduced = fidelity(partial_trace_mat(rho, dims, [0]), partial_trace_mat(sig, dims, [0]))
         margins.append(reduced - full + tol)
@@ -170,9 +174,11 @@ def suite_gentle_measurement(seed: int, samples: int = 500, tol: float | None = 
     draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 7))
-        draws.append((d, (random_density_mat(rng, (d,)), random_effect(rng, d))))
+        draws.append((d, (gaussian_raw(rng, (d, d)), *effect_raw(rng, d))))
     margins = []
-    for _, (rho, eff) in _by_shape(draws):
+    for _, (raw, eff_raw, spectra) in _by_shape(draws):
+        rho = wishart_states(raw)
+        eff = effects(eff_raw, spectra)
         se = sqrt_psd(eff)
         lhs = trace_norm(se @ rho @ se - rho)
         rhs = 3.0 * np.sqrt(np.maximum(0.0, 1.0 - np.trace(eff @ rho, axis1=1, axis2=2).real))
@@ -187,10 +193,12 @@ def suite_pure_fidelity_perturbation(seed: int, samples: int = 500, tol: float |
     draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 7))
-        psi = _pure_projector(rng, d)
-        draws.append((d, (psi, random_density_mat(rng, (d,)), random_density_mat(rng, (d,)))))
+        # a rank-1 draw has the numbers of ``random_pure`` and builds its projector
+        psi = gaussian_raw(rng, (d, 1))
+        draws.append((d, (psi, gaussian_raw(rng, (d, d)), gaussian_raw(rng, (d, d)))))
     margins = []
-    for _, (psi, rho, sig) in _by_shape(draws):
+    for _, raws in _by_shape(draws):
+        psi, rho, sig = map(wishart_states, raws)
         lhs = fidelity(psi, rho)
         rhs = fidelity(psi, sig) - 0.5 * trace_norm(rho - sig)
         margins.append(lhs - rhs + tol)
@@ -205,11 +213,11 @@ def suite_product_fidelity_bound(seed: int, samples: int = 500, tol: float | Non
     for _ in range(samples):
         da = int(rng.integers(2, 4))
         db = int(rng.integers(2, 4))
-        psi = _pure_projector(rng, da)
-        rho = random_density_mat(rng, (db,))
-        draws.append(((da, db), (psi, rho, random_density_mat(rng, (da, db)))))
+        psi, rho = gaussian_raw(rng, (da, 1)), gaussian_raw(rng, (db, db))
+        draws.append(((da, db), (psi, rho, gaussian_raw(rng, (da * db, da * db)))))
     margins = []
-    for dims, (psi, rho, sig) in _by_shape(draws):
+    for dims, raws in _by_shape(draws):
+        psi, rho, sig = map(wishart_states, raws)
         lhs = fidelity(_kron(psi, rho), sig)
         rhs = (
             1.0
@@ -226,17 +234,19 @@ def suite_alicki_fannes(seed: int, samples: int = 500, tol: float | None = None)
     draws = []
     for _ in range(samples):
         dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rho = random_density_mat(rng, dims)
+        n = dims[0] * dims[1]
+        rho, other = gaussian_raw(rng, (n, n)), gaussian_raw(rng, (n, n))
         # mix toward another state; lam <= 1/2 keeps the trace distance <= 1
-        other = random_density_mat(rng, dims)
         lam = rng.uniform(0.0, 0.5) ** 2
-        draws.append((dims, (rho, (1 - lam) * rho + lam * other)))
+        draws.append((dims, (rho, other, np.array(lam))))
     margins = []
-    for dims, (rho, sig) in _by_shape(draws):
+    for dims, (rho_raw, other_raw, lam) in _by_shape(draws):
+        rho, other = wishart_states(rho_raw), wishart_states(other_raw)
+        lam = lam[:, None, None]
+        sig = (1 - lam) * rho + lam * other
         eps = np.minimum(1.0, trace_norm(rho - sig))
         gap = np.abs(_coherent_information(rho, dims) - _coherent_information(sig, dims))
-        bound = np.array([alicki_fannes_bound(e, dims[0]) for e in eps])
-        margins.append(bound - gap + tol)
+        margins.append(alicki_fannes_bound(eps, dims[0]) - gap + tol)
     return _collect("alicki_fannes", margins)
 
 
@@ -247,9 +257,10 @@ def suite_entropy_additivity(seed: int, samples: int = 100, tol: float | None = 
     for _ in range(samples):
         da = int(rng.integers(2, 5))
         db = int(rng.integers(2, 5))
-        draws.append(((da, db), (random_density_mat(rng, (da,)), random_density_mat(rng, (db,)))))
+        draws.append(((da, db), (gaussian_raw(rng, (da, da)), gaussian_raw(rng, (db, db)))))
     margins = []
-    for _, (rho, sig) in _by_shape(draws):
+    for _, raws in _by_shape(draws):
+        rho, sig = map(wishart_states, raws)
         gap = np.abs(
             von_neumann_entropy(_kron(rho, sig))
             - von_neumann_entropy(rho)
@@ -262,13 +273,17 @@ def suite_entropy_additivity(seed: int, samples: int = 100, tol: float | None = 
 def suite_holevo_identity(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     tol = 1e-10 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
         x = int(rng.integers(2, 4))
         p = rng.dirichlet(np.ones(x))
-        omega = CqqState(p, tuple(random_factor(rng, (2, 2)) for _ in range(x)))
-        gap = abs(mutual_information_x_c(omega) - holevo_information(omega))
-        margins.append(tol - gap)
+        draws.append((x, (p, np.stack([gaussian_raw(rng, (4, 4)) for _ in range(x)]))))
+    margins = []
+    for x, (probs, raw) in _by_shape(draws):
+        factors = unit_factors(raw.reshape(-1, 2, 4, 4)).reshape(len(raw), x, 2, 2, 4)
+        for p, u in zip(probs, factors):
+            omega = CqqState(p, tuple(u))
+            margins.append(tol - abs(mutual_information_x_c(omega) - holevo_information(omega)))
     return _collect("holevo_identity", margins)
 
 
@@ -279,34 +294,37 @@ def suite_data_processing(seed: int, samples: int = 100, tol: float | None = Non
     draws = []
     for _ in range(samples):
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        rho = random_density_mat(rng, (da, db))
-        ch = KrausChannel(random_kraus_ops(rng, db, db, 2), (db,), (db,))
-        draws.append(((da, db), (rho, apply_channel_mat(ch, rho, (da, db), [1])[0])))
+        draws.append(((da, db), (gaussian_raw(rng, (da * db,) * 2), kraus_raw(rng, db, db, 2))))
     margins = []
-    for dims, (rho, out) in _by_shape(draws):
+    for dims, (raw, kraus) in _by_shape(draws):
+        rho = wishart_states(raw)
+        channels = [KrausChannel(ops, dims[1:], dims[1:]) for ops in whitened_kraus(kraus)]
+        out = np.stack([apply_channel_mat(ch, r, dims, [1])[0] for ch, r in zip(channels, rho)])
         margins.append(_coherent_information(rho, dims) - _coherent_information(out, dims) + tol)
     return _collect("data_processing", margins)
-
-
-def _random_qmac(rng: np.random.Generator, dc: int = 4) -> KrausChannel:
-    return KrausChannel(random_kraus_ops(rng, 4, dc, 2), (2, 2), (dc,))
 
 
 def suite_compound_monotonicity(seed: int, samples: int = 100, tol: float | None = None) -> SuiteResult:
     """Adding a member never enlarges the compound rectangle."""
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
-        base = [_random_qmac(rng) for _ in range(int(rng.integers(1, 4)))]
-        extra = _random_qmac(rng)
+        # the base members, then the extra one
+        qmacs = np.stack([kraus_raw(rng, 4, 4, 2) for _ in range(int(rng.integers(1, 4)) + 1)])
         p = rng.dirichlet(np.ones(2))
-        v = CqChannel.from_vectors([complex_gaussian(rng, 2) for _ in range(2)])
-        psi = random_pure(rng, (2, 2))
-        small = compound_rect(CompoundSet(tuple(base)), 1, p, v, psi)
-        large = compound_rect(CompoundSet(tuple(base + [extra])), 1, p, v, psi)
-        margins.append(small.r1_max - large.r1_max + tol)
-        margins.append(small.r2_max - large.r2_max + tol)
+        letters = np.stack([gaussian_raw(rng, 2) for _ in range(2)])
+        draws.append((len(qmacs), (qmacs, p, letters, gaussian_raw(rng, 4))))
+    margins = []
+    for _, (qmacs, probs, letters, psis) in _by_shape(draws):
+        letters = unit_factors(letters.reshape(-1, 2, 2)).reshape(len(letters), 2, 2)
+        for ops, p, vecs, psi in zip(whitened_kraus(qmacs), probs, letters, unit_factors(psis)):
+            members = tuple(_qmac(k) for k in ops)
+            v, psi = CqChannel(vecs), PureState(psi, (2, 2))
+            small = compound_rect(CompoundSet(members[:-1]), 1, p, v, psi)
+            large = compound_rect(CompoundSet(members), 1, p, v, psi)
+            margins.append(small.r1_max - large.r1_max + tol)
+            margins.append(small.r2_max - large.r2_max + tol)
     return _collect("compound_monotonicity", margins)
 
 
@@ -318,12 +336,12 @@ def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None)
     """
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(samples):
-        chans = [KrausChannel(random_kraus_ops(rng, 3, 3, 2), (3,), (3,)) for _ in range(3)]
-        draws.append((None, [choi_matrix(ch).matrix for ch in chans]))
+    draws = [(None, (np.stack([kraus_raw(rng, 3, 3, 2) for _ in range(3)]),)) for _ in range(samples)]
     margins = []
-    for _, (ja, jb, jc) in _by_shape(draws):
+    for _, (raw,) in _by_shape(draws):
+        channels = [KrausChannel(k, (3,), (3,)) for k in whitened_kraus(raw).reshape(-1, 2, 3, 3)]
+        chois = np.array([choi_matrix(ch).matrix for ch in channels]).reshape(-1, 3, 9, 9)
+        ja, jb, jc = chois.swapaxes(0, 1)
         up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
         lo_ab = up_ab / 3
         margins += [up_ab - lo_ab + tol, up_ab + up_bc - up_ac + tol]
@@ -334,20 +352,21 @@ def suite_net_cover(seed: int, samples: int = 3, tol: float | None = None) -> Su
     """Greedy nets cover at the requested radius (exhaustive pairwise check)."""
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    margins = []
+    draws = []
     for _ in range(samples):
-        members = tuple(
-            KrausChannel(random_kraus_ops(rng, 4, 4, 2), (2, 2), (4,)) for _ in range(25)
-        )
-        cset = CompoundSet(members)
-        theta = 0.3 * float(rng.uniform(1.0, 3.0))
-        net = build_net(cset, theta)
-        chois = np.array([choi_matrix(m).matrix for m in cset.members])
-        net_chois = np.array([choi_matrix(m).matrix for m in net.members])
-        dist = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
-        margins.append(theta - dist + tol)
-        tiny = build_net(cset, 1e-12)
-        margins.append(float(len(tiny.members) == len(cset.members)) - 0.5)
+        raw = np.stack([kraus_raw(rng, 4, 4, 2) for _ in range(25)])
+        draws.append((None, (raw, np.array(0.3 * float(rng.uniform(1.0, 3.0))))))
+    margins = []
+    for _, (raw, thetas) in _by_shape(draws):
+        for ops, theta in zip(whitened_kraus(raw), thetas):
+            cset = CompoundSet(tuple(_qmac(k) for k in ops))
+            net = build_net(cset, theta)
+            chois = np.array([choi_matrix(m).matrix for m in cset.members])
+            net_chois = np.array([choi_matrix(m).matrix for m in net.members])
+            dist = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
+            margins.append(theta - dist + tol)
+            tiny = build_net(cset, 1e-12)
+            margins.append(float(len(tiny.members) == len(cset.members)) - 0.5)
     return _collect("net_cover", margins)
 
 
@@ -379,19 +398,24 @@ def suite_code_identities(seed: int, samples: int = 20, tol: float | None = None
     """Conversion, padding and concatenation identities on random codes."""
     tol = 1e-10 if tol is None else tol
     rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(samples):
+        qmac = kraus_raw(rng, 4, 4, 2)
+        draws.append((None, (qmac, *codesim.et_code_raw(rng), *codesim.et_code_raw(rng))))
     margins = []
-    for i in range(samples):
-        qmac = _random_qmac(rng)
-        code = codesim.random_et_code(rng)
-        p_et = codesim.performance(code, qmac)
-        eg = codesim.et_to_eg(code, qmac)
-        margins.append(codesim.performance(eg, qmac) - p_et + 1e-12)
-        padded = codesim.pad(code, 1)
-        margins.append(tol - abs(codesim.performance(padded, qmac) - p_et))
-        other = codesim.random_et_code(rng)
-        joint = codesim.concatenate([code, other])
-        prod = p_et * codesim.performance(other, qmac)
-        margins.append(tol - abs(codesim.performance(joint, qmac) - prod))
+    for _, (qmacs, *raws) in _by_shape(draws):
+        codes = codesim.random_et_codes(*raws[:3])
+        others = codesim.random_et_codes(*raws[3:])
+        for ops, code, other in zip(whitened_kraus(qmacs), codes, others):
+            qmac = _qmac(ops)
+            p_et = codesim.performance(code, qmac)
+            eg = codesim.et_to_eg(code, qmac)
+            margins.append(codesim.performance(eg, qmac) - p_et + 1e-12)
+            padded = codesim.pad(code, 1)
+            margins.append(tol - abs(codesim.performance(padded, qmac) - p_et))
+            joint = codesim.concatenate([code, other])
+            prod = p_et * codesim.performance(other, qmac)
+            margins.append(tol - abs(codesim.performance(joint, qmac) - prod))
     return _collect("code_identities", margins)
 
 

@@ -2,15 +2,26 @@
 
 No command needs them: the library keeps states as factors and channels as
 Kraus stacks, and these build the plain matrices or channels that the fast
-routes must agree with.
+routes must agree with. The per-instance samplers at the end draw each
+complex array with two generator calls and build one instance at a time:
+the reference for ``randutil``'s raw draws and stacked functions.
 """
 
 import numpy as np
 
 from cqmac.channels import KrausChannel
 from cqmac.codesim import CqCodebook
-from cqmac.entropic import CqqState
-from cqmac.qmatrix import DensityMatrix, DimensionMismatchError, tensor_all
+from cqmac.entropic import CqqState, von_neumann_entropy
+from cqmac.qmatrix import (
+    DensityMatrix,
+    DimensionMismatchError,
+    PureState,
+    hermitian_eig,
+    partial_trace,
+    pinv_sqrt_psd,
+    tensor_all,
+)
+from cqmac.regions import RateRegion, Rect, as_region
 
 
 def depolarizing_channel(dim: int) -> KrausChannel:
@@ -48,3 +59,132 @@ def to_density_matrix(omega: CqqState) -> DensityMatrix:
     for i, block in enumerate(omega.dense_blocks()):
         full[i * d : (i + 1) * d, i * d : (i + 1) * d] = omega.probs[i] * block
     return DensityMatrix(full, (omega.alphabet_size, omega.b_dim, omega.c_dim))
+
+
+def purify(rho: DensityMatrix) -> PureState:
+    """Purification with the reference system appended as the last factor."""
+    vals, vecs = hermitian_eig(rho.mat)
+    vals = np.clip(vals, 0.0, None)
+    vec = (vecs * np.sqrt(vals / np.sum(vals))).reshape(-1)  # sum_i sqrt(p_i) |v_i>|i>
+    return PureState(vec / np.linalg.norm(vec), (rho.dim, rho.dim))
+
+
+def entanglement_fidelity(rho: DensityMatrix, channel) -> float:
+    """Entanglement fidelity of ``rho`` under a channel acting on its full space.
+
+    Evaluated through a purification: the channel is applied to the system
+    half of |psi><psi| and the overlap with psi itself is returned. The
+    channel must map the state space to itself.
+    """
+    ops = channel.kraus_ops if hasattr(channel, "kraus_ops") else tuple(channel)
+    d = rho.dim
+    for k in ops:
+        if k.shape != (d, d):
+            raise DimensionMismatchError(
+                f"channel Kraus shape {k.shape} does not match state dimension {d}"
+            )
+    psi = purify(rho)
+    v = psi.vec
+    out = np.zeros((d * d, d * d), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    for k in ops:
+        w = np.kron(k, eye) @ v
+        out += np.outer(w, w.conj())
+    return float(min(max(np.real(v.conj() @ out @ v), 0.0), 1.0 + 1e-9))
+
+
+def _check_partition(rho: DensityMatrix, part_a, part_b):
+    a = sorted(set(int(i) for i in part_a))
+    b = sorted(set(int(i) for i in part_b))
+    if sorted(a + b) != list(range(len(rho.dims))):
+        raise DimensionMismatchError(
+            f"parts {a} and {b} do not partition {len(rho.dims)} subsystems"
+        )
+    return a, b
+
+
+def coherent_information(rho: DensityMatrix, first_part, second_part) -> float:
+    """S(rho restricted to second_part) - S(rho), for a full bipartition."""
+    _, b = _check_partition(rho, first_part, second_part)
+    return von_neumann_entropy(partial_trace(rho, b)) - von_neumann_entropy(rho)
+
+
+def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
+    """S(rho_A) + S(rho_B) - S(rho)."""
+    a, b = _check_partition(rho, part_a, part_b)
+    return (
+        von_neumann_entropy(partial_trace(rho, a))
+        + von_neumann_entropy(partial_trace(rho, b))
+        - von_neumann_entropy(rho)
+    )
+
+
+def intersect(*regions) -> RateRegion:
+    regs = [as_region(r) for r in regions]
+    if not regs:
+        raise ValueError("intersection of nothing")
+    acc = regs[0]
+    for reg in regs[1:]:
+        rects = [
+            Rect(min(a.r1_max, b.r1_max), min(a.r2_max, b.r2_max))
+            for a in acc.rects
+            for b in reg.rects
+        ]
+        acc = RateRegion(tuple(rects))
+    return acc
+
+
+# per-instance samplers: the reference for randutil's stacked functions
+
+
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Isometry (rows x cols, rows >= cols) from QR of a Gaussian matrix."""
+    if cols > rows:
+        raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
+    g = complex_gaussian(rng, (rows, cols))
+    q, r = np.linalg.qr(g)
+    # fix phases so the sample does not depend on the QR sign convention
+    d = np.diagonal(r)
+    phases = d / np.abs(np.where(np.abs(d) < 1e-300, 1.0, d))
+    return q * phases.conj()
+
+
+def random_pure(rng: np.random.Generator, dims) -> PureState:
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    v = complex_gaussian(rng, int(np.prod(dims)))
+    return PureState(v / np.linalg.norm(v), dims)
+
+
+def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
+    """Unit-norm Gaussian factor, shaped dims + (rank,), of a Wishart state."""
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    n = int(np.prod(dims))
+    g = complex_gaussian(rng, (n, n if rank is None else int(rank)))
+    return (g / np.linalg.norm(g)).reshape(dims + (-1,))
+
+
+def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
+    """The matrix of ``random_density``, from the same draws, without validation."""
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    g = random_factor(rng, dims, rank).reshape(int(np.prod(dims)), -1)
+    return g @ g.conj().T
+
+
+def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random operator with 0 <= E <= I (uniform spectrum, Haar eigenbasis)."""
+    u = haar_isometry(rng, dim, dim)
+    return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
+
+
+def random_kraus_ops(
+    rng: np.random.Generator, in_dim: int, out_dim: int, count: int
+) -> tuple[np.ndarray, ...]:
+    """Kraus operators of a random CPTP map (Gaussian ops, whitened)."""
+    raw = [complex_gaussian(rng, (out_dim, in_dim)) for _ in range(count)]
+    s = sum(k.conj().T @ k for k in raw)
+    w = pinv_sqrt_psd(s)
+    return tuple(k @ w for k in raw)

@@ -89,11 +89,15 @@ class TestApply:
         expect, _ = apply_channel_mat(ch, reordered, (3, 2, 2), positions=[1, 2])
         assert np.allclose(out, expect, atol=1e-12)
 
-    @pytest.mark.parametrize("positions", [[0, 0], [1]], ids=["duplicate", "wrong-dimension"])
-    def test_bad_positions_raise(self, rng, positions):
+    @pytest.mark.parametrize(
+        "positions, dim",
+        [([0, 0], 4), ([1], 4), ([2], 3), ([-1], 3)],
+        ids=["duplicate", "wrong-dimension", "out-of-range", "negative"],
+    )
+    def test_bad_positions_raise(self, rng, positions, dim):
         rho = random_density(rng, (2, 3))
         with pytest.raises(DimensionMismatchError):
-            apply_channel_mat(identity_channel(4), rho.mat, rho.dims, positions)
+            apply_channel_mat(identity_channel(dim), rho.mat, rho.dims, positions)
 
 
 class TestKrausStorage:

@@ -545,6 +545,14 @@ def test_simulate_byte_identical_at_fixed_blas_threads(simulate_runs, threads):
     assert first == second
 
 
+def test_verify_byte_identical_at_fixed_blas_threads():
+    """The determinism contract for ``verify``: two fresh processes with the
+    same seed and BLAS thread count print identical lines."""
+    runs = [_run_cli(["verify", "--seed", "5"], timeout=120, blas_threads="1") for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stderr == runs[1].stderr and "15/15 suites passed" in runs[0].stderr
+
+
 def _assert_floats_close(a, b, tol: float, where: str = "report") -> None:
     """Same structure and non-float values; floats equal to ``tol``."""
     if isinstance(a, float) and isinstance(b, float):

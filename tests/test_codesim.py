@@ -22,7 +22,6 @@ from cqmac.channels import (
 from cqmac.entropic import binary_entropy, von_neumann_entropy
 from cqmac.qmatrix import (
     DimensionMismatchError,
-    entanglement_fidelity,
     maximally_entangled,
     maximally_mixed,
     partial_trace_mat,
@@ -37,7 +36,7 @@ from cqmac.randutil import (
     random_kraus_ops,
 )
 from cqmac.suites import suite_code_identities
-from oracles import average_error, compose
+from oracles import average_error, compose, entanglement_fidelity
 
 
 def _outer(w: np.ndarray) -> np.ndarray:

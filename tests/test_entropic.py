@@ -12,7 +12,6 @@ from cqmac.entropic import (
     CqqState,
     alicki_fannes_bound,
     binary_entropy,
-    coherent_information,
     coherent_information_b_cx,
     cqq_rates,
     cqq_tensor,
@@ -21,7 +20,6 @@ from cqmac.entropic import (
     holevo_information,
     mutual_information_x_c,
     pure_output_factors,
-    quantum_mutual_information,
     von_neumann_entropy,
 )
 from cqmac.qmatrix import (
@@ -45,7 +43,7 @@ from cqmac.suites import (
     suite_entropy_additivity,
     suite_holevo_identity,
 )
-from oracles import to_density_matrix
+from oracles import coherent_information, quantum_mutual_information, to_density_matrix
 
 
 class TestVonNeumann:
@@ -66,10 +64,10 @@ class TestVonNeumann:
         assert expect == pytest.approx(0.8112781245, abs=1e-9)
 
     def test_basis_invariant(self, rng):
-        from cqmac.randutil import haar_unitary
+        from cqmac.randutil import haar_isometry
 
         rho = random_density(rng, (3,))
-        u = haar_unitary(rng, 3)
+        u = haar_isometry(rng, 3, 3)
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (3,))
         assert von_neumann_entropy(rotated) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-8
@@ -195,6 +193,24 @@ class TestAlickiFannes:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             alicki_fannes_bound(1.5, 2)
+
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan"), [0.2, 1.5], [0.1, float("nan")]])
+    def test_refuses_any_epsilon_outside_the_unit_interval(self, eps):
+        with pytest.raises(ValueError):
+            alicki_fannes_bound(eps, 2)
+
+    def test_array_matches_scalar_formula(self, rng):
+        # the scalar formula, element by element: h(2e / (1 + 2e)) with h(0) = 0
+        eps = np.concatenate([[0.0, 1.0, 1e-300], rng.uniform(0.0, 1.0, 50)])
+        for dim in (2, 3):
+            got = alicki_fannes_bound(eps, dim)
+            assert isinstance(got, np.ndarray) and got.shape == eps.shape
+            for e, g in zip(eps, got):
+                x = 2.0 * e / (1.0 + 2.0 * e)
+                h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x) if e > 0 else 0.0
+                assert g == pytest.approx(6.0 * e * np.log2(dim) + (2.0 + 4.0 * e) * h, rel=1e-14)
+                assert g == alicki_fannes_bound(float(e), dim)
+        assert isinstance(alicki_fannes_bound(0.25, 2), float)
 
     def test_sampled_bound(self):
         assert suite_alicki_fannes(seed=9, samples=60).violations == 0

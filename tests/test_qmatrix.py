@@ -10,7 +10,6 @@ from cqmac.qmatrix import (
     DimensionMismatchError,
     PureState,
     dagger,
-    entanglement_fidelity,
     factor_trace_norm,
     fidelity,
     hermitian_eig,
@@ -18,7 +17,6 @@ from cqmac.qmatrix import (
     maximally_mixed,
     partial_trace,
     partial_trace_mat,
-    purify,
     sqrt_psd,
     tensor,
     trace_norm,
@@ -33,7 +31,7 @@ from cqmac.suites import (
     suite_product_fidelity_bound,
     suite_pure_fidelity_perturbation,
 )
-from oracles import depolarizing_channel
+from oracles import depolarizing_channel, entanglement_fidelity, purify
 
 
 class TestHermitianEig:

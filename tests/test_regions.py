@@ -20,7 +20,6 @@ from cqmac.regions import (
     contains,
     corners_csv,
     fatten,
-    intersect,
     one_shot_region,
     scale,
     staircase_svg,
@@ -28,6 +27,7 @@ from cqmac.regions import (
     union,
 )
 from cqmac.suites import suite_compound_monotonicity, suite_timeshare
+from oracles import intersect
 
 
 class TestOneShot:

@@ -8,8 +8,10 @@ the recorded reference fails tier-1, not only the benchmark.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from cqmac.cli import main
 from cqmac.suites import SUITES, SuiteResult
 
@@ -40,3 +42,91 @@ def test_verify_matches_the_benchmark_reference(capsys, seed):
     got = workloads.extract("verify", key, code, capsys.readouterr().err, Path("."))
     ref = workloads.load_reference()["verify"][key]
     assert workloads.check("verify", key, got, ref) == []
+
+
+def _old_draws(rng, suite: str, samples: int) -> None:
+    """Each suite's draws made one instance at a time with the ``oracles``
+    samplers: the generator state the stacked draws must end in."""
+    for _ in range(samples):
+        if suite == "eig_reconstruction":
+            d = int(rng.integers(2, 17))
+            oracles.complex_gaussian(rng, (d, d))
+        elif suite == "partial_trace":
+            dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            oracles.random_density_mat(rng, dims)
+            rng.uniform()
+        elif suite == "fidelity_monotone":
+            dims = (2, int(rng.integers(2, 4)))
+            oracles.random_density_mat(rng, dims)
+            oracles.random_density_mat(rng, dims)
+        elif suite == "alicki_fannes":
+            dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            oracles.random_density_mat(rng, dims)
+            oracles.random_density_mat(rng, dims)
+            rng.uniform(0.0, 0.5)
+        elif suite == "gentle_measurement":
+            d = int(rng.integers(2, 7))
+            oracles.random_density_mat(rng, (d,))
+            oracles.random_effect(rng, d)
+        elif suite == "pure_fidelity_perturbation":
+            d = int(rng.integers(2, 7))
+            oracles.random_pure(rng, (d,))
+            oracles.random_density_mat(rng, (d,))
+            oracles.random_density_mat(rng, (d,))
+        elif suite == "product_fidelity_bound":
+            da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            oracles.random_pure(rng, (da,))
+            oracles.random_density_mat(rng, (db,))
+            oracles.random_density_mat(rng, (da, db))
+        elif suite == "entropy_additivity":
+            da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            oracles.random_density_mat(rng, (da,))
+            oracles.random_density_mat(rng, (db,))
+        elif suite == "holevo_identity":
+            x = int(rng.integers(2, 4))
+            rng.dirichlet(np.ones(x))
+            for _ in range(x):
+                oracles.random_factor(rng, (2, 2))
+        elif suite == "data_processing":
+            da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            oracles.random_density_mat(rng, (da, db))
+            oracles.random_kraus_ops(rng, db, db, 2)
+        elif suite == "compound_monotonicity":
+            for _ in range(int(rng.integers(1, 4)) + 1):
+                oracles.random_kraus_ops(rng, 4, 4, 2)
+            rng.dirichlet(np.ones(2))
+            oracles.complex_gaussian(rng, 2)
+            oracles.complex_gaussian(rng, 2)
+            oracles.random_pure(rng, (2, 2))
+        elif suite == "diamond_bounds":
+            for _ in range(3):
+                oracles.random_kraus_ops(rng, 3, 3, 2)
+        elif suite == "net_cover":
+            for _ in range(25):
+                oracles.random_kraus_ops(rng, 4, 4, 2)
+            rng.uniform(1.0, 3.0)
+        elif suite == "code_identities":
+            oracles.random_kraus_ops(rng, 4, 4, 2)
+            for _ in range(2):  # the code, then the other code
+                for _ in range(2):
+                    oracles.random_pure(rng, (2,))
+                oracles.random_kraus_ops(rng, 2, 2, 2)
+                oracles.random_kraus_ops(rng, 4, 4, 2)
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+@pytest.mark.parametrize("name", [s for s in SUITES if s != "timeshare"])
+def test_stacked_draws_leave_the_generator_where_the_old_loop_did(monkeypatch, name, samples):
+    # timeshare still draws as it evaluates; every other suite draws raw first
+    made = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    SUITES[name](seed=11, samples=samples)
+    old = real(11)
+    _old_draws(old, name, samples)
+    assert made[0].bit_generator.state == old.bit_generator.state
