@@ -353,12 +353,6 @@ class CqChannel:
         return self.vectors.shape[1]
 
 
-def cq_tensor(a: CqChannel, b: CqChannel) -> CqChannel:
-    """Product alphabet, row-major pairing (x_a, x_b)."""
-    prod = a.vectors[:, None, :, None] * b.vectors[None, :, None, :]
-    return CqChannel(prod.reshape(a.alphabet_size * b.alphabet_size, -1))
-
-
 @dataclass(frozen=True)
 class CompoundSet:
     """Finite family of channels sharing input and output spaces."""

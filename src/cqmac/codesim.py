@@ -22,7 +22,9 @@ Wiring conventions used throughout:
 The classical decoder surrogate is the square-root (pretty-good)
 measurement of the averaged output ensemble, and the quantum decoder is a
 pretty-good recovery map, per tag word, built from the averaged channel
-restricted to the code subspace.
+restricted to the code subspace. Word w's M_w is taken in the product of its
+letters' output ranges: M_w <= (x)_i G_{x_i}, with G_x the sum of letter x's
+K K†, so nothing of M_w lies outside them (see ``_recovery_blocks``).
 """
 
 from __future__ import annotations
@@ -260,11 +262,24 @@ class EtTransmissionCode:
         return KrausChannel._trusted(ops[np.any(ops, axis=(1, 2))], (ops.shape[2],), (m2,))
 
 
+class LetterFamily(np.ndarray):
+    """A read-only (X, K, out, in) per-letter Kraus family, checked where it was built.
+
+    ``effective_b_channel`` marks its families ``checked``, so later calls trust
+    them. An array derived from one (a slice, a product, a copy) is a new
+    object, so it reads the class's ``checked = False``.
+    """
+
+    checked = False
+
+
 def _letter_family(channel) -> np.ndarray:
     """A checked (X, K, out, in) per-letter Kraus family; a KrausChannel is the one-letter case."""
     if isinstance(channel, KrausChannel):
         return channel.stacked[None]
     family = np.asarray(channel)
+    if isinstance(channel, LetterFamily) and channel.checked:
+        return family
     if family.ndim != 4 or family.size == 0:
         raise DimensionMismatchError(f"Kraus family shape {family.shape} is not (X, K, out, in)")
     # all letters' ops together must form a channel
@@ -289,24 +304,46 @@ def _recovery_blocks(family: np.ndarray, n: int, isometry: np.ndarray) -> np.nda
     """Pretty-good recovery of the n-fold family on the subspace, per tag word.
 
     Word w's ops are B_{w,k} = V† N_{w,k}† M_w^(-1/2) with M_w = sum_k N_{w,k} V V† N_{w,k}†
-    (Barnum and Knill, J. Math. Phys. 43, 2097, 2002), then one op per eigenvector
-    of M_w. The support cutoff is relative to the largest eigenvalue over all
-    words, so the decoder is the channel that one dense eigh of the tagged M gives.
+    (Barnum and Knill, J. Math. Phys. 43, 2097, 2002), then one op |0><v| per
+    kernel vector v of M_w, so the grams sum to the identity on C^n.
+
+    M_w is taken in the product of the letters' output ranges. With
+    G_x = sum_k K_{x,k} K_{x,k}† and V V† <= I, M_w <= (x)_i G_{x_i}, so M_w's
+    support lies in (x)_i range(G_{x_i}) whatever V is. Each letter keeps its r
+    top eigenvectors Q_x, r the largest range rank over the letters (a letter of
+    lower rank keeps directions its ops miss, which compress to zero). With
+    Q_w = (x)_i Q_{x_i} and F'_{w,k} = Q_w† N_{w,k} V, M'_w = Q_w† M_w Q_w is
+    r^n wide and B_{w,k} = F'_{w,k}† M'_w^(-1/2) Q_w†. The kernel vectors are
+    the product eigenvectors of the G_x outside the Q_w block plus M'_w's
+    kernel mapped by Q_w. The support cutoff is relative to the largest
+    eigenvalue over all words, so the decoder is the channel that one dense
+    eigh of the tagged M gives.
     """
-    fed = _fed_stack(family, n, isometry)  # (W, K, dout, m2)
-    words, count, dout, m2 = fed.shape
-    sides = fed.transpose(0, 2, 1, 3).reshape(words, dout, -1)  # M_w = sides_w sides_w†
+    dc = family.shape[2]
+    sides = family.transpose(0, 2, 1, 3).reshape(len(family), dc, -1)
+    g_vals, g_vecs = np.linalg.eigh(sides @ dagger(sides))  # G_x, ascending
+    rank = int(np.max(np.sum(g_vals > 1e-12 * g_vals.max(), axis=1)))
+    u_dag = dagger(g_vecs[:, :, ::-1])  # rows: each letter's eigenvectors, top first
+    fed = _fed_stack(u_dag[:, None, :rank] @ family, n, isometry)  # (W, K, r^n, m2)
+    words, count, width, m2 = fed.shape
+    dout = dc**n
+    sides = fed.transpose(0, 2, 1, 3).reshape(words, width, -1)  # M'_w = sides_w sides_w†
     vals, vecs = np.linalg.eigh(sides @ dagger(sides))
     cutoff = max(1e-12, 1e-12 * max(float(vals.max()), 0.0))
     support = vals > cutoff
-    # M_w^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S
+    # rows of the U_w† for every word; the rows of Q_w† sit where each use's index is < r
+    inside = np.all(np.indices((dc,) * n) < rank, axis=0).ravel()
+    blocks = np.zeros((words, count + dout, m2, dout), dtype=complex)
+    complement = blocks[:, count:, 0]
+    complement[:] = batch_kron(*[u_dag] * n)
+    q_dag = complement[:, inside]
+    # M'_w^(-1/2) = S diag(lam^-1/2) S† over the support eigenvectors S
     inv = np.where(support, 1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
-    recovery = dagger(fed).reshape(words, -1, dout) @ (vecs * inv[:, None, :]) @ dagger(vecs)
-    # the recovery grams sum to the support projector of M_w; one op |0><v| per
-    # kernel vector v completes them to the identity, and a support vector's op is 0
-    completion = np.zeros((words, dout, m2, dout), dtype=complex)
-    completion[:, :, 0] = np.where(support[:, :, None], 0.0, dagger(vecs))
-    blocks = np.concatenate([recovery.reshape(words, count, m2, dout), completion], axis=1)
+    root = (vecs * inv[:, None, :]) @ dagger(vecs) @ q_dag  # M'_w^(-1/2) Q_w†
+    recovery = dagger(fed).reshape(words, -1, width) @ root
+    blocks[:, :count] = recovery.reshape(words, count, m2, dout)
+    # M'_w's eigenvectors mapped by Q_w, zero where they span the support
+    complement[:, inside] = np.where(support[:, :, None], 0.0, dagger(vecs)) @ q_dag
     blocks.flags.writeable = False
     return blocks
 
@@ -393,7 +430,8 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> np.ndarray:
 
     The read-only (X, K, C, B) array holds sqrt(p(x)) K_k (V(x) (x) I_B) for the QMAC's
     ops K_k: the receiver decodes the letter x first, so x's ops act alone, in x's block.
-    A letter with p(x) = 0 gives a zero family.
+    A letter with p(x) = 0 gives a zero family. The family is checked here,
+    once: ``sample_et_code`` and ``et_entanglement_fidelity`` trust it.
     """
     da, db = qmac.in_dims
     if v.dim != da:
@@ -401,7 +439,8 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> np.ndarray:
     p = _checked_probs(p, v.alphabet_size)
     ops = qmac.stacked.reshape(-1, qmac.out_dim, da, db)  # each op's input split as (A, B)
     family = np.sqrt(p)[:, None, None, None] * np.einsum("kcab,xa->xkcb", ops, v.vectors)
-    family.flags.writeable = False
+    family = _letter_family(family).view(LetterFamily)  # read-only, as KrausChannel stores it
+    family.checked = True
     return family
 
 

@@ -207,17 +207,6 @@ def coherent_information_b_cx(omega: CqqState) -> float:
     return float(cqq_rates(omega.probs, omega.factors)[1])
 
 
-def cqq_tensor(a: CqqState, b: CqqState) -> CqqState:
-    """Product state with parts regrouped to (B_a B_b, C_a C_b)."""
-    probs = np.outer(a.probs, b.probs).reshape(-1)
-    factors = []
-    for ua in a.factors:
-        for ub in b.factors:
-            u = np.einsum("ack,bdl->abcdkl", ua, ub)
-            factors.append(u.reshape(len(ua) * len(ub), ua.shape[1] * ub.shape[1], -1))
-    return CqqState(probs, tuple(factors))
-
-
 def alicki_fannes_bound(epsilon, dim_a: int):
     """Continuity bound for coherent-type quantities at trace distance epsilon;
     an array of epsilons gives the array of bounds."""

@@ -271,12 +271,6 @@ def permute_mat(mat: np.ndarray, dims, perm) -> np.ndarray:
     return t.reshape(n, n)
 
 
-def permute_vec(vec: np.ndarray, dims, perm) -> np.ndarray:
-    dims = tuple(int(d) for d in dims)
-    t = np.asarray(vec, dtype=complex).reshape(dims)
-    return t.transpose(list(perm)).reshape(-1)
-
-
 def fidelity(a, b):
     """Quantum fidelity ||sqrt(a) sqrt(b)||_1^2 of two states (or of two
     equally shaped stacks, pairwise).

@@ -9,7 +9,7 @@ the reference for ``randutil``'s raw draws and stacked functions.
 
 import numpy as np
 
-from cqmac.channels import KrausChannel
+from cqmac.channels import CqChannel, KrausChannel
 from cqmac.codesim import CqCodebook
 from cqmac.entropic import CqqState, von_neumann_entropy
 from cqmac.qmatrix import (
@@ -117,6 +117,30 @@ def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
         + von_neumann_entropy(partial_trace(rho, b))
         - von_neumann_entropy(rho)
     )
+
+
+def permute_vec(vec: np.ndarray, dims, perm) -> np.ndarray:
+    """Reorder the subsystems of a raw vector so new factor i is old factor perm[i]."""
+    dims = tuple(int(d) for d in dims)
+    t = np.asarray(vec, dtype=complex).reshape(dims)
+    return t.transpose(list(perm)).reshape(-1)
+
+
+def cq_tensor(a: CqChannel, b: CqChannel) -> CqChannel:
+    """Product alphabet, row-major pairing (x_a, x_b)."""
+    prod = a.vectors[:, None, :, None] * b.vectors[None, :, None, :]
+    return CqChannel(prod.reshape(a.alphabet_size * b.alphabet_size, -1))
+
+
+def cqq_tensor(a: CqqState, b: CqqState) -> CqqState:
+    """Product state with parts regrouped to (B_a B_b, C_a C_b)."""
+    probs = np.outer(a.probs, b.probs).reshape(-1)
+    factors = []
+    for ua in a.factors:
+        for ub in b.factors:
+            u = np.einsum("ack,bdl->abcdkl", ua, ub)
+            factors.append(u.reshape(len(ua) * len(ub), ua.shape[1] * ub.shape[1], -1))
+    return CqqState(probs, tuple(factors))
 
 
 def intersect(*regions) -> RateRegion:

@@ -14,7 +14,6 @@ from cqmac.channels import (
     CompoundSet,
     CqChannel,
     channel_tensor,
-    cq_tensor,
     dephasing_channel,
     dump_compound_json,
     erasure_channel,
@@ -23,7 +22,6 @@ from cqmac.channels import (
 from cqmac.cli import main
 from cqmac.entropic import (
     coherent_information_b_cx,
-    cqq_tensor,
     effective_cqq_state,
     mutual_information_x_c,
 )
@@ -31,7 +29,6 @@ from cqmac.qmatrix import (
     PureState,
     maximally_entangled,
     maximally_mixed,
-    permute_vec,
     tensor,
 )
 from cqmac.regions import Rect, compound_rect, contains, fatten, one_shot_region
@@ -42,6 +39,7 @@ from cqmac.suites import (
     suite_product_fidelity_bound,
     suite_pure_fidelity_perturbation,
 )
+from oracles import cq_tensor, cqq_tensor, permute_vec
 
 
 def _announce(num: int, label: str, started: float):

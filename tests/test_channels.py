@@ -37,7 +37,7 @@ from cqmac.qmatrix import (
 )
 from cqmac.randutil import random_density, random_kraus_ops, random_pure
 from cqmac.suites import suite_diamond_bounds, suite_net_cover
-from oracles import compose, depolarizing_channel
+from oracles import compose, cq_tensor, depolarizing_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -525,8 +525,6 @@ class TestCqChannel:
         assert np.array_equal(v.vectors, np.eye(3)[:2])
 
     def test_tensor_pairing(self, basis_v):
-        from cqmac.channels import cq_tensor
-
         prod = cq_tensor(basis_v, basis_v)
         assert prod.alphabet_size == 4
         expect = np.zeros(4)

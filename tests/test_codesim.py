@@ -19,6 +19,7 @@ from cqmac.channels import (
     kraus_gram,
     tensor_power,
 )
+from cqmac.cli import _simulate_one
 from cqmac.entropic import binary_entropy, von_neumann_entropy
 from cqmac.qmatrix import (
     DimensionMismatchError,
@@ -31,6 +32,7 @@ from cqmac.qmatrix import (
 )
 from cqmac.randutil import (
     complex_gaussian,
+    haar_isometry,
     random_density,
     random_factor,
     random_kraus_ops,
@@ -249,22 +251,32 @@ class TestEtCodeSampling:
             assert codesim.et_entanglement_fidelity(et, ch) == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("n, kind", [(1, "random"), (2, "random"), (3, "random"),
+                                         (1, "narrow"), (3, "narrow"),
                                          (1, "tagged"), (2, "tagged")])
-    def test_recovery_matches_dense_inverse_root(self, rng, identity_b_channel, n, kind):
+    def test_recovery_matches_dense_inverse_root(self, rng, eigh_shapes, identity_b_channel,
+                                                 n, kind):
         """The per-word recovery against M^(-1/2) formed from one dense eigh of the tagged M.
 
-        Random complex channels give a full-rank M; the tagged identity
-        channel of the hybrid codes gives a kernel, hence completion ops. Any
-        orthonormal basis of M's kernel completes the channel, so the decoders
-        are compared by their Choi matrices.
+        Random complex channels give a full-rank M, and their ops span all of C,
+        so the letter range is C itself (r = dc = 3). One random op per channel
+        spans 2 of C's 3 dimensions (r = 2). The tagged identity channel of the
+        hybrid codes spans 2 of C's 4 dimensions per letter and gives a kernel,
+        hence completion ops. Any orthonormal basis of M's kernel completes the
+        channel, so the decoders are compared by their Choi matrices.
         """
-        if kind == "random":
-            chans = [KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,)) for _ in range(2)]
+        if kind == "tagged":
+            chans, shapes = [identity_b_channel], [(2, 4, 4), (2**n, 2**n, 2**n)]
         else:
-            chans = [identity_b_channel]
+            # two random planes of C span all of it, so the narrow case takes one channel
+            count, members, rank = (2, 2, 3) if kind == "random" else (1, 1, 2)
+            chans = [KrausChannel(random_kraus_ops(rng, 2, 3, count), (2,), (3,))
+                     for _ in range(members)]
+            shapes = [(1, 3, 3), (1, rank**n, rank**n)]
+        del eigh_shapes[:]
         et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
+        assert eigh_shapes == shapes
         recov, kernel = _dense_recovery(_tagged_ops(chans), n, et.isometry)
-        assert (kind == "tagged") == (kernel.shape[1] > 0)
+        assert (kind == "random") == (kernel.shape[1] == 0)
         got = et.decoder
         assert got.stacked.shape == (len(recov) + kernel.shape[1],) + recov.shape[1:]
         want = _dense_decoder(chans, n, et.isometry)
@@ -335,6 +347,26 @@ class TestBlockRecovery:
             want = choi_matrix(_dense_decoder(chans, n, et.isometry)).matrix
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_letter_ranges_of_unequal_rank(self, rng, eigh_shapes, n):
+        """Letter 0 sends B to one random line of C, letter 1 to a random 3-dimensional
+        subspace: the rank-1 letter is padded to r = 3 with directions its ops miss."""
+        line = haar_isometry(rng, 4, 1)
+        narrow = np.array([line @ np.eye(2)[i : i + 1] for i in range(2)])  # |u><i|
+        wide = haar_isometry(rng, 4, 3) @ np.array(random_kraus_ops(rng, 2, 3, 2))
+        family = np.array([np.sqrt(0.3) * narrow, np.sqrt(0.7) * wide])
+        del eigh_shapes[:]
+        et = codesim.sample_et_code([family], 2, n, 2, seed=int(rng.integers(1 << 30)))
+        assert eigh_shapes == [(2, 4, 4), (2**n, 3**n, 3**n)]
+        for block in et.blocks:
+            np.testing.assert_allclose(kraus_gram(block), np.eye(4**n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            choi_matrix(et.decoder).matrix,
+            choi_matrix(_dense_decoder([family], n, et.isometry)).matrix,
+            rtol=0,
+            atol=1e-12,
+        )
+
     def test_cutoff_is_relative_to_all_words(self):
         """Letter 0 replaces the input by |0>, so M_0 = 2 p0 |0><0| holds the largest
         eigenvalue, 2 - 3e-12; letter 1 is the identity with p1 = 1.5e-12, above the 1e-12
@@ -353,11 +385,12 @@ class TestBlockRecovery:
         )
 
     def test_pair_set_layout_at_n3(self, eigh_shapes, id_deph_set, basis_v, uniform_p):
-        """One eigh over the 8 words' 64x64 M_w; each word holds 27 recovery and 64
-        completion ops, and the dense form keeps the 216 + 8 * 56 nonzero ones."""
+        """One eigh over the 2 letters' 4x4 G_x, whose ranges are 2-dimensional, and one
+        over the 8 words' 8x8 M'_w; each word holds 27 recovery and 64 completion ops,
+        and the dense form keeps the 216 + 8 * 56 nonzero ones."""
         pair = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in id_deph_set.members]
         et = codesim.sample_et_code(pair, 2, 3, 2, seed=0)
-        assert eigh_shapes == [(8, 64, 64)]
+        assert eigh_shapes == [(2, 4, 4), (8, 8, 8)]
         assert et.blocks.shape == (8, 91, 2, 64)
         assert not et.blocks.flags.writeable
         assert et.decoder.stacked.shape == (664, 2, 512)
@@ -370,7 +403,7 @@ class TestBlockRecovery:
         chans = [codesim.effective_b_channel(q, p, v) for q in (identity_qmac, dephasing_qmac)]
         assert not np.any(chans[0][2])
         et = codesim.sample_et_code(chans[:1], 2, n, 2, seed=0)
-        assert eigh_shapes == [(3**n, 4**n, 4**n)]
+        assert eigh_shapes == [(3, 4, 4), (3**n, 2**n, 2**n)]
         count = len(et.blocks[0]) - 4**n  # recovery ops per word
         for w, word in enumerate(itertools.product(range(3), repeat=n)):
             np.testing.assert_allclose(kraus_gram(et.blocks[w]), np.eye(4**n), rtol=0, atol=1e-12)
@@ -524,6 +557,13 @@ class TestLetterFamilies:
                 et = codesim.sample_et_code([identity_b_channel], 2, 1, 2, seed=0)
                 codesim.et_entanglement_fidelity(et, family)
 
+    def test_simulate_item_checks_each_family_once(self, kraus_validations, id_deph_set):
+        """A simulate item checks its families where ``effective_b_channel`` builds them,
+        not again on each of its 4 ``sample_et_code`` calls and 2 chain reports."""
+        del kraus_validations[:]
+        _simulate_one(id_deph_set, 3, 2, 2, 4, 7)
+        assert 1 <= len(kraus_validations) <= 4
+
     def test_members_must_agree(self, identity_qmac, basis_v, uniform_p):
         three = CqChannel.from_vectors([[1, 0], [0, 1], [1, 1]])
         fams = [codesim.effective_b_channel(identity_qmac, p, v)
@@ -533,12 +573,17 @@ class TestLetterFamilies:
 
 
 class TestBlocklengthFour:
-    def test_pair_set_seed_at_n4(self, identity_qmac, mild_dephasing_qmac, basis_v, uniform_p):
-        """One n = 4 seed on the pair set: complete word blocks, no chain or converse violation."""
+    def test_pair_set_seed_at_n4(self, eigh_shapes, identity_qmac, mild_dephasing_qmac, basis_v,
+                                 uniform_p):
+        """One n = 4 seed on the pair set: complete word blocks, no chain or converse violation.
+
+        The recovery takes its 16 words' M'_w at the range width 2^4, never at 4^4."""
         cset = CompoundSet((identity_qmac, mild_dephasing_qmac), ("id", "deph"))
         a_fams = [codesim.effective_a_outputs(m, basis_v, maximally_mixed(2)) for m in cset.members]
         b_chans = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in cset.members]
+        del eigh_shapes[:]
         et = codesim.sample_et_code(b_chans, 2, 4, 2, seed=4)
+        assert eigh_shapes == [(2, 4, 4), (16, 16, 16)]
         assert et.blocks.shape == (16, 81 + 256, 2, 256)
         for block in et.blocks:
             np.testing.assert_allclose(kraus_gram(block), np.eye(256), rtol=0, atol=1e-12)
@@ -548,6 +593,7 @@ class TestBlocklengthFour:
         for member in cset.members:
             rep = codesim.hybrid_chain_report(cb, et, basis_v, member, uniform_p, code=code)
             assert rep["violations"] == 0
+        assert (16, 256, 256) not in eigh_shapes
 
 
 class TestFidelityTrend:

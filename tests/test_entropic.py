@@ -14,7 +14,6 @@ from cqmac.entropic import (
     binary_entropy,
     coherent_information_b_cx,
     cqq_rates,
-    cqq_tensor,
     effective_cqq_state,
     holevo_fano_rate_bound,
     holevo_information,
@@ -43,7 +42,12 @@ from cqmac.suites import (
     suite_entropy_additivity,
     suite_holevo_identity,
 )
-from oracles import coherent_information, quantum_mutual_information, to_density_matrix
+from oracles import (
+    coherent_information,
+    cqq_tensor,
+    quantum_mutual_information,
+    to_density_matrix,
+)
 
 
 class TestVonNeumann:

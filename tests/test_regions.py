@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqmac.channels import CompoundSet, cq_tensor
+from cqmac.channels import CompoundSet
 from cqmac.entropic import (
     coherent_information_b_cx,
-    cqq_tensor,
     effective_cqq_state,
     mutual_information_x_c,
 )
-from cqmac.qmatrix import DimensionMismatchError, PureState, maximally_entangled, permute_vec, tensor
+from cqmac.qmatrix import DimensionMismatchError, PureState, maximally_entangled, tensor
 from cqmac.regions import (
     Rect,
     compound_rect,
@@ -27,7 +26,7 @@ from cqmac.regions import (
     union,
 )
 from cqmac.suites import suite_compound_monotonicity, suite_timeshare
-from oracles import intersect
+from oracles import cq_tensor, cqq_tensor, intersect, permute_vec
 
 
 class TestOneShot:
