@@ -76,8 +76,8 @@ class KrausChannel:
     trace_nonincreasing: bool = False
 
     def __post_init__(self):
-        din = int(np.prod(self.in_dims))
-        dout = int(np.prod(self.out_dims))
+        din = math.prod(map(int, self.in_dims))
+        dout = math.prod(map(int, self.out_dims))
         if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         try:
@@ -125,16 +125,16 @@ class KrausChannel:
 
     @property
     def in_dim(self) -> int:
-        return int(np.prod(self.in_dims))
+        return math.prod(self.in_dims)
 
     @property
     def out_dim(self) -> int:
-        return int(np.prod(self.out_dims))
+        return math.prod(self.out_dims)
 
 
 def identity_channel(dims) -> KrausChannel:
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     return KrausChannel((np.eye(n, dtype=complex),), dims, dims)
 
 
@@ -245,14 +245,14 @@ def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=No
     if len(set(positions)) != len(positions) or not all(0 <= p < k for p in positions):
         raise DimensionMismatchError(f"positions {positions} are not distinct subsystems of {k}")
     rest = [i for i in range(k) if i not in positions]
-    if int(np.prod([dims[p] for p in positions])) != channel.in_dim:
+    if math.prod(dims[p] for p in positions) != channel.in_dim:
         raise DimensionMismatchError(
             f"subsystems {positions} of dims {dims} do not match channel input "
             f"dimension {channel.in_dim}"
         )
     perm = rest + positions
     work = permute_mat(mat, dims, perm)
-    r = int(np.prod([dims[i] for i in rest])) if rest else 1
+    r = math.prod(dims[i] for i in rest)
     din, dout = channel.in_dim, channel.out_dim
     t = work.reshape(r, din, r, din).transpose(0, 2, 1, 3).reshape(r * r, din, din)
     ops = channel.stacked

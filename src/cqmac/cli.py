@@ -30,6 +30,7 @@ within a relative ``BEST_SEED_TIE_RTOL`` (1e-12, recorded in the report's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -111,6 +112,7 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqmac",

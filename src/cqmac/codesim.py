@@ -29,7 +29,8 @@ K K†, so nothing of M_w lies outside them (see ``_recovery_blocks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -474,7 +475,7 @@ def combine_hybrid(
     dc = qmac.out_dim
     n = len(cq.codewords[0])
     tags = (v.alphabet_size,) * n
-    if (len(et.blocks), et.blocks.shape[-1]) != (np.prod(tags), dc**n):
+    if (len(et.blocks), et.blocks.shape[-1]) != (math.prod(tags), dc**n):
         raise DimensionMismatchError("quantum decoder does not act on tagged outputs")
     branches = []
     for word, d in zip(cq.codewords, cq.povm):
@@ -620,14 +621,19 @@ def hybrid_chain_report(
 
 
 def et_to_eg(code: EtCode, channel: KrausChannel) -> EtCode:
-    """Replace the input state by its best eigenvector on the given channel."""
+    """Replace the input state by its best eigenvector on the given channel.
+
+    Only the input factor changes, so each candidate keeps the code's checked
+    branches: ``_trusted`` checks its parts, with no completeness Gram.
+    """
     w = code.input_factor
     vals, vecs = np.linalg.eigh(w @ w.conj().T)
+    parts = {f.name: getattr(code, f.name) for f in fields(code)}
     candidates = []
     for i in range(vals.size - 1, -1, -1):
         if vals[i] <= 1e-12:
             continue
-        eg = replace(code, input_factor=vecs[:, i : i + 1])
+        eg = EtCode._trusted(**{**parts, "input_factor": vecs[:, i : i + 1]})
         candidates.append((performance(eg, channel), -i, eg))
     best = max(candidates, key=lambda t: (t[0], t[1]))
     return best[2]
@@ -643,8 +649,8 @@ def concatenate(codes) -> EtCode:
         if (c.da, c.db, c.dc) != (first.da, first.db, first.dc):
             raise DimensionMismatchError("blocks use different per-use spaces")
     n = sum(c.n for c in codes)
-    m1 = int(np.prod([c.m1 for c in codes]))
-    m2 = int(np.prod([c.m2 for c in codes]))
+    m1 = math.prod(c.m1 for c in codes)
+    m2 = math.prod(c.m2 for c in codes)
     shape1 = tuple(c.m1 for c in codes)
     # the rows of the product of the input factors are ordered
     # (F_1, B_1, F_2, B_2, ...); gather the references in front

@@ -25,7 +25,6 @@ from .qmatrix import (
     PureState,
     checked_factor,
     dagger,
-    partial_trace_mat,
     zero_padded,
 )
 
@@ -189,17 +188,6 @@ def effective_cqq_state(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Cqq
 def mutual_information_x_c(omega: CqqState) -> float:
     """I(X;C) = S(avg C) - avg S(C) on the block structure."""
     return float(cqq_rates(omega.probs, omega.factors)[0])
-
-
-def holevo_information(omega: CqqState) -> float:
-    """Holevo quantity from dense C marginals; oracle counterpart of I(X;C)."""
-    p = omega.probs
-    dims = (omega.b_dim, omega.c_dim)
-    c_margs = [partial_trace_mat(block, dims, [1]) for block in omega.dense_blocks()]
-    avg_c = sum(p[i] * c_margs[i] for i in range(p.size))
-    return von_neumann_entropy(avg_c) - float(
-        sum(p[i] * von_neumann_entropy(c_margs[i]) for i in range(p.size))
-    )
 
 
 def coherent_information_b_cx(omega: CqqState) -> float:

@@ -26,6 +26,7 @@ singular values instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -174,7 +175,7 @@ class DensityMatrix:
         if m.ndim != 2:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         dims = tuple(int(d) for d in self.dims)
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise DimensionMismatchError(
                 f"dims {dims} inconsistent with matrix size {m.shape[0]}"
             )
@@ -204,7 +205,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         dims = tuple(int(d) for d in self.dims)
-        if int(np.prod(dims)) != v.shape[0]:
+        if math.prod(dims) != v.shape[0]:
             raise DimensionMismatchError(
                 f"dims {dims} inconsistent with vector length {v.shape[0]}"
             )
@@ -248,7 +249,7 @@ def partial_trace_mat(mat: np.ndarray, dims, keep) -> np.ndarray:
     row = list(range(k))
     col = [i if i not in keep else k + i for i in range(k)]
     out = [i for i in keep] + [k + i for i in keep]
-    kept = int(np.prod([dims[i] for i in keep]))
+    kept = math.prod(dims[i] for i in keep)
     return np.einsum(t, [...] + row + col, [...] + out).reshape(lead + (kept, kept))
 
 
@@ -267,7 +268,7 @@ def permute_mat(mat: np.ndarray, dims, perm) -> np.ndarray:
         raise DimensionMismatchError(f"perm {perm} is not a permutation of {k} subsystems")
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     t = t.transpose(perm + [k + p for p in perm])
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     return t.reshape(n, n)
 
 

@@ -15,6 +15,8 @@ give the numbers of N sampler calls and leave the generator where they would.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qmatrix import DensityMatrix, PureState, dagger, pinv_sqrt_psd
@@ -93,20 +95,20 @@ def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def random_pure(rng: np.random.Generator, dims) -> PureState:
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    return PureState(unit_factors(gaussian_raw(rng, int(np.prod(dims)))[None])[0], dims)
+    return PureState(unit_factors(gaussian_raw(rng, math.prod(dims))[None])[0], dims)
 
 
 def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
     """Unit-norm Gaussian factor, shaped dims + (rank,), of a Wishart state."""
     dims = tuple(int(d) for d in np.atleast_1d(dims))
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     raw = gaussian_raw(rng, (n, n if rank is None else int(rank)))
     return unit_factors(raw[None])[0].reshape(dims + (-1,))
 
 
 def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
     """The matrix of ``random_density``, from the same draws, without validation."""
-    n = int(np.prod(np.atleast_1d(dims)))
+    n = math.prod(int(d) for d in np.atleast_1d(dims))
     return wishart_states(gaussian_raw(rng, (n, n if rank is None else int(rank)))[None])[0]
 
 

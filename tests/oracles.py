@@ -18,6 +18,7 @@ from cqmac.qmatrix import (
     PureState,
     hermitian_eig,
     partial_trace,
+    partial_trace_mat,
     pinv_sqrt_psd,
     tensor_all,
 )
@@ -116,6 +117,17 @@ def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
         von_neumann_entropy(partial_trace(rho, a))
         + von_neumann_entropy(partial_trace(rho, b))
         - von_neumann_entropy(rho)
+    )
+
+
+def holevo_information(omega: CqqState) -> float:
+    """Holevo quantity from dense C marginals; oracle counterpart of I(X;C)."""
+    p = omega.probs
+    dims = (omega.b_dim, omega.c_dim)
+    c_margs = [partial_trace_mat(block, dims, [1]) for block in omega.dense_blocks()]
+    avg_c = sum(p[i] * c_margs[i] for i in range(p.size))
+    return von_neumann_entropy(avg_c) - float(
+        sum(p[i] * von_neumann_entropy(c_margs[i]) for i in range(p.size))
     )
 
 

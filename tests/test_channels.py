@@ -29,14 +29,16 @@ from cqmac.channels import (
     tensor_power,
 )
 from cqmac.qmatrix import (
+    DensityMatrix,
     DimensionMismatchError,
+    PureState,
     partial_trace_mat,
     permute_mat,
     tensor,
     trace_norm,
 )
 from cqmac.randutil import random_density, random_kraus_ops, random_pure
-from cqmac.suites import suite_diamond_bounds, suite_net_cover
+from cqmac.suites import _net_distances, suite_diamond_bounds, suite_net_cover
 from oracles import compose, cq_tensor, depolarizing_channel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +100,22 @@ class TestApply:
         rho = random_density(rng, (2, 3))
         with pytest.raises(DimensionMismatchError):
             apply_channel_mat(identity_channel(dim), rho.mat, rho.dims, positions)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda dims: KrausChannel((np.eye(4),), dims, (4,)),
+        lambda dims: KrausChannel((np.eye(4),), (4,), dims),
+        lambda dims: DensityMatrix(np.eye(4) / 4, dims),
+        lambda dims: PureState(np.array([1, 0, 0, 0]), dims),
+    ],
+    ids=["kraus-in", "kraus-out", "density", "pure"],
+)
+def test_dimension_products_do_not_wrap(build):
+    # 4 (2^62 + 1) = 2^64 + 4 is 4 in int64 arithmetic; the product is exact
+    with pytest.raises(DimensionMismatchError):
+        build((4, 2**62 + 1))
 
 
 class TestKrausStorage:
@@ -387,6 +405,27 @@ class TestBuildNet:
 
     def test_cover_suite(self):
         assert suite_net_cover(seed=12, samples=1).violations == 0
+
+    def test_suite_distances_off_the_net_match_all_pairs(self, rng):
+        # three clusters: each member mixes a centre with weight at most 0.02
+        # of another random channel, so a net at radius 0.5 leaves most out
+        members = []
+        for _ in range(3):
+            centre = random_kraus_ops(rng, 4, 4, 2)
+            for eps in rng.uniform(0.0, 0.02, 5):
+                other = random_kraus_ops(rng, 4, 4, 2)
+                ops = [np.sqrt(1 - eps) * k for k in centre] + [np.sqrt(eps) * k for k in other]
+                members.append(KrausChannel(ops, (2, 2), (4,)))
+        cset = CompoundSet(tuple(members))
+        net = build_net(cset, 0.5)
+        assert len(net.members) < len(members)
+        chois = np.array([choi_matrix(m).matrix for m in members])
+        net_chois = np.array([choi_matrix(m).matrix for m in net.members])
+        dense = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
+        dist = _net_distances(cset, net)
+        assert np.array_equal(dist, dense)
+        assert np.count_nonzero(dist) == len(members) - len(net.members)
+        assert dist.max() <= 0.5
 
 
 class TestInstrumentFlag:

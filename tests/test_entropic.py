@@ -16,7 +16,6 @@ from cqmac.entropic import (
     cqq_rates,
     effective_cqq_state,
     holevo_fano_rate_bound,
-    holevo_information,
     mutual_information_x_c,
     pure_output_factors,
     von_neumann_entropy,
@@ -45,6 +44,7 @@ from cqmac.suites import (
 from oracles import (
     coherent_information,
     cqq_tensor,
+    holevo_information,
     quantum_mutual_information,
     to_density_matrix,
 )
