@@ -45,7 +45,7 @@ from .channels import (
     tensor_power,
 )
 from .entropic import _checked_probs
-from .entropic import binary_entropy, cqq_rates, holevo_fano_rate_bound, pure_output_factors
+from .entropic import binary_entropy, grouped_rates, holevo_fano_rate_bound, pure_output_factors
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
@@ -724,13 +724,15 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
     n = code.n
     r1 = np.log2(code.m1) / n
     r2 = np.log2(code.m2) / n
+    factors = [_message_factors(code, member) for member in cset.members]
+    # one rate call for the set: each member at its own Kraus count
+    rates = zip(*grouped_rates(np.full(code.m1, 1.0 / code.m1), factors))
     members = []
     violations = 0
-    for label, member in zip(cset.labels, cset.members):
-        factors = _message_factors(code, member)
-        fid = float(np.mean(_message_overlaps(code, factors)))
+    for label, member_factors, (i_xc, ic) in zip(cset.labels, factors, rates):
+        fid = float(np.mean(_message_overlaps(code, member_factors)))
         eps = 0.0 if 1.0 - fid < CONVERSE_DEFICIT_FLOOR else min(1.0 - fid, 1.0)
-        i_xc, ic = map(float, cqq_rates(np.full(code.m1, 1.0 / code.m1), factors))
+        i_xc, ic = float(i_xc), float(ic)
         cap1 = holevo_fano_rate_bound(i_xc, eps) / n
         eps_tilde = 2.0 * np.sqrt(eps)
         if eps_tilde < 0.25:

@@ -3,12 +3,14 @@
 All entropies are base 2 (bits). A CqqState keeps, per classical label, a
 factor u of its conditional state (rho = u u†) instead of one big
 block-diagonal matrix, which is exact and keeps dimensions small. One kernel,
-``cqq_rates``, computes I(X;C) and I_c(B>CX) from factors for the rate
-functions, the regions and the optimizer, taking each spectrum from the
-smaller of the Gram matrices m m† and m† m of a factor m (they share their
-nonzero eigenvalues). With a leading member axis it rates every member of a
-compound set at once, one ``eigvalsh`` per stack of Grams; dense blocks
-serve only as oracles.
+``grouped_rates`` (``cqq_rates`` for one factor stack), computes I(X;C) and
+I_c(B>CX) from factors for the rate functions, the regions, the optimizer and
+the converse check, taking each spectrum from the smaller of the Gram
+matrices m m† and m† m of a factor m (they share their nonzero eigenvalues).
+It rates every member of a compound set in one call, each at its own Kraus
+count: the Grams of all members are bucketed by size, one ``eigvalsh`` per
+distinct size, so a member with few Kraus operators never pays for another's
+many. Dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -112,29 +114,104 @@ class CqqState:
         return [c @ c.conj().T for c in cols]
 
 
+def grouped_output_factors(groups, letters: np.ndarray, psi_grid: np.ndarray) -> list:
+    """``pure_output_factors`` of every Kraus stack in ``groups`` (channels
+    grouped by Kraus count, ``regions.kraus_groups``) from one product of the
+    input grid with all their operators, in order."""
+    d_in = groups[0].shape[-1]
+    grid = (letters[:, None, :, None] * psi_grid[None, :, None, :]).reshape(-1, d_in)
+    ops = [g.reshape(-1, d_in) for g in groups]
+    u = grid @ (ops[0] if len(ops) == 1 else np.concatenate(ops)).T
+    factors, start = [], 0
+    for g, o in zip(groups, ops):
+        *members, count, d_out, _ = g.shape
+        f = u[:, start:start + len(o)].reshape(len(letters), len(psi_grid), -1, count, d_out)
+        # stored as (M, X, K, ref, out), so the rate kernel's matrices are views
+        f = np.ascontiguousarray(f.transpose(2, 0, 3, 1, 4)).transpose(0, 1, 3, 4, 2)
+        factors.append(f.reshape(*members, *f.shape[1:]))
+        start += len(o)
+    return factors
+
+
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
     """Factors u[..., x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.
 
     ``kraus_stack`` is (K, out, A (x) in), or (M, K, out, A (x) in) for M
-    channels with one Kraus count (``qmatrix.zero_padded``); ``letters``
-    holds the V(x) as an (X, A) array and ``psi_grid`` holds psi as a (ref,
-    in) matrix. Every channel and label comes from one product of the (X ref,
-    A in) input grid with the stack; the output state of label x on (ref, out)
-    is sum_k u[..., x, :, :, k] u[..., x, :, :, k]†.
+    channels with one Kraus count; ``letters`` holds the V(x) as an (X, A)
+    array and ``psi_grid`` holds psi as a (ref, in) matrix. Every channel and
+    label comes from one product of the (X ref, A in) input grid with the
+    stack; the output state of label x on (ref, out) is
+    sum_k u[..., x, :, :, k] u[..., x, :, :, k]†.
     """
-    *members, count, d_out, d_in = kraus_stack.shape
-    grid = letters[:, None, :, None] * psi_grid[None, :, None, :]
-    u = grid.reshape(-1, d_in) @ kraus_stack.reshape(-1, d_in).T
-    u = u.reshape(len(letters), len(psi_grid), *members, count, d_out)
-    return np.moveaxis(u, (0, 1), (-4, -3)).swapaxes(-1, -2)
+    return grouped_output_factors([kraus_stack], letters, psi_grid)[0]
 
 
-def _gram_entropies(m: np.ndarray) -> np.ndarray:
-    """S(m m†) for each matrix of the (..., r, c) stack m: one ``eigvalsh`` of
-    the stack of the smaller Grams, m m† or m† m."""
+def _smaller_gram(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """m m† or m† m for each matrix of the (..., r, c) stack m, whichever is
+    smaller, written to ``out``."""
     mh = m.conj().swapaxes(-1, -2)
-    grams = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
-    return entropy_of_spectrum(np.linalg.eigvalsh(grams))
+    return np.matmul(m, mh, out=out) if m.shape[-2] <= m.shape[-1] else np.matmul(mh, m, out=out)
+
+
+def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X;C), I_c(B>CX)) of every member of every factor stack in ``groups``,
+    all with this p, as two arrays over the members, group after group.
+
+    Each group is what ``cqq_rates`` takes, and a group without a member axis
+    is one member. The groups may differ in rank (a compound set grouped by
+    Kraus count), so no member is zero-padded to another's rank: each Gram is
+    on its own member's smaller side. The Grams of one size share one
+    ``eigvalsh``, and all spectra one entropy step.
+    """
+    probs = np.asarray(probs)
+    keep = probs > 0
+    p = probs[keep]
+    n = p.size
+    stacks = []
+    for u in groups:
+        if not isinstance(u, np.ndarray):
+            u = zero_padded(u, -1)
+        if n < probs.size:
+            u = u[..., keep, :, :, :]
+        b, c, k = u.shape[-3:]
+        # (member, x, k, b, c): views of the memory grouped_output_factors lays out
+        stacks.append(u.reshape(-1, n, b, c, k).swapaxes(-1, -3).swapaxes(-1, -2))
+    # (size, start in its size's stack, count, first entropy row) of each Gram
+    # stack: every S(C), then every S(BC), then every average C state
+    slots, counts, rows = [], {}, 0
+    for kind in range(3):
+        for v in stacks:
+            m, _, k, b, c = v.shape
+            size = (min(c, k * b), min(k, b * c), min(c, n * k * b))[kind]
+            num = m if kind == 2 else m * n
+            start = counts.get(size, 0)
+            counts[size] = start + num
+            slots.append((size, start, num, rows))
+            rows += num
+    grams = {size: np.empty((num, size, size), dtype=complex) for size, num in counts.items()}
+
+    def out(slot, *lead):
+        size, start, num, _ = slot
+        return grams[size][start:start + num].reshape(*lead, size, size)
+
+    for i, v in enumerate(stacks):
+        m, _, k, b, c = v.shape
+        s_c, s_bc, s_avg = slots[i::len(stacks)]
+        g_c = _smaller_gram(v.reshape(m, n, k * b, c).swapaxes(-1, -2), out(s_c, m, n))
+        _smaller_gram(v.reshape(m, n, k, b * c), out(s_bc, m, n))
+        if c <= k * b:  # C side: the average C state is sum_x p_x of the label Grams
+            np.matmul(p, g_c.reshape(m, n, c * c), out=out(s_avg, m).reshape(m, c * c))
+        else:
+            avg = np.sqrt(p)[:, None, None, None] * v
+            _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), out(s_avg, m))
+    spectra = {size: np.linalg.eigvalsh(g) for size, g in grams.items()}
+    lam = np.zeros((rows, max(spectra)))  # zero eigenvalues add no entropy
+    for size, start, num, row in slots:
+        lam[row:row + num, :size] = spectra[size][start:start + num]
+    s = entropy_of_spectrum(lam)
+    mn = sum(len(v) for v in stacks) * n
+    s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
+    return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
 
 
 def cqq_rates(probs, factors):
@@ -145,21 +222,15 @@ def cqq_rates(probs, factors):
     X, B, C, rank) array holds one state per compound member, all with this
     p, and gives the rates as arrays over the members. Per label S(C) comes
     from a = u's C rows, shape (c, b k), and S(BC) from u as a (b c, k)
-    matrix; the average C state from the sqrt(p_x) a_x side by side. Labels
-    with p = 0 are skipped. Three ``eigvalsh`` calls, one per stack, whatever
-    M and |X|; nothing is validated.
+    matrix; the average C state from the sqrt(p_x) a_x side by side, or as
+    sum_x p_x a_x a_x† when the C side is the smaller. Each spectrum comes from
+    the smaller Gram of its matrix, labels with p = 0 are skipped, and there is
+    one ``eigvalsh`` call per distinct Gram size, whatever M and |X|; nothing
+    is validated. Members of unequal Kraus count go to ``grouped_rates``.
     """
-    probs = np.asarray(probs)
-    if not isinstance(factors, np.ndarray):
-        factors = zero_padded(factors, -1)
-    keep = probs > 0
-    p, u = probs[keep], factors[..., keep, :, :, :]
-    *members, n, b, c, k = u.shape
-    a = u.swapaxes(-3, -2).reshape(*members, n, c, b * k)
-    s_c = _gram_entropies(a)
-    s_bc = _gram_entropies(u.reshape(*members, n, b * c, k))
-    avg = (np.sqrt(p)[:, None, None] * a).swapaxes(-3, -2).reshape(*members, c, n * b * k)
-    return _gram_entropies(avg) - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
+    lead = factors.shape[:-4] if isinstance(factors, np.ndarray) else ()
+    r1, r2 = grouped_rates(probs, [factors])
+    return r1.reshape(lead)[()], r2.reshape(lead)[()]
 
 
 def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:

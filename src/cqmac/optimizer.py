@@ -5,9 +5,11 @@ distribution, paired real coordinates normalized to complex unit vectors
 for the pure states. Optimization is random restarts plus Nelder-Mead
 refinement (200 iterations), deterministic for a given seed regardless of
 how restarts are scheduled. The objective rates all compound members at
-once, on their Kraus stacks zero-padded to one count when the powers are
-built: one ``pure_output_factors`` product and one member-stacked
-``cqq_rates`` call (``regions.stacked_rect``), three ``eigvalsh`` calls.
+once, each at its own Kraus count: the powers are grouped by count once
+(``regions.kraus_groups``), and each evaluation is one factor product for all
+groups and one ``grouped_rates`` call (``regions.stacked_rect``, the route
+``compound_rect_powered`` takes too), with one ``eigvalsh`` per distinct Gram
+size.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
-from .qmatrix import PureState, zero_padded
-from .regions import Rect, RateRegion, compound_rect_powered, stacked_rect
+from .qmatrix import PureState
+from .regions import Rect, RateRegion, compound_rect_powered, kraus_groups, stacked_rect
 
 NM_ITERATIONS = 200
 
@@ -143,7 +145,7 @@ def pareto_trace(
             f"block dimension {x_size * db_l * dc_l} exceeds budget {dim_budget}"
         )
     powered = [blocked_tensor_power(m, l, budget=dim_budget) for m in cset.members]
-    stack = zero_padded([m.stacked for m in powered], 0)
+    groups = kraus_groups(powered)
     ndim = _param_count(x_size, da_l, db_l)
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
 
@@ -162,7 +164,7 @@ def pareto_trace(
             nonlocal evals
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            rect = stacked_rect(stack, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
+            rect = stacked_rect(groups, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
             val = w1 * rect.r1_max + w2 * rect.r2_max
             return -val if np.isfinite(val) else 1e6
 

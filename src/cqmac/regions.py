@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CompoundSet, CqChannel, KrausChannel, blocked_tensor_power
-from .entropic import checked_ensemble, cqq_rates, pure_output_factors
-from .qmatrix import PureState, zero_padded
+from .entropic import checked_ensemble, grouped_output_factors, grouped_rates
+from .qmatrix import PureState
 
 BOUNDARY_TOL = 1e-6
 
@@ -65,12 +65,22 @@ def as_region(obj) -> RateRegion:
     return RateRegion(tuple(obj))
 
 
-def stacked_rect(stack: np.ndarray, l: int, p, letters, psi_grid) -> Rect:
-    """Componentwise minimum of the members' rate pairs, per use, for the
-    (M, K, out, in) Kraus stack of the members zero-padded to one count (zero
-    operators change no output): one factor product and one ``cqq_rates``
-    call. Nothing is validated; this is also the optimizer objective's route."""
-    r1, r2 = cqq_rates(p, pure_output_factors(stack, letters, psi_grid))
+def kraus_groups(channels) -> list[np.ndarray]:
+    """The channels' (K, out, in) Kraus stacks as one (M_K, K, out, in) array per
+    Kraus count K, counts in first-seen order, so rates never see padded ops."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for t in channels:
+        groups.setdefault(len(t.stacked), []).append(t.stacked)
+    return [np.stack(g) for g in groups.values()]
+
+
+def stacked_rect(groups, l: int, p, letters, psi_grid) -> Rect:
+    """Componentwise minimum of the members' rate pairs, per use, for members
+    grouped by Kraus count (``kraus_groups``): one factor product for all
+    groups and one ``grouped_rates`` call, so each Gram is on its own member's
+    smaller side. Nothing is validated; this is also the optimizer objective's
+    route."""
+    r1, r2 = grouped_rates(p, grouped_output_factors(groups, letters, psi_grid))
     return Rect(r1.min() / l, r2.min() / l)
 
 
@@ -89,8 +99,7 @@ def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureSta
     """``compound_rect`` on members already raised to the power l, with
     (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
     p = checked_ensemble(powered_members, p, v, psi)
-    stack = zero_padded([m.stacked for m in powered_members], 0)
-    return stacked_rect(stack, l, p, v.vectors, psi.vec.reshape(psi.dims))
+    return stacked_rect(kraus_groups(powered_members), l, p, v.vectors, psi.vec.reshape(psi.dims))
 
 
 def scale(region, l: int) -> RateRegion:

@@ -224,3 +224,18 @@ def random_kraus_ops(
     s = sum(k.conj().T @ k for k in raw)
     w = pinv_sqrt_psd(s)
     return tuple(k @ w for k in raw)
+
+
+def eigvalsh_buckets(stacks) -> list[tuple[int, int, int]]:
+    """The eigvalsh calls of the rate kernel for Gram stacks given as (size,
+    count) pairs in its order (every S(C), then every S(BC), then every average
+    C state): one (count, size, size) call per distinct size, in first-seen order."""
+    counts: dict[int, int] = {}
+    for size, count in stacks:
+        counts[size] = counts.get(size, 0) + count
+    return [(count, size, size) for size, count in counts.items()]
+
+
+def member_gram_sizes(b: int, c: int, kraus: int, labels: int) -> tuple[int, int, int]:
+    """A member's own smaller Gram sides for S(C), S(BC) and the average C state."""
+    return min(c, b * kraus), min(b * c, kraus), min(c, labels * b * kraus)

@@ -800,20 +800,20 @@ class TestConverseCheck:
         assert by_label["id"]["coherent_information_per_use"] >= 1.0 - 1e-7
 
 
-    def test_one_rate_kernel_call_per_member(self, monkeypatch, identity_qmac, dephasing_qmac,
-                                              basis_v, uniform_p):
+    def test_one_rate_kernel_call_per_set(self, monkeypatch, identity_qmac, dephasing_qmac,
+                                          basis_v, uniform_p):
         code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
         calls = []
-        kernel = entropic.cqq_rates
+        kernel = entropic.grouped_rates
 
         def counted(*args, **kwargs):
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(entropic, "cqq_rates", counted)
-        monkeypatch.setattr(codesim, "cqq_rates", counted, raising=False)
+        monkeypatch.setattr(codesim, "grouped_rates", counted)
         codesim.converse_check(code, CompoundSet((identity_qmac, dephasing_qmac)))
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert len(calls[0][1]) == 2  # one group per member, each at its own rank
 
 
 class TestEtCodeValidation:
@@ -1001,12 +1001,19 @@ class TestFactorRouteOracle:
         with pytest.raises(DimensionMismatchError):
             codesim.effective_a_outputs(qmac, v, random_density(rng, (db + 1,)))
 
-    @pytest.mark.parametrize("kind", KINDS + ["hybrid"])
+    @pytest.mark.parametrize("kind", KINDS + ["hybrid", "pair-n3"])
     def test_converse_check_matches_dense_route(self, rng, kind, identity_qmac, dephasing_qmac,
                                                  basis_v, uniform_p):
         if kind == "hybrid":  # high fidelity, so the caps are finite
             code, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
             chans = [identity_qmac, dephasing_qmac]
+        elif kind == "pair-n3":  # a simulated code; members of 1 and 8 Kraus ops at n = 3
+            chans = [identity_qmac, dephasing_qmac]
+            a_fams = [codesim.effective_a_outputs(m, basis_v, maximally_mixed(2)) for m in chans]
+            b_chans = [codesim.effective_b_channel(m, uniform_p, basis_v) for m in chans]
+            et = codesim.sample_et_code(b_chans, 2, 3, 2, seed=1)
+            cb = codesim.sample_cq_codebook(a_fams, uniform_p, 3, 2, seed=2)
+            code = codesim.combine_hybrid(cb, et, basis_v, identity_qmac)
         else:
             chans, codes = _oracle_codes(rng)
             code = codes[kind]

@@ -15,6 +15,8 @@ from cqmac.entropic import (
     coherent_information_b_cx,
     cqq_rates,
     effective_cqq_state,
+    grouped_output_factors,
+    grouped_rates,
     holevo_fano_rate_bound,
     mutual_information_x_c,
     pure_output_factors,
@@ -41,10 +43,13 @@ from cqmac.suites import (
     suite_entropy_additivity,
     suite_holevo_identity,
 )
+from cqmac.regions import compound_rect_powered, kraus_groups
 from oracles import (
     coherent_information,
     cqq_tensor,
+    eigvalsh_buckets,
     holevo_information,
+    member_gram_sizes,
     quantum_mutual_information,
     to_density_matrix,
 )
@@ -322,7 +327,8 @@ class TestFactorOracle:
                              ids=["bk-below-c", "bk-above-c", "rank-above-bc"])
     def test_kernel_takes_the_smaller_gram(self, rng, dims, rank, monkeypatch):
         """Stacked and per-label factors against the dense state, with one
-        spectrum call per Gram stack, each on the smaller side of its pair."""
+        spectrum call per distinct Gram size, each Gram on the smaller side of
+        its pair."""
         b, c = dims
         p = np.array([0.5, 0.0, 0.2, 0.3])
         stack = np.stack([random_factor(rng, dims, rank) for _ in p])
@@ -334,7 +340,7 @@ class TestFactorOracle:
         eigvalsh = np.linalg.eigvalsh
 
         def recorded(a):
-            shapes.append(a.shape[-1])
+            shapes.append(a.shape)
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
@@ -342,24 +348,12 @@ class TestFactorOracle:
             r1, r2 = cqq_rates(p, factors)
             assert r1 == pytest.approx(i_xc, abs=1e-12)
             assert r2 == pytest.approx(ic, abs=1e-12)
-        side_c, side_bc = min(c, b * rank), min(b * c, rank)
-        assert shapes == 2 * [side_c, side_bc, min(c, 3 * b * rank)]
+        side_c, side_bc, side_avg = member_gram_sizes(b, c, rank, 3)
+        assert shapes == 2 * eigvalsh_buckets([(side_c, 3), (side_bc, 3), (side_avg, 1)])
 
-    @pytest.mark.parametrize("da, d_in, b, dc", [(2, 2, 2, 4), (2, 2, 1, 6), (2, 1, 1, 2)],
-                             ids=["c-side", "bk-side", "bc-side"])
-    def test_member_stack_matches_dense_oracle(self, rng, da, d_in, b, dc, monkeypatch):
-        """Member-stacked rates against each member's dense state, for Kraus
-        counts 1, 3 and 4 zero-padded to 4 and a p with a zero entry."""
-        from cqmac.qmatrix import partial_trace
-        from cqmac.qmatrix import zero_padded
-
-        members = [KrausChannel(random_kraus_ops(rng, da * d_in, dc, count), (da, d_in), (dc,))
-                   for count in (1, 3, 4)]
-        v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
-        psi = random_pure(rng, (b, d_in))
-        p = np.array([0.3, 0.0, 0.7])
-        stack = zero_padded([t.stacked for t in members], 0)
-        assert stack.shape == (3, 4, dc, da * d_in)
+    @staticmethod
+    def _grouped_rates_recorded(members, p, v, psi, monkeypatch):
+        """grouped_rates of the members grouped by Kraus count, and its eigvalsh shapes."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -367,19 +361,63 @@ class TestFactorOracle:
             shapes.append(a.shape)
             return eigvalsh(a)
 
+        groups = kraus_groups(members)
+        factors = grouped_output_factors(groups, v.vectors, psi.vec.reshape(psi.dims))
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        r1, r2 = cqq_rates(p, pure_output_factors(stack, v.vectors, psi.vec.reshape(b, d_in)))
+        r1, r2 = grouped_rates(p, factors)
         monkeypatch.undo()
-        c_side, bc_side = min(dc, b * 4), min(b * dc, 4)
-        assert shapes == [(3, 2, c_side, c_side), (3, 2, bc_side, bc_side),
-                          (3, min(dc, 2 * b * 4), min(dc, 2 * b * 4))]
+        return groups, r1, r2, shapes
+
+    @staticmethod
+    def _assert_dense_rates(t, p, v, psi, r1, r2):
+        omega = effective_cqq_state(t, p, v, psi)
+        dense = to_density_matrix(omega)  # (X, B, C)
+        ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
+        assert r1 == pytest.approx(holevo_information(omega), abs=1e-12)
+        assert r2 == pytest.approx(ic, abs=1e-12)
+
+    @pytest.mark.parametrize("da, d_in, b, dc", [(2, 2, 2, 4), (2, 2, 1, 6), (2, 1, 1, 2)],
+                             ids=["c-side", "bk-side", "bc-side"])
+    def test_member_stack_matches_dense_oracle(self, rng, da, d_in, b, dc, monkeypatch):
+        """Members of Kraus counts 1, 3 and 4 rated in one call, each at its own
+        count, against each member's dense state, with a p that has a zero entry."""
+        members = [KrausChannel(random_kraus_ops(rng, da * d_in, dc, count), (da, d_in), (dc,))
+                   for count in (1, 3, 4)]
+        v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
+        psi = random_pure(rng, (b, d_in))
+        p = np.array([0.3, 0.0, 0.7])
+        groups, r1, r2, shapes = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
+        assert [g.shape for g in groups] == [(1, k, dc, da * d_in) for k in (1, 3, 4)]
+        sizes = [member_gram_sizes(b, dc, k, 2) for k in (1, 3, 4)]
+        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 2)
+                                           for kind in range(3) for s in sizes])
         assert r1.shape == r2.shape == (3,)
         for i, t in enumerate(members):
-            omega = effective_cqq_state(t, p, v, psi)
-            dense = to_density_matrix(omega)  # (X, B, C)
-            ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
-            assert r1[i] == pytest.approx(holevo_information(omega), abs=1e-12)
-            assert r2[i] == pytest.approx(ic, abs=1e-12)
+            self._assert_dense_rates(t, p, v, psi, r1[i], r2[i])
+
+    def test_grouped_members_match_dense_oracle(self, rng, monkeypatch):
+        """Kraus counts 1, 3, 4 and 3 in three groups, the count-1 group on the
+        (B k) side and the others on the C side, and a p with a zero entry: the
+        rates come group after group, each against its member's dense state,
+        and no Gram is larger than its member's own smaller side."""
+        da, d_in, b, dc = 2, 2, 2, 4
+        counts = (1, 3, 4, 3)
+        members = [KrausChannel(random_kraus_ops(rng, da * d_in, dc, k), (da, d_in), (dc,))
+                   for k in counts]
+        v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(4)])
+        psi = random_pure(rng, (b, d_in))
+        p = np.array([0.25, 0.4, 0.0, 0.35])
+        groups, r1, r2, shapes = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
+        order = [0, 1, 3, 2]  # count 1, both count 3, count 4
+        assert [g.shape[:2] for g in groups] == [(1, 1), (2, 3), (1, 4)]
+        assert b * 1 < dc <= b * 3  # one group on each side of C
+        sizes = [member_gram_sizes(b, dc, counts[i], 3) for i in order]
+        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 3)
+                                           for kind in range(3) for s in sizes])
+        for i, row in enumerate(order):
+            self._assert_dense_rates(members[row], p, v, psi, r1[i], r2[i])
+        rect = compound_rect_powered(members, 1, p, v, psi)
+        assert (rect.r1_max, rect.r2_max) == (max(0.0, r1.min()), max(0.0, r2.min()))
 
     def test_zero_probability_labels_never_enter_a_spectrum(self, rng):
         """A p = 0 label's factor may hold anything, NaN included, in every member."""

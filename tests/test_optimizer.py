@@ -17,6 +17,7 @@ from cqmac.optimizer import (
 )
 from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered
+from oracles import eigvalsh_buckets, member_gram_sizes
 
 
 def test_package_resolves_optimizer_names_on_use():
@@ -134,8 +135,9 @@ class TestParetoTrace:
                 assert rect.r2_max == pytest.approx(r2, abs=1e-9)
 
     def test_objective_spectra_per_evaluation(self, id_deph_set, monkeypatch):
-        """One evaluation at l=2 takes three stacked spectrum calls, whatever |X|
-        and the member count: S(C), S(BC) and the average C state."""
+        """One evaluation at l=2 takes one stacked spectrum call per distinct Gram
+        size over S(C), S(BC) and the average C state of every member, each
+        member at its own Kraus count."""
         from cqmac import optimizer
 
         objectives = []
@@ -157,12 +159,23 @@ class TestParetoTrace:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         fun(np.random.default_rng(1).standard_normal(x0.size))
-        x_size, members = 4, len(id_deph_set.members)
-        # B = 2^2, C = 4^2, and the identity's one Kraus op padded to the dephasing's 4
-        b, c, k = 4, 16, 4
-        side_c, side_bc, side_avg = min(c, b * k), min(b * c, k), min(c, x_size * b * k)
-        assert calls == [(members, x_size, side_c, side_c), (members, x_size, side_bc, side_bc),
-                         (members, side_avg, side_avg)]
+        # B = 2^2, C = 4^2; the identity keeps its one Kraus op, the dephasing member has 4
+        sizes = [member_gram_sizes(4, 16, k, 4) for k in (1, 4)]
+        expected = eigvalsh_buckets([(s[kind], 1 if kind == 2 else 4)
+                                     for kind in range(3) for s in sizes])
+        assert expected == [(8, 4, 4), (6, 16, 16), (4, 1, 1)]
+        assert calls == expected
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_objective_and_rect_share_one_route(self, id_deph_set, l):
+        """Each optimum's objective is the weighted reported rectangle, exactly:
+        the objective and ``compound_rect_powered`` take one route."""
+        weights = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        res = pareto_trace(id_deph_set, l, weights, budget=1, seed=4)
+        assert len(res.optima) == 3
+        for opt in res.optima:
+            w1, w2 = opt.weights
+            assert opt.objective == w1 * opt.rect.r1_max + w2 * opt.rect.r2_max
 
     @pytest.mark.parametrize("case", ["pair-l2", "random-3"])
     def test_stacked_objective_matches_member_loop(self, id_deph_set, rng, monkeypatch, case):
