@@ -2,9 +2,11 @@
 
 A channel is a Kraus-operator list between labeled input/output subsystem
 spaces; instruments (decoder branches) carry a trace-non-increasing flag.
-Kraus families are validated where numbers enter: in the public constructor
-and in the JSON loader. Library products of validated channels are complete
-by construction and skip the Gram (``KrausChannel._trusted``); tests check them.
+Kraus families are validated where numbers enter: in the public constructor,
+in the JSON loader and, once per stack, in the routes that take N channels of
+one shape as a raw Kraus array (``checked_kraus``). Library products of
+validated channels are complete by construction and skip the Gram
+(``KrausChannel._trusted``); tests check them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .qmatrix import (
     DimensionMismatchError,
+    dagger,
     factor_trace_norm,
-    partial_trace_mat,
     permute_mat,
     pinv_sqrt_psd,
     trace_norm,
@@ -47,14 +49,39 @@ class BudgetExceededError(RuntimeError):
 
 
 def kraus_gram(stacked: np.ndarray) -> np.ndarray:
-    """sum_k K_k† K_k of a (count, out, in) Kraus stack.
+    """sum_k K_k† K_k of a (count, out, in) Kraus stack, or of each family in a
+    (..., count, out, in) stack of them.
 
     Entries beyond about 1e154 overflow to inf or NaN, with no warning: every
     caller's normalization test then fails closed.
     """
-    flat = stacked.reshape(-1, stacked.shape[-1])
+    flat = stacked.reshape(*stacked.shape[:-3], -1, stacked.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        return flat.conj().T @ flat
+        return dagger(flat) @ flat
+
+
+def checked_kraus(stacked, trace_nonincreasing: bool = False) -> np.ndarray:
+    """A (count, out, in) Kraus family, or a (..., count, out, in) stack of them,
+    as a complex array once each family is checked: finite entries, then
+    sum_k K_k† K_k = I within ``CPTP_TOL`` (<= I for an instrument branch).
+    ``KrausChannel`` checks its copy here, and the stacked routes their raw
+    numbers; a ``CptpError`` carries the largest defect of the stack."""
+    stacked = np.asarray(stacked, dtype=complex)
+    if stacked.ndim < 3:
+        raise DimensionMismatchError(f"a Kraus stack of shape {stacked.shape} has no operator axis")
+    if not np.all(np.isfinite(stacked)):  # before the Gram, where inf meets 0
+        raise CptpError("Kraus operators have non-finite entries")
+    gram = kraus_gram(stacked)
+    # comparisons with NaN are false, so each test below fails closed
+    if trace_nonincreasing:
+        defect = float(np.max(np.linalg.eigvalsh(gram)[..., -1], initial=0.0)) - 1.0
+        if not defect <= CPTP_TOL:
+            raise CptpError(f"instrument exceeds trace preservation by {defect:.3e}", defect)
+    else:
+        defect = float(np.max(np.abs(gram - np.eye(stacked.shape[-1])), initial=0.0))
+        if not defect <= CPTP_TOL:
+            raise CptpError(f"channel is not trace preserving, defect {defect:.3e}", defect)
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -91,22 +118,7 @@ class KrausChannel:
                 f"Kraus operator shape {stacked.shape[1:]} does not match ({dout}, {din})"
             )
         stacked.flags.writeable = False
-        if not np.all(np.isfinite(stacked)):  # before the Gram, where inf meets 0
-            raise CptpError("Kraus operators have non-finite entries")
-        gram = kraus_gram(stacked)
-        # comparisons with NaN are false, so each test below fails closed
-        if self.trace_nonincreasing:
-            defect = float(np.linalg.eigvalsh(gram)[-1]) - 1.0
-            if not defect <= CPTP_TOL:
-                raise CptpError(
-                    f"instrument exceeds trace preservation by {defect:.3e}", defect
-                )
-        else:
-            defect = float(np.max(np.abs(gram - np.eye(din))))
-            if not defect <= CPTP_TOL:
-                raise CptpError(
-                    f"channel is not trace preserving, defect {defect:.3e}", defect
-                )
+        checked_kraus(stacked, self.trace_nonincreasing)
         self._store(stacked, self.in_dims, self.out_dims, self.trace_nonincreasing)
 
     def _store(self, stacked, in_dims, out_dims, flag):
@@ -228,7 +240,7 @@ def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET
     )
 
 
-def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=None):
+def apply_channel_mat(channel, mat: np.ndarray, dims, positions=None):
     """Apply a channel to the listed subsystems of a state matrix; returns (matrix, dims).
 
     ``mat`` is a state on subsystems of dimensions ``dims``. ``positions``
@@ -236,6 +248,13 @@ def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=No
     order (all of them, in order, by default); the remaining subsystems are
     untouched. The result orders untouched subsystems first (original
     order), then the channel output subsystems.
+
+    ``channel`` is a ``KrausChannel``, or N channels of one shape at once: an
+    (N, count, out, in) array of Kraus stacks, each checked as
+    ``KrausChannel`` checks one (``checked_kraus``) and applied to its own
+    matrix of the (N, d, d) stack ``mat``. Their output is one subsystem of
+    dimension out, and the matrix returned is the (N, d', d') stack. One
+    channel is the N = 1 case of the same two GEMMs.
     """
     dims = tuple(int(d) for d in dims)
     k = len(dims)
@@ -245,55 +264,69 @@ def apply_channel_mat(channel: KrausChannel, mat: np.ndarray, dims, positions=No
     if len(set(positions)) != len(positions) or not all(0 <= p < k for p in positions):
         raise DimensionMismatchError(f"positions {positions} are not distinct subsystems of {k}")
     rest = [i for i in range(k) if i not in positions]
-    if math.prod(dims[p] for p in positions) != channel.in_dim:
-        raise DimensionMismatchError(
-            f"subsystems {positions} of dims {dims} do not match channel input "
-            f"dimension {channel.in_dim}"
-        )
-    perm = rest + positions
-    work = permute_mat(mat, dims, perm)
+    din = math.prod(dims[p] for p in positions)
+    if isinstance(channel, KrausChannel):
+        if din != channel.in_dim:
+            raise DimensionMismatchError(
+                f"subsystems {positions} of dims {dims} do not match channel input "
+                f"dimension {channel.in_dim}"
+            )
+        ops, out_dims, mats = channel.stacked[None], channel.out_dims, np.asarray(mat)[None]
+    else:
+        ops, mats = checked_kraus(channel), np.asarray(mat)
+        out_dims = ops.shape[-2:-1]
+        if ops.ndim != 4 or ops.shape[-1] != din or mats.ndim != 3 or len(mats) != len(ops):
+            raise DimensionMismatchError(
+                f"Kraus stacks {ops.shape} on subsystems {positions} of a {mats.shape} state stack"
+            )
+    n = len(ops)
+    work = permute_mat(mats, dims, rest + positions)
     r = math.prod(dims[i] for i in rest)
-    din, dout = channel.in_dim, channel.out_dim
-    t = work.reshape(r, din, r, din).transpose(0, 2, 1, 3).reshape(r * r, din, din)
-    ops = channel.stacked
-    j = ops.shape[0]
-    # two flat GEMMs: a[k,o,rr,j'] then contract (k,j') away
-    a = (ops.reshape(j * dout, din) @ t.transpose(1, 0, 2).reshape(din, -1)).reshape(
-        j, dout, r * r, din
+    j, dout = ops.shape[1:3]
+    t = work.reshape(n, r, din, r, din).transpose(0, 1, 3, 2, 4).reshape(n, r * r, din, din)
+    # two flat GEMMs per channel: a[k,o,rr,j'] then contract (k,j') away
+    a = (ops.reshape(n, j * dout, din) @ t.transpose(0, 2, 1, 3).reshape(n, din, -1)).reshape(
+        n, j, dout, r * r, din
     )
-    b = a.transpose(2, 1, 0, 3).reshape(r * r * dout, j * din)
-    c = ops.conj().transpose(1, 0, 2).reshape(dout, j * din)
-    out4 = (b @ c.T).reshape(r * r, dout, dout)
-    out = (
-        out4.reshape(r, r, dout, dout)
-        .transpose(0, 2, 1, 3)
-        .reshape(r * dout, r * dout)
-    )
-    new_dims = tuple(dims[i] for i in rest) + channel.out_dims
-    return out, new_dims
+    b = a.transpose(0, 3, 2, 1, 4).reshape(n, r * r * dout, j * din)
+    c = ops.conj().transpose(0, 2, 1, 3).reshape(n, dout, j * din)
+    out4 = (b @ c.swapaxes(-1, -2)).reshape(n, r, r, dout, dout)
+    out = out4.transpose(0, 1, 3, 2, 4).reshape(n, r * dout, r * dout)
+    new_dims = tuple(dims[i] for i in rest) + out_dims
+    return (out[0] if isinstance(channel, KrausChannel) else out), new_dims
 
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Unnormalized Choi operator on in (x) out, trace = in_dim."""
+    """Unnormalized Choi operator on in (x) out, trace = in_dim; ``matrix`` is
+    the (..., d, d) stack of them for a stack of channels."""
 
     matrix: np.ndarray
     in_dim: int
     out_dim: int
 
-    def trace_preserving_defect(self) -> float:
-        reduced = partial_trace_mat(self.matrix, (self.in_dim, self.out_dim), [0])
-        return float(np.max(np.abs(reduced - np.eye(self.in_dim))))
+
+def choi_factor(channel) -> np.ndarray:
+    """The (in_dim * out_dim, k) factor f of the Choi matrix f f†: f[(i, o), k] = K_k[o, i].
+
+    ``channel`` is a ``KrausChannel`` or, unchecked, a (..., k, out, in) array
+    of Kraus stacks, which gives the (..., in * out, k) stack of factors.
+    """
+    ops = channel.stacked if isinstance(channel, KrausChannel) else channel
+    return ops.swapaxes(-1, -3).reshape(*ops.shape[:-3], -1, ops.shape[-3])
 
 
-def choi_factor(channel: KrausChannel) -> np.ndarray:
-    """The (in_dim * out_dim, k) factor f of the Choi matrix f f†: f[(i, o), k] = K_k[o, i]."""
-    return channel.stacked.transpose(2, 1, 0).reshape(-1, len(channel.kraus_ops))
-
-
-def choi_matrix(channel: KrausChannel) -> ChoiMatrix:
+def choi_matrix(channel) -> ChoiMatrix:
+    """The Choi matrix f f† of a ``KrausChannel``, or the (..., in * out, in * out)
+    stack of them for a (..., k, out, in) array of Kraus stacks, each checked as
+    ``KrausChannel`` checks one (``checked_kraus``)."""
+    if isinstance(channel, KrausChannel):
+        d_out, d_in = channel.out_dim, channel.in_dim
+    else:
+        channel = checked_kraus(channel)
+        d_out, d_in = channel.shape[-2:]
     f = choi_factor(channel)
-    return ChoiMatrix(f @ f.conj().T, channel.in_dim, channel.out_dim)
+    return ChoiMatrix(f @ dagger(f), d_in, d_out)
 
 
 def diamond_distance_bounds(a: KrausChannel, b: KrausChannel) -> tuple[float, float]:

@@ -44,7 +44,7 @@ from .channels import (
     kraus_gram,
     tensor_power,
 )
-from .entropic import _checked_probs
+from .entropic import checked_probs
 from .entropic import binary_entropy, grouped_rates, holevo_fano_rate_bound, pure_output_factors
 from .qmatrix import (
     DensityMatrix,
@@ -437,7 +437,7 @@ def effective_b_channel(qmac: KrausChannel, p, v: CqChannel) -> np.ndarray:
     da, db = qmac.in_dims
     if v.dim != da:
         raise DimensionMismatchError("cq channel does not feed the A input")
-    p = _checked_probs(p, v.alphabet_size)
+    p = checked_probs(p, v.alphabet_size)
     ops = qmac.stacked.reshape(-1, qmac.out_dim, da, db)  # each op's input split as (A, B)
     family = np.sqrt(p)[:, None, None, None] * np.einsum("kcab,xa->xkcb", ops, v.vectors)
     family = _letter_family(family).view(LetterFamily)  # read-only, as KrausChannel stores it

@@ -10,7 +10,8 @@ matrices m m† and m† m of a factor m (they share their nonzero eigenvalues).
 It rates every member of a compound set in one call, each at its own Kraus
 count: the Grams of all members are bucketed by size, one ``eigvalsh`` per
 distinct size, so a member with few Kraus operators never pays for another's
-many. Dense blocks serve only as oracles.
+many. With one p per instance it rates N compound sets in the same call (the
+``verify`` suite ``compound_monotonicity``). Dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -61,18 +62,20 @@ def binary_entropy(x):
     return float(h) if h.ndim == 0 else h
 
 
-def _checked_probs(p, size: int) -> np.ndarray:
-    """A distribution over ``size`` labels, entries below -1e-12 and a sum off 1
-    by more than 1e-10 refused, then clipped to >= 0 and renormalized."""
+def checked_probs(p, size: int) -> np.ndarray:
+    """A distribution over ``size`` labels, or each row of an (N, size) stack of
+    them: entries below -1e-12 and a sum off 1 by more than 1e-10 refused
+    (NaN too), then clipped to >= 0 and renormalized."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != size:
-        raise DimensionMismatchError(f"{p.size} probabilities for {size} labels")
+    if p.ndim not in (1, 2) or p.shape[-1] != size:
+        raise DimensionMismatchError(f"probabilities of shape {p.shape} for {size} labels")
     if np.any(p < -1e-12):
         raise ValueError("negative probability")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    total = p.sum(axis=-1, keepdims=True)
+    if not np.all(np.abs(total - 1.0) <= 1e-10):
+        raise ValueError(f"probabilities sum to {total.squeeze()}, not 1")
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class CqqState:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        p = _checked_probs(self.probs, len(self.factors))
+        p = checked_probs(self.probs, len(self.factors))
         # every factor shares the first one's (B, C) rows
         rows = np.shape(self.factors[0])[:2]
         factors = tuple(checked_factor(u, rows) for u in self.factors)
@@ -100,36 +103,39 @@ class CqqState:
     def alphabet_size(self) -> int:
         return self.probs.size
 
-    @property
-    def b_dim(self) -> int:
-        return self.factors[0].shape[0]
 
-    @property
-    def c_dim(self) -> int:
-        return self.factors[0].shape[1]
-
-    def dense_blocks(self) -> list[np.ndarray]:
-        """Conditional states u u† as matrices on (B, C); for oracles and small dimensions."""
-        cols = [u.reshape(-1, u.shape[2]) for u in self.factors]
-        return [c @ c.conj().T for c in cols]
+# the transposes of grouped_output_factors without and with an instance axis:
+# (..., X, ref, M, K, out) stored as (..., M, X, K, ref, out), then K viewed last
+_FACTOR_AXES = [((*range(n), n + 2, n, n + 3, n + 1, n + 4), (*range(n + 2), n + 3, n + 4, n + 2))
+                for n in (0, 1)]
 
 
 def grouped_output_factors(groups, letters: np.ndarray, psi_grid: np.ndarray) -> list:
     """``pure_output_factors`` of every Kraus stack in ``groups`` (channels
     grouped by Kraus count, ``regions.kraus_groups``) from one product of the
-    input grid with all their operators, in order."""
-    d_in = groups[0].shape[-1]
-    grid = (letters[:, None, :, None] * psi_grid[None, :, None, :]).reshape(-1, d_in)
-    ops = [g.reshape(-1, d_in) for g in groups]
-    u = grid @ (ops[0] if len(ops) == 1 else np.concatenate(ops)).T
+    input grid with all their operators, in order.
+
+    With an instance axis, N inputs are rated at once, each with its own
+    channels: ``letters`` is (N, X, A), ``psi_grid`` (N, ref, in) and each
+    group (N, M_K, K, out, A in), instance i's grid meeting only instance i's
+    operators; each factor stack is then (N, M_K, X, ref, out, K).
+    """
+    lead = letters.shape[:-2]
+    x, ref, d_in = letters.shape[-2], psi_grid.shape[-2], groups[0].shape[-1]
+    rows = lead + (-1, d_in)
+    grid = (letters[..., None, :, None] * psi_grid[..., None, :, None, :]).reshape(rows)
+    ops = [g.reshape(rows) for g in groups]
+    u = grid @ (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=-2)).mT
+    stored, viewed = _FACTOR_AXES[len(lead)]
     factors, start = [], 0
     for g, o in zip(groups, ops):
         *members, count, d_out, _ = g.shape
-        f = u[:, start:start + len(o)].reshape(len(letters), len(psi_grid), -1, count, d_out)
-        # stored as (M, X, K, ref, out), so the rate kernel's matrices are views
-        f = np.ascontiguousarray(f.transpose(2, 0, 3, 1, 4)).transpose(0, 1, 3, 4, 2)
-        factors.append(f.reshape(*members, *f.shape[1:]))
-        start += len(o)
+        width = o.shape[-2]
+        f = u[..., start:start + width].reshape(*lead, x, ref, -1, count, d_out)
+        # stored as (..., M, X, K, ref, out), so the rate kernel's matrices are views
+        f = np.ascontiguousarray(f.transpose(stored)).transpose(viewed)
+        factors.append(f.reshape(*members, *f.shape[-4:]))
+        start += width
     return factors
 
 
@@ -162,47 +168,59 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     Kraus count), so no member is zero-padded to another's rank: each Gram is
     on its own member's smaller side. The Grams of one size share one
     ``eigvalsh``, and all spectra one entropy step.
+
+    With one p per instance, ``probs`` is (N, X), each group is an (N, M_K, X,
+    B, C, K) stack (``grouped_output_factors`` with an instance axis) and the
+    rates come as (N, M) arrays, instance i's members group after group. Every
+    label is then rated, and a zero p_x weighs its terms out.
     """
     probs = np.asarray(probs)
-    keep = probs > 0
-    p = probs[keep]
-    n = p.size
+    p = probs if probs.ndim == 2 else probs[probs > 0]
+    n = p.shape[-1]
     stacks = []
     for u in groups:
         if not isinstance(u, np.ndarray):
             u = zero_padded(u, -1)
-        if n < probs.size:
-            u = u[..., keep, :, :, :]
+        if n < probs.shape[-1]:
+            u = u[..., probs > 0, :, :, :]
         b, c, k = u.shape[-3:]
         # (member, x, k, b, c): views of the memory grouped_output_factors lays out
         stacks.append(u.reshape(-1, n, b, c, k).swapaxes(-1, -3).swapaxes(-1, -2))
-    # (size, start in its size's stack, count, first entropy row) of each Gram
-    # stack: every S(C), then every S(BC), then every average C state
+    # the one p, or each member's own: its instance's row of p, a (member, x) stack
+    weights = ([p] * len(stacks) if p.ndim == 1
+               else [np.repeat(p, len(v) // len(p), axis=0) for v in stacks])
+    # (size, count) of each Gram stack: every S(C), then every S(BC), then
+    # every average C state; each slot adds its start in its size's stack and
+    # its first entropy row
+    shapes = [v.shape for v in stacks]
+    gram_stacks = ([(min(c, k * b), m * n) for m, _, k, b, c in shapes]
+                   + [(min(k, b * c), m * n) for m, _, k, b, c in shapes]
+                   + [(min(c, n * k * b), m) for m, _, k, b, c in shapes])
     slots, counts, rows = [], {}, 0
-    for kind in range(3):
-        for v in stacks:
-            m, _, k, b, c = v.shape
-            size = (min(c, k * b), min(k, b * c), min(c, n * k * b))[kind]
-            num = m if kind == 2 else m * n
-            start = counts.get(size, 0)
-            counts[size] = start + num
-            slots.append((size, start, num, rows))
-            rows += num
+    for size, num in gram_stacks:
+        start = counts.get(size, 0)
+        counts[size] = start + num
+        slots.append((size, start, num, rows))
+        rows += num
     grams = {size: np.empty((num, size, size), dtype=complex) for size, num in counts.items()}
 
     def out(slot, *lead):
         size, start, num, _ = slot
         return grams[size][start:start + num].reshape(*lead, size, size)
 
-    for i, v in enumerate(stacks):
+    for i, (v, w) in enumerate(zip(stacks, weights)):
         m, _, k, b, c = v.shape
         s_c, s_bc, s_avg = slots[i::len(stacks)]
         g_c = _smaller_gram(v.reshape(m, n, k * b, c).swapaxes(-1, -2), out(s_c, m, n))
         _smaller_gram(v.reshape(m, n, k, b * c), out(s_bc, m, n))
         if c <= k * b:  # C side: the average C state is sum_x p_x of the label Grams
-            np.matmul(p, g_c.reshape(m, n, c * c), out=out(s_avg, m).reshape(m, c * c))
+            g_c, avg = g_c.reshape(m, n, c * c), out(s_avg, m).reshape(m, c * c)
+            if w.ndim == 1:
+                np.matmul(w, g_c, out=avg)
+            else:  # row i of w times member i's label Grams
+                np.matmul(w[:, None], g_c, out=avg[:, None])
         else:
-            avg = np.sqrt(p)[:, None, None, None] * v
+            avg = np.sqrt(w)[..., None, None, None] * v
             _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), out(s_avg, m))
     spectra = {size: np.linalg.eigvalsh(g) for size, g in grams.items()}
     lam = np.zeros((rows, max(spectra)))  # zero eigenvalues add no entropy
@@ -211,7 +229,13 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     s = entropy_of_spectrum(lam)
     mn = sum(len(v) for v in stacks) * n
     s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
-    return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
+    if p.ndim == 1:
+        return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
+    w = np.concatenate(weights)
+    ends = np.cumsum([len(v) for v in stacks])[:-1]
+    # group-major member rows to (N, M), instance i's members group after group
+    return tuple(np.hstack([r.reshape(len(p), -1) for r in np.split(rates, ends)])
+                 for rates in (s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)))
 
 
 def cqq_rates(probs, factors):
@@ -236,7 +260,7 @@ def cqq_rates(probs, factors):
 def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:
     """p as ``CqqState`` keeps it, once (p, V, psi) is checked as an input to each
     channel: one p per letter, psi on (reference, input), V (x) input fills it."""
-    p = _checked_probs(p, v.alphabet_size)
+    p = checked_probs(p, v.alphabet_size)
     if len(psi.dims) != 2:
         raise DimensionMismatchError("psi must carry dims (reference, channel input)")
     for t in channels:

@@ -127,9 +127,10 @@ def pareto_trace(
 
     For each weight pair the weighted rate objective is maximized over
     ``budget`` restarts (restart 0 starts from the canonical ansatz, the
-    rest from seeded Gaussian parameter vectors). If ``max_evaluations``
-    runs out mid-run the best rectangles so far are returned with the
-    truncation flag set.
+    rest from seeded Gaussian parameter vectors). ``max_evaluations`` caps
+    the objective evaluations of the whole trace: each restart may spend what
+    is left, and once it is spent the best rectangles so far are returned
+    with the truncation flag set.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -180,12 +181,11 @@ def pareto_trace(
                 truncated = True
                 break
             theta0 = canonical if r == 0 else restart_init(wi, r)
-            res = minimize(
-                objective,
-                theta0,
-                method="Nelder-Mead",
-                options={"maxiter": NM_ITERATIONS, "xatol": 1e-7, "fatol": 1e-10},
-            )
+            options = {"maxiter": NM_ITERATIONS, "xatol": 1e-7, "fatol": 1e-10}
+            if max_evaluations is not None:  # Nelder-Mead stops at exactly maxfev
+                options["maxfev"] = max_evaluations - evals
+            res = minimize(objective, theta0, method="Nelder-Mead", options=options)
+            truncated = truncated or res.status == 1  # stopped on the cap
             value = -float(res.fun)
             if best is None or (value, -r) > (best[0], -best[1]):
                 best = (value, r, res.x)

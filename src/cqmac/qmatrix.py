@@ -10,12 +10,12 @@ of subsystem dimensions whose product equals the matrix size; subsystem 0
 is the leftmost tensor factor.
 
 Stack convention: ``hermitian_eig``, ``sqrt_psd``, ``trace_norm``,
-``factor_trace_norm``, ``fidelity`` and ``partial_trace_mat`` act on the last
-two axes of a ``(..., d, d)`` array (``(..., d, r)`` factors for
-``factor_trace_norm``), so a stack of N matrices costs one LAPACK call. On a
-2-D input they return what a single-matrix routine would (a Python float for
-the scalar ones); on a stack, an array over the leading axes whose entries
-equal the 2-D calls on each matrix.
+``factor_trace_norm``, ``fidelity``, ``partial_trace_mat`` and ``permute_mat``
+act on the last two axes of a ``(..., d, d)`` array (``(..., d, r)`` factors
+for ``factor_trace_norm``), so a stack of N matrices costs one LAPACK call
+(or one transpose). On a 2-D input they return what a single-matrix routine
+would (a Python float for the scalar ones); on a stack, an array over the
+leading axes whose entries equal the 2-D calls on each matrix.
 
 Every ``trace_norm`` in the program is of a Hermitian matrix (a difference
 of states or of Choi matrices), so it is the sum of the absolute
@@ -209,7 +209,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"dims {dims} inconsistent with vector length {v.shape[0]}"
             )
-        if abs(np.linalg.norm(v) - 1.0) > HERMITICITY_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= HERMITICITY_TOL:  # NaN fails too
             raise ValueError("pure state vector is not normalized")
         v = v.copy()
         v.flags.writeable = False
@@ -260,16 +260,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def permute_mat(mat: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder subsystems of a raw matrix so new factor i is old factor perm[i]."""
+    """Reorder subsystems of a raw matrix (or of each in a (..., d, d) stack) so
+    new factor i is old factor perm[i]."""
     dims = tuple(int(d) for d in dims)
     k = len(dims)
     perm = list(perm)
     if sorted(perm) != list(range(k)):
         raise DimensionMismatchError(f"perm {perm} is not a permutation of {k} subsystems")
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    t = t.transpose(perm + [k + p for p in perm])
+    m = np.asarray(mat, dtype=complex)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
+    axes = [len(lead) + p for p in perm]
+    t = t.transpose(list(range(len(lead))) + axes + [k + a for a in axes])
     n = math.prod(dims)
-    return t.reshape(n, n)
+    return t.reshape(lead + (n, n))
 
 
 def fidelity(a, b):

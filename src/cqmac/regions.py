@@ -12,9 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CompoundSet, CqChannel, KrausChannel, blocked_tensor_power
-from .entropic import checked_ensemble, grouped_output_factors, grouped_rates
-from .qmatrix import PureState
+from .channels import (
+    UNIT_NORM_TOL,
+    CompoundSet,
+    CqChannel,
+    KrausChannel,
+    blocked_tensor_power,
+    checked_kraus,
+)
+from .entropic import checked_ensemble, checked_probs, grouped_output_factors, grouped_rates
+from .qmatrix import HERMITICITY_TOL, DimensionMismatchError, PureState
 
 BOUNDARY_TOL = 1e-6
 
@@ -74,14 +81,22 @@ def kraus_groups(channels) -> list[np.ndarray]:
     return [np.stack(g) for g in groups.values()]
 
 
-def stacked_rect(groups, l: int, p, letters, psi_grid) -> Rect:
+def stacked_rect(groups, l: int, p, letters, psi_grid):
     """Componentwise minimum of the members' rate pairs, per use, for members
     grouped by Kraus count (``kraus_groups``): one factor product for all
     groups and one ``grouped_rates`` call, so each Gram is on its own member's
     smaller side. Nothing is validated; this is also the optimizer objective's
-    route."""
+    route.
+
+    With one p per instance, p an (N, X) array, N compound sets are rated at
+    once and the list of their N rectangles comes back: each group is then an
+    (N, M_K, K, out, in) stack, ``letters`` (N, X, A) and ``psi_grid`` (N,
+    ref, in), as ``grouped_output_factors`` takes them.
+    """
     r1, r2 = grouped_rates(p, grouped_output_factors(groups, letters, psi_grid))
-    return Rect(r1.min() / l, r2.min() / l)
+    if np.ndim(p) == 1:
+        return Rect(r1.min() / l, r2.min() / l)
+    return [Rect(a / l, b / l) for a, b in zip(r1.min(axis=1), r2.min(axis=1))]
 
 
 def one_shot_region(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Rect:
@@ -100,6 +115,33 @@ def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureSta
     (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
     p = checked_ensemble(powered_members, p, v, psi)
     return stacked_rect(kraus_groups(powered_members), l, p, v.vectors, psi.vec.reshape(psi.dims))
+
+
+def compound_rects(kraus, p, letters, psi) -> list[Rect]:
+    """``compound_rect`` at l = 1 of N compound sets of one shape, each with its
+    own (p, V, psi), in one ``stacked_rect`` call.
+
+    ``kraus`` is the (N, M, K, out, A B) array of instance i's M members, K
+    Kraus operators each; ``p`` is (N, X), ``letters`` (N, X, A) and ``psi``
+    (N, ref, B), each psi laid out as its (reference, input) matrix. The raw
+    numbers are checked once per stack as the constructors check one
+    instance: every member as ``KrausChannel`` (``checked_kraus``), every p as
+    a distribution, the letters as ``CqChannel`` and psi as ``PureState``.
+    """
+    kraus = checked_kraus(kraus)
+    letters, psi = np.asarray(letters, dtype=complex), np.asarray(psi, dtype=complex)
+    p = checked_probs(p, np.shape(letters)[-2])
+    stacks = (kraus, letters, psi, p)
+    if ([a.ndim for a in stacks] != [5, 3, 3, 2] or len({len(a) for a in stacks}) != 1
+            or letters.shape[-1] * psi.shape[-1] != kraus.shape[-1]):
+        raise DimensionMismatchError(f"Kraus stack {kraus.shape} for p {p.shape}, "
+                                     f"letters {letters.shape} and psi {psi.shape}")
+    # NaN fails both unit tests
+    letter_defect = np.abs(np.sum(np.abs(letters) ** 2, axis=-1) - 1.0)
+    psi_defect = np.abs(np.linalg.norm(psi, axis=(-2, -1)) - 1.0)
+    if not (np.all(letter_defect <= UNIT_NORM_TOL) and np.all(psi_defect <= HERMITICITY_TOL)):
+        raise ValueError("letters and psi must be finite unit vectors")
+    return stacked_rect([kraus], 1, p, letters, psi)
 
 
 def scale(region, l: int) -> RateRegion:

@@ -11,14 +11,20 @@ the seed's order (the draw contract of ``randutil``), then groups the
 instances by shape (``_by_shape``) and builds each group's states, effects
 and whitened Kraus stacks with one stacked ``randutil`` call each. The
 matrix-only suites evaluate each group with one stacked call of each dense
-primitive; the suites about channel, state and code constructors build
-those objects publicly from the stacked numbers and evaluate them one by
-one. Their dense sides stay stacked where they can: ``holevo_identity``
-takes every label's C marginal in one ``partial_trace_mat`` and its
-entropies in one call per stack, and ``net_cover`` builds Choi matrices only
-for the members its net leaves out. ``timeshare`` evaluates each instance
-as it draws it. The result does not depend on the evaluation order, since
-it is a count and a minimum.
+primitive. Three of the suites about channels also make one call per shape
+of the library route they test, which takes the group's raw Kraus stacks and
+checks them once per stack as ``KrausChannel`` checks one channel:
+``data_processing`` applies N channels to N states in one
+``apply_channel_mat``, ``compound_monotonicity`` rates N compound sets, each
+with its own (p, V, psi), in one ``compound_rects`` call for the small sets
+and one for the large, and ``diamond_bounds`` takes every Choi matrix in one
+``choi_matrix``. The other constructor suites build their objects publicly
+and evaluate them one by one, with stacked dense sides where they can:
+``holevo_identity`` takes every label's C marginal in one
+``partial_trace_mat`` and its entropies in one call per stack, and
+``net_cover`` builds Choi matrices only for the members its net leaves out.
+``timeshare`` evaluates each instance as it draws it. The result does not
+depend on the evaluation order, since it is a count and a minimum.
 """
 
 from __future__ import annotations
@@ -29,14 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import codesim
-from .channels import (
-    CompoundSet,
-    CqChannel,
-    KrausChannel,
-    apply_channel_mat,
-    build_net,
-    choi_matrix,
-)
+from .channels import CompoundSet, KrausChannel, apply_channel_mat, build_net, choi_matrix
 from .entropic import (
     CqqState,
     alicki_fannes_bound,
@@ -44,7 +43,6 @@ from .entropic import (
     von_neumann_entropy,
 )
 from .qmatrix import (
-    PureState,
     dagger,
     fidelity,
     hermitian_eig,
@@ -62,7 +60,7 @@ from .randutil import (
     whitened_kraus,
     wishart_states,
 )
-from .regions import Rect, compound_rect, contains, timeshare_closure, union
+from .regions import Rect, compound_rects, contains, timeshare_closure, union
 
 
 @dataclass(frozen=True)
@@ -308,8 +306,7 @@ def suite_data_processing(seed: int, samples: int = 100, tol: float | None = Non
     margins = []
     for dims, (raw, kraus) in _by_shape(draws):
         rho = wishart_states(raw)
-        channels = [KrausChannel(ops, dims[1:], dims[1:]) for ops in whitened_kraus(kraus)]
-        out = np.stack([apply_channel_mat(ch, r, dims, [1])[0] for ch, r in zip(channels, rho)])
+        out, _ = apply_channel_mat(whitened_kraus(kraus), rho, dims, [1])
         margins.append(_coherent_information(rho, dims) - _coherent_information(out, dims) + tol)
     return _collect("data_processing", margins)
 
@@ -320,21 +317,24 @@ def suite_compound_monotonicity(seed: int, samples: int = 100, tol: float | None
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(samples):
-        # the base members, then the extra one
-        qmacs = np.stack([kraus_raw(rng, 4, 4, 2) for _ in range(int(rng.integers(1, 4)) + 1)])
+        # the base members, then the extra one. One draw of m members' ops, op
+        # by op, holds the numbers of m kraus_raw calls, as one (2, 2, 2) draw
+        # holds those of the two letters' gaussian_raw calls
+        m = int(rng.integers(1, 4)) + 1
+        qmacs = kraus_raw(rng, 4, 4, 2 * m).reshape(m, 2, 2, 4, 4)
         p = rng.dirichlet(np.ones(2))
-        letters = np.stack([gaussian_raw(rng, 2) for _ in range(2)])
-        draws.append((len(qmacs), (qmacs, p, letters, gaussian_raw(rng, 4))))
+        letters = rng.standard_normal((2, 2, 2))
+        draws.append((m, (qmacs, p, letters, gaussian_raw(rng, 4))))
     margins = []
     for _, (qmacs, probs, letters, psis) in _by_shape(draws):
+        members = whitened_kraus(qmacs)
         letters = unit_factors(letters.reshape(-1, 2, 2)).reshape(len(letters), 2, 2)
-        for ops, p, vecs, psi in zip(whitened_kraus(qmacs), probs, letters, unit_factors(psis)):
-            members = tuple(_qmac(k) for k in ops)
-            v, psi = CqChannel(vecs), PureState(psi, (2, 2))
-            small = compound_rect(CompoundSet(members[:-1]), 1, p, v, psi)
-            large = compound_rect(CompoundSet(members), 1, p, v, psi)
-            margins.append(small.r1_max - large.r1_max + tol)
-            margins.append(small.r2_max - large.r2_max + tol)
+        psi = unit_factors(psis).reshape(-1, 2, 2)
+        # two calls, so the check is not one min taken twice
+        small = compound_rects(members[:, :-1], probs, letters, psi)
+        large = compound_rects(members, probs, letters, psi)
+        gaps = [(a.r1_max - b.r1_max, a.r2_max - b.r2_max) for a, b in zip(small, large)]
+        margins.append(np.ravel(gaps) + tol)
     return _collect("compound_monotonicity", margins)
 
 
@@ -346,11 +346,10 @@ def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None)
     """
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
-    draws = [(None, (np.stack([kraus_raw(rng, 3, 3, 2) for _ in range(3)]),)) for _ in range(samples)]
+    draws = [(None, (kraus_raw(rng, 3, 3, 6).reshape(3, 2, 2, 3, 3),)) for _ in range(samples)]
     margins = []
     for _, (raw,) in _by_shape(draws):
-        channels = [KrausChannel(k, (3,), (3,)) for k in whitened_kraus(raw).reshape(-1, 2, 3, 3)]
-        chois = np.array([choi_matrix(ch).matrix for ch in channels]).reshape(-1, 3, 9, 9)
+        chois = choi_matrix(whitened_kraus(raw)).matrix
         ja, jb, jc = chois.swapaxes(0, 1)
         up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
         lo_ab = up_ab / 3

@@ -2,14 +2,23 @@
 
 No command needs them: the library keeps states as factors and channels as
 Kraus stacks, and these build the plain matrices or channels that the fast
-routes must agree with. The per-instance samplers at the end draw each
-complex array with two generator calls and build one instance at a time:
-the reference for ``randutil``'s raw draws and stacked functions.
+routes must agree with. The per-instance samplers draw each complex array
+with two generator calls and build one instance at a time: the reference
+for ``randutil``'s raw draws and stacked functions. The per-instance suites
+at the end build every channel, set and state through its constructor and
+evaluate it alone: the reference for the suites that evaluate on stacks.
 """
 
 import numpy as np
 
-from cqmac.channels import CqChannel, KrausChannel
+from cqmac.channels import (
+    ChoiMatrix,
+    CompoundSet,
+    CqChannel,
+    KrausChannel,
+    apply_channel_mat,
+    choi_matrix,
+)
 from cqmac.codesim import CqCodebook
 from cqmac.entropic import CqqState, von_neumann_entropy
 from cqmac.qmatrix import (
@@ -21,8 +30,31 @@ from cqmac.qmatrix import (
     partial_trace_mat,
     pinv_sqrt_psd,
     tensor_all,
+    trace_norm,
 )
-from cqmac.regions import RateRegion, Rect, as_region
+from cqmac.randutil import gaussian_raw, kraus_raw, unit_factors, whitened_kraus, wishart_states
+from cqmac.regions import RateRegion, Rect, as_region, compound_rect
+from cqmac.suites import _by_shape, _coherent_information, _collect, _qmac
+
+
+def b_dim(omega: CqqState) -> int:
+    return omega.factors[0].shape[0]
+
+
+def c_dim(omega: CqqState) -> int:
+    return omega.factors[0].shape[1]
+
+
+def dense_blocks(omega: CqqState) -> list[np.ndarray]:
+    """Conditional states u u† as matrices on (B, C)."""
+    cols = [u.reshape(-1, u.shape[2]) for u in omega.factors]
+    return [c @ c.conj().T for c in cols]
+
+
+def trace_preserving_defect(j: ChoiMatrix) -> float:
+    """max |tr_out J - I|: 0 for the Choi matrix of a trace-preserving channel."""
+    reduced = partial_trace_mat(j.matrix, (j.in_dim, j.out_dim), [0])
+    return float(np.max(np.abs(reduced - np.eye(j.in_dim))))
 
 
 def depolarizing_channel(dim: int) -> KrausChannel:
@@ -55,11 +87,11 @@ def average_error(cb: CqCodebook, w) -> float:
 
 def to_density_matrix(omega: CqqState) -> DensityMatrix:
     """Dense block-diagonal state on (X, B, C); for small dimensions."""
-    d = omega.b_dim * omega.c_dim
+    d = b_dim(omega) * c_dim(omega)
     full = np.zeros((omega.alphabet_size * d,) * 2, dtype=complex)
-    for i, block in enumerate(omega.dense_blocks()):
+    for i, block in enumerate(dense_blocks(omega)):
         full[i * d : (i + 1) * d, i * d : (i + 1) * d] = omega.probs[i] * block
-    return DensityMatrix(full, (omega.alphabet_size, omega.b_dim, omega.c_dim))
+    return DensityMatrix(full, (omega.alphabet_size, b_dim(omega), c_dim(omega)))
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -123,8 +155,8 @@ def quantum_mutual_information(rho: DensityMatrix, part_a, part_b) -> float:
 def holevo_information(omega: CqqState) -> float:
     """Holevo quantity from dense C marginals; oracle counterpart of I(X;C)."""
     p = omega.probs
-    dims = (omega.b_dim, omega.c_dim)
-    c_margs = [partial_trace_mat(block, dims, [1]) for block in omega.dense_blocks()]
+    dims = (b_dim(omega), c_dim(omega))
+    c_margs = [partial_trace_mat(block, dims, [1]) for block in dense_blocks(omega)]
     avg_c = sum(p[i] * c_margs[i] for i in range(p.size))
     return von_neumann_entropy(avg_c) - float(
         sum(p[i] * von_neumann_entropy(c_margs[i]) for i in range(p.size))
@@ -239,3 +271,60 @@ def eigvalsh_buckets(stacks) -> list[tuple[int, int, int]]:
 def member_gram_sizes(b: int, c: int, kraus: int, labels: int) -> tuple[int, int, int]:
     """A member's own smaller Gram sides for S(C), S(BC) and the average C state."""
     return min(c, b * kraus), min(b * c, kraus), min(c, labels * b * kraus)
+
+
+# per-instance suites: the reference for the suites that evaluate on stacks.
+# Each draws as its ``cqmac.suites`` namesake and builds every instance alone.
+
+
+def suite_data_processing(seed: int, samples: int = 100, tol: float | None = None):
+    tol = 1e-8 if tol is None else tol
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(samples):
+        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        draws.append(((da, db), (gaussian_raw(rng, (da * db,) * 2), kraus_raw(rng, db, db, 2))))
+    margins = []
+    for dims, (raw, kraus) in _by_shape(draws):
+        rho = wishart_states(raw)
+        channels = [KrausChannel(ops, dims[1:], dims[1:]) for ops in whitened_kraus(kraus)]
+        out = np.stack([apply_channel_mat(ch, r, dims, [1])[0] for ch, r in zip(channels, rho)])
+        margins.append(_coherent_information(rho, dims) - _coherent_information(out, dims) + tol)
+    return _collect("data_processing", margins)
+
+
+def suite_compound_monotonicity(seed: int, samples: int = 100, tol: float | None = None):
+    tol = 1e-9 if tol is None else tol
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(samples):
+        qmacs = np.stack([kraus_raw(rng, 4, 4, 2) for _ in range(int(rng.integers(1, 4)) + 1)])
+        p = rng.dirichlet(np.ones(2))
+        letters = np.stack([gaussian_raw(rng, 2) for _ in range(2)])
+        draws.append((len(qmacs), (qmacs, p, letters, gaussian_raw(rng, 4))))
+    margins = []
+    for _, (qmacs, probs, letters, psis) in _by_shape(draws):
+        letters = unit_factors(letters.reshape(-1, 2, 2)).reshape(len(letters), 2, 2)
+        for ops, p, vecs, psi in zip(whitened_kraus(qmacs), probs, letters, unit_factors(psis)):
+            members = tuple(_qmac(k) for k in ops)
+            v, psi = CqChannel(vecs), PureState(psi, (2, 2))
+            small = compound_rect(CompoundSet(members[:-1]), 1, p, v, psi)
+            large = compound_rect(CompoundSet(members), 1, p, v, psi)
+            margins.append(small.r1_max - large.r1_max + tol)
+            margins.append(small.r2_max - large.r2_max + tol)
+    return _collect("compound_monotonicity", margins)
+
+
+def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None):
+    tol = 1e-9 if tol is None else tol
+    rng = np.random.default_rng(seed)
+    draws = [(None, (np.stack([kraus_raw(rng, 3, 3, 2) for _ in range(3)]),)) for _ in range(samples)]
+    margins = []
+    for _, (raw,) in _by_shape(draws):
+        channels = [KrausChannel(k, (3,), (3,)) for k in whitened_kraus(raw).reshape(-1, 2, 3, 3)]
+        chois = np.array([choi_matrix(ch).matrix for ch in channels]).reshape(-1, 3, 9, 9)
+        ja, jb, jc = chois.swapaxes(0, 1)
+        up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
+        lo_ab = up_ab / 3
+        margins += [up_ab - lo_ab + tol, up_ab + up_bc - up_ac + tol]
+    return _collect("diamond_bounds", margins)

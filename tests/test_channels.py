@@ -39,7 +39,7 @@ from cqmac.qmatrix import (
 )
 from cqmac.randutil import random_density, random_kraus_ops, random_pure
 from cqmac.suites import _net_distances, suite_diamond_bounds, suite_net_cover
-from oracles import compose, cq_tensor, depolarizing_channel
+from oracles import compose, cq_tensor, depolarizing_channel, trace_preserving_defect
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +101,49 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             apply_channel_mat(identity_channel(dim), rho.mat, rho.dims, positions)
 
+
+def _poisoned(stack: np.ndarray, poison: str, index) -> np.ndarray:
+    """A copy of a Kraus stack whose family at ``index`` is scaled by 1.01 or
+    holds one NaN entry."""
+    bad = np.array(stack)
+    if poison == "scaled":
+        bad[index] *= 1.01
+    else:
+        bad[index][0, 0, 0] = np.nan
+    return bad
+
+
+class TestStackedApply:
+    def _stack(self, rng, n=4):
+        ops = np.array([random_kraus_ops(rng, 3, 2, 2) for _ in range(n)])
+        rho = np.array([random_density(rng, (2, 3)).mat for _ in range(n)])
+        return ops, rho
+
+    def test_matches_one_by_one(self, rng):
+        ops, rho = self._stack(rng)
+        out, dims = apply_channel_mat(ops, rho, (2, 3), [1])
+        assert dims == (2, 2) and out.shape == (4, 4, 4)
+        for o, k, r in zip(out, ops, rho):
+            one, one_dims = apply_channel_mat(KrausChannel(k, (3,), (2,)), r, (2, 3), [1])
+            assert one_dims == dims
+            assert np.array_equal(o, one)  # one channel is the N = 1 case of the same code
+
+    @pytest.mark.parametrize("poison", ["scaled", "nan"])
+    def test_each_channel_checked_as_kraus_channel(self, rng, poison):
+        ops, rho = self._stack(rng)
+        bad = _poisoned(ops, poison, 2)
+        with pytest.raises(CptpError) as one:
+            KrausChannel(bad[2], (3,), (2,))
+        with pytest.raises(CptpError) as stacked:
+            apply_channel_mat(bad, rho, (2, 3), [1])
+        assert str(stacked.value) == str(one.value)
+
+    def test_stack_sizes_must_agree(self, rng):
+        ops, rho = self._stack(rng)
+        with pytest.raises(DimensionMismatchError):
+            apply_channel_mat(ops[:3], rho, (2, 3), [1])
+        with pytest.raises(DimensionMismatchError):
+            apply_channel_mat(ops, rho, (2, 3), [0])  # the channels take 3, not 2
 
 @pytest.mark.parametrize(
     "build",
@@ -276,7 +319,16 @@ class TestChoi:
         j = choi_matrix(ch)
         assert abs(np.trace(j.matrix) - 3.0) < 1e-10
         assert np.linalg.eigvalsh(j.matrix)[0] > -1e-10
-        assert j.trace_preserving_defect() < 1e-10
+        assert trace_preserving_defect(j) < 1e-10
+
+    def test_stack_matches_one_by_one(self, rng):
+        ops = np.array([[random_kraus_ops(rng, 3, 2, 2) for _ in range(3)] for _ in range(2)])
+        j = choi_matrix(ops)
+        assert j.matrix.shape == (2, 3, 6, 6) and (j.in_dim, j.out_dim) == (3, 2)
+        for k, m in zip(ops.reshape(-1, 2, 2, 3), j.matrix.reshape(-1, 6, 6)):
+            assert np.array_equal(m, choi_matrix(KrausChannel(k, (3,), (2,))).matrix)
+        with pytest.raises(CptpError):
+            choi_matrix(_poisoned(ops, "scaled", (1, 2)))
 
 
 class TestDiamondBounds:

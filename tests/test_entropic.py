@@ -45,8 +45,11 @@ from cqmac.suites import (
 )
 from cqmac.regions import compound_rect_powered, kraus_groups
 from oracles import (
+    b_dim,
+    c_dim,
     coherent_information,
     cqq_tensor,
+    dense_blocks,
     eigvalsh_buckets,
     holevo_information,
     member_gram_sizes,
@@ -136,7 +139,7 @@ class TestEffectiveCqqState:
         omega = effective_cqq_state(t, [1.0], v, bell_psi)
         assert omega.alphabet_size == 1
         # conditional state is pure: the untouched half plus the channel output
-        assert von_neumann_entropy(omega.dense_blocks()[0]) == pytest.approx(0.0, abs=1e-9)
+        assert von_neumann_entropy(dense_blocks(omega)[0]) == pytest.approx(0.0, abs=1e-9)
         assert mutual_information_x_c(omega) == pytest.approx(0.0, abs=1e-10)
 
     def test_depolarizing_decouples(self, depolarizing_qmac, basis_v, bell_psi, uniform_p):
@@ -171,11 +174,11 @@ class TestEffectiveCqqState:
         psi = random_pure(rng, (d_ref, d_in))
         p = rng.dirichlet(np.ones(3))
         omega = effective_cqq_state(t, p, v, psi)
-        for letter, cond in zip(v.vectors, omega.dense_blocks()):
+        for letter, cond in zip(v.vectors, dense_blocks(omega)):
             full = tensor(np.outer(letter, letter.conj()), psi.density().mat)  # (A, ref, in)
             full = permute_mat(full, (da, d_ref, d_in), [1, 0, 2])
             dense, dense_dims = apply_channel_mat(t, full, (d_ref, da, d_in), [1, 2])
-            assert (omega.b_dim, omega.c_dim) == dense_dims
+            assert (b_dim(omega), c_dim(omega)) == dense_dims
             assert np.allclose(cond, dense, rtol=0, atol=1e-12)
 
     def test_bad_distribution(self, identity_qmac, basis_v, bell_psi):
@@ -419,6 +422,28 @@ class TestFactorOracle:
         rect = compound_rect_powered(members, 1, p, v, psi)
         assert (rect.r1_max, rect.r2_max) == (max(0.0, r1.min()), max(0.0, r2.min()))
 
+    def test_per_instance_p_matches_dense_oracle(self, rng):
+        """Three instances, each with its own members (Kraus counts 1, 3 and 3:
+        one group on each side of C), letters, psi and p, two p with a zero
+        entry, rated in one call: each member against its dense state."""
+        da, d_in, b, dc = 2, 2, 2, 4
+        counts = (1, 3, 3)
+        members = [[KrausChannel(random_kraus_ops(rng, da * d_in, dc, k), (da, d_in), (dc,))
+                    for k in counts] for _ in range(3)]
+        vs = [CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
+              for _ in range(3)]
+        psis = [random_pure(rng, (b, d_in)) for _ in range(3)]
+        p = np.array([[0.3, 0.0, 0.7], [0.2, 0.5, 0.3], [0.0, 0.6, 0.4]])
+        groups = [np.stack(g) for g in zip(*(kraus_groups(ms) for ms in members))]
+        assert [g.shape[:3] for g in groups] == [(3, 1, 1), (3, 2, 3)]
+        letters = np.stack([v.vectors for v in vs])
+        grids = np.stack([psi.vec.reshape(psi.dims) for psi in psis])
+        r1, r2 = grouped_rates(p, grouped_output_factors(groups, letters, grids))
+        assert r1.shape == r2.shape == (3, 3)
+        for i in range(3):
+            for j, t in enumerate(members[i]):  # group order is member order here
+                self._assert_dense_rates(t, p[i], vs[i], psis[i], r1[i, j], r2[i, j])
+
     def test_zero_probability_labels_never_enter_a_spectrum(self, rng):
         """A p = 0 label's factor may hold anything, NaN included, in every member."""
         stack = np.stack([np.stack([random_factor(rng, (2, 3), 2) for _ in range(3)])
@@ -449,10 +474,10 @@ class TestFactorOracle:
         a = CqqState(rng.dirichlet(np.ones(2)), tuple(random_factor(rng, (2, 3), 2) for _ in range(2)))
         b = CqqState(rng.dirichlet(np.ones(3)), tuple(random_factor(rng, (2, 2), r) for r in (1, 3, 4)))
         prod = cqq_tensor(a, b)
-        assert (prod.b_dim, prod.c_dim) == (4, 6)
-        blocks = iter(prod.dense_blocks())
-        for sa in a.dense_blocks():
-            for sb in b.dense_blocks():
+        assert (b_dim(prod), c_dim(prod)) == (4, 6)
+        blocks = iter(dense_blocks(prod))
+        for sa in dense_blocks(a):
+            for sb in dense_blocks(b):
                 dense = permute_mat(tensor(sa, sb), (2, 3, 2, 2), [0, 2, 1, 3])
                 assert np.allclose(next(blocks), dense, rtol=0, atol=1e-15)
         assert np.allclose(prod.probs, np.outer(a.probs, b.probs).reshape(-1), rtol=0, atol=0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqmac.channels import CompoundSet
+from cqmac.channels import CompoundSet, CqChannel
 from cqmac.entropic import (
+    checked_probs,
     coherent_information_b_cx,
     effective_cqq_state,
     mutual_information_x_c,
@@ -16,6 +17,7 @@ from cqmac.regions import (
     Rect,
     compound_rect,
     compound_rect_powered,
+    compound_rects,
     contains,
     corners_csv,
     fatten,
@@ -88,8 +90,9 @@ class TestTrustBoundary:
         return KrausChannel(random_kraus_ops(rng, int(np.prod(in_dims)), 4, 2), in_dims, (4,))
 
     @pytest.mark.parametrize("p, error", [([0.5, 0.6], ValueError), ([1.5, -0.5], ValueError),
+                                          ([np.nan, 0.5], ValueError),
                                           ([0.5, 0.25, 0.25], DimensionMismatchError)],
-                             ids=["sum", "negative", "alphabet"])
+                             ids=["sum", "negative", "nan", "alphabet"])
     def test_bad_distribution(self, id_deph_set, basis_v, bell_psi, p, error):
         with pytest.raises(error):
             effective_cqq_state(id_deph_set.members[0], np.array(p), basis_v, bell_psi)
@@ -111,6 +114,67 @@ class TestTrustBoundary:
         members = [id_deph_set.members[0], self._qmac(rng, (2, 3))]
         with pytest.raises(DimensionMismatchError):
             compound_rect_powered(members, 1, uniform_p, basis_v, maximally_entangled(2))
+
+    @staticmethod
+    def _stack(rng, n=3):
+        """Raw numbers of n two-member compound sets with their (p, V, psi)."""
+        from cqmac.randutil import random_kraus_ops
+
+        kraus = np.array([[random_kraus_ops(rng, 4, 4, 2) for _ in range(2)] for _ in range(n)])
+        letters = np.array([CqChannel.from_vectors(rng.standard_normal((2, 2))).vectors
+                            for _ in range(n)])
+        psi = np.array([maximally_entangled(2).vec.reshape(2, 2)] * n)
+        return kraus, rng.dirichlet(np.ones(2), size=n), letters, psi
+
+    def test_stacked_rects_match_compound_rect(self, rng):
+        from cqmac.channels import KrausChannel
+
+        kraus, p, letters, psi = self._stack(rng)
+        rects = compound_rects(kraus, p, letters, psi)
+        assert len(rects) == 3
+        for ops, pi, vecs, grid, rect in zip(kraus, p, letters, psi, rects):
+            cset = CompoundSet(tuple(KrausChannel(k, (2, 2), (4,)) for k in ops))
+            assert rect == compound_rect(cset, 1, pi, CqChannel(vecs), PureState(grid, (2, 2)))
+
+    @pytest.mark.parametrize("poison", ["scaled", "nan"])
+    def test_stacked_member_checked_as_kraus_channel(self, rng, poison):
+        from cqmac.channels import CptpError, KrausChannel
+
+        kraus, p, letters, psi = self._stack(rng)
+        bad = kraus.copy()
+        if poison == "scaled":
+            bad[1, 1] *= 1.01
+        else:
+            bad[1, 1, 0, 2, 3] = np.nan
+        with pytest.raises(CptpError) as one:
+            KrausChannel(bad[1, 1], (2, 2), (4,))
+        with pytest.raises(CptpError) as stacked:
+            compound_rects(bad, p, letters, psi)
+        assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.parametrize("field", ["p", "letters", "psi"])
+    def test_stacked_ensemble_checked_as_constructors(self, rng, field):
+        kraus, p, letters, psi = self._stack(rng)
+        args = {"p": p, "letters": letters, "psi": psi}
+        bad = args[field] = args[field].copy()
+        if field == "p":
+            bad[2] = [0.5, 0.6]
+        elif field == "letters":
+            bad[2, 1] *= 1.01
+        else:
+            bad[2, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            {"p": lambda: checked_probs(bad[2], 2), "letters": lambda: CqChannel(bad[2]),
+             "psi": lambda: PureState(bad[2], (2, 2))}[field]()
+        with pytest.raises(ValueError, match="sum to" if field == "p" else "unit vectors"):
+            compound_rects(kraus, **args)
+
+    def test_stacked_input_dimension_checked(self, rng):
+        kraus, p, letters, psi = self._stack(rng)
+        with pytest.raises(DimensionMismatchError):
+            compound_rects(kraus, p, letters[:, :, :1], psi)
+        with pytest.raises(DimensionMismatchError):  # one p for three sets
+            compound_rects(kraus, p[:1], letters, psi)
 
     def test_one_member_is_one_shot(self, rng, basis_v, bell_psi):
         t = self._qmac(rng, (2, 2))

@@ -130,3 +130,15 @@ def test_stacked_draws_leave_the_generator_where_the_old_loop_did(monkeypatch, n
     old = real(11)
     _old_draws(old, name, samples)
     assert made[0].bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["data_processing", "compound_monotonicity", "diamond_bounds"])
+def test_stacked_suite_matches_its_per_instance_oracle(name, seed, samples):
+    # the oracle builds every channel, set and state through its constructor
+    # and makes one library call per instance
+    got = SUITES[name](seed=seed, samples=samples)
+    want = getattr(oracles, f"suite_{name}")(seed=seed, samples=samples)
+    assert (got.name, got.samples, got.violations) == (want.name, want.samples, want.violations)
+    assert got.worst_margin == pytest.approx(want.worst_margin, rel=1e-12, abs=0)
