@@ -214,6 +214,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         f"region: {len(result.optima)} corner(s), {result.evaluations} objective evals",
         file=sys.stderr,
     )
+    converged = sum(1 for status in result.statuses if status == 0)
+    print(f"region: {converged} of {len(result.statuses)} restarts converged", file=sys.stderr)
     return EXIT_OK
 
 

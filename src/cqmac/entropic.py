@@ -3,15 +3,19 @@
 All entropies are base 2 (bits). A CqqState keeps, per classical label, a
 factor u of its conditional state (rho = u u†) instead of one big
 block-diagonal matrix, which is exact and keeps dimensions small. One kernel,
-``grouped_rates`` (``cqq_rates`` for one factor stack), computes I(X;C) and
-I_c(B>CX) from factors for the rate functions, the regions, the optimizer and
-the converse check, taking each spectrum from the smaller of the Gram
-matrices m m† and m† m of a factor m (they share their nonzero eigenvalues).
-It rates every member of a compound set in one call, each at its own Kraus
-count: the Grams of all members are bucketed by size, one ``eigvalsh`` per
-distinct size, so a member with few Kraus operators never pays for another's
-many. With one p per instance it rates N compound sets in the same call (the
-``verify`` suite ``compound_monotonicity``). Dense blocks serve only as oracles.
+``RateKernel``, computes I(X;C) and I_c(B>CX) from factors for the rate
+functions, the regions, the optimizer and the converse check, taking each
+spectrum from the smaller of the Gram matrices m m† and m† m of a factor m
+(they share their nonzero eigenvalues). It rates every member of a compound
+set in one run, each at its own Kraus count: the Grams of all members are
+bucketed by size, one ``eigvalsh`` per distinct size, so a member with few
+Kraus operators never pays for another's many. It is built once from the
+factor-stack shapes and a run only does arithmetic: ``grouped_rates``
+(``cqq_rates`` for one factor stack) builds one and runs it once, and the
+frontier objective builds one per trace, with the factor buffers of its Kraus
+groups, and runs it on every evaluation. With one p per instance it rates N
+compound sets in the same run (the ``verify`` suite ``compound_monotonicity``).
+Dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -110,6 +114,40 @@ _FACTOR_AXES = [((*range(n), n + 2, n, n + 3, n + 1, n + 4), (*range(n + 2), n +
                 for n in (0, 1)]
 
 
+class _OutputStep:
+    """``grouped_output_factors`` prepared for inputs of one shape: the members'
+    concatenated, transposed operators, the grid and product buffers and one
+    factor buffer per group, stored (..., M, X, K, ref, out) so that the rate
+    kernel's matrices are views. A call overwrites the buffers."""
+
+    def __init__(self, groups, letter_shape: tuple, psi_shape: tuple):
+        *lead, x, a = letter_shape
+        lead, ref, d_in = tuple(lead), psi_shape[-2], groups[0].shape[-1]
+        ops = [g.reshape(*lead, -1, d_in) for g in groups]
+        self.ops_t = (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=-2)).mT
+        self.grid = np.empty((*lead, x, ref, a, d_in // a), dtype=complex)
+        self.u = np.empty((*lead, x * ref, self.ops_t.shape[-1]), dtype=complex)
+        stored, viewed = _FACTOR_AXES[len(lead)]
+        self.copies, self.factors, start = [], [], 0
+        for g, o in zip(groups, ops):
+            *members, count, d_out, _ = g.shape
+            width = o.shape[-2]
+            part = self.u[..., start:start + width].reshape(*lead, x, ref, -1, count, d_out)
+            part = part.transpose(stored)
+            buf = np.empty(part.shape, dtype=complex)
+            self.copies.append((buf, part))
+            f = buf.transpose(viewed)
+            self.factors.append(f.reshape(*members, *f.shape[-4:]))
+            start += width
+
+    def __call__(self, letters, psi_grid) -> list:
+        np.multiply(letters[..., None, :, None], psi_grid[..., None, :, None, :], out=self.grid)
+        np.matmul(self.grid.reshape(self.u.shape[:-1] + (-1,)), self.ops_t, out=self.u)
+        for buf, part in self.copies:
+            np.copyto(buf, part)
+        return self.factors
+
+
 def grouped_output_factors(groups, letters: np.ndarray, psi_grid: np.ndarray) -> list:
     """``pure_output_factors`` of every Kraus stack in ``groups`` (channels
     grouped by Kraus count, ``regions.kraus_groups``) from one product of the
@@ -120,23 +158,7 @@ def grouped_output_factors(groups, letters: np.ndarray, psi_grid: np.ndarray) ->
     group (N, M_K, K, out, A in), instance i's grid meeting only instance i's
     operators; each factor stack is then (N, M_K, X, ref, out, K).
     """
-    lead = letters.shape[:-2]
-    x, ref, d_in = letters.shape[-2], psi_grid.shape[-2], groups[0].shape[-1]
-    rows = lead + (-1, d_in)
-    grid = (letters[..., None, :, None] * psi_grid[..., None, :, None, :]).reshape(rows)
-    ops = [g.reshape(rows) for g in groups]
-    u = grid @ (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=-2)).mT
-    stored, viewed = _FACTOR_AXES[len(lead)]
-    factors, start = [], 0
-    for g, o in zip(groups, ops):
-        *members, count, d_out, _ = g.shape
-        width = o.shape[-2]
-        f = u[..., start:start + width].reshape(*lead, x, ref, -1, count, d_out)
-        # stored as (..., M, X, K, ref, out), so the rate kernel's matrices are views
-        f = np.ascontiguousarray(f.transpose(stored)).transpose(viewed)
-        factors.append(f.reshape(*members, *f.shape[-4:]))
-        start += width
-    return factors
+    return _OutputStep(groups, letters.shape, psi_grid.shape)(letters, psi_grid)
 
 
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
@@ -159,9 +181,119 @@ def _smaller_gram(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(m, mh, out=out) if m.shape[-2] <= m.shape[-1] else np.matmul(mh, m, out=out)
 
 
+def _label_matrices(u: np.ndarray, n: int) -> tuple:
+    """A factor stack of n labels as a (member, x, k, b, c) stack v, with its
+    per-label matrices: the C rows (c, k b) for S(C) and the (k, b c) rows for
+    S(BC). All are views of the memory ``grouped_output_factors`` lays out."""
+    b, c, k = u.shape[-3:]
+    v = u.reshape(-1, n, b, c, k).swapaxes(-1, -3).swapaxes(-1, -2)
+    m = len(v)
+    return v, v.reshape(m, n, k * b, c).swapaxes(-1, -2), v.reshape(m, n, k, b * c)
+
+
+class RateKernel:
+    """``grouped_rates`` prepared once for one layout, then run on each new
+    input of that layout with arithmetic only.
+
+    Built from the (member, x, k, b, c) shape of each group's label stack, it
+    owns the Gram slot layout (every S(C), then every S(BC), then every average
+    C state, each Gram on its own member's smaller side), one Gram buffer per
+    distinct size with each slot's view into it, and the spectrum matrix, whose
+    zero padding is written once (zero eigenvalues add no entropy). A run
+    writes the Gram products into the views, takes one ``eigvalsh`` per Gram
+    size and one entropy step, and returns new arrays.
+
+    ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
+    owns ``grouped_output_factors``' buffers and operators and is called on
+    inputs (p, V, psi): the frontier objective builds one per trace.
+    """
+
+    def __init__(self, shapes):
+        self.shapes = [tuple(s) for s in shapes]
+        self._labels = n = self.shapes[0][1]
+        gram_stacks = ([(min(c, k * b), m * n) for m, _, k, b, c in self.shapes]
+                       + [(min(k, b * c), m * n) for m, _, k, b, c in self.shapes]
+                       + [(min(c, n * k * b), m) for m, _, k, b, c in self.shapes])
+        # each slot: its size, its start in its size's buffer and its count
+        slots, counts = [], {}
+        for size, num in gram_stacks:
+            start = counts.get(size, 0)
+            counts[size] = start + num
+            slots.append((size, start, num))
+        self._grams = {size: np.empty((num, size, size), dtype=complex)
+                       for size, num in counts.items()}
+        self._lam = np.zeros((sum(counts.values()), max(counts)))
+        views, self._fills, row = [], [], 0
+        for size, start, num in slots:
+            views.append(self._grams[size][start:start + num])
+            self._fills.append((self._lam[row:row + num, :size], size, slice(start, start + num)))
+            row += num
+        g = len(self.shapes)
+        self._outs = [(views[i].reshape(m, n, *views[i].shape[1:]),
+                       views[g + i].reshape(m, n, *views[g + i].shape[1:]), views[2 * g + i])
+                      for i, (m, *_) in enumerate(self.shapes)]
+        self._mn = n * sum(m for m, *_ in self.shapes)
+        self._step = None
+
+    @classmethod
+    def inputs(cls, groups, letter_shape: tuple, psi_shape: tuple) -> "RateKernel":
+        """The kernel of the Kraus ``groups`` on inputs whose letters have
+        ``letter_shape`` and whose psi grid has ``psi_shape``, as
+        ``grouped_output_factors`` takes them."""
+        step = _OutputStep(groups, letter_shape, psi_shape)
+        matrices = [_label_matrices(u, letter_shape[-2]) for u in step.factors]
+        kernel = cls([v.shape for v, _, _ in matrices])
+        kernel._step, kernel._matrices = step, matrices
+        return kernel
+
+    def __call__(self, p, letters, psi_grid):
+        """``grouped_rates(p, grouped_output_factors(groups, letters, psi_grid))``
+        for the kernel's Kraus groups; one p with a zero entry is rated on fewer
+        labels, so by a kernel of that layout."""
+        factors = self._step(letters, psi_grid)
+        p = np.asarray(p)
+        if p.ndim == 1 and not np.all(p > 0):
+            return grouped_rates(p, factors)
+        return self._run(p, self._matrices)
+
+    def _run(self, p, matrices):
+        """The rates at p (one entry per label, or one row per instance) of
+        ``_label_matrices`` of the kernel's layout, as ``grouped_rates``
+        returns them."""
+        weights = ([p] * len(matrices) if p.ndim == 1
+                   else [np.repeat(p, len(v) // len(p), axis=0) for v, _, _ in matrices])
+        for (v, rows_c, rows_bc), w, (g_c, g_bc, g_avg) in zip(matrices, weights, self._outs):
+            m, n, k, b, c = v.shape
+            _smaller_gram(rows_c, g_c)
+            _smaller_gram(rows_bc, g_bc)
+            if c <= k * b:  # C side: the average C state is sum_x p_x of the label Grams
+                g_c, avg = g_c.reshape(m, n, c * c), g_avg.reshape(m, c * c)
+                if w.ndim == 1:
+                    np.matmul(w, g_c, out=avg)
+                else:  # row i of w times member i's label Grams
+                    np.matmul(w[:, None], g_c, out=avg[:, None])
+            else:
+                avg = np.sqrt(w)[..., None, None, None] * v
+                _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), g_avg)
+        spectra = {size: np.linalg.eigvalsh(g) for size, g in self._grams.items()}
+        for rows, size, part in self._fills:
+            rows[...] = spectra[size][part]
+        s = entropy_of_spectrum(self._lam)
+        mn, n = self._mn, self._labels
+        s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
+        if p.ndim == 1:
+            return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
+        w = np.concatenate(weights)
+        ends = np.cumsum([m for m, *_ in self.shapes])[:-1]
+        # group-major member rows to (N, M), instance i's members group after group
+        return tuple(np.hstack([r.reshape(len(p), -1) for r in np.split(rates, ends)])
+                     for rates in (s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)))
+
+
 def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     """(I(X;C), I_c(B>CX)) of every member of every factor stack in ``groups``,
-    all with this p, as two arrays over the members, group after group.
+    all with this p, as two arrays over the members, group after group: one
+    run of a ``RateKernel`` built for their layout.
 
     Each group is what ``cqq_rates`` takes, and a group without a member axis
     is one member. The groups may differ in rank (a compound set grouped by
@@ -176,66 +308,14 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     """
     probs = np.asarray(probs)
     p = probs if probs.ndim == 2 else probs[probs > 0]
-    n = p.shape[-1]
-    stacks = []
+    matrices = []
     for u in groups:
         if not isinstance(u, np.ndarray):
             u = zero_padded(u, -1)
-        if n < probs.shape[-1]:
+        if p.shape[-1] < probs.shape[-1]:
             u = u[..., probs > 0, :, :, :]
-        b, c, k = u.shape[-3:]
-        # (member, x, k, b, c): views of the memory grouped_output_factors lays out
-        stacks.append(u.reshape(-1, n, b, c, k).swapaxes(-1, -3).swapaxes(-1, -2))
-    # the one p, or each member's own: its instance's row of p, a (member, x) stack
-    weights = ([p] * len(stacks) if p.ndim == 1
-               else [np.repeat(p, len(v) // len(p), axis=0) for v in stacks])
-    # (size, count) of each Gram stack: every S(C), then every S(BC), then
-    # every average C state; each slot adds its start in its size's stack and
-    # its first entropy row
-    shapes = [v.shape for v in stacks]
-    gram_stacks = ([(min(c, k * b), m * n) for m, _, k, b, c in shapes]
-                   + [(min(k, b * c), m * n) for m, _, k, b, c in shapes]
-                   + [(min(c, n * k * b), m) for m, _, k, b, c in shapes])
-    slots, counts, rows = [], {}, 0
-    for size, num in gram_stacks:
-        start = counts.get(size, 0)
-        counts[size] = start + num
-        slots.append((size, start, num, rows))
-        rows += num
-    grams = {size: np.empty((num, size, size), dtype=complex) for size, num in counts.items()}
-
-    def out(slot, *lead):
-        size, start, num, _ = slot
-        return grams[size][start:start + num].reshape(*lead, size, size)
-
-    for i, (v, w) in enumerate(zip(stacks, weights)):
-        m, _, k, b, c = v.shape
-        s_c, s_bc, s_avg = slots[i::len(stacks)]
-        g_c = _smaller_gram(v.reshape(m, n, k * b, c).swapaxes(-1, -2), out(s_c, m, n))
-        _smaller_gram(v.reshape(m, n, k, b * c), out(s_bc, m, n))
-        if c <= k * b:  # C side: the average C state is sum_x p_x of the label Grams
-            g_c, avg = g_c.reshape(m, n, c * c), out(s_avg, m).reshape(m, c * c)
-            if w.ndim == 1:
-                np.matmul(w, g_c, out=avg)
-            else:  # row i of w times member i's label Grams
-                np.matmul(w[:, None], g_c, out=avg[:, None])
-        else:
-            avg = np.sqrt(w)[..., None, None, None] * v
-            _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), out(s_avg, m))
-    spectra = {size: np.linalg.eigvalsh(g) for size, g in grams.items()}
-    lam = np.zeros((rows, max(spectra)))  # zero eigenvalues add no entropy
-    for size, start, num, row in slots:
-        lam[row:row + num, :size] = spectra[size][start:start + num]
-    s = entropy_of_spectrum(lam)
-    mn = sum(len(v) for v in stacks) * n
-    s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
-    if p.ndim == 1:
-        return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
-    w = np.concatenate(weights)
-    ends = np.cumsum([len(v) for v in stacks])[:-1]
-    # group-major member rows to (N, M), instance i's members group after group
-    return tuple(np.hstack([r.reshape(len(p), -1) for r in np.split(rates, ends)])
-                 for rates in (s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)))
+        matrices.append(_label_matrices(u, p.shape[-1]))
+    return RateKernel([v.shape for v, _, _ in matrices])._run(p, matrices)
 
 
 def cqq_rates(probs, factors):

@@ -5,11 +5,14 @@ distribution, paired real coordinates normalized to complex unit vectors
 for the pure states. Optimization is random restarts plus Nelder-Mead
 refinement (200 iterations), deterministic for a given seed regardless of
 how restarts are scheduled. The objective rates all compound members at
-once, each at its own Kraus count: the powers are grouped by count once
-(``regions.kraus_groups``), and each evaluation is one factor product for all
-groups and one ``grouped_rates`` call (``regions.stacked_rect``, the route
-``compound_rect_powered`` takes too), with one ``eigvalsh`` per distinct Gram
-size.
+once, each at its own Kraus count: the powers are grouped by count
+(``regions.kraus_groups``) and a ``RateKernel`` is built for them once per
+trace, so each evaluation is one factor product for all groups, the Gram
+products, one ``eigvalsh`` per distinct Gram size and one entropy step. It
+maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
+(``regions.per_use_minima``, the route ``compound_rect_powered`` takes too),
+so a negative rate still shows which way is up; the reported rectangles
+clamp at 0.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .channels import (
     CqChannel,
     blocked_tensor_power,
 )
+from .entropic import RateKernel
 from .qmatrix import PureState
-from .regions import Rect, RateRegion, compound_rect_powered, kraus_groups, stacked_rect
+from .regions import Rect, RateRegion, compound_rect_powered, kraus_groups, per_use_minima
 
 NM_ITERATIONS = 200
 
@@ -43,11 +47,14 @@ class InputAnsatz:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+        if not (abs(p.sum() - 1.0) <= 1e-9 and np.all(p >= 0)):  # NaN fails too
             raise ValueError("p is not a probability distribution")
+        params = [np.asarray(a, dtype=float) for a in (self.v_params, self.psi_params)]
+        if not all(np.all(np.isfinite(a)) for a in params):
+            raise ValueError("ansatz parameters must be finite")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v_params", np.asarray(self.v_params, dtype=float))
-        object.__setattr__(self, "psi_params", np.asarray(self.psi_params, dtype=float))
+        object.__setattr__(self, "v_params", params[0])
+        object.__setattr__(self, "psi_params", params[1])
 
     def cq_channel(self, da_l: int) -> CqChannel:
         return CqChannel(_state_vectors(self.v_params, self.p.size, da_l))
@@ -107,10 +114,14 @@ class WeightOptimum:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """``statuses`` holds each restart's Nelder-Mead exit status in run order:
+    0 converged, 1 stopped on the evaluation cap, 2 on the iteration cap."""
+
     region: RateRegion
     optima: tuple[WeightOptimum, ...]
     truncated: bool
     evaluations: int
+    statuses: tuple[int, ...] = ()
 
 
 def pareto_trace(
@@ -146,7 +157,7 @@ def pareto_trace(
             f"block dimension {x_size * db_l * dc_l} exceeds budget {dim_budget}"
         )
     powered = [blocked_tensor_power(m, l, budget=dim_budget) for m in cset.members]
-    groups = kraus_groups(powered)
+    kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     ndim = _param_count(x_size, da_l, db_l)
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
 
@@ -159,14 +170,15 @@ def pareto_trace(
 
     evals = 0
     truncated = False
+    statuses: list[int] = []
 
     def make_objective(w1: float, w2: float):
         def negated(theta: np.ndarray) -> float:
             nonlocal evals
             evals += 1
             p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            rect = stacked_rect(groups, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
-            val = w1 * rect.r1_max + w2 * rect.r2_max
+            r1, r2 = per_use_minima(kernel, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
+            val = w1 * r1 + w2 * r2
             return -val if np.isfinite(val) else 1e6
 
         return negated
@@ -185,6 +197,7 @@ def pareto_trace(
             if max_evaluations is not None:  # Nelder-Mead stops at exactly maxfev
                 options["maxfev"] = max_evaluations - evals
             res = minimize(objective, theta0, method="Nelder-Mead", options=options)
+            statuses.append(int(res.status))
             truncated = truncated or res.status == 1  # stopped on the cap
             value = -float(res.fun)
             if best is None or (value, -r) > (best[0], -best[1]):
@@ -197,5 +210,5 @@ def pareto_trace(
         if truncated:
             break
     region = RateRegion(tuple(opt.rect for opt in optima)) if optima else RateRegion((Rect(0, 0),))
-    return TraceResult(region, tuple(optima), truncated, evals)
+    return TraceResult(region, tuple(optima), truncated, evals, tuple(statuses))
 

@@ -20,7 +20,7 @@ from .channels import (
     blocked_tensor_power,
     checked_kraus,
 )
-from .entropic import checked_ensemble, checked_probs, grouped_output_factors, grouped_rates
+from .entropic import RateKernel, checked_ensemble, checked_probs
 from .qmatrix import HERMITICITY_TOL, DimensionMismatchError, PureState
 
 BOUNDARY_TOL = 1e-6
@@ -81,22 +81,31 @@ def kraus_groups(channels) -> list[np.ndarray]:
     return [np.stack(g) for g in groups.values()]
 
 
+def per_use_minima(kernel, l: int, p, letters, psi_grid):
+    """Componentwise minimum of the members' rate pairs, per use, unclamped:
+    one run of a ``RateKernel`` of the members grouped by Kraus count
+    (``kraus_groups``), so each Gram is on its own member's smaller side.
+    Nothing is validated. The frontier objective reads these minima, and
+    ``stacked_rect`` clamps them into its rectangles; with one p per instance,
+    p an (N, X) array, they come as two length-N arrays.
+    """
+    r1, r2 = kernel(p, letters, psi_grid)
+    return r1.min(axis=-1) / l, r2.min(axis=-1) / l
+
+
 def stacked_rect(groups, l: int, p, letters, psi_grid):
-    """Componentwise minimum of the members' rate pairs, per use, for members
-    grouped by Kraus count (``kraus_groups``): one factor product for all
-    groups and one ``grouped_rates`` call, so each Gram is on its own member's
-    smaller side. Nothing is validated; this is also the optimizer objective's
-    route.
+    """``per_use_minima`` as a ``Rect`` from a kernel built for this one input.
 
     With one p per instance, p an (N, X) array, N compound sets are rated at
     once and the list of their N rectangles comes back: each group is then an
     (N, M_K, K, out, in) stack, ``letters`` (N, X, A) and ``psi_grid`` (N,
     ref, in), as ``grouped_output_factors`` takes them.
     """
-    r1, r2 = grouped_rates(p, grouped_output_factors(groups, letters, psi_grid))
+    kernel = RateKernel.inputs(groups, np.shape(letters), np.shape(psi_grid))
+    r1, r2 = per_use_minima(kernel, l, p, letters, psi_grid)
     if np.ndim(p) == 1:
-        return Rect(r1.min() / l, r2.min() / l)
-    return [Rect(a / l, b / l) for a, b in zip(r1.min(axis=1), r2.min(axis=1))]
+        return Rect(r1, r2)
+    return [Rect(a, b) for a, b in zip(r1, r2)]
 
 
 def one_shot_region(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Rect:

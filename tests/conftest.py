@@ -77,3 +77,19 @@ def uniform_p():
 @pytest.fixture
 def id_deph_set(identity_qmac, dephasing_qmac) -> CompoundSet:
     return CompoundSet((identity_qmac, dephasing_qmac), ("id", "dephB"))
+
+
+@pytest.fixture
+def dephrasure_set() -> CompoundSet:
+    """Identity on A and, on B, dephrasure with p = 0.10, q = 0.35: dephasing
+    with probability p, then erasure to |2> with probability q (Leditzky, Leung
+    and Smith, PRL 121, 160501, 2018). Its coherent information is negative at
+    the maximally entangled input and positive at a less entangled one."""
+    p, q = 0.10, 0.35
+    embed = np.eye(3, 2)
+    erase = np.zeros((2, 3, 2))
+    erase[0, 2, 0] = erase[1, 2, 1] = np.sqrt(q)
+    ops = [np.sqrt((1 - p) * (1 - q)) * embed, np.sqrt(p * (1 - q)) * embed @ np.diag([1, -1]),
+           *erase]
+    dephrasure = KrausChannel(ops, (2,), (3,))
+    return CompoundSet((channel_tensor(identity_channel(2), dephrasure),), ("dephrasure",))

@@ -88,6 +88,18 @@ class TestRegionCommand:
         r1_vals = [float(r.split(",")[0]) for r in rows]
         assert r1_vals == sorted(r1_vals)
 
+    def test_reports_restart_convergence(self, tmp_path, pair_set_file, id_deph_set, capsys):
+        """stderr counts the restarts whose Nelder-Mead run converged."""
+        from cqmac.optimizer import pareto_trace
+
+        assert main([
+            "region", "--input", str(pair_set_file), "--l", "1", "--budget", "2",
+            "--seed", "5", "--weights", "1:0,0:1", "--out-csv", str(tmp_path / "r.csv"),
+        ]) == 0
+        statuses = pareto_trace(id_deph_set, 1, [(1, 0), (0, 1)], budget=2, seed=5).statuses
+        converged = statuses.count(0)
+        assert f"region: {converged} of 4 restarts converged\n" in capsys.readouterr().err
+
     def test_negative_zero_weight_tagged_as_zero(self, tmp_path, pair_set_file):
         csvs = []
         for weights in (["--weights=-0:1"], ["--weights", "0:1"]):

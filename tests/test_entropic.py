@@ -5,13 +5,16 @@ from cqmac.channels import (
     CqChannel,
     KrausChannel,
     apply_channel_mat,
+    blocked_tensor_power,
     channel_tensor,
     identity_channel,
 )
 from cqmac.entropic import (
     CqqState,
+    RateKernel,
     alicki_fannes_bound,
     binary_entropy,
+    checked_probs,
     coherent_information_b_cx,
     cqq_rates,
     effective_cqq_state,
@@ -25,6 +28,7 @@ from cqmac.entropic import (
 from cqmac.qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
+    PureState,
     maximally_entangled,
     partial_trace,
     permute_mat,
@@ -43,7 +47,7 @@ from cqmac.suites import (
     suite_entropy_additivity,
     suite_holevo_identity,
 )
-from cqmac.regions import compound_rect_powered, kraus_groups
+from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
 from oracles import (
     b_dim,
     c_dim,
@@ -481,3 +485,87 @@ class TestFactorOracle:
                 dense = permute_mat(tensor(sa, sb), (2, 3, 2, 2), [0, 2, 1, 3])
                 assert np.allclose(next(blocks), dense, rtol=0, atol=1e-15)
         assert np.allclose(prod.probs, np.outer(a.probs, b.probs).reshape(-1), rtol=0, atol=0)
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+class TestRateKernel:
+    """A kernel built once and run on many inputs gives, bit for bit, what a
+    one-shot ``grouped_rates`` of the same factors gives."""
+
+    @staticmethod
+    def _assert_runs_match(rng, groups, x, a, ref, lead=(), rounds=8):
+        d_in = groups[0].shape[-1]
+        kernel = RateKernel.inputs(groups, (*lead, x, a), (*lead, ref, d_in // a))
+        for _ in range(rounds):
+            letters = _unit_rows(complex_gaussian(rng, (*lead, x, a)))
+            psi = complex_gaussian(rng, (*lead, ref, d_in // a))
+            psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
+            p = rng.dirichlet(np.ones(x), size=lead or None)
+            got = kernel(p, letters, psi)
+            want = grouped_rates(p, grouped_output_factors(groups, letters, psi))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+        return kernel
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_pair_set(self, rng, id_deph_set, l):
+        """Both Gram-side branches: the identity's average C state from its
+        sqrt(p) factors, the dephasing member's from its label Grams."""
+        powered = [blocked_tensor_power(m, l) for m in id_deph_set.members]
+        d = 2**l
+        kernel = self._assert_runs_match(rng, kraus_groups(powered), d, d, d)
+        assert {c <= k * b for _, _, k, b, c in kernel.shapes} == {True, False}
+
+    def test_random_set_of_three_kraus_counts(self, rng):
+        members = [KrausChannel(random_kraus_ops(rng, 4, 4, count), (2, 2), (4,))
+                   for count in (1, 3, 4)]
+        groups = kraus_groups(members)
+        assert [g.shape[1] for g in groups] == [1, 3, 4]
+        self._assert_runs_match(rng, groups, 3, 2, 2)
+
+    def test_per_instance_p(self, rng):
+        kraus = np.stack([np.stack([random_kraus_ops(rng, 4, 4, 3) for _ in range(2)])
+                          for _ in range(3)])  # (N, M, K, out, in)
+        self._assert_runs_match(rng, [kraus], 3, 2, 2, lead=(3,))
+
+    def test_zero_probability_label(self, rng, id_deph_set):
+        """A logit of -800 underflows to p_x = 0 exactly; the label is dropped,
+        as the one-shot route and ``compound_rect_powered`` drop it."""
+        from cqmac.optimizer import _materialize_flat, _param_count
+
+        powered = [blocked_tensor_power(m, 2) for m in id_deph_set.members]
+        groups = kraus_groups(powered)
+        kernel = RateKernel.inputs(groups, (4, 4), (4, 4))
+        theta = rng.standard_normal(_param_count(4, 4, 4))
+        theta[1] = -800.0
+        p, vv, pv = _materialize_flat(theta, 4, 4, 4)
+        assert p[1] == 0.0 and np.all(np.delete(p, 1) > 0)
+        psi_grid = pv.reshape(4, 4)
+        got = kernel(p, vv, psi_grid)
+        want = grouped_rates(p, grouped_output_factors(groups, vv, psi_grid))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        # compound_rect_powered rates what its checks keep: p as checked_probs
+        # renormalizes it and the letters as CqChannel normalizes them
+        v, psi = CqChannel.from_vectors(vv), PureState(pv, (4, 4))
+        rect = compound_rect_powered(powered, 2, p, v, psi)
+        r1, r2 = per_use_minima(kernel, 2, checked_probs(p, 4), v.vectors, psi.vec.reshape(4, 4))
+        assert (rect.r1_max, rect.r2_max) == (max(0.0, r1), max(0.0, r2))
+
+    def test_runs_return_new_arrays(self, rng, id_deph_set):
+        """A second run overwrites the kernel's buffers, not what the first returned."""
+        groups = kraus_groups(id_deph_set.members)
+        kernel = RateKernel.inputs(groups, (2, 2), (2, 2))
+        runs = []
+        for _ in range(2):
+            letters = _unit_rows(complex_gaussian(rng, (2, 2)))
+            psi = _unit_rows(complex_gaussian(rng, (1, 4))).reshape(2, 2)
+            got = kernel(rng.dirichlet(np.ones(2)), letters, psi)
+            runs.append((got, [r.copy() for r in got]))
+        assert not np.array_equal(runs[0][1][0], runs[1][1][0])
+        for got, kept in runs:
+            for g, k in zip(got, kept):
+                assert np.array_equal(g, k)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
-from cqmac.entropic import cqq_rates, pure_output_factors
+from cqmac.entropic import RateKernel, cqq_rates, pure_output_factors
 from cqmac.optimizer import (
     InputAnsatz,
     _materialize_flat,
@@ -16,7 +16,7 @@ from cqmac.optimizer import (
     pareto_trace,
 )
 from cqmac.qmatrix import PureState
-from cqmac.regions import compound_rect_powered
+from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
 from oracles import eigvalsh_buckets, member_gram_sizes
 
 
@@ -168,18 +168,45 @@ class TestParetoTrace:
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_objective_and_rect_share_one_route(self, id_deph_set, l):
-        """Each optimum's objective is the weighted reported rectangle, exactly:
-        the objective and ``compound_rect_powered`` take one route."""
+        """Each optimum's objective is the weighted raw per-use minima of its
+        ansatz, exactly, and the reported rectangle clamps those minima: the
+        objective and ``compound_rect_powered`` take one route, the rectangle's
+        inputs renormalized once by their checks (a few ulps)."""
         weights = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         res = pareto_trace(id_deph_set, l, weights, budget=1, seed=4)
         assert len(res.optima) == 3
+        d = 2**l
+        powered = [blocked_tensor_power(m, l) for m in id_deph_set.members]
+        kernel = RateKernel.inputs(kraus_groups(powered), (d, d), (d, d))
         for opt in res.optima:
             w1, w2 = opt.weights
-            assert opt.objective == w1 * opt.rect.r1_max + w2 * opt.rect.r2_max
+            ans = opt.ansatz
+            psi_grid = _state_vectors(ans.psi_params, 1, d * d)[0].reshape(d, d)
+            r1, r2 = per_use_minima(kernel, l, ans.p, _state_vectors(ans.v_params, d, d), psi_grid)
+            assert opt.objective == w1 * r1 + w2 * r2
+            assert opt.rect.r1_max == pytest.approx(max(0.0, r1), rel=0, abs=1e-15)
+            assert opt.rect.r2_max == pytest.approx(max(0.0, r2), rel=0, abs=1e-15)
+
+    def test_objective_sees_negative_rates(self, dephrasure_set):
+        """On the dephrasure QMAC the maximally entangled start has negative
+        coherent information; the objective reads the unclamped minimum, so the
+        search leaves that plateau and finds the positive rate."""
+        res = pareto_trace(dephrasure_set, 1, [(0.0, 1.0)], budget=4, seed=0)
+        assert res.optima[0].rect.r2_max >= 0.0036
+
+    def test_restart_statuses(self, identity_qmac):
+        """One Nelder-Mead status per restart run, in order; a capped trace ends on 1."""
+        res = pareto_trace(CompoundSet((identity_qmac,)), 1, [(1.0, 1.0), (0.0, 1.0)],
+                           budget=2, seed=2)
+        assert len(res.statuses) == 4 and set(res.statuses) <= {0, 1, 2}
+        capped = pareto_trace(CompoundSet((identity_qmac,)), 1, [(1.0, 1.0), (0.0, 1.0)],
+                              budget=4, seed=2, max_evaluations=40)
+        assert capped.statuses[-1] == 1 and 1 not in capped.statuses[:-1]
 
     @pytest.mark.parametrize("case", ["pair-l2", "random-3"])
     def test_stacked_objective_matches_member_loop(self, id_deph_set, rng, monkeypatch, case):
-        """The objective against the per-member loop it replaced, at 1e-12 on 50 θ."""
+        """The objective against the per-member loop it replaced, at 1e-12 on 50 θ:
+        the unclamped minima over the members, weighted."""
         from cqmac import optimizer
         from cqmac.channels import KrausChannel
         from cqmac.randutil import random_kraus_ops
@@ -207,8 +234,8 @@ class TestParetoTrace:
             theta = rng.standard_normal(x0.size)
             p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
             rates = _objective_rates(stacks, p, vv, pv, db_l)
-            r1 = max(0.0, min(r[0] for r in rates)) / l
-            r2 = max(0.0, min(r[1] for r in rates)) / l
+            r1 = min(r[0] for r in rates) / l
+            r2 = min(r[1] for r in rates) / l
             assert fun(theta) == pytest.approx(-(w1 * r1 + w2 * r2), abs=1e-12)
 
     def test_objective_is_numerically_tame(self, identity_qmac, rng):
@@ -242,3 +269,19 @@ class TestInputAnsatz:
     def test_rejects_bad_distribution(self):
         with pytest.raises(ValueError):
             InputAnsatz(np.array([0.5, 0.6]), np.ones(8), np.ones(8))
+
+    @pytest.mark.parametrize("field", ["p", "v_params", "psi_params"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"p": np.array([0.5, 0.5]), "v_params": np.ones(8), "psi_params": np.ones(8)}
+        args[field] = args[field].copy()
+        args[field][0] = bad
+        with pytest.raises(ValueError):
+            InputAnsatz(**args)
+
+    def test_keeps_finite_p_bits(self):
+        """A valid p is stored as given, not renormalized: this one sums to
+        1 + 2^-52, so p / p.sum() would change its bits."""
+        p = np.array([0.46335848984461653, 0.3373961461805628, 0.1992453639748208])
+        assert not np.array_equal(p / p.sum(), p)
+        assert np.array_equal(InputAnsatz(p, np.ones(12), np.ones(8)).p, p)
