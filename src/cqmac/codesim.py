@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,8 @@ from .qmatrix import (
     tensor_all,
     trace_norm,
 )
-from .randutil import gaussian_raw, haar_isometry, kraus_raw, unit_factors, whitened_kraus
+from .randutil import gaussian_raw, haar_isometries, haar_isometry, kraus_raw
+from .randutil import unit_factors, whitened_kraus
 
 DECODER_COMPLETENESS_TOL = 1e-7
 CHAIN_SLACK = 1e-9
@@ -175,7 +177,13 @@ def performance(code: EtCode, channel: KrausChannel) -> float:
 
 @dataclass(frozen=True)
 class CqCodebook:
-    """Codewords over a finite alphabet plus a complete POVM on the output."""
+    """Codewords over a finite alphabet plus a complete POVM on the output.
+
+    ``sqrt_povm`` holds the square roots sqrt(D_m) as one read-only
+    (messages, d, d) stack, taken by one stacked ``sqrt_psd`` on first use and
+    kept: ``combine_hybrid`` applies them in its branches and
+    ``hybrid_chain_report`` dresses the post-channel factors with them.
+    """
 
     codewords: tuple[tuple[int, ...], ...]
     povm: tuple[np.ndarray, ...]
@@ -196,6 +204,23 @@ class CqCodebook:
     def size(self) -> int:
         return len(self.codewords)
 
+    @cached_property
+    def sqrt_povm(self) -> np.ndarray:
+        roots = sqrt_psd(np.stack(self.povm))
+        roots.flags.writeable = False
+        return roots
+
+
+def _word_factors(family: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(M, d^n, r^n) output factors of the (M, n) words for an (alphabet, d, r) stack:
+    row m is the kron of word m's letter factors, entries as ``tensor_all`` gives them."""
+    out = family[words[:, 0]]
+    for letters in words[:, 1:].T:
+        f = family[letters]
+        prod = out[:, :, None, :, None] * f[:, None, :, None, :]
+        out = prod.reshape(len(out), out.shape[1] * f.shape[1], -1)
+    return out
+
 
 def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement of the family-averaged codeword outputs.
@@ -203,20 +228,21 @@ def pgm_codebook(w_families, words) -> CqCodebook:
     ``w_families`` is a sequence of (alphabet, d, r) letter-output factor
     stacks, as ``effective_a_outputs`` returns them: letter x of a family
     outputs f f† for f = family[x], and a word outputs F F† for F the kron of
-    its letters' factors. Any part of the identity missed by the measurement
-    is split evenly across the messages so the POVM is complete.
+    its letters' factors. Every word's factors are built at once, and the
+    averaged outputs, their total, its whitener and the POVM are each one
+    stacked product. Any part of the identity missed by the measurement is
+    split evenly across the messages so the POVM is complete.
     """
     words = [tuple(int(x) for x in w) for w in words]
-    avg_states = []
-    for w in words:
-        cols = np.concatenate([tensor_all([fam[x] for x in w]) for fam in w_families], axis=1)
-        avg_states.append(cols @ cols.conj().T / len(w_families))
-    total = sum(avg_states)
+    index = np.array(words)
+    cols = np.concatenate(
+        [_word_factors(np.asarray(fam, dtype=complex), index) for fam in w_families], axis=2
+    )
+    avg_states = cols @ dagger(cols) / len(w_families)
+    total = avg_states.sum(axis=0)  # in message order, as sum() adds them
     whitener = pinv_sqrt_psd(total)
-    povm = [whitener @ st @ whitener for st in avg_states]
-    support = whitener @ total @ whitener
-    leftover = np.eye(total.shape[0]) - support
-    povm = [d + leftover / len(words) for d in povm]
+    leftover = (np.eye(total.shape[0]) - whitener @ total @ whitener) / len(words)
+    povm = whitener @ avg_states @ whitener + leftover
     return CqCodebook(tuple(words), tuple(povm))
 
 
@@ -413,10 +439,9 @@ def expected_encoding_deviation(
     """
     rng = np.random.default_rng(seed)
     d = subspace_dim**n
-    avg = np.zeros((d, d), dtype=complex)
-    for _ in range(family_size):
-        v = haar_isometry(rng, d, m2)
-        avg += v @ v.conj().T / m2
+    # one stacked draw holds the numbers of family_size haar_isometry calls
+    v = haar_isometries(rng.standard_normal((family_size, 2, d, m2)))
+    avg = np.sum(v @ dagger(v) / m2, axis=0)  # in draw order
     avg /= family_size
     return trace_norm(avg - np.eye(d) / d)
 
@@ -466,8 +491,8 @@ def combine_hybrid(
 ) -> EtCode:
     """Hybrid code: measure the message gently, tag it, then recover.
 
-    Branch m applies the square-root of the POVM element and finishes with
-    the quantum recovery ops of its codeword's tag word alone. Codeword m's
+    Branch m applies sqrt(D_m) from ``cq.sqrt_povm`` and finishes with the
+    quantum recovery ops of its codeword's tag word alone. Codeword m's
     classical factor is the kron of its letter vectors; the input factor is the
     encoded half of Phi, V|f> / sqrt(m2) in column order, with rows (F, B^n).
     """
@@ -478,9 +503,9 @@ def combine_hybrid(
     if (len(et.blocks), et.blocks.shape[-1]) != (math.prod(tags), dc**n):
         raise DimensionMismatchError("quantum decoder does not act on tagged outputs")
     branches = []
-    for word, d in zip(cq.codewords, cq.povm):
+    for word, root in zip(cq.codewords, cq.sqrt_povm):
         block = et.blocks[np.ravel_multi_index(word, tags)]
-        ops = (block.reshape(-1, dc**n) @ sqrt_psd(d)).reshape(block.shape)  # one flat GEMM
+        ops = (block.reshape(-1, dc**n) @ root).reshape(block.shape)  # one flat GEMM
         branches.append(KrausChannel._trusted(ops, (dc,) * n, (et.m2,), True))
     classical_factors = tuple(
         tensor_all([v.vectors[x] for x in w]).reshape(-1, 1) for w in cq.codewords
@@ -523,19 +548,19 @@ def hybrid_chain_report(
 
     Every state stays a factor: message m's post-channel state is
     sigma_m = W W†, and its block dressed by message m' is X X† with
-    X = (I_F (x) sqrt(D_m')) W.
+    X = (I_F (x) sqrt(D_m')) W, sqrt(D_m') read from ``cq.sqrt_povm``.
     """
     m2, tags = code.m2, (v.alphabet_size,) * code.n
     factors = _message_factors(code, qmac)
     words = cq.codewords
-    sqrt_povm = sqrt_psd(np.array(cq.povm))
+    roots = cq.sqrt_povm[:, None]  # (m', 1, C^n, C^n): broadcast over F
     tag_ops = {w: et.blocks[np.ravel_multi_index(w, tags)] for w in set(words)}
     overlaps = []
     rows = []
     violations = 0
     for m, word in enumerate(words):
         w_cols = factors[m].reshape(-1, factors[m].shape[-1])
-        dressed = np.einsum("acd,fdk->afck", sqrt_povm, factors[m])  # X_m' for every m'
+        dressed = np.matmul(roots, factors[m][None])  # X_m' for every m', one GEMM each
         dressed = dressed.reshape(len(words), *w_cols.shape)  # rows (F, C^n)
         # overlaps[m][m'] is branch m''s fidelity on message m's state: the
         # recovery on the tag word of m' applied to X_m'. By linearity row m

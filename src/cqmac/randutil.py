@@ -23,8 +23,8 @@ from .qmatrix import DensityMatrix, PureState, dagger, pinv_sqrt_psd
 
 
 def gaussian_raw(rng: np.random.Generator, shape) -> np.ndarray:
-    """Raw numbers of one complex Gaussian draw: a (2,) + shape real array."""
-    return rng.standard_normal((2, *np.atleast_1d(shape)))
+    """Raw numbers of one complex Gaussian draw of an int or tuple shape: a (2,) + shape real array."""
+    return rng.standard_normal((2, *shape) if isinstance(shape, tuple) else (2, shape))
 
 
 def kraus_raw(rng: np.random.Generator, in_dim: int, out_dim: int, count: int) -> np.ndarray:

@@ -85,6 +85,33 @@ def average_error(cb: CqCodebook, w) -> float:
     return float(np.mean(errs))
 
 
+def pgm_codebook(w_families, words) -> CqCodebook:
+    """Square-root measurement built word by word: each word's averaged output
+    from ``tensor_all`` of its letters' factors, then one product per element."""
+    words = [tuple(int(x) for x in w) for w in words]
+    avg_states = []
+    for w in words:
+        cols = np.concatenate([tensor_all([fam[x] for x in w]) for fam in w_families], axis=1)
+        avg_states.append(cols @ cols.conj().T / len(w_families))
+    total = sum(avg_states)
+    whitener = pinv_sqrt_psd(total)
+    leftover = np.eye(total.shape[0]) - whitener @ total @ whitener
+    povm = [whitener @ st @ whitener + leftover / len(words) for st in avg_states]
+    return CqCodebook(tuple(words), tuple(povm))
+
+
+def expected_encoding_deviation(subspace_dim: int, n: int, m2: int, seed: int, family_size: int = 64):
+    """The encoding deviation from one per-instance ``haar_isometry`` draw per family member."""
+    rng = np.random.default_rng(seed)
+    d = subspace_dim**n
+    avg = np.zeros((d, d), dtype=complex)
+    for _ in range(family_size):
+        v = haar_isometry(rng, d, m2)
+        avg += v @ v.conj().T / m2
+    avg /= family_size
+    return trace_norm(avg - np.eye(d) / d)
+
+
 def to_density_matrix(omega: CqqState) -> DensityMatrix:
     """Dense block-diagonal state on (X, B, C); for small dimensions."""
     d = b_dim(omega) * c_dim(omega)

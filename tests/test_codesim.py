@@ -38,6 +38,7 @@ from cqmac.randutil import (
     random_kraus_ops,
 )
 from cqmac.suites import suite_code_identities
+import oracles
 from oracles import average_error, compose, entanglement_fidelity
 
 
@@ -190,6 +191,35 @@ class TestCqCodebook:
         cb = codesim.CqCodebook(((0,), (1,)), tuple(np.eye(4) / m for _ in range(m)))
         assert average_error(cb, outs) == pytest.approx(1 - 1 / m, abs=1e-10)
 
+    def test_sqrt_povm_is_each_elements_root_read_only(self, identity_qmac, mild_dephasing_qmac):
+        v = CqChannel.from_vectors([np.array([1.0, 0.0]), np.array([np.cos(0.6), np.sin(0.6)])])
+        fams = [codesim.effective_a_outputs(m, v, maximally_mixed(2))
+                for m in (identity_qmac, mild_dephasing_qmac)]
+        direct = codesim.CqCodebook(((0,), (1,)), tuple(np.eye(4) / 2 for _ in range(2)))
+        for cb in (codesim.sample_cq_codebook(fams, [0.5, 0.5], 3, 3, seed=4), direct):
+            roots = cb.sqrt_povm
+            assert roots.shape == (cb.size, *cb.povm[0].shape)
+            for root, d in zip(roots, cb.povm):
+                assert np.array_equal(root, sqrt_psd(d))
+            assert not roots.flags.writeable
+            assert cb.sqrt_povm is roots  # taken once
+
+    @pytest.mark.parametrize("kind", ["pair", "random"])
+    def test_pgm_matches_per_word_oracle(self, identity_qmac, mild_dephasing_qmac, kind):
+        if kind == "pair":
+            v = CqChannel.from_vectors([np.array([1.0, 0.0]), np.array([np.cos(0.6), np.sin(0.6)])])
+            fams = [codesim.effective_a_outputs(m, v, maximally_mixed(2))
+                    for m in (identity_qmac, mild_dephasing_qmac)]
+            words = [(0, 1, 1), (1, 0, 1), (0, 1, 1)]
+        else:
+            rng = np.random.default_rng(9)
+            fams = [complex_gaussian(rng, (3, 2, 1)), complex_gaussian(rng, (3, 2, 2)) / 2]
+            words = [(2, 0), (1, 1), (0, 2)]
+        got = codesim.pgm_codebook(fams, words)
+        want = oracles.pgm_codebook(fams, words)
+        assert got.codewords == want.codewords
+        assert np.max(np.abs(np.array(got.povm) - np.array(want.povm))) <= 1e-12
+
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         w = CqChannel.from_vectors(vectors)
@@ -304,6 +334,10 @@ class TestEtCodeSampling:
     def test_m2_too_large(self, identity_b_channel):
         with pytest.raises(ValueError):
             codesim.sample_et_code([identity_b_channel], 2, 1, 3, seed=0)
+
+    @pytest.mark.parametrize("dims", [(2, 1, 2, 3, 8), (2, 3, 2, 0, 16), (3, 2, 4, 5, 64)])
+    def test_expected_encoding_deviation_is_its_per_draw_loop(self, dims):
+        assert codesim.expected_encoding_deviation(*dims) == oracles.expected_encoding_deviation(*dims)
 
     def test_expected_encoding_diagnostic_shrinks(self):
         small = codesim.expected_encoding_deviation(2, 1, 2, seed=3, family_size=8)
@@ -563,6 +597,32 @@ class TestLetterFamilies:
         del kraus_validations[:]
         _simulate_one(id_deph_set, 3, 2, 2, 4, 7)
         assert 1 <= len(kraus_validations) <= 4
+
+    def test_one_povm_root_per_codebook(self, monkeypatch, identity_qmac, mild_dephasing_qmac):
+        """A simulate item at n = 3 takes each codebook's roots once, in one
+        stacked call, and its chain reports take none."""
+        calls = []  # (inside a chain report, argument shape)
+        inside = [False]
+        real_sqrt, real_chain = codesim.sqrt_psd, codesim.hybrid_chain_report
+
+        def counted(mat):
+            calls.append((inside[0], np.shape(mat)))
+            return real_sqrt(mat)
+
+        def chain(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_chain(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(codesim, "sqrt_psd", counted)
+        monkeypatch.setattr(codesim, "hybrid_chain_report", chain)
+        _simulate_one(CompoundSet((identity_qmac, mild_dephasing_qmac)), 3, 2, 2, 4, 0)
+        # the other calls are effective_a_outputs' 2x2 roots of the B state
+        assert [shape for _, shape in calls if len(shape) == 3] == [(2, 64, 64)] * 4
+        assert [shape for _, shape in calls if len(shape) == 2] == [(2, 2)] * 2
+        assert not any(flag for flag, _ in calls)
 
     def test_members_must_agree(self, identity_qmac, basis_v, uniform_p):
         three = CqChannel.from_vectors([[1, 0], [0, 1], [1, 1]])

@@ -64,6 +64,14 @@ def test_haar_isometry_is_bitwise_the_oracle():
         assert np.array_equal(randutil.haar_isometry(new_rng, rows, cols), old)
 
 
+@pytest.mark.parametrize("shape", [5, (3, 4)], ids=["int", "tuple"])
+def test_gaussian_raw_is_one_generator_call(shape):
+    old_rng, new_rng = _pair(17)
+    raw = randutil.gaussian_raw(new_rng, shape)
+    assert np.array_equal(raw, old_rng.standard_normal((2, *np.atleast_1d(shape))))
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 def test_isometry_needs_rows_at_least_cols(rng):
     with pytest.raises(ValueError, match="rows >= cols"):
         randutil.haar_isometry(rng, 2, 3)

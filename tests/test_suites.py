@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cqmac import suites
 from cqmac.cli import main
 from cqmac.suites import SUITES, SuiteResult
 
@@ -135,10 +136,27 @@ def test_stacked_draws_leave_the_generator_where_the_old_loop_did(monkeypatch, n
 @pytest.mark.parametrize("samples", [1, 4])
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("name", ["data_processing", "compound_monotonicity", "diamond_bounds"])
-def test_stacked_suite_matches_its_per_instance_oracle(name, seed, samples):
+def test_stacked_suite_matches_its_per_instance_oracle(name, seed, samples, monkeypatch):
     # the oracle builds every channel, set and state through its constructor
-    # and makes one library call per instance
+    # and makes one library call per instance. Every margin is compared, not
+    # only the worst: compound_monotonicity's worst is mostly its tolerance
+    passed = []
+
+    def capture(module):
+        collect = module._collect
+
+        def recording(suite, margins):
+            passed.append(np.sort(np.hstack([np.zeros(0), *margins])))
+            return collect(suite, margins)
+
+        monkeypatch.setattr(module, "_collect", recording)
+
+    capture(suites)
+    capture(oracles)
     got = SUITES[name](seed=seed, samples=samples)
     want = getattr(oracles, f"suite_{name}")(seed=seed, samples=samples)
     assert (got.name, got.samples, got.violations) == (want.name, want.samples, want.violations)
     assert got.worst_margin == pytest.approx(want.worst_margin, rel=1e-12, abs=0)
+    got_margins, want_margins = passed
+    assert got_margins.size == want_margins.size == got.samples
+    np.testing.assert_allclose(got_margins, want_margins, rtol=0, atol=1e-12)
