@@ -30,7 +30,7 @@ K K†, so nothing of M_w lies outside them (see ``_recovery_blocks``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ from .channels import (
     KrausChannel,
     batch_kron,
     kraus_gram,
-    tensor_power,
 )
 from .entropic import checked_probs
 from .entropic import binary_entropy, grouped_rates, holevo_fano_rate_bound, pure_output_factors
@@ -132,24 +131,25 @@ class EtCode:
 def _message_factors(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
     """Factors W_m[f, c, k] of the post-channel states W_m W_m† on [F, C^n].
 
-    Column (K, i, j) of W_m is the n-fold Kraus op K applied to the product
-    of the classical factor's column i and the input factor's column j.
+    Column (k, i, j) of W_m is the n-fold Kraus op N_k applied to the product
+    of the classical factor's column i and the input factor's column j. One
+    ``_fed_stack`` call, the contraction that feeds the recovery, applies the
+    channel use by use to every message's columns. No n-fold power is built, so
+    ``sample_et_code``'s budget check, made before it allocates, is the only one.
     """
     if channel.in_dims != (code.da, code.db) or channel.out_dim != code.dc:
         raise DimensionMismatchError("channel spaces do not match the code")
-    n, m2, da, db = code.n, code.m2, code.da, code.db
-    ops = tensor_power(channel, n, budget=INTERNAL_DIM_BUDGET).stacked
+    n, m2, da, db, dout = code.n, code.m2, code.da, code.db, code.dc**code.n
     tau = code.input_factor.reshape(m2, db**n, -1)
-    # the power's input is ordered (A_1, B_1, ..., A_n, B_n)
+    cls = np.concatenate(code.classical_factors, axis=1)  # every message's columns i side by side
+    joint = np.einsum("ai,fbj->abfij", cls, tau).reshape((da,) * n + (db,) * n + (-1,))
+    # rows interleaved per use, (A_1, B_1, ..., A_n, B_n), as the channel reads them
     order = [i for pair in zip(range(n), range(n, 2 * n)) for i in pair] + [2 * n]
-    factors = []
-    for cls in code.classical_factors:
-        joint = np.einsum("ai,fbj->abfij", cls, tau)
-        joint = joint.reshape((da,) * n + (db,) * n + (-1,)).transpose(order)
-        w = ops @ joint.reshape((da * db) ** n, -1)  # (K, C^n, F i j)
-        w = w.reshape(len(ops), -1, m2, joint.shape[-1] // m2)
-        factors.append(w.transpose(2, 1, 0, 3).reshape(m2, w.shape[1], -1))
-    return factors
+    fed = _fed_stack(channel.stacked[None], n, joint.transpose(order).reshape((da * db) ** n, -1))
+    fed = fed[0].reshape(-1, dout, m2, cls.shape[1], tau.shape[2]).transpose(2, 1, 0, 3, 4)
+    ends = np.cumsum([w.shape[1] for w in code.classical_factors])  # ranks may differ
+    return [fed[:, :, :, e - w.shape[1] : e].reshape(m2, dout, -1)
+            for w, e in zip(code.classical_factors, ends)]
 
 
 def _branch_overlap(factor: np.ndarray, branch_ops, m2: int) -> float:
@@ -189,13 +189,12 @@ class CqCodebook:
     povm: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.codewords) != len(self.povm):
-            raise DimensionMismatchError("codeword and POVM counts differ")
-        total = sum(self.povm)
-        defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-        if defect > 1e-8:
-            raise ValueError(f"POVM does not resolve the identity: defect {defect:.3e}")
         povm = np.array(self.povm, dtype=complex)
+        if povm.ndim != 3 or len(povm) != len(self.codewords) or not self.codewords:
+            raise DimensionMismatchError("need at least one codeword and one POVM element each")
+        defect = float(np.max(np.abs(povm.sum(axis=0) - np.eye(povm.shape[1]))))
+        if not defect <= 1e-8:  # a NaN entry fails here too
+            raise ValueError(f"POVM does not resolve the identity: defect {defect:.3e}")
         povm.flags.writeable = False
         object.__setattr__(self, "povm", tuple(povm))
         object.__setattr__(self, "codewords", tuple(tuple(int(x) for x in w) for w in self.codewords))
@@ -234,6 +233,8 @@ def pgm_codebook(w_families, words) -> CqCodebook:
     split evenly across the messages so the POVM is complete.
     """
     words = [tuple(int(x) for x in w) for w in words]
+    if not words:
+        raise ValueError("a codebook needs at least one codeword")
     index = np.array(words)
     cols = np.concatenate(
         [_word_factors(np.asarray(fam, dtype=complex), index) for fam in w_families], axis=2
@@ -314,15 +315,17 @@ def _letter_family(channel) -> np.ndarray:
     return ops.stacked.reshape(family.shape)
 
 
-def _fed_stack(family: np.ndarray, n: int, isometry: np.ndarray) -> np.ndarray:
-    """Every word's fed ops N_{w,k} V, (X^n, K^n, out^n, m2), for an (X, K, out, in) family.
+def _fed_stack(family: np.ndarray, n: int, inputs: np.ndarray) -> np.ndarray:
+    """Every word's fed ops N_{w,k} V, (X^n, K^n, out^n, cols), for an (X, K, out, in) family.
 
     N_{w,k} is the kron of family[x_i, k_i] over the uses; w and k are row-major.
+    V is the (in^n, cols) ``inputs``, fed one use at a time: no N_{w,k} is formed.
     """
-    fed = isometry.reshape(family.shape[3:] * n + (-1,))
-    for _ in range(n):  # use i's input axis leads; its (x, k, out) axes go last
-        fed = np.tensordot(fed, family, axes=([0], [3]))
-    # fed is (F, x_1, k_1, c_1, ..., x_n, k_n, c_n)
+    ops = family.reshape(-1, family.shape[3]).T  # (in, x k out)
+    fed = inputs
+    for _ in range(n):  # use i's input rows lead; its (x, k, out) columns go last
+        fed = fed.reshape(len(ops), -1).T @ ops
+    fed = fed.reshape((-1,) + family.shape[:3] * n)  # (cols, x_1, k_1, c_1, ..., x_n, k_n, c_n)
     order = [i for axis in (1, 2, 3) for i in range(axis, 3 * n + 1, 3)] + [0]
     return fed.transpose(order).reshape([dim**n for dim in family.shape[:3]] + [-1])
 
@@ -653,12 +656,11 @@ def et_to_eg(code: EtCode, channel: KrausChannel) -> EtCode:
     """
     w = code.input_factor
     vals, vecs = np.linalg.eigh(w @ w.conj().T)
-    parts = {f.name: getattr(code, f.name) for f in fields(code)}
     candidates = []
     for i in range(vals.size - 1, -1, -1):
         if vals[i] <= 1e-12:
             continue
-        eg = EtCode._trusted(**{**parts, "input_factor": vecs[:, i : i + 1]})
+        eg = EtCode._trusted(**{**vars(code), "input_factor": vecs[:, i : i + 1]})
         candidates.append((performance(eg, channel), -i, eg))
     best = max(candidates, key=lambda t: (t[0], t[1]))
     return best[2]
@@ -719,17 +721,8 @@ def pad(code: EtCode, b: int) -> EtCode:
         KrausChannel._trusted(batch_kron(br.stacked, rows), (dc,) * (n + b), (code.m2,), True)
         for br in code.branches
     )
-    return EtCode._trusted(
-        n=n + b,
-        m1=code.m1,
-        m2=code.m2,
-        da=da,
-        db=db,
-        dc=dc,
-        classical_factors=classical_factors,
-        input_factor=input_factor,
-        branches=branches,
-    )
+    return EtCode._trusted(**{**vars(code), "n": n + b, "classical_factors": classical_factors,
+                              "input_factor": input_factor, "branches": branches})
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"dims {dims} inconsistent with matrix size {m.shape[0]}"
             )
+        if not np.all(np.isfinite(m)):  # NaN passes every tolerance test below
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > HERMITICITY_TOL or abs(np.trace(m).imag) > HERMITICITY_TOL:

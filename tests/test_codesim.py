@@ -220,6 +220,24 @@ class TestCqCodebook:
         assert got.codewords == want.codewords
         assert np.max(np.abs(np.array(got.povm) - np.array(want.povm))) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_povm_refused(self, bad):
+        """Every comparison with NaN is false, so the defect test must fail closed."""
+        povm = tuple(np.full((2, 2), bad) for _ in range(2))
+        with pytest.raises(ValueError, match="resolve the identity"):
+            codesim.CqCodebook(((0,), (1,)), povm)
+
+    def test_empty_codebook_refused(self, identity_qmac, basis_v, uniform_p):
+        outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
+        with pytest.raises(ValueError, match="at least one codeword"):
+            codesim.CqCodebook((), ())
+        with pytest.raises(DimensionMismatchError):  # one element for two codewords
+            codesim.CqCodebook(((0,), (1,)), (np.eye(4),))
+        with pytest.raises(ValueError, match="at least one codeword"):
+            codesim.pgm_codebook([outs], [])
+        with pytest.raises(ValueError, match="at least one codeword"):
+            codesim.sample_cq_codebook([outs], uniform_p, 2, 0, seed=0)
+
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         w = CqChannel.from_vectors(vectors)
@@ -598,6 +616,16 @@ class TestLetterFamilies:
         _simulate_one(id_deph_set, 3, 2, 2, 4, 7)
         assert 1 <= len(kraus_validations) <= 4
 
+    def test_simulate_item_builds_no_n_fold_power(self, monkeypatch, id_deph_set):
+        """The post-channel factors go through the per-use contraction that
+        feeds the recovery, so an n = 3 item forms no n-fold Kraus power."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("n-fold Kraus power built")
+
+        monkeypatch.setattr("cqmac.channels._power_stack", refuse)
+        _simulate_one(id_deph_set, 3, 2, 2, 4, 0)
+
     def test_one_povm_root_per_codebook(self, monkeypatch, identity_qmac, mild_dephasing_qmac):
         """A simulate item at n = 3 takes each codebook's roots once, in one
         stacked call, and its chain reports take none."""
@@ -946,6 +974,10 @@ def _oracle_codes(rng):
         "pad": codesim.pad(mixed, 1),
         "concatenate": codesim.concatenate([mixed, codesim.random_et_code(rng, dc=3)]),
         "et_to_eg": codesim.et_to_eg(base, chans[0]),
+        # classical factors of rank 1 and 2: the joint columns are cut per message
+        "ragged": replace(base, classical_factors=(random_factor(rng, (2,), rank=1),
+                                                   random_factor(rng, (2,)))),
+        "pad-n3": codesim.pad(mixed, 2),
     }
     return chans, codes
 
@@ -1030,7 +1062,7 @@ class TestTrustedProducts:
 class TestFactorRouteOracle:
     """Post-channel factors W_m against the states evolved densely."""
 
-    KINDS = ["random", "mixed", "pad", "concatenate", "et_to_eg"]
+    KINDS = ["random", "mixed", "pad", "concatenate", "et_to_eg", "ragged", "pad-n3"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_performance_matches_dense_route(self, rng, kind):

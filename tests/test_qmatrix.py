@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,6 +370,13 @@ class TestTypes:
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]), (2,))
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(2) / 2, (3,))
+        # a NaN or inf entry passes the Hermiticity, trace and eigenvalue
+        # tolerances (each comparison with NaN is false), so it is refused first
+        for bad, entry in itertools.product([np.nan, np.inf, -np.inf], [(0, 0), (0, 1)]):
+            mat = np.eye(2, dtype=complex) / 2
+            mat[entry] = mat[entry[::-1]] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(mat, (2,))
 
     def test_pure_state_validation(self):
         with pytest.raises(ValueError):
