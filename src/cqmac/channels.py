@@ -31,8 +31,8 @@ from .qmatrix import (
 CPTP_TOL = 1e-8
 UNIT_NORM_TOL = 1e-7
 DIM_BUDGET = 64
-# dimension budget of the frontier search (`region --dim-budget`) and of the
-# code simulator's recovery, checked by `sample_et_code` before it allocates
+# dimension budget of the frontier search (`pareto_trace`) and of the code
+# simulator's recovery, checked by `sample_et_code` before it allocates
 INTERNAL_DIM_BUDGET = 4096
 
 

@@ -16,11 +16,10 @@ renormalized at load), 4 budget exceeded. Only ``region`` loads scipy.
 
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),
-the integer options ``--budget``, ``--alphabet``, ``--m1``, ``--m2`` and
-``--dim-budget`` must be >= 1, every ``--seed`` must be >= 0, ``--theta``
-(> 0) and ``--tol`` must be finite, each ``region --weights`` pair a:b must
-be finite, >= 0 and not 0:0, and ``verify --suite`` must name at least one
-suite.
+the integer options ``--budget``, ``--alphabet``, ``--m1`` and ``--m2``
+must be >= 1, every ``--seed`` must be >= 0, ``--theta`` (> 0) and ``--tol``
+must be finite, each ``region --weights`` pair a:b must be finite, >= 0 and
+not 0:0, and ``verify --suite`` must name at least one suite.
 
 ``simulate`` reports the seed with the largest worst-member fidelity; values
 within a relative ``BEST_SEED_TIE_RTOL`` (1e-12, recorded in the report's
@@ -40,7 +39,6 @@ import numpy as np
 
 from . import codesim
 from .channels import (
-    INTERNAL_DIM_BUDGET,
     BudgetExceededError,
     ChannelFormatError,
     CompoundSet,
@@ -132,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     region.add_argument("--out-csv", required=True)
     region.add_argument("--out-svg", default=None)
     region.add_argument("--alphabet", type=_positive_int, default=None)
-    region.add_argument("--dim-budget", type=_positive_int, default=INTERNAL_DIM_BUDGET)
 
     sim = sub.add_parser("simulate", help="sample and evaluate hybrid codes")
     sim.set_defaults(handler=cmd_simulate)
@@ -196,7 +193,6 @@ def cmd_region(args: argparse.Namespace) -> int:
         budget=args.budget,
         seed=args.seed,
         alphabet_size=args.alphabet,
-        dim_budget=args.dim_budget,
     )
     rows = [
         (opt.rect.r1_max, opt.rect.r2_max, f"w{opt.weights[0]:g}:{opt.weights[1]:g}")

@@ -233,8 +233,8 @@ def pgm_codebook(w_families, words) -> CqCodebook:
     split evenly across the messages so the POVM is complete.
     """
     words = [tuple(int(x) for x in w) for w in words]
-    if not words:
-        raise ValueError("a codebook needs at least one codeword")
+    if not words or not all(words):
+        raise ValueError("a codebook needs at least one codeword, of blocklength n >= 1")
     index = np.array(words)
     cols = np.concatenate(
         [_word_factors(np.asarray(fam, dtype=complex), index) for fam in w_families], axis=2
@@ -395,6 +395,8 @@ def sample_et_code(
     sequence of per-letter Kraus families, as ``effective_b_channel`` gives
     them, or of KrausChannels with one input and one output space.
     """
+    if n < 1:
+        raise ValueError(f"blocklength n = {n} must be >= 1")
     families = [_letter_family(ch) for ch in channels]
     x_size, _, dout, g0 = families[0].shape
     for fam in families:

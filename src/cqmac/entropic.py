@@ -9,13 +9,12 @@ spectrum from the smaller of the Gram matrices m m† and m† m of a factor m
 (they share their nonzero eigenvalues). It rates every member of a compound
 set in one run, each at its own Kraus count: the Grams of all members are
 bucketed by size, one ``eigvalsh`` per distinct size, so a member with few
-Kraus operators never pays for another's many. It is built once from the
-factor-stack shapes and a run only does arithmetic: ``grouped_rates``
-(``cqq_rates`` for one factor stack) builds one and runs it once, and the
-frontier objective builds one per trace, with the factor buffers of its Kraus
-groups, and runs it on every evaluation. With one p per instance it rates N
-compound sets in the same run (the ``verify`` suite ``compound_monotonicity``).
-Dense blocks serve only as oracles.
+Kraus operators never pays for another's many. It is built once and a run
+only does arithmetic: ``grouped_rates`` rates factor stacks with one, and
+``RateKernel.inputs`` Kraus groups on inputs (p, V, psi), such as every
+evaluation and corner of a frontier trace. With one p per instance it rates
+N compound sets in the same run (the ``verify`` suite
+``compound_monotonicity``). Dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -108,14 +107,16 @@ class CqqState:
         return self.probs.size
 
 
-# the transposes of grouped_output_factors without and with an instance axis:
+# the transposes of _OutputStep's factors without and with an instance axis:
 # (..., X, ref, M, K, out) stored as (..., M, X, K, ref, out), then K viewed last
 _FACTOR_AXES = [((*range(n), n + 2, n, n + 3, n + 1, n + 4), (*range(n + 2), n + 3, n + 4, n + 2))
                 for n in (0, 1)]
 
 
 class _OutputStep:
-    """``grouped_output_factors`` prepared for inputs of one shape: the members'
+    """``pure_output_factors`` of every Kraus stack in ``groups`` (channels
+    grouped by Kraus count, ``regions.kraus_groups``) for inputs of one shape,
+    from one product of the input grid with all their operators: it owns the
     concatenated, transposed operators, the grid and product buffers and one
     factor buffer per group, stored (..., M, X, K, ref, out) so that the rate
     kernel's matrices are views. A call overwrites the buffers."""
@@ -148,19 +149,6 @@ class _OutputStep:
         return self.factors
 
 
-def grouped_output_factors(groups, letters: np.ndarray, psi_grid: np.ndarray) -> list:
-    """``pure_output_factors`` of every Kraus stack in ``groups`` (channels
-    grouped by Kraus count, ``regions.kraus_groups``) from one product of the
-    input grid with all their operators, in order.
-
-    With an instance axis, N inputs are rated at once, each with its own
-    channels: ``letters`` is (N, X, A), ``psi_grid`` (N, ref, in) and each
-    group (N, M_K, K, out, A in), instance i's grid meeting only instance i's
-    operators; each factor stack is then (N, M_K, X, ref, out, K).
-    """
-    return _OutputStep(groups, letters.shape, psi_grid.shape)(letters, psi_grid)
-
-
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
     """Factors u[..., x, ref, out, k] of a channel's outputs on the inputs V(x) (x) psi.
 
@@ -169,9 +157,11 @@ def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: 
     array and ``psi_grid`` holds psi as a (ref, in) matrix. Every channel and
     label comes from one product of the (X ref, A in) input grid with the
     stack; the output state of label x on (ref, out) is
-    sum_k u[..., x, :, :, k] u[..., x, :, :, k]†.
+    sum_k u[..., x, :, :, k] u[..., x, :, :, k]†. With an instance axis the
+    letters are (N, X, A), the grid (N, ref, in) and the stack (N, M, K, out,
+    A in), instance i's input meeting only its own channels.
     """
-    return grouped_output_factors([kraus_stack], letters, psi_grid)[0]
+    return _OutputStep([kraus_stack], letters.shape, psi_grid.shape)(letters, psi_grid)[0]
 
 
 def _smaller_gram(m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -184,7 +174,7 @@ def _smaller_gram(m: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _label_matrices(u: np.ndarray, n: int) -> tuple:
     """A factor stack of n labels as a (member, x, k, b, c) stack v, with its
     per-label matrices: the C rows (c, k b) for S(C) and the (k, b c) rows for
-    S(BC). All are views of the memory ``grouped_output_factors`` lays out."""
+    S(BC). All are views of the memory ``_OutputStep`` lays out."""
     b, c, k = u.shape[-3:]
     v = u.reshape(-1, n, b, c, k).swapaxes(-1, -3).swapaxes(-1, -2)
     m = len(v)
@@ -204,8 +194,9 @@ class RateKernel:
     size and one entropy step, and returns new arrays.
 
     ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
-    owns ``grouped_output_factors``' buffers and operators and is called on
-    inputs (p, V, psi): the frontier objective builds one per trace.
+    owns their ``_OutputStep`` and is called on inputs (p, V, psi): the
+    frontier search builds one per trace and rates its objective and its
+    corners with it.
     """
 
     def __init__(self, shapes):
@@ -239,7 +230,7 @@ class RateKernel:
     def inputs(cls, groups, letter_shape: tuple, psi_shape: tuple) -> "RateKernel":
         """The kernel of the Kraus ``groups`` on inputs whose letters have
         ``letter_shape`` and whose psi grid has ``psi_shape``, as
-        ``grouped_output_factors`` takes them."""
+        ``_OutputStep`` takes them."""
         step = _OutputStep(groups, letter_shape, psi_shape)
         matrices = [_label_matrices(u, letter_shape[-2]) for u in step.factors]
         kernel = cls([v.shape for v, _, _ in matrices])
@@ -247,8 +238,8 @@ class RateKernel:
         return kernel
 
     def __call__(self, p, letters, psi_grid):
-        """``grouped_rates(p, grouped_output_factors(groups, letters, psi_grid))``
-        for the kernel's Kraus groups; one p with a zero entry is rated on fewer
+        """``grouped_rates`` of the factors of the kernel's Kraus groups on
+        (letters, psi_grid), at p; one p with a zero entry is rated on fewer
         labels, so by a kernel of that layout."""
         factors = self._step(letters, psi_grid)
         p = np.asarray(p)
@@ -295,14 +286,16 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     all with this p, as two arrays over the members, group after group: one
     run of a ``RateKernel`` built for their layout.
 
-    Each group is what ``cqq_rates`` takes, and a group without a member axis
-    is one member. The groups may differ in rank (a compound set grouped by
-    Kraus count), so no member is zero-padded to another's rank: each Gram is
-    on its own member's smaller side. The Grams of one size share one
-    ``eigvalsh``, and all spectra one entropy step.
+    Each group is an (X, B, C, rank) array of label factors u[x, b, c, k], an
+    (M, X, B, C, rank) array of M members or a sequence of (B, C, rank_x)
+    factors, zero-padded to one rank. The groups may differ in rank (a
+    compound set grouped by Kraus count), so each Gram is on its own member's
+    smaller side. The Grams of one size share one ``eigvalsh``, and all
+    spectra one entropy step. Labels with p = 0 are skipped; nothing is
+    validated.
 
     With one p per instance, ``probs`` is (N, X), each group is an (N, M_K, X,
-    B, C, K) stack (``grouped_output_factors`` with an instance axis) and the
+    B, C, K) stack (``pure_output_factors`` with an instance axis) and the
     rates come as (N, M) arrays, instance i's members group after group. Every
     label is then rated, and a zero p_x weighs its terms out.
     """
@@ -316,25 +309,6 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
             u = u[..., probs > 0, :, :, :]
         matrices.append(_label_matrices(u, p.shape[-1]))
     return RateKernel([v.shape for v, _, _ in matrices])._run(p, matrices)
-
-
-def cqq_rates(probs, factors):
-    """(I(X;C), I_c(B>CX)) of the cqq state with label factors u[x, b, c, k].
-
-    ``factors`` is an (X, B, C, rank) array or a sequence of (B, C, rank_x)
-    factors, padded with zero columns (zero eigenvalues) to one rank. An (M,
-    X, B, C, rank) array holds one state per compound member, all with this
-    p, and gives the rates as arrays over the members. Per label S(C) comes
-    from a = u's C rows, shape (c, b k), and S(BC) from u as a (b c, k)
-    matrix; the average C state from the sqrt(p_x) a_x side by side, or as
-    sum_x p_x a_x a_x† when the C side is the smaller. Each spectrum comes from
-    the smaller Gram of its matrix, labels with p = 0 are skipped, and there is
-    one ``eigvalsh`` call per distinct Gram size, whatever M and |X|; nothing
-    is validated. Members of unequal Kraus count go to ``grouped_rates``.
-    """
-    lead = factors.shape[:-4] if isinstance(factors, np.ndarray) else ()
-    r1, r2 = grouped_rates(probs, [factors])
-    return r1.reshape(lead)[()], r2.reshape(lead)[()]
 
 
 def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:
@@ -362,12 +336,12 @@ def effective_cqq_state(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Cqq
 
 def mutual_information_x_c(omega: CqqState) -> float:
     """I(X;C) = S(avg C) - avg S(C) on the block structure."""
-    return float(cqq_rates(omega.probs, omega.factors)[0])
+    return float(grouped_rates(omega.probs, [omega.factors])[0][0])
 
 
 def coherent_information_b_cx(omega: CqqState) -> float:
     """I_c(B>CX) = S(CX) - S(BCX) on the block structure."""
-    return float(cqq_rates(omega.probs, omega.factors)[1])
+    return float(grouped_rates(omega.probs, [omega.factors])[1][0])
 
 
 def alicki_fannes_bound(epsilon, dim_a: int):

@@ -10,9 +10,9 @@ once, each at its own Kraus count: the powers are grouped by count
 trace, so each evaluation is one factor product for all groups, the Gram
 products, one ``eigvalsh`` per distinct Gram size and one entropy step. It
 maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
-(``regions.per_use_minima``, the route ``compound_rect_powered`` takes too),
-so a negative rate still shows which way is up; the reported rectangles
-clamp at 0.
+(``regions.per_use_minima``), so a negative rate still shows which way is
+up. Each reported corner is rated by the trace's kernel too, on the input the
+objective scored, and its rectangle clamps those minima at 0.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .channels import (
 )
 from .entropic import RateKernel
 from .qmatrix import PureState
-from .regions import Rect, RateRegion, compound_rect_powered, kraus_groups, per_use_minima
+from .regions import Rect, RateRegion, kraus_groups, per_use_minima
 
 NM_ITERATIONS = 200
 
@@ -90,8 +90,10 @@ def _split_flat(theta: np.ndarray, x_size: int, da_l: int):
 
 
 def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
+    """p, the (X, A) letters and psi as its (ref, in) grid, as the rate kernel takes them."""
     p, v_params, psi_params = _split_flat(theta, x_size, da_l)
-    return p, _state_vectors(v_params, x_size, da_l), _state_vectors(psi_params, 1, db_l * db_l)[0]
+    psi_grid = _state_vectors(psi_params, 1, db_l * db_l).reshape(db_l, db_l)
+    return p, _state_vectors(v_params, x_size, da_l), psi_grid
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -131,7 +133,6 @@ def pareto_trace(
     budget: int,
     seed: int,
     alphabet_size: int | None = None,
-    dim_budget: int = INTERNAL_DIM_BUDGET,
     max_evaluations: int | None = None,
 ) -> TraceResult:
     """Trace the achievable-region frontier at blocking level l.
@@ -152,11 +153,11 @@ def pareto_trace(
     dc = member.out_dim
     da_l, db_l, dc_l = da**l, db**l, dc**l
     x_size = alphabet_size if alphabet_size is not None else da_l
-    if x_size * db_l * dc_l > dim_budget:
+    if x_size * db_l * dc_l > INTERNAL_DIM_BUDGET:
         raise BudgetExceededError(
-            f"block dimension {x_size * db_l * dc_l} exceeds budget {dim_budget}"
+            f"block dimension {x_size * db_l * dc_l} exceeds budget {INTERNAL_DIM_BUDGET}"
         )
-    powered = [blocked_tensor_power(m, l, budget=dim_budget) for m in cset.members]
+    powered = [blocked_tensor_power(m, l, budget=INTERNAL_DIM_BUDGET) for m in cset.members]
     kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     ndim = _param_count(x_size, da_l, db_l)
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
@@ -176,8 +177,7 @@ def pareto_trace(
         def negated(theta: np.ndarray) -> float:
             nonlocal evals
             evals += 1
-            p, v_vecs, psi_vec = _materialize_flat(theta, x_size, da_l, db_l)
-            r1, r2 = per_use_minima(kernel, l, p, v_vecs, psi_vec.reshape(db_l, db_l))
+            r1, r2 = per_use_minima(kernel, l, *_materialize_flat(theta, x_size, da_l, db_l))
             val = w1 * r1 + w2 * r2
             return -val if np.isfinite(val) else 1e6
 
@@ -205,7 +205,7 @@ def pareto_trace(
         if best is None:
             break
         ans = InputAnsatz(*_split_flat(best[2], x_size, da_l), seed)
-        rect = compound_rect_powered(powered, l, ans.p, ans.cq_channel(da_l), ans.psi(db_l))
+        rect = Rect(*per_use_minima(kernel, l, *_materialize_flat(best[2], x_size, da_l, db_l)))
         optima.append(WeightOptimum((w1, w2), rect, ans, best[0], best[1]))
         if truncated:
             break

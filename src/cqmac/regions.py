@@ -85,27 +85,12 @@ def per_use_minima(kernel, l: int, p, letters, psi_grid):
     """Componentwise minimum of the members' rate pairs, per use, unclamped:
     one run of a ``RateKernel`` of the members grouped by Kraus count
     (``kraus_groups``), so each Gram is on its own member's smaller side.
-    Nothing is validated. The frontier objective reads these minima, and
-    ``stacked_rect`` clamps them into its rectangles; with one p per instance,
-    p an (N, X) array, they come as two length-N arrays.
+    Nothing is validated. The frontier objective reads these minima, and the
+    rectangles clamp them; with one p per instance, p an (N, X) array, they
+    come as two length-N arrays.
     """
     r1, r2 = kernel(p, letters, psi_grid)
     return r1.min(axis=-1) / l, r2.min(axis=-1) / l
-
-
-def stacked_rect(groups, l: int, p, letters, psi_grid):
-    """``per_use_minima`` as a ``Rect`` from a kernel built for this one input.
-
-    With one p per instance, p an (N, X) array, N compound sets are rated at
-    once and the list of their N rectangles comes back: each group is then an
-    (N, M_K, K, out, in) stack, ``letters`` (N, X, A) and ``psi_grid`` (N,
-    ref, in), as ``grouped_output_factors`` takes them.
-    """
-    kernel = RateKernel.inputs(groups, np.shape(letters), np.shape(psi_grid))
-    r1, r2 = per_use_minima(kernel, l, p, letters, psi_grid)
-    if np.ndim(p) == 1:
-        return Rect(r1, r2)
-    return [Rect(a, b) for a, b in zip(r1, r2)]
 
 
 def one_shot_region(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Rect:
@@ -123,12 +108,13 @@ def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureSta
     """``compound_rect`` on members already raised to the power l, with
     (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
     p = checked_ensemble(powered_members, p, v, psi)
-    return stacked_rect(kraus_groups(powered_members), l, p, v.vectors, psi.vec.reshape(psi.dims))
+    kernel = RateKernel.inputs(kraus_groups(powered_members), v.vectors.shape, psi.dims)
+    return Rect(*per_use_minima(kernel, l, p, v.vectors, psi.vec.reshape(psi.dims)))
 
 
 def compound_rects(kraus, p, letters, psi) -> list[Rect]:
     """``compound_rect`` at l = 1 of N compound sets of one shape, each with its
-    own (p, V, psi), in one ``stacked_rect`` call.
+    own (p, V, psi), in one run of one ``RateKernel``.
 
     ``kraus`` is the (N, M, K, out, A B) array of instance i's M members, K
     Kraus operators each; ``p`` is (N, X), ``letters`` (N, X, A) and ``psi``
@@ -150,7 +136,8 @@ def compound_rects(kraus, p, letters, psi) -> list[Rect]:
     psi_defect = np.abs(np.linalg.norm(psi, axis=(-2, -1)) - 1.0)
     if not (np.all(letter_defect <= UNIT_NORM_TOL) and np.all(psi_defect <= HERMITICITY_TOL)):
         raise ValueError("letters and psi must be finite unit vectors")
-    return stacked_rect([kraus], 1, p, letters, psi)
+    kernel = RateKernel.inputs([kraus], letters.shape, psi.shape)
+    return [Rect(r1, r2) for r1, r2 in zip(*per_use_minima(kernel, 1, p, letters, psi))]
 
 
 def scale(region, l: int) -> RateRegion:

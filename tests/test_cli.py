@@ -465,7 +465,6 @@ class TestArguments:
             ("region", ["--budget", "0"], "expected an integer >= 1"),
             ("region", ["--alphabet", "0"], "expected an integer >= 1"),
             ("region", ["--alphabet", "-1"], "expected an integer >= 1"),
-            ("region", ["--dim-budget", "0"], "expected an integer >= 1"),
             ("region", ["--seed", "-1"], "expected an integer >= 0"),
             ("simulate", ["--budget", "0"], "expected an integer >= 1"),
             ("simulate", ["--m1", "0"], "expected an integer >= 1"),
@@ -484,7 +483,7 @@ class TestArguments:
             "region-weights-inf", "region-weights-zero-pair", "region-weights-negative",
             "region-l-list",
             "region-budget-zero", "region-alphabet-zero", "region-alphabet-negative",
-            "region-dim-budget-zero", "region-seed-negative", "simulate-budget-zero",
+            "region-seed-negative", "simulate-budget-zero",
             "simulate-m1-zero", "simulate-m2-zero", "simulate-m2-text", "simulate-seed-negative",
             "verify-seed-negative", "verify-tol-nan", "verify-tol-inf",
             "net-theta-zero", "net-theta-negative", "net-theta-inf",

@@ -238,6 +238,16 @@ class TestCqCodebook:
         with pytest.raises(ValueError, match="at least one codeword"):
             codesim.sample_cq_codebook([outs], uniform_p, 2, 0, seed=0)
 
+    @pytest.mark.parametrize("call", ["sample_cq_codebook", "pgm_codebook", "sample_et_code"])
+    def test_blocklength_zero_refused(self, identity_qmac, basis_v, uniform_p, call):
+        """Blocklength 0 is refused with ValueError, not an indexing error."""
+        outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
+        args = {"sample_cq_codebook": ([outs], uniform_p, 0, 2, 0),  # n = 0, seed 0
+                "pgm_codebook": ([outs], [(), ()]),
+                "sample_et_code": ([identity_channel(2)], 2, 0, 1, 0)}
+        with pytest.raises(ValueError, match="blocklength n"):
+            getattr(codesim, call)(*args[call])
+
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         w = CqChannel.from_vectors(vectors)

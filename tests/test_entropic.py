@@ -16,9 +16,7 @@ from cqmac.entropic import (
     binary_entropy,
     checked_probs,
     coherent_information_b_cx,
-    cqq_rates,
     effective_cqq_state,
-    grouped_output_factors,
     grouped_rates,
     holevo_fano_rate_bound,
     mutual_information_x_c,
@@ -352,7 +350,7 @@ class TestFactorOracle:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         for factors in (stack, omega.factors):
-            r1, r2 = cqq_rates(p, factors)
+            (r1,), (r2,) = grouped_rates(p, [factors])
             assert r1 == pytest.approx(i_xc, abs=1e-12)
             assert r2 == pytest.approx(ic, abs=1e-12)
         side_c, side_bc, side_avg = member_gram_sizes(b, c, rank, 3)
@@ -369,7 +367,7 @@ class TestFactorOracle:
             return eigvalsh(a)
 
         groups = kraus_groups(members)
-        factors = grouped_output_factors(groups, v.vectors, psi.vec.reshape(psi.dims))
+        factors = [pure_output_factors(g, v.vectors, psi.vec.reshape(psi.dims)) for g in groups]
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         r1, r2 = grouped_rates(p, factors)
         monkeypatch.undo()
@@ -442,7 +440,7 @@ class TestFactorOracle:
         assert [g.shape[:3] for g in groups] == [(3, 1, 1), (3, 2, 3)]
         letters = np.stack([v.vectors for v in vs])
         grids = np.stack([psi.vec.reshape(psi.dims) for psi in psis])
-        r1, r2 = grouped_rates(p, grouped_output_factors(groups, letters, grids))
+        r1, r2 = grouped_rates(p, [pure_output_factors(g, letters, grids) for g in groups])
         assert r1.shape == r2.shape == (3, 3)
         for i in range(3):
             for j, t in enumerate(members[i]):  # group order is member order here
@@ -453,15 +451,14 @@ class TestFactorOracle:
         stack = np.stack([np.stack([random_factor(rng, (2, 3), 2) for _ in range(3)])
                           for _ in range(2)])
         p = np.array([0.4, 0.0, 0.6])
-        clean = cqq_rates(p, stack)
+        clean = grouped_rates(p, [stack])
         stack[:, 1] = np.nan
-        poisoned = cqq_rates(p, stack)
+        poisoned = grouped_rates(p, [stack])
         for a, b in zip(clean, poisoned):
             assert np.array_equal(a, b)
         for i in range(2):
-            single = cqq_rates(p[[0, 2]], stack[i, [0, 2]])
-            assert all(isinstance(r, np.floating) for r in single)  # scalars without a member axis
-            assert single == (clean[0][i], clean[1][i])
+            (r1,), (r2,) = grouped_rates(p[[0, 2]], [stack[i, [0, 2]]])
+            assert (r1, r2) == (clean[0][i], clean[1][i])
 
     def test_factors_match_per_letter_route(self, rng):
         """One product for all letters against the per-letter contraction."""
@@ -505,7 +502,7 @@ class TestRateKernel:
             psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
             p = rng.dirichlet(np.ones(x), size=lead or None)
             got = kernel(p, letters, psi)
-            want = grouped_rates(p, grouped_output_factors(groups, letters, psi))
+            want = grouped_rates(p, [pure_output_factors(g, letters, psi) for g in groups])
             for g, w in zip(got, want):
                 assert g.shape == w.shape and np.array_equal(g, w)
         return kernel
@@ -545,7 +542,7 @@ class TestRateKernel:
         assert p[1] == 0.0 and np.all(np.delete(p, 1) > 0)
         psi_grid = pv.reshape(4, 4)
         got = kernel(p, vv, psi_grid)
-        want = grouped_rates(p, grouped_output_factors(groups, vv, psi_grid))
+        want = grouped_rates(p, [pure_output_factors(g, vv, psi_grid) for g in groups])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         # compound_rect_powered rates what its checks keep: p as checked_probs

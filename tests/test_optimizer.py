@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
-from cqmac.entropic import RateKernel, cqq_rates, pure_output_factors
+from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
 from cqmac.optimizer import (
     InputAnsatz,
     _materialize_flat,
@@ -45,10 +45,10 @@ def test_every_exported_name_resolves():
     assert proc.returncode == 0, proc.stderr
 
 
-def _objective_rates(stacks, p, v_vecs, psi_vec, db_l):
-    """Rate pair per member as the objective computes it: the kernel on raw factors."""
-    psi_grid = psi_vec.reshape(db_l, db_l)
-    return [cqq_rates(p, pure_output_factors(ks, v_vecs, psi_grid)) for ks in stacks]
+def _objective_rates(stacks, p, v_vecs, psi_grid):
+    """(r1, r2) arrays over the members, each Kraus stack its own group: the
+    rates of the raw factors, which the objective minimizes over."""
+    return grouped_rates(p, [pure_output_factors(ks, v_vecs, psi_grid) for ks in stacks])
 
 
 def test_state_vectors_normalise_rows_with_basis_fallback():
@@ -111,10 +111,17 @@ class TestParetoTrace:
         assert res.truncated
         assert res.evaluations == 40
 
-    def test_dim_budget(self, identity_qmac):
-        with pytest.raises(BudgetExceededError):
-            pareto_trace(CompoundSet((identity_qmac,)), 3, [(1.0, 1.0)], budget=1, seed=0,
-                         dim_budget=100)
+    def test_dim_budget(self, identity_qmac, monkeypatch):
+        """At l=4 the block dimension 16·16·256 exceeds ``INTERNAL_DIM_BUDGET``
+        (4096), refused before any power is built."""
+        from cqmac import optimizer
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a power was built")
+
+        monkeypatch.setattr(optimizer, "blocked_tensor_power", unbuilt)
+        with pytest.raises(BudgetExceededError, match="65536 exceeds budget 4096"):
+            pareto_trace(CompoundSet((identity_qmac,)), 4, [(1.0, 1.0)], budget=1, seed=0)
 
     def test_fast_route_matches_public(self, id_deph_set, rng):
         for l in (1, 2):
@@ -125,9 +132,9 @@ class TestParetoTrace:
             for _ in range(3):
                 theta = rng.standard_normal(nd)
                 p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
-                fast = _objective_rates(stacks, p, vv, pv, db_l)
-                r1 = max(0.0, min(r[0] for r in fast)) / l
-                r2 = max(0.0, min(r[1] for r in fast)) / l
+                fast_r1, fast_r2 = _objective_rates(stacks, p, vv, pv)
+                r1 = max(0.0, fast_r1.min()) / l
+                r2 = max(0.0, fast_r2.min()) / l
                 rect = compound_rect_powered(
                     powered, l, p, CqChannel.from_vectors(vv), PureState(pv, (db_l, db_l))
                 )
@@ -169,9 +176,8 @@ class TestParetoTrace:
     @pytest.mark.parametrize("l", [1, 2])
     def test_objective_and_rect_share_one_route(self, id_deph_set, l):
         """Each optimum's objective is the weighted raw per-use minima of its
-        ansatz, exactly, and the reported rectangle clamps those minima: the
-        objective and ``compound_rect_powered`` take one route, the rectangle's
-        inputs renormalized once by their checks (a few ulps)."""
+        ansatz, exactly, and the reported rectangle clamps those same minima
+        exactly: the trace rates its corners with the kernel it searched with."""
         weights = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         res = pareto_trace(id_deph_set, l, weights, budget=1, seed=4)
         assert len(res.optima) == 3
@@ -184,8 +190,30 @@ class TestParetoTrace:
             psi_grid = _state_vectors(ans.psi_params, 1, d * d)[0].reshape(d, d)
             r1, r2 = per_use_minima(kernel, l, ans.p, _state_vectors(ans.v_params, d, d), psi_grid)
             assert opt.objective == w1 * r1 + w2 * r2
-            assert opt.rect.r1_max == pytest.approx(max(0.0, r1), rel=0, abs=1e-15)
-            assert opt.rect.r2_max == pytest.approx(max(0.0, r2), rel=0, abs=1e-15)
+            assert opt.rect.r1_max == max(0.0, r1)
+            assert opt.rect.r2_max == max(0.0, r2)
+
+    def test_one_kernel_per_trace(self, id_deph_set, monkeypatch):
+        """A trace over three weights builds one ``RateKernel`` for its
+        objective and its corners, and never rates through ``compound_rect_powered``."""
+        from cqmac import regions
+
+        calls = []
+        inputs, powered = RateKernel.inputs, regions.compound_rect_powered
+
+        def counted_inputs(*args, **kwargs):
+            calls.append("inputs")
+            return inputs(*args, **kwargs)
+
+        def counted_powered(*args, **kwargs):
+            calls.append("compound_rect_powered")
+            return powered(*args, **kwargs)
+
+        monkeypatch.setattr(RateKernel, "inputs", staticmethod(counted_inputs))
+        monkeypatch.setattr(regions, "compound_rect_powered", counted_powered)
+        res = pareto_trace(id_deph_set, 1, [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], budget=1, seed=4)
+        assert len(res.optima) == 3
+        assert calls == ["inputs"]
 
     def test_objective_sees_negative_rates(self, dephrasure_set):
         """On the dephrasure QMAC the maximally entangled start has negative
@@ -233,9 +261,9 @@ class TestParetoTrace:
         for _ in range(50):
             theta = rng.standard_normal(x0.size)
             p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
-            rates = _objective_rates(stacks, p, vv, pv, db_l)
-            r1 = min(r[0] for r in rates) / l
-            r2 = min(r[1] for r in rates) / l
+            rates_1, rates_2 = _objective_rates(stacks, p, vv, pv)
+            r1 = rates_1.min() / l
+            r2 = rates_2.min() / l
             assert fun(theta) == pytest.approx(-(w1 * r1 + w2 * r2), abs=1e-12)
 
     def test_objective_is_numerically_tame(self, identity_qmac, rng):
@@ -250,8 +278,8 @@ class TestParetoTrace:
         vals = []
         for t in ts:
             p, vv, pv = _materialize_flat(theta + t * direction, 2, 2, 2)
-            rates = _objective_rates(stacks, p, vv, pv, 2)
-            vals.append(rates[0][0] + rates[0][1])
+            (r1,), (r2,) = _objective_rates(stacks, p, vv, pv)
+            vals.append(r1 + r2)
         vals = np.asarray(vals)
         assert np.all(np.isfinite(vals))
         quotients = np.diff(vals) / np.diff(ts)
