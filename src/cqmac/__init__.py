@@ -49,10 +49,7 @@ from .regions import (
 
 # The optimizer imports scipy.optimize, which only the frontier search
 # needs, so its names are looked up on first use (PEP 562).
-_OPTIMIZER_NAMES = (
-    "InputAnsatz",
-    "pareto_trace",
-)
+_OPTIMIZER_NAMES = ("pareto_trace",)
 
 
 def __getattr__(name):

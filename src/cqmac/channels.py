@@ -30,10 +30,11 @@ from .qmatrix import (
 
 CPTP_TOL = 1e-8
 UNIT_NORM_TOL = 1e-7
-DIM_BUDGET = 64
-# dimension budget of the frontier search (`pareto_trace`) and of the code
-# simulator's recovery, checked by `sample_et_code` before it allocates
-INTERNAL_DIM_BUDGET = 4096
+# The one memory rule: no single array above this many complex entries (a
+# 512 MiB complex128 array). Each route computes the shape of its largest
+# array and calls ``check_budget`` before it allocates, so an oversized one is
+# refused, by name, before it exists.
+BUDGET_ENTRIES = 2**25
 
 
 class CptpError(ValueError):
@@ -45,7 +46,18 @@ class CptpError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Requested construction exceeds the dense matrix size budget."""
+    """An array would hold more than ``BUDGET_ENTRIES`` entries."""
+
+
+def check_budget(what: str, shape) -> None:
+    """Refuse the array ``what`` of ``shape`` if it has more than ``BUDGET_ENTRIES`` entries."""
+    shape = tuple(int(d) for d in shape)
+    entries = math.prod(shape)
+    if entries > BUDGET_ENTRIES:
+        raise BudgetExceededError(
+            f"{what} of shape {shape} has {entries} entries, above the budget of "
+            f"{BUDGET_ENTRIES} entries per array"
+        )
 
 
 def kraus_gram(stacked: np.ndarray) -> np.ndarray:
@@ -195,28 +207,25 @@ def channel_tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     )
 
 
-def _power_stack(channel: KrausChannel, k: int, budget: int) -> np.ndarray:
-    """Kraus stack of the k-fold power; refuses to grow past the dense budget."""
+def _power_stack(channel: KrausChannel, k: int) -> np.ndarray:
+    """Kraus stack of the k-fold power, refused before it is built if over the budget."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
-    if channel.in_dim**k > budget or channel.out_dim**k > budget:
-        raise BudgetExceededError(
-            f"tensor power dimension {max(channel.in_dim, channel.out_dim) ** k} "
-            f"exceeds budget {budget}"
-        )
+    count, dout, din = channel.stacked.shape
+    check_budget("k-fold Kraus power", (count**k, dout**k, din**k))
     return batch_kron(*[channel.stacked] * k)
 
 
-def tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
-    """k-fold memoryless extension. Refuses to grow past the dense budget."""
-    ops = _power_stack(channel, k, budget)
+def tensor_power(channel: KrausChannel, k: int) -> KrausChannel:
+    """k-fold memoryless extension."""
+    ops = _power_stack(channel, k)
     if k == 1:
         return channel
     flag = channel.trace_nonincreasing
     return KrausChannel._trusted(ops, channel.in_dims * k, channel.out_dims * k, flag)
 
 
-def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET) -> KrausChannel:
+def blocked_tensor_power(channel: KrausChannel, k: int) -> KrausChannel:
     """Tensor power with the input regrouped into per-sender blocks.
 
     For a two-input channel on (A, B) the k-fold power naturally acts on
@@ -225,7 +234,7 @@ def blocked_tensor_power(channel: KrausChannel, k: int, budget: int = DIM_BUDGET
     """
     if len(channel.in_dims) != 2:
         raise DimensionMismatchError("blocked power needs a two-part input (A, B)")
-    ops = _power_stack(channel, k, budget)
+    ops = _power_stack(channel, k)
     if k == 1:
         return channel
     da, db = channel.in_dims

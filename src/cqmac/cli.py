@@ -12,7 +12,10 @@ BLAS thread count (e.g. ``OPENBLAS_NUM_THREADS``) is fixed as well: another
 count can change results in the last bits, which the full-precision
 ``simulate`` JSON shows. Exit codes: 0 ok, 1 a ``verify`` suite failed,
 2 malformed input, 3 CPTP defect above 1e-6 in the input (smaller ones are
-renormalized at load), 4 budget exceeded. Only ``region`` loads scipy.
+renormalized at load), 4 budget exceeded: no single array may hold more than
+2^25 complex entries (``channels.BUDGET_ENTRIES``), and an oversized one is
+refused before it is allocated, by a message that names it. Only ``region``
+loads scipy.
 
 Arguments are checked before any work starts, and a bad one exits 2:
 ``region --l`` takes one blocking level (``simulate --l`` takes a list),

@@ -36,12 +36,11 @@ from functools import cached_property
 import numpy as np
 
 from .channels import (
-    INTERNAL_DIM_BUDGET,
-    BudgetExceededError,
     CompoundSet,
     CqChannel,
     KrausChannel,
     batch_kron,
+    check_budget,
     kraus_gram,
 )
 from .entropic import checked_probs
@@ -134,8 +133,7 @@ def _message_factors(code: EtCode, channel: KrausChannel) -> list[np.ndarray]:
     Column (k, i, j) of W_m is the n-fold Kraus op N_k applied to the product
     of the classical factor's column i and the input factor's column j. One
     ``_fed_stack`` call, the contraction that feeds the recovery, applies the
-    channel use by use to every message's columns. No n-fold power is built, so
-    ``sample_et_code``'s budget check, made before it allocates, is the only one.
+    channel use by use to every message's columns, so no n-fold power is built.
     """
     if channel.in_dims != (code.da, code.db) or channel.out_dim != code.dc:
         raise DimensionMismatchError("channel spaces do not match the code")
@@ -236,9 +234,11 @@ def pgm_codebook(w_families, words) -> CqCodebook:
     if not words or not all(words):
         raise ValueError("a codebook needs at least one codeword, of blocklength n >= 1")
     index = np.array(words)
-    cols = np.concatenate(
-        [_word_factors(np.asarray(fam, dtype=complex), index) for fam in w_families], axis=2
-    )
+    families = [np.asarray(fam, dtype=complex) for fam in w_families]
+    n, d_n = index.shape[1], families[0].shape[1] ** index.shape[1]
+    check_budget("codeword factors", (len(words), d_n, sum(f.shape[2] ** n for f in families)))
+    check_budget("POVM stack", (len(words), d_n, d_n))
+    cols = np.concatenate([_word_factors(fam, index) for fam in families], axis=2)
     avg_states = cols @ dagger(cols) / len(w_families)
     total = avg_states.sum(axis=0)  # in message order, as sum() adds them
     whitener = pinv_sqrt_psd(total)
@@ -320,8 +320,12 @@ def _fed_stack(family: np.ndarray, n: int, inputs: np.ndarray) -> np.ndarray:
 
     N_{w,k} is the kron of family[x_i, k_i] over the uses; w and k are row-major.
     V is the (in^n, cols) ``inputs``, fed one use at a time: no N_{w,k} is formed.
+    Each use swaps one input factor for one (x, k, out) factor, so no step
+    holds more than cols max(in, X K out)^n entries: that is held to the budget
+    before the first product.
     """
     ops = family.reshape(-1, family.shape[3]).T  # (in, x k out)
+    check_budget("fed stack", (inputs.shape[1], max(ops.shape) ** n))
     fed = inputs
     for _ in range(n):  # use i's input rows lead; its (x, k, out) columns go last
         fed = fed.reshape(len(ops), -1).T @ ops
@@ -406,8 +410,9 @@ def sample_et_code(
         raise DimensionMismatchError("subspace dimension exceeds the channel input")
     if m2 > subspace_dim**n:
         raise ValueError(f"m2 = {m2} exceeds subspace capacity {subspace_dim ** n}")
-    if max(g0, dout * x_size) ** n > INTERNAL_DIM_BUDGET:  # before any allocation
-        raise BudgetExceededError(f"n = {n} recovery exceeds dimension budget {INTERNAL_DIM_BUDGET}")
+    count = sum(fam.shape[1] for fam in families)
+    # the recovery's largest array, checked before any allocation
+    check_budget("word blocks", (x_size**n, count**n + dout**n, m2, dout**n))
     rng = np.random.default_rng(seed)
     v_sub = haar_isometry(rng, subspace_dim**n, m2)
     isometry = tensor_all([np.eye(g0, subspace_dim)] * n) @ v_sub

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CqChannel, KrausChannel
+from .channels import CqChannel, KrausChannel, check_budget
 from .qmatrix import (
     DensityMatrix,
     DimensionMismatchError,
@@ -119,12 +119,15 @@ class _OutputStep:
     from one product of the input grid with all their operators: it owns the
     concatenated, transposed operators, the grid and product buffers and one
     factor buffer per group, stored (..., M, X, K, ref, out) so that the rate
-    kernel's matrices are views. A call overwrites the buffers."""
+    kernel's matrices are views. A call overwrites the buffers. The product
+    ``u`` is the largest buffer (a channel's K out is at least its input
+    dimension), so it alone is held to the budget, before any is allocated."""
 
     def __init__(self, groups, letter_shape: tuple, psi_shape: tuple):
         *lead, x, a = letter_shape
         lead, ref, d_in = tuple(lead), psi_shape[-2], groups[0].shape[-1]
         ops = [g.reshape(*lead, -1, d_in) for g in groups]
+        check_budget("factor product u", (*lead, x * ref, sum(o.shape[-2] for o in ops)))
         self.ops_t = (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=-2)).mT
         self.grid = np.empty((*lead, x, ref, a, d_in // a), dtype=complex)
         self.u = np.empty((*lead, x * ref, self.ops_t.shape[-1]), dtype=complex)

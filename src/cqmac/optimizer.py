@@ -22,45 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import (
-    INTERNAL_DIM_BUDGET,
-    BudgetExceededError,
-    CompoundSet,
-    CqChannel,
-    blocked_tensor_power,
-)
+from .channels import CompoundSet, blocked_tensor_power, check_budget
 from .entropic import RateKernel
-from .qmatrix import PureState
 from .regions import Rect, RateRegion, kraus_groups, per_use_minima
 
 NM_ITERATIONS = 200
-
-
-@dataclass(frozen=True)
-class InputAnsatz:
-    """One candidate (p, V, psi) for a fixed blocking level."""
-
-    p: np.ndarray
-    v_params: np.ndarray
-    psi_params: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if not (abs(p.sum() - 1.0) <= 1e-9 and np.all(p >= 0)):  # NaN fails too
-            raise ValueError("p is not a probability distribution")
-        params = [np.asarray(a, dtype=float) for a in (self.v_params, self.psi_params)]
-        if not all(np.all(np.isfinite(a)) for a in params):
-            raise ValueError("ansatz parameters must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v_params", params[0])
-        object.__setattr__(self, "psi_params", params[1])
-
-    def cq_channel(self, da_l: int) -> CqChannel:
-        return CqChannel(_state_vectors(self.v_params, self.p.size, da_l))
-
-    def psi(self, db_l: int) -> PureState:
-        return PureState(_state_vectors(self.psi_params, 1, db_l * db_l)[0], (db_l, db_l))
 
 
 def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> np.ndarray:
@@ -79,21 +45,14 @@ def _param_count(x_size: int, da_l: int, db_l: int) -> int:
     return x_size + 2 * x_size * da_l + 2 * db_l * db_l
 
 
-def _split_flat(theta: np.ndarray, x_size: int, da_l: int):
-    """Softmax distribution plus the raw V and psi parameter blocks."""
+def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
+    """Softmax p, the (X, A) letters and psi as its (ref, in) grid, as the kernel takes them."""
     logits = theta[:x_size]
-    shifted = logits - np.max(logits)
-    p = np.exp(shifted)
+    p = np.exp(logits - np.max(logits))
     p = p / p.sum()
     v_end = x_size + 2 * x_size * da_l
-    return p, theta[x_size:v_end], theta[v_end:]
-
-
-def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
-    """p, the (X, A) letters and psi as its (ref, in) grid, as the rate kernel takes them."""
-    p, v_params, psi_params = _split_flat(theta, x_size, da_l)
-    psi_grid = _state_vectors(psi_params, 1, db_l * db_l).reshape(db_l, db_l)
-    return p, _state_vectors(v_params, x_size, da_l), psi_grid
+    psi_grid = _state_vectors(theta[v_end:], 1, db_l * db_l).reshape(db_l, db_l)
+    return p, _state_vectors(theta[x_size:v_end], x_size, da_l), psi_grid
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -107,9 +66,15 @@ def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightOptimum:
+    """The best input of one weight pair, as the objective scored it: ``p``,
+    the (X, A) ``letters`` and the (ref, in) ``psi`` grid, with the rectangle
+    the trace's kernel rates on them."""
+
     weights: tuple[float, float]
     rect: Rect
-    ansatz: InputAnsatz
+    p: np.ndarray
+    letters: np.ndarray
+    psi: np.ndarray
     objective: float
     restart_index: int
 
@@ -150,16 +115,18 @@ def pareto_trace(
     if len(member.in_dims) != 2:
         raise ValueError("compound members must have a two-part (A, B) input")
     da, db = member.in_dims
-    dc = member.out_dim
-    da_l, db_l, dc_l = da**l, db**l, dc**l
+    da_l, db_l = da**l, db**l
     x_size = alphabet_size if alphabet_size is not None else da_l
-    if x_size * db_l * dc_l > INTERNAL_DIM_BUDGET:
-        raise BudgetExceededError(
-            f"block dimension {x_size * db_l * dc_l} exceeds budget {INTERNAL_DIM_BUDGET}"
-        )
-    powered = [blocked_tensor_power(m, l, budget=INTERNAL_DIM_BUDGET) for m in cset.members]
-    kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     ndim = _param_count(x_size, da_l, db_l)
+    # the kernel's product u (as ``RateKernel.inputs`` checks it), the members'
+    # powers side by side (as ``kraus_groups`` and the kernel stack them) and the
+    # search's simplex, refused before any power or kernel buffer is built
+    width = sum(len(m.stacked) ** l for m in cset.members) * member.out_dim**l
+    check_budget("factor product u", (x_size * db_l, width))
+    check_budget("stacked Kraus powers", (da_l * db_l, width))
+    check_budget("Nelder-Mead simplex", (ndim + 1, ndim))
+    powered = [blocked_tensor_power(m, l) for m in cset.members]
+    kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
 
     def restart_init(wi: int, r: int) -> np.ndarray:
@@ -204,9 +171,9 @@ def pareto_trace(
                 best = (value, r, res.x)
         if best is None:
             break
-        ans = InputAnsatz(*_split_flat(best[2], x_size, da_l), seed)
-        rect = Rect(*per_use_minima(kernel, l, *_materialize_flat(best[2], x_size, da_l, db_l)))
-        optima.append(WeightOptimum((w1, w2), rect, ans, best[0], best[1]))
+        p, letters, psi = _materialize_flat(best[2], x_size, da_l, db_l)
+        rect = Rect(*per_use_minima(kernel, l, p, letters, psi))
+        optima.append(WeightOptimum((w1, w2), rect, p, letters, psi, best[0], best[1]))
         if truncated:
             break
     region = RateRegion(tuple(opt.rect for opt in optima)) if optima else RateRegion((Rect(0, 0),))

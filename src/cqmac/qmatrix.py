@@ -1,9 +1,10 @@
 """Dense complex matrix core and quantum-state primitives.
 
-Everything here is plain dense numpy, complex128, on spaces of total
-dimension up to roughly 64 (larger matrices appear only transiently inside
-the code simulator). Entropies and rates elsewhere are in bits, so square
-roots, norms and spectra here feed base-2 logarithms downstream.
+Everything here is plain dense numpy, complex128. One rule bounds the sizes
+(``channels.check_budget``): no single array above 2^25 complex entries; an
+oversized one is refused, by name, before it is allocated. Entropies and
+rates elsewhere are in bits, so square roots, norms and spectra here feed
+base-2 logarithms downstream.
 
 Subsystem bookkeeping convention: a state carries an ordered tuple ``dims``
 of subsystem dimensions whose product equals the matrix size; subsystem 0

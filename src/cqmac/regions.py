@@ -218,11 +218,11 @@ def timeshare_closure(region, grid: int) -> RateRegion:
 
 
 def corners_csv(rows) -> str:
-    """CSV text 'r1,r2,tag' from (r1, r2, tag) rows, sorted by r1."""
-    lines = ["r1,r2,tag"]
-    for r1, r2, tag in sorted(rows, key=lambda t: (t[0], t[1], t[2])):
-        lines.append(f"{r1:.12g},{r2:.12g},{tag}")
-    return "\n".join(lines) + "\n"
+    """CSV text 'r1,r2,tag' from (r1, r2, tag) rows, rates to 12 significant
+    digits, sorted on what is printed: r1, then r2, then the tag."""
+    printed = [(f"{r1:.12g}", f"{r2:.12g}", tag) for r1, r2, tag in rows]
+    printed.sort(key=lambda t: (float(t[0]), float(t[1]), t[2]))
+    return "\n".join(["r1,r2,tag"] + [",".join(t) for t in printed]) + "\n"
 
 
 def staircase_svg(region, title: str = "rate region") -> str:

@@ -216,11 +216,21 @@ class TestTensorPower:
         step, _ = apply_channel_mat(deph, step, dims, positions=[0])  # -> (out1, out2)
         assert np.allclose(joint, step, atol=1e-10)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            tensor_power(identity_channel(4), 4)
-        with pytest.raises(BudgetExceededError):
-            blocked_tensor_power(identity_channel((2, 2)), 4)
+    def test_budget(self, monkeypatch):
+        """The 7-fold power of a one-op channel on 4 dimensions, (1, 4^7, 4^7),
+        holds more than 2^25 entries and is refused before it is built; the
+        6-fold, (1, 4^6, 4^6), fits and reaches the product."""
+
+        def unbuilt(*stacks):
+            raise AssertionError("power built")
+
+        monkeypatch.setattr("cqmac.channels.batch_kron", unbuilt)
+        for power, channel in ((tensor_power, identity_channel(4)),
+                               (blocked_tensor_power, identity_channel((2, 2)))):
+            with pytest.raises(BudgetExceededError, match=r"\(1, 16384, 16384\) has 268435456"):
+                power(channel, 7)
+            with pytest.raises(AssertionError, match="power built"):
+                power(channel, 6)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_power_validated_once(self, rng, kraus_validations, k):

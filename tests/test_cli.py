@@ -144,19 +144,23 @@ class TestRegionCommand:
         ])
         assert code == 3
 
-    def test_budget_exceeded_exit_4(self, tmp_path, identity_set_file):
+    def test_budget_exceeded_exit_4(self, tmp_path, identity_set_file, capsys):
+        """At l=9 the identity's factor product u, (512·512, 512·512), is above
+        2^25 entries: exit 4 with the array named."""
         code = main([
             "region", "--input", str(identity_set_file), "--l", "9",
             "--out-csv", str(tmp_path / "x.csv"),
         ])
         assert code == 4
+        assert "factor product u of shape (262144, 262144)" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
     def test_budget_exceeded_exit_4_before_any_work(
         self, tmp_path, identity_set_file, monkeypatch, capsys
     ):
-        """(dc |X|)^5 = 8^5 > 4096: refused before a codebook is built."""
+        """At n=5 the identity's word blocks, (2^5, 1 + 4^5, m2, 4^5), hold
+        67174400 > 2^25 entries: refused before a codebook is built."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("built past the budget")
@@ -166,7 +170,8 @@ class TestSimulateCommand:
             "simulate", "--input", str(identity_set_file), "--l", "5", "--budget", "1",
             "--out-json", str(tmp_path / "r.json"),
         ])
-        assert code == 4 and "exceeds dimension budget 4096" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 4 and "word blocks of shape (32, 1025, 2, 1024) has 67174400 entries" in err
 
     @pytest.mark.parametrize("command", ["simulate", "region"])
     @pytest.mark.parametrize("in_dims", [[4], [2, 1, 2]], ids=["one-part", "three-part"])

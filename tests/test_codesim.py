@@ -343,15 +343,16 @@ class TestEtCodeSampling:
         )
 
     def test_budget_refused_before_any_allocation(self, monkeypatch, identity_b_channel):
-        """n = 5 on the tagged identity needs an 8^5 = 32768-dimensional recovery."""
+        """n = 5 on the tagged identity needs word blocks of (2^5, 1 + 4^5, 2, 4^5),
+        67174400 entries, above 2^25; n = 4 needs (16, 257, 2, 256) and fits."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("encoder isometry allocated")
 
         monkeypatch.setattr(codesim, "haar_isometry", refuse)
-        with pytest.raises(BudgetExceededError, match="4096"):
+        with pytest.raises(BudgetExceededError, match=r"word blocks of shape \(32, 1025, 2, 1024\)"):
             codesim.sample_et_code([identity_b_channel], 2, 5, 2, seed=0)
-        with pytest.raises(AssertionError, match="isometry allocated"):  # 8^4 fits
+        with pytest.raises(AssertionError, match="isometry allocated"):
             codesim.sample_et_code([identity_b_channel], 2, 4, 2, seed=0)
 
     def test_fidelity_rejects_mismatched_channel(self):

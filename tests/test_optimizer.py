@@ -8,13 +8,7 @@ import pytest
 
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
 from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
-from cqmac.optimizer import (
-    InputAnsatz,
-    _materialize_flat,
-    _param_count,
-    _state_vectors,
-    pareto_trace,
-)
+from cqmac.optimizer import _materialize_flat, _param_count, _state_vectors, pareto_trace
 from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
 from oracles import eigvalsh_buckets, member_gram_sizes
@@ -26,9 +20,8 @@ def test_package_resolves_optimizer_names_on_use():
     from cqmac import pareto_trace as lazy_trace
 
     assert lazy_trace is pareto_trace
-    for name in ("InputAnsatz", "pareto_trace"):
-        assert getattr(cqmac, name) is getattr(optimizer, name)
-        assert name in cqmac.__all__
+    assert cqmac.pareto_trace is optimizer.pareto_trace
+    assert "pareto_trace" in cqmac.__all__
     assert "optimizer" in cqmac.__all__
     with pytest.raises(AttributeError, match="no_such_name"):
         cqmac.no_such_name
@@ -62,7 +55,10 @@ def test_state_vectors_normalise_rows_with_basis_fallback():
         v = raw[x, :, 0] + 1j * raw[x, :, 1]
         assert np.allclose(vecs[x], v / np.linalg.norm(v), rtol=0, atol=1e-15)
     assert np.array_equal(vecs[1], np.eye(3)[1]) and np.array_equal(vecs[4], np.eye(3)[1])
-    assert np.array_equal(InputAnsatz([1.0], np.zeros(2), np.zeros(8)).psi(2).vec, np.eye(4)[0])
+    # an all-zero θ materializes to p = (1), letter |0> and psi = |00>
+    p, letters, psi = _materialize_flat(np.zeros(_param_count(1, 1, 2)), 1, 1, 2)
+    assert np.array_equal(p, [1.0]) and np.array_equal(letters, [[1.0]])
+    assert np.array_equal(psi.reshape(-1), np.eye(4)[0])
 
 
 class TestParetoTrace:
@@ -97,9 +93,8 @@ class TestParetoTrace:
 
         res = pareto_trace(id_deph_set, 1, [(1.0, 1.0)], budget=2, seed=1)
         opt = res.optima[0]
-        rect = compound_rect(
-            id_deph_set, 1, opt.ansatz.p, opt.ansatz.cq_channel(2), opt.ansatz.psi(2)
-        )
+        psi = PureState(opt.psi, (2, 2))
+        rect = compound_rect(id_deph_set, 1, opt.p, CqChannel(opt.letters), psi)
         assert rect.r1_max == pytest.approx(opt.rect.r1_max, abs=1e-9)
         assert rect.r2_max == pytest.approx(opt.rect.r2_max, abs=1e-9)
 
@@ -112,16 +107,19 @@ class TestParetoTrace:
         assert res.evaluations == 40
 
     def test_dim_budget(self, identity_qmac, monkeypatch):
-        """At l=4 the block dimension 16·16·256 exceeds ``INTERNAL_DIM_BUDGET``
-        (4096), refused before any power is built."""
+        """At l=6 the identity's Nelder-Mead simplex, (ndim + 1, ndim) with
+        ndim = 64 + 2·64·64 + 2·64·64 = 16448, holds more than 2^25 entries,
+        so it is refused by name before any power is built."""
         from cqmac import optimizer
 
         def unbuilt(*args, **kwargs):
             raise AssertionError("a power was built")
 
         monkeypatch.setattr(optimizer, "blocked_tensor_power", unbuilt)
-        with pytest.raises(BudgetExceededError, match="65536 exceeds budget 4096"):
-            pareto_trace(CompoundSet((identity_qmac,)), 4, [(1.0, 1.0)], budget=1, seed=0)
+        refusal = (r"Nelder-Mead simplex of shape \(16449, 16448\) has 270553152 entries, "
+                   r"above the budget of 33554432")
+        with pytest.raises(BudgetExceededError, match=refusal):
+            pareto_trace(CompoundSet((identity_qmac,)), 6, [(1.0, 1.0)], budget=1, seed=0)
 
     def test_fast_route_matches_public(self, id_deph_set, rng):
         for l in (1, 2):
@@ -186,9 +184,7 @@ class TestParetoTrace:
         kernel = RateKernel.inputs(kraus_groups(powered), (d, d), (d, d))
         for opt in res.optima:
             w1, w2 = opt.weights
-            ans = opt.ansatz
-            psi_grid = _state_vectors(ans.psi_params, 1, d * d)[0].reshape(d, d)
-            r1, r2 = per_use_minima(kernel, l, ans.p, _state_vectors(ans.v_params, d, d), psi_grid)
+            r1, r2 = per_use_minima(kernel, l, opt.p, opt.letters, opt.psi)
             assert opt.objective == w1 * r1 + w2 * r2
             assert opt.rect.r1_max == max(0.0, r1)
             assert opt.rect.r2_max == max(0.0, r2)
@@ -284,32 +280,3 @@ class TestParetoTrace:
         assert np.all(np.isfinite(vals))
         quotients = np.diff(vals) / np.diff(ts)
         assert np.max(np.abs(quotients)) < 1e3
-
-
-class TestInputAnsatz:
-    def test_materialization(self):
-        ans = InputAnsatz(np.array([0.5, 0.5]), np.ones(8), np.ones(8), seed=0)
-        v = ans.cq_channel(2)
-        assert v.alphabet_size == 2
-        psi = ans.psi(2)
-        assert abs(np.linalg.norm(psi.vec) - 1.0) < 1e-12
-
-    def test_rejects_bad_distribution(self):
-        with pytest.raises(ValueError):
-            InputAnsatz(np.array([0.5, 0.6]), np.ones(8), np.ones(8))
-
-    @pytest.mark.parametrize("field", ["p", "v_params", "psi_params"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, field, bad):
-        args = {"p": np.array([0.5, 0.5]), "v_params": np.ones(8), "psi_params": np.ones(8)}
-        args[field] = args[field].copy()
-        args[field][0] = bad
-        with pytest.raises(ValueError):
-            InputAnsatz(**args)
-
-    def test_keeps_finite_p_bits(self):
-        """A valid p is stored as given, not renormalized: this one sums to
-        1 + 2^-52, so p / p.sum() would change its bits."""
-        p = np.array([0.46335848984461653, 0.3373961461805628, 0.1992453639748208])
-        assert not np.array_equal(p / p.sum(), p)
-        assert np.array_equal(InputAnsatz(p, np.ones(12), np.ones(8)).p, p)

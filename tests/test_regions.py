@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqmac.channels import CompoundSet, CqChannel
+from cqmac.channels import CompoundSet, CqChannel, KrausChannel, blocked_tensor_power
 from cqmac.entropic import (
+    RateKernel,
     checked_probs,
     coherent_information_b_cx,
     effective_cqq_state,
@@ -21,12 +22,15 @@ from cqmac.regions import (
     contains,
     corners_csv,
     fatten,
+    kraus_groups,
     one_shot_region,
+    per_use_minima,
     scale,
     staircase_svg,
     timeshare_closure,
     union,
 )
+from cqmac.randutil import random_kraus_ops
 from cqmac.suites import suite_compound_monotonicity, suite_timeshare
 from oracles import cq_tensor, cqq_tensor, intersect, permute_vec
 
@@ -78,6 +82,31 @@ class TestCompoundRect:
         rect2 = compound_rect(id_deph_set, 2, p2, v2, psi2)
         assert rect2.r1_max == pytest.approx(rect1.r1_max, abs=1e-7)
         assert rect2.r2_max == pytest.approx(rect1.r2_max, abs=1e-7)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2)])
+    def test_blocked_power_wire_order(self, rng, a, b):
+        """The product of a level-a and a level-b input, fed to the level-(a+b)
+        blocked power on sender-blocked wires (p_a (x) p_b, letters V_x (x) V_y
+        on A^(a+b), psi grid kron(psi_a, psi_b) on B^(a+b)), rates at exactly
+        (a r_a + b r_b) / (a + b) per use on a random one-member QMAC."""
+        qmac = KrausChannel(random_kraus_ops(rng, 4, 3, 2), (2, 2), (3,))
+
+        def unit(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+        def level_input(l):
+            return rng.dirichlet(np.ones(2**l)), unit((2**l, 2**l)), unit((1, 4**l)).reshape(2**l, -1)
+
+        def per_use_rates(l, p, letters, psi):
+            groups = kraus_groups([blocked_tensor_power(qmac, l)])
+            return np.array(per_use_minima(RateKernel.inputs(groups, letters.shape, psi.shape),
+                                           l, p, letters, psi))
+
+        ins_a, ins_b = level_input(a), level_input(b)
+        expected = (a * per_use_rates(a, *ins_a) + b * per_use_rates(b, *ins_b)) / (a + b)
+        product = [np.kron(x, y) for x, y in zip(ins_a, ins_b)]
+        np.testing.assert_allclose(per_use_rates(a + b, *product), expected, rtol=0, atol=1e-12)
 
 
 class TestTrustBoundary:
@@ -294,6 +323,15 @@ class TestEmission:
         lines = text.strip().splitlines()
         assert lines[0] == "r1,r2,tag"
         assert lines[1].startswith("0.25")
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_csv_sorts_on_printed_values(self, order):
+        """Two r1 that differ only after the 12th digit print alike, so the tag
+        orders their rows, whichever row holds which value."""
+        r1 = [1.0000000000000007, 1.0000000000000009][:: 1 - 2 * order]
+        rows = [(r1[0], 0.5, "w1:0"), (r1[1], 0.5, "w1:1")]
+        for given in (rows, rows[::-1]):
+            assert corners_csv(given).splitlines()[1:] == ["1,0.5,w1:0", "1,0.5,w1:1"]
 
     def test_svg_valid_xml(self):
         svg = staircase_svg(union(Rect(1.0, 0.4), Rect(0.3, 1.2)))
