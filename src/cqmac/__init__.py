@@ -41,7 +41,6 @@ from .regions import (
     compound_rect,
     contains,
     fatten,
-    one_shot_region,
     scale,
     timeshare_closure,
     union,

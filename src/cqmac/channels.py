@@ -412,6 +412,8 @@ class CompoundSet:
         labels = self.labels or tuple(f"s{i}" for i in range(len(self.members)))
         if len(labels) != len(self.members):
             raise ValueError("label count does not match member count")
+        if len(set(labels)) != len(labels):  # the reports key each member's results by label
+            raise ValueError(f"compound set labels must be distinct, got {list(labels)}")
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "labels", tuple(labels))
 
@@ -451,12 +453,14 @@ def build_net(cset: CompoundSet, theta: float) -> CompoundSet:
         tuple(cset.members[i] for i in chosen),
         tuple(cset.labels[i] for i in chosen),
     )
-    if theta < 6.0:
-        din = cset.members[0].in_dim
-        dout = cset.members[0].out_dim
-        log_bound = 2.0 * (din * dout) ** 2 * np.log(6.0 / theta)
-        if np.log(max(len(net), 1)) > log_bound:
-            raise AssertionError("net cardinality exceeds the covering bound")
+    # packing bound: members are more than theta apart and every Choi matrix is a
+    # point of trace norm din in a real (din dout)^2-dimensional space, so the
+    # theta/2 balls fit in radius din + theta/2; log(1 + 2 din / theta), as a
+    # difference of logs, is finite for any theta > 0
+    din, dout = cset.members[0].in_dim, cset.members[0].out_dim
+    log_bound = (din * dout) ** 2 * (math.log(theta + 2 * din) - math.log(theta))
+    if math.log(len(net)) > log_bound:
+        raise AssertionError("net cardinality exceeds the packing bound")
     return net
 
 

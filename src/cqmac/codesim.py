@@ -56,7 +56,7 @@ from .qmatrix import (
     tensor_all,
     trace_norm,
 )
-from .randutil import gaussian_raw, haar_isometries, haar_isometry, kraus_raw
+from .randutil import gaussian_raw, haar_isometries, kraus_raw
 from .randutil import unit_factors, whitened_kraus
 
 DECODER_COMPLETENESS_TOL = 1e-7
@@ -414,7 +414,7 @@ def sample_et_code(
     # the recovery's largest array, checked before any allocation
     check_budget("word blocks", (x_size**n, count**n + dout**n, m2, dout**n))
     rng = np.random.default_rng(seed)
-    v_sub = haar_isometry(rng, subspace_dim**n, m2)
+    v_sub = haar_isometries(gaussian_raw(rng, (subspace_dim**n, m2))[None])[0]
     isometry = tensor_all([np.eye(g0, subspace_dim)] * n) @ v_sub
     averaged = np.concatenate(families, axis=1) / np.sqrt(len(families))
     return EtTransmissionCode(_recovery_blocks(averaged, n, isometry), isometry, n, m2)
@@ -449,7 +449,7 @@ def expected_encoding_deviation(
     """
     rng = np.random.default_rng(seed)
     d = subspace_dim**n
-    # one stacked draw holds the numbers of family_size haar_isometry calls
+    # one stacked draw: the numbers of family_size isometry draws in tests/oracles.py
     v = haar_isometries(rng.standard_normal((family_size, 2, d, m2)))
     avg = np.sum(v @ dagger(v) / m2, axis=0)  # in draw order
     avg /= family_size
@@ -795,8 +795,8 @@ def converse_check(code: EtCode, cset: CompoundSet) -> dict:
 
 
 def et_code_raw(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4):
-    """Raw numbers of one ``random_et_code``, in its draw order: the m1 classical
-    vectors (m1, 2, da^n), then the encoder's and the decoder's Kraus draws."""
+    """Raw numbers of one random code, for ``random_et_codes``, in draw order: the
+    m1 classical vectors (m1, 2, da^n), then the encoder's and the decoder's Kraus draws."""
     states = np.stack([gaussian_raw(rng, da**n) for _ in range(m1)])
     return states, kraus_raw(rng, m2, db**n, 2), kraus_raw(rng, dc**n, m1 * m2, 2)
 
@@ -815,9 +815,3 @@ def random_et_codes(states, enc, dec, n=1, m1=2, m2=2, da=2, db=2, dc=4) -> list
         codes.append(EtCode(n=n, m1=m1, m2=m2, da=da, db=db, dc=dc, classical_factors=tuple(w),
                             input_factor=f, branches=branches))
     return codes
-
-
-def random_et_code(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4) -> EtCode:
-    """Structurally valid code with random encoder, states and decoder."""
-    raw = et_code_raw(rng, n, m1, m2, da, db, dc)
-    return random_et_codes(*(part[None] for part in raw), n=n, m1=m1, m2=m2, da=da, db=db, dc=dc)[0]

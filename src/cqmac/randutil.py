@@ -8,18 +8,17 @@ call, ``rng.standard_normal((2,) + s)`` (real parts, then imaginary parts),
 in the same order and with the same numbers as a real and then an imaginary
 draw of shape s. The ``*_raw`` functions make one instance's generator
 calls and return its raw real arrays; the stacked functions take N of them,
-(N, 2, ...), and do the arithmetic for all N at once. Each sampler is its
-draw plus its stacked function on a stack of one, so N draws built stacked
-give the numbers of N sampler calls and leave the generator where they would.
+(N, 2, ...), and do the arithmetic for all N at once. One instance is a stack
+of one. ``tests/oracles.py`` keeps the per-instance samplers, two generator
+calls per complex draw, that N raw draws built stacked must match in their
+numbers and in the generator state they leave.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .qmatrix import DensityMatrix, PureState, dagger, pinv_sqrt_psd
+from .qmatrix import dagger, pinv_sqrt_psd
 
 
 def gaussian_raw(rng: np.random.Generator, shape) -> np.ndarray:
@@ -28,12 +27,14 @@ def gaussian_raw(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def kraus_raw(rng: np.random.Generator, in_dim: int, out_dim: int, count: int) -> np.ndarray:
-    """Raw numbers of ``random_kraus_ops``: (count, 2, out_dim, in_dim), op by op."""
+    """Raw numbers of one Kraus family, (count, 2, out_dim, in_dim), op by op, as
+    the per-instance Kraus sampler in ``tests/oracles.py`` draws them."""
     return rng.standard_normal((count, 2, out_dim, in_dim))
 
 
 def effect_raw(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw numbers of ``random_effect``: the eigenbasis's Gaussians, then the spectrum."""
+    """Raw numbers of one effect, as the per-instance effect sampler in
+    ``tests/oracles.py`` draws them: the eigenbasis's Gaussians, then the spectrum."""
     return gaussian_raw(rng, (dim, dim)), rng.uniform(0.0, 1.0, dim)
 
 
@@ -82,50 +83,3 @@ def whitened_kraus(raw: np.ndarray) -> np.ndarray:
     ops = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
     s = (dagger(ops) @ ops).sum(axis=-3)
     return ops @ pinv_sqrt_psd(s)[..., None, :, :]
-
-
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return gaussians(gaussian_raw(rng, shape)[None])[0]
-
-
-def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Isometry (rows x cols, rows >= cols) from QR of a Gaussian matrix."""
-    return haar_isometries(gaussian_raw(rng, (rows, cols))[None])[0]
-
-
-def random_pure(rng: np.random.Generator, dims) -> PureState:
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    return PureState(unit_factors(gaussian_raw(rng, math.prod(dims))[None])[0], dims)
-
-
-def random_factor(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
-    """Unit-norm Gaussian factor, shaped dims + (rank,), of a Wishart state."""
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    n = math.prod(dims)
-    raw = gaussian_raw(rng, (n, n if rank is None else int(rank)))
-    return unit_factors(raw[None])[0].reshape(dims + (-1,))
-
-
-def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) -> np.ndarray:
-    """The matrix of ``random_density``, from the same draws, without validation."""
-    n = math.prod(int(d) for d in np.atleast_1d(dims))
-    return wishart_states(gaussian_raw(rng, (n, n if rank is None else int(rank)))[None])[0]
-
-
-def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
-    """State sampled as a normalized Wishart matrix of the given rank."""
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    return DensityMatrix(random_density_mat(rng, dims, rank), dims)
-
-
-def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random operator with 0 <= E <= I (uniform spectrum, Haar eigenbasis)."""
-    raw, spectrum = effect_raw(rng, dim)
-    return effects(raw[None], spectrum[None])[0]
-
-
-def random_kraus_ops(
-    rng: np.random.Generator, in_dim: int, out_dim: int, count: int
-) -> tuple[np.ndarray, ...]:
-    """Kraus operators of a random CPTP map (Gaussian ops, whitened)."""
-    return tuple(whitened_kraus(kraus_raw(rng, in_dim, out_dim, count)[None])[0])

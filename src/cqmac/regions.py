@@ -16,7 +16,6 @@ from .channels import (
     UNIT_NORM_TOL,
     CompoundSet,
     CqChannel,
-    KrausChannel,
     blocked_tensor_power,
     checked_kraus,
 )
@@ -24,6 +23,8 @@ from .entropic import RateKernel, checked_ensemble, checked_probs
 from .qmatrix import HERMITICITY_TOL, DimensionMismatchError, PureState
 
 BOUNDARY_TOL = 1e-6
+# a CSV rate below this is round-off of 0 and prints as 0
+CSV_ROUNDOFF_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,6 @@ class Rect:
     def __post_init__(self):
         object.__setattr__(self, "r1_max", max(0.0, float(self.r1_max)))
         object.__setattr__(self, "r2_max", max(0.0, float(self.r2_max)))
-
-    def dominates(self, other: "Rect") -> bool:
-        return self.r1_max >= other.r1_max and self.r2_max >= other.r2_max
 
 
 def _canonical(rects) -> tuple[Rect, ...]:
@@ -91,11 +89,6 @@ def per_use_minima(kernel, l: int, p, letters, psi_grid):
     """
     r1, r2 = kernel(p, letters, psi_grid)
     return r1.min(axis=-1) / l, r2.min(axis=-1) / l
-
-
-def one_shot_region(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Rect:
-    """Rectangle of rate pairs for one channel and one input ansatz."""
-    return compound_rect_powered([t], 1, p, v, psi)
 
 
 def compound_rect(cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState) -> Rect:
@@ -217,10 +210,15 @@ def timeshare_closure(region, grid: int) -> RateRegion:
 # ---------------------------------------------------------------------------
 
 
+def _printed_rate(r: float) -> str:
+    return "0" if r < CSV_ROUNDOFF_FLOOR else f"{r:.12g}"
+
+
 def corners_csv(rows) -> str:
     """CSV text 'r1,r2,tag' from (r1, r2, tag) rows, rates to 12 significant
-    digits, sorted on what is printed: r1, then r2, then the tag."""
-    printed = [(f"{r1:.12g}", f"{r2:.12g}", tag) for r1, r2, tag in rows]
+    digits and below ``CSV_ROUNDOFF_FLOOR`` as 0, sorted on what is printed:
+    r1, then r2, then the tag."""
+    printed = [(_printed_rate(r1), _printed_rate(r2), tag) for r1, r2, tag in rows]
     printed.sort(key=lambda t: (float(t[0]), float(t[1]), t[2]))
     return "\n".join(["r1,r2,tag"] + [",".join(t) for t in printed]) + "\n"
 

@@ -194,7 +194,7 @@ def suite_pure_fidelity_perturbation(seed: int, samples: int = 500, tol: float |
     draws = []
     for _ in range(samples):
         d = int(rng.integers(2, 7))
-        # a rank-1 draw has the numbers of ``random_pure`` and builds its projector
+        # rank 1: the numbers of the pure-state sampler in tests/oracles.py, as a projector
         psi = gaussian_raw(rng, (d, 1))
         draws.append((d, (psi, gaussian_raw(rng, (d, d)), gaussian_raw(rng, (d, d)))))
     margins = []

@@ -93,3 +93,13 @@ def dephrasure_set() -> CompoundSet:
            *erase]
     dephrasure = KrausChannel(ops, (2,), (3,))
     return CompoundSet((channel_tensor(identity_channel(2), dephrasure),), ("dephrasure",))
+
+
+@pytest.fixture
+def replacement_pair() -> CompoundSet:
+    """Two replacement channels (2 x 2 -> 4), one preparing |0>, one |1>:
+    their Choi matrices I (x) |k><k| are 8 apart in trace norm, the largest
+    distance of two channels with a 4-dimensional input."""
+    ops = np.zeros((2, 4, 4, 4))
+    ops[0, np.arange(4), 0, np.arange(4)] = ops[1, np.arange(4), 1, np.arange(4)] = 1.0
+    return CompoundSet(tuple(KrausChannel(k, (2, 2), (4,)) for k in ops), ("r0", "r1"))

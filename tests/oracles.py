@@ -19,7 +19,7 @@ from cqmac.channels import (
     apply_channel_mat,
     choi_matrix,
 )
-from cqmac.codesim import CqCodebook
+from cqmac.codesim import CqCodebook, EtCode, et_code_raw, random_et_codes
 from cqmac.entropic import CqqState, von_neumann_entropy
 from cqmac.qmatrix import (
     DensityMatrix,
@@ -269,6 +269,11 @@ def random_density_mat(rng: np.random.Generator, dims, rank: int | None = None) 
     return g @ g.conj().T
 
 
+def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    return DensityMatrix(random_density_mat(rng, dims, rank), dims)
+
+
 def random_effect(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random operator with 0 <= E <= I (uniform spectrum, Haar eigenbasis)."""
     u = haar_isometry(rng, dim, dim)
@@ -283,6 +288,13 @@ def random_kraus_ops(
     s = sum(k.conj().T @ k for k in raw)
     w = pinv_sqrt_psd(s)
     return tuple(k @ w for k in raw)
+
+
+def random_et_code(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4) -> EtCode:
+    """Structurally valid code with random encoder, states and decoder: one
+    ``et_code_raw`` draw built as a stack of one."""
+    raw = et_code_raw(rng, n, m1, m2, da, db, dc)
+    return random_et_codes(*(part[None] for part in raw), n=n, m1=m1, m2=m2, da=da, db=db, dc=dc)[0]
 
 
 def eigvalsh_buckets(stacks) -> list[tuple[int, int, int]]:

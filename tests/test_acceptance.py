@@ -31,7 +31,7 @@ from cqmac.qmatrix import (
     maximally_mixed,
     tensor,
 )
-from cqmac.regions import Rect, compound_rect, contains, fatten, one_shot_region
+from cqmac.regions import Rect, compound_rect, compound_rect_powered, contains, fatten
 from cqmac.suites import (
     suite_alicki_fannes,
     suite_compound_monotonicity,
@@ -39,7 +39,7 @@ from cqmac.suites import (
     suite_product_fidelity_bound,
     suite_pure_fidelity_perturbation,
 )
-from oracles import cq_tensor, cqq_tensor, permute_vec
+from oracles import cq_tensor, cqq_tensor, permute_vec, random_et_code
 
 
 def _announce(num: int, label: str, started: float):
@@ -69,8 +69,8 @@ def test_criterion_1_identity_region(tmp_path):
     corners = [(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
     assert any(r1 >= 0.98 and r2 >= 0.98 for r1, r2 in corners)
 
-    rect = one_shot_region(
-        qmac, np.array([0.5, 0.5]), CqChannel.basis(2), maximally_entangled(2)
+    rect = compound_rect_powered(
+        [qmac], 1, np.array([0.5, 0.5]), CqChannel.basis(2), maximally_entangled(2)
     )
     assert rect.r1_max == pytest.approx(1.0, abs=1e-7)
     assert rect.r2_max == pytest.approx(1.0, abs=1e-7)
@@ -177,7 +177,7 @@ def test_criterion_6_code_identities():
     qmac = _identity_qmac()
     rng = np.random.default_rng(606)
     for i in range(200):
-        code = codesim.random_et_code(rng)
+        code = random_et_code(rng)
         assert codesim._completeness_defect(code.branches) <= 1e-7
         p_et = codesim.performance(code, qmac)
         eg = codesim.et_to_eg(code, qmac)
@@ -187,7 +187,7 @@ def test_criterion_6_code_identities():
             padded = codesim.pad(code, 1)
             assert codesim._completeness_defect(padded.branches) <= 1e-7
             assert codesim.performance(padded, qmac) == pytest.approx(p_et, abs=1e-10)
-            other = codesim.random_et_code(rng)
+            other = random_et_code(rng)
             joint = codesim.concatenate([code, other])
             assert codesim._completeness_defect(joint.branches) <= 1e-7
             expect = p_et * codesim.performance(other, qmac)

@@ -14,6 +14,7 @@ from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, KrausCha
 from cqmac.optimizer import pareto_trace
 from cqmac.qmatrix import maximally_entangled, maximally_mixed
 from cqmac.regions import compound_rect
+from oracles import random_et_code
 
 
 def _unbuilt(what):
@@ -86,7 +87,7 @@ def test_simulator_blocklength(monkeypatch, id_deph_set, n, m2, refused):
     (32, 3^5 + 4^5, 2, 4^5) = 83034112 do not."""
     families = [codesim.effective_b_channel(m, np.full(2, 0.5), CqChannel.basis(2))
                 for m in id_deph_set.members]
-    monkeypatch.setattr(codesim, "haar_isometry", _unbuilt("encoder"))
+    monkeypatch.setattr(codesim, "haar_isometries", _unbuilt("encoder"))
     with _outcome(refused, "encoder"):
         codesim.sample_et_code(families, 2, n, m2, seed=0)
 
@@ -115,7 +116,7 @@ def test_code_evaluation(monkeypatch, identity_qmac, route, budget, refused):
     """A random n=1 code on the identity feeds 8 input columns through 4 rows:
     a 32-entry stack, refused by ``_fed_stack`` before it multiplies once the
     budget is below that."""
-    code = codesim.random_et_code(np.random.default_rng(3))
+    code = random_et_code(np.random.default_rng(3))
     ops = identity_qmac.stacked.copy().view(_Unmultiplied)
     channel = KrausChannel._trusted(ops, identity_qmac.in_dims, identity_qmac.out_dims)
     monkeypatch.setattr(channels, "BUDGET_ENTRIES", budget)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,16 @@ from cqmac.qmatrix import (
     tensor,
     trace_norm,
 )
-from cqmac.randutil import random_density, random_kraus_ops, random_pure
 from cqmac.suites import _net_distances, suite_diamond_bounds, suite_net_cover
-from oracles import compose, cq_tensor, depolarizing_channel, trace_preserving_defect
+from oracles import (
+    compose,
+    cq_tensor,
+    depolarizing_channel,
+    random_density,
+    random_kraus_ops,
+    random_pure,
+    trace_preserving_defect,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -458,6 +466,15 @@ class TestBuildNet:
             d = min(trace_norm(chois[id(m)] - jn) for jn in net_chois)
             assert d <= 0.3 + 1e-9
 
+    @pytest.mark.parametrize("theta", [0.3, 5.9999, 9.0, 1e-320])
+    def test_packing_bound_on_choi_distances_up_to_twice_din(self, replacement_pair, theta):
+        """The pair is 8 = 2 d_in apart: kept whole below that distance, with the
+        packing bound finite and silent down to a subnormal theta."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = build_net(replacement_pair, theta)
+        assert net.labels == (("r0",) if theta > 8.0 else ("r0", "r1"))
+
     def test_theta_to_zero_keeps_all(self, rng):
         members = tuple(
             KrausChannel(random_kraus_ops(rng, 2, 2, 2), (2,), (2,)) for _ in range(8)
@@ -576,6 +593,14 @@ class TestJson:
             assert not m.stacked.flags.writeable
             KrausChannel(m.stacked, m.in_dims, m.out_dims)  # within CPTP_TOL
         assert len(kraus_validations) == len(loaded.members)
+
+    def test_repeated_labels_refused(self, identity_qmac):
+        with pytest.raises(ValueError, match=r"distinct, got \['a', 'b', 'a'\]"):
+            CompoundSet((identity_qmac, identity_qmac, identity_qmac), ("a", "b", "a"))
+        obj = json.loads(dump_compound_json(CompoundSet((identity_qmac, identity_qmac))))
+        obj["labels"] = ["a", "a"]
+        with pytest.raises(ValueError, match="distinct"):
+            load_compound_json(json.dumps(obj))
 
     def test_cptp_violation_reports_defect(self):
         bad = {

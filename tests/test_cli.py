@@ -318,6 +318,28 @@ class TestNetCommand:
         net = json.loads(out.read_text())
         assert len(net["members"]) == 2
 
+    def test_theta_just_under_six_on_distant_pair(self, tmp_path, replacement_pair, capsys):
+        """Choi distances reach 2 d_in = 8, beyond the diameter 2 that a covering
+        bound for theta < 6 would assume: the packing bound holds."""
+        path = tmp_path / "replacements.json"
+        path.write_text(dump_compound_json(replacement_pair))
+        out = tmp_path / "net.json"
+        assert main(["net", "--input", str(path), "--theta", "5.9999", "--out-json", str(out)]) == 0
+        assert len(json.loads(out.read_text())["members"]) == 2
+        assert "kept 2 of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["region", "simulate", "net"])
+def test_repeated_labels_exit_2(tmp_path, id_deph_set, command, capsys):
+    """Results keyed by label would keep one of two members named alike."""
+    obj = json.loads(dump_compound_json(id_deph_set))
+    obj["labels"] = ["a", "a"]
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(obj))
+    assert main(_argv(command, path, tmp_path) + ["--budget", "1"] * (command != "net")) == 2
+    err = capsys.readouterr().err
+    assert "labels must be distinct" in err and "Traceback" not in err
+
 
 def _identity_obj(d: int = 2) -> dict:
     flat = [[int(i == j), 0] for i in range(d) for j in range(d)]

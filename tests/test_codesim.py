@@ -30,16 +30,18 @@ from cqmac.qmatrix import (
     tensor,
     tensor_all,
 )
-from cqmac.randutil import (
+from cqmac.suites import suite_code_identities
+import oracles
+from oracles import (
+    average_error,
     complex_gaussian,
+    compose,
+    entanglement_fidelity,
     haar_isometry,
     random_density,
     random_factor,
     random_kraus_ops,
 )
-from cqmac.suites import suite_code_identities
-import oracles
-from oracles import average_error, compose, entanglement_fidelity
 
 
 def _outer(w: np.ndarray) -> np.ndarray:
@@ -349,7 +351,7 @@ class TestEtCodeSampling:
         def refuse(*args, **kwargs):
             raise AssertionError("encoder isometry allocated")
 
-        monkeypatch.setattr(codesim, "haar_isometry", refuse)
+        monkeypatch.setattr(codesim, "haar_isometries", refuse)
         with pytest.raises(BudgetExceededError, match=r"word blocks of shape \(32, 1025, 2, 1024\)"):
             codesim.sample_et_code([identity_b_channel], 2, 5, 2, seed=0)
         with pytest.raises(AssertionError, match="isometry allocated"):
@@ -746,7 +748,7 @@ class TestPerformance:
         assert val <= 1 / m2 + 1e-9
 
     def test_matches_direct_formula(self, identity_qmac, rng):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         impl = codesim.performance(code, identity_qmac)
         # direct route: build the tagged decoder output and take the
         # fidelity with the target projector per message
@@ -782,13 +784,13 @@ class TestEtToEg:
 
     def test_random_codes_dominate(self, rng, identity_qmac):
         for _ in range(10):
-            code = codesim.random_et_code(rng)
+            code = oracles.random_et_code(rng)
             p_et = codesim.performance(code, identity_qmac)
             eg = codesim.et_to_eg(code, identity_qmac)
             assert codesim.performance(eg, identity_qmac) >= p_et - 1e-12
 
     def test_convex_combination_identity(self, rng, identity_qmac):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         vals, vecs = np.linalg.eigh(_outer(code.input_factor))
         total = 0.0
         for i in range(vals.size):
@@ -813,7 +815,7 @@ class TestConcatenateAndPad:
 
     def test_product_formula(self, rng, identity_qmac, basis_v, uniform_p):
         perfect, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
-        other = codesim.random_et_code(rng)
+        other = oracles.random_et_code(rng)
         p_other = codesim.performance(other, identity_qmac)
         joint = codesim.concatenate([perfect, other])
         assert codesim.performance(joint, identity_qmac) == pytest.approx(
@@ -821,7 +823,7 @@ class TestConcatenateAndPad:
         )
 
     def test_bernoulli_bound(self, rng, identity_qmac):
-        codes = [codesim.random_et_code(rng) for _ in range(3)]
+        codes = [oracles.random_et_code(rng) for _ in range(3)]
         ps = [codesim.performance(c, identity_qmac) for c in codes]
         joint = codesim.concatenate(codes)
         assert codesim.performance(joint, identity_qmac) >= 1 - sum(1 - p for p in ps) - 1e-9
@@ -829,7 +831,7 @@ class TestConcatenateAndPad:
     def test_each_product_branch_validated_once(self, rng, kraus_validations):
         """The factor codes' branches are validated when built; the product
         branches form no Gram (TestTrustedProducts checks completeness)."""
-        codes = [codesim.random_et_code(rng, m1=2), codesim.random_et_code(rng, m1=3)]
+        codes = [oracles.random_et_code(rng, m1=2), oracles.random_et_code(rng, m1=3)]
         del kraus_validations[:]
         joint = codesim.concatenate(codes)
         assert kraus_validations == []
@@ -840,7 +842,7 @@ class TestConcatenateAndPad:
 
     def test_pad_branches_validated_once(self, rng, kraus_validations):
         """As for concatenate: the padded branches form no Gram."""
-        code = codesim.random_et_code(rng, m1=3)
+        code = oracles.random_et_code(rng, m1=3)
         del kraus_validations[:]
         padded = codesim.pad(code, 1)
         assert kraus_validations == []
@@ -850,7 +852,7 @@ class TestConcatenateAndPad:
             assert np.array_equal(pbr.stacked, np.array(expect))
 
     def test_pad_zero(self, rng, identity_qmac):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         assert codesim.pad(code, 0) is code
 
     def test_pad_perfect(self, identity_qmac, basis_v, uniform_p):
@@ -860,7 +862,7 @@ class TestConcatenateAndPad:
         assert codesim.performance(padded, identity_qmac) == pytest.approx(1.0, abs=1e-10)
 
     def test_pad_preserves_performance(self, rng, identity_qmac):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         base = codesim.performance(code, identity_qmac)
         padded = codesim.pad(code, 1)
         assert codesim.performance(padded, identity_qmac) == pytest.approx(base, abs=1e-10)
@@ -880,7 +882,7 @@ class TestConverseCheck:
         assert not member["low_fidelity"]
 
     def test_random_guess_no_violation(self, rng, identity_qmac):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         report = codesim.converse_check(code, CompoundSet((identity_qmac,), ("id",)))
         assert report["violations"] == 0
         assert report["members"][0]["low_fidelity"] in (True, False)
@@ -938,12 +940,12 @@ class TestEtCodeValidation:
         ids=["rows", "1-d", "3-d", "nan", "trace-4"],
     )
     def test_rejects_bad_factor(self, rng, field, bad, error):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         with pytest.raises(error):
             self._with(code, field, bad)
 
     def test_stores_read_only_copies(self, rng):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         w = np.array(code.input_factor)
         built = replace(code, input_factor=w)
         w[0, 0] = 5.0
@@ -952,7 +954,7 @@ class TestEtCodeValidation:
             assert not stored.flags.writeable
 
     def test_validation_computes_no_spectrum(self, rng, monkeypatch):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
 
         def refuse(*args, **kwargs):
             raise AssertionError("spectrum computed during validation")
@@ -964,11 +966,11 @@ class TestEtCodeValidation:
 
 class TestRandomEtCode:
     def test_structurally_valid(self, rng):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         assert codesim._completeness_defect(code.branches) < 1e-7
 
     def test_performance_in_range(self, rng, identity_qmac):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         val = codesim.performance(code, identity_qmac)
         assert -1e-9 <= val <= 1.0 + 1e-9
 
@@ -977,13 +979,13 @@ def _oracle_codes(rng):
     """Random complex codes, one with mixed classical states, and what the code
     surgery makes of them, plus two random channels that fit them."""
     chans = [KrausChannel(random_kraus_ops(rng, 4, 3, 3), (2, 2), (3,)) for _ in range(2)]
-    base = codesim.random_et_code(rng, dc=3)
+    base = oracles.random_et_code(rng, dc=3)
     mixed = replace(base, classical_factors=tuple(random_factor(rng, (2,)) for _ in range(2)))
     codes = {
         "random": base,
         "mixed": mixed,
         "pad": codesim.pad(mixed, 1),
-        "concatenate": codesim.concatenate([mixed, codesim.random_et_code(rng, dc=3)]),
+        "concatenate": codesim.concatenate([mixed, oracles.random_et_code(rng, dc=3)]),
         "et_to_eg": codesim.et_to_eg(base, chans[0]),
         # classical factors of rank 1 and 2: the joint columns are cut per message
         "ragged": replace(base, classical_factors=(random_factor(rng, (2,), rank=1),
@@ -1036,7 +1038,7 @@ class TestTrustedProducts:
     def test_concatenate_and_pad_complete(self, rng, identity_qmac, basis_v, uniform_p):
         hybrid, _, _ = _identity_hybrid(identity_qmac, basis_v, uniform_p)
         for _ in range(4):
-            codes = [codesim.random_et_code(rng, m1=int(rng.integers(1, 4))) for _ in range(2)]
+            codes = [oracles.random_et_code(rng, m1=int(rng.integers(1, 4))) for _ in range(2)]
             for code in codes + [hybrid]:
                 _assert_complete_family(codesim.pad(code, int(rng.integers(1, 3))).branches)
             _assert_complete_family(codesim.concatenate(codes).branches)
@@ -1044,7 +1046,7 @@ class TestTrustedProducts:
 
     def test_products_form_no_completeness_gram(self, rng, monkeypatch, identity_qmac,
                                                 basis_v, uniform_p):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         cb, _ = _orthogonal_codebook(identity_qmac, basis_v)
         tb = codesim.effective_b_channel(identity_qmac, uniform_p, basis_v)
         et = codesim.sample_et_code([tb], 2, 1, 2, seed=5)
@@ -1060,7 +1062,7 @@ class TestTrustedProducts:
             replace(code, input_factor=code.input_factor)
 
     def test_trusted_code_keeps_the_factor_checks(self, rng):
-        code = codesim.random_et_code(rng)
+        code = oracles.random_et_code(rng)
         fields = {f: getattr(code, f) for f in code.__dataclass_fields__}
         built = codesim.EtCode._trusted(**fields)
         assert not built.input_factor.flags.writeable

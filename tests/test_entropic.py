@@ -32,13 +32,6 @@ from cqmac.qmatrix import (
     permute_mat,
     tensor,
 )
-from cqmac.randutil import (
-    complex_gaussian,
-    random_density,
-    random_factor,
-    random_kraus_ops,
-    random_pure,
-)
 from cqmac.suites import (
     suite_alicki_fannes,
     suite_data_processing,
@@ -50,20 +43,24 @@ from oracles import (
     b_dim,
     c_dim,
     coherent_information,
+    complex_gaussian,
     cqq_tensor,
     dense_blocks,
     eigvalsh_buckets,
+    haar_isometry,
     holevo_information,
     member_gram_sizes,
     quantum_mutual_information,
+    random_density,
+    random_factor,
+    random_kraus_ops,
+    random_pure,
     to_density_matrix,
 )
 
 
 class TestVonNeumann:
     def test_pure(self, rng):
-        from cqmac.randutil import random_pure
-
         assert von_neumann_entropy(random_pure(rng, (4,)).density()) == pytest.approx(
             0.0, abs=1e-10
         )
@@ -78,8 +75,6 @@ class TestVonNeumann:
         assert expect == pytest.approx(0.8112781245, abs=1e-9)
 
     def test_basis_invariant(self, rng):
-        from cqmac.randutil import haar_isometry
-
         rho = random_density(rng, (3,))
         u = haar_isometry(rng, 3, 3)
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (3,))

@@ -11,7 +11,7 @@ from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
 from cqmac.optimizer import _materialize_flat, _param_count, _state_vectors, pareto_trace
 from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
-from oracles import eigvalsh_buckets, member_gram_sizes
+from oracles import eigvalsh_buckets, member_gram_sizes, random_kraus_ops
 
 
 def test_package_resolves_optimizer_names_on_use():
@@ -233,7 +233,6 @@ class TestParetoTrace:
         the unclamped minima over the members, weighted."""
         from cqmac import optimizer
         from cqmac.channels import KrausChannel
-        from cqmac.randutil import random_kraus_ops
 
         if case == "pair-l2":
             cset, l = id_deph_set, 2

@@ -23,7 +23,6 @@ from cqmac.qmatrix import (
     tensor,
     trace_norm,
 )
-from cqmac.randutil import complex_gaussian, random_density, random_pure
 from cqmac.suites import (
     _collect,
     suite_eig_reconstruction,
@@ -33,7 +32,14 @@ from cqmac.suites import (
     suite_product_fidelity_bound,
     suite_pure_fidelity_perturbation,
 )
-from oracles import depolarizing_channel, entanglement_fidelity, purify
+from oracles import (
+    complex_gaussian,
+    depolarizing_channel,
+    entanglement_fidelity,
+    purify,
+    random_density,
+    random_pure,
+)
 
 
 class TestHermitianEig:

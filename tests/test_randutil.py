@@ -1,9 +1,9 @@
-"""The stacked ``randutil`` functions against per-instance samplers.
+"""The raw draws and stacked ``randutil`` functions against per-instance samplers.
 
-Each sampler is its raw draw followed by its stacked function on a stack of
-one, and a stack of N draws builds what N sampler calls would. ``oracles``
-keeps per-instance samplers (two generator calls per complex draw), so both
-the numbers and the generator's final state are compared against them.
+A stack of N raw draws builds what N per-instance sampler calls would, and
+one instance is a stack of one. ``oracles`` keeps the per-instance samplers
+(two generator calls per complex draw), so both the numbers and the
+generator's final state are compared against them.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from cqmac import randutil
-from cqmac.codesim import random_et_code
+from cqmac.codesim import et_code_raw, random_et_codes
 
 TOL = 1e-12
 
@@ -26,28 +26,9 @@ def _shapes(count: int, seed: int = 5):
         yield int(meta.integers(1 << 30)), int(meta.integers(1, 7)), int(meta.integers(1, 7))
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("complex_gaussian", lambda d, e: ((d, e),)),
-        ("random_pure", lambda d, e: ((d, e),)),
-        ("random_factor", lambda d, e: ((d,), e)),
-        ("random_density_mat", lambda d, e: ((d, 2),)),
-        ("random_effect", lambda d, e: (d,)),
-        ("random_kraus_ops", lambda d, e: (d, e, 1 + (d + e) % 3)),
-    ],
-)
-def test_sampler_matches_per_instance_oracle(name, args):
-    for seed, d, e in _shapes(40):
-        old_rng, new_rng = _pair(seed)
-        old = getattr(oracles, name)(old_rng, *args(d, e))
-        new = getattr(randutil, name)(new_rng, *args(d, e))
-        old, new = (np.asarray(getattr(x, "vec", x)) for x in (old, new))
-        assert new.shape == old.shape
-        assert np.max(np.abs(new - old), initial=0.0) <= TOL
-        # the generator ends where the oracle's does, so every later draw is unchanged
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
-        assert new_rng.integers(1 << 40) == old_rng.integers(1 << 40)
+def _isometry(rng, rows: int, cols: int) -> np.ndarray:
+    # how ``codesim.sample_et_code`` draws its encoder: one raw draw, a stack of one
+    return randutil.haar_isometries(randutil.gaussian_raw(rng, (rows, cols))[None])[0]
 
 
 def test_haar_isometry_is_bitwise_the_oracle():
@@ -56,12 +37,12 @@ def test_haar_isometry_is_bitwise_the_oracle():
         old_rng, new_rng = _pair(seed)
         rows, cols = max(d, e), min(d, e)
         old = oracles.haar_isometry(old_rng, rows, cols)
-        assert np.array_equal(randutil.haar_isometry(new_rng, rows, cols), old)
+        assert np.array_equal(_isometry(new_rng, rows, cols), old)
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
     for rows, cols in [(8, 2), (64, 2), (4, 4), (6, 6), (512, 2)]:
         old_rng, new_rng = _pair(rows * cols)
         old = oracles.haar_isometry(old_rng, rows, cols)
-        assert np.array_equal(randutil.haar_isometry(new_rng, rows, cols), old)
+        assert np.array_equal(_isometry(new_rng, rows, cols), old)
 
 
 @pytest.mark.parametrize("shape", [5, (3, 4)], ids=["int", "tuple"])
@@ -74,7 +55,7 @@ def test_gaussian_raw_is_one_generator_call(shape):
 
 def test_isometry_needs_rows_at_least_cols(rng):
     with pytest.raises(ValueError, match="rows >= cols"):
-        randutil.haar_isometry(rng, 2, 3)
+        _isometry(rng, 2, 3)
 
 
 @pytest.mark.parametrize("count", [1, 2, 7])
@@ -90,18 +71,24 @@ def test_stacked_functions_match_per_instance_oracles(count):
             "isometries": [oracles.haar_isometry(old_rng, rows, cols) for _ in range(count)],
             "effects": [oracles.random_effect(old_rng, d) for _ in range(count)],
             "kraus": [oracles.random_kraus_ops(old_rng, d, e, 2) for _ in range(count)],
+            "factors": [oracles.random_factor(old_rng, (d,), e) for _ in range(count)],
+            "gaussians": [oracles.complex_gaussian(old_rng, (d, e)) for _ in range(count)],
         }
         states = np.stack([randutil.gaussian_raw(new_rng, (d, e)) for _ in range(count)])
         pures = np.stack([randutil.gaussian_raw(new_rng, (d, 1)) for _ in range(count)])
         isos = np.stack([randutil.gaussian_raw(new_rng, (rows, cols)) for _ in range(count)])
         eff_raw, spectra = map(np.stack, zip(*[randutil.effect_raw(new_rng, d) for _ in range(count)]))
         kraus = np.stack([randutil.kraus_raw(new_rng, d, e, 2) for _ in range(count)])
+        factors = np.stack([randutil.gaussian_raw(new_rng, (d, e)) for _ in range(count)])
+        plain = np.stack([randutil.gaussian_raw(new_rng, (d, e)) for _ in range(count)])
         new = {
             "states": randutil.wishart_states(states),
             "projectors": randutil.wishart_states(pures),
             "isometries": randutil.haar_isometries(isos),
             "effects": randutil.effects(eff_raw, spectra),
             "kraus": randutil.whitened_kraus(kraus),
+            "factors": randutil.unit_factors(factors),
+            "gaussians": randutil.gaussians(plain),
         }
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         for key, stack in new.items():
@@ -119,13 +106,13 @@ def test_whitened_kraus_is_trace_preserving_with_any_lead_axes(rng):
 
 
 def test_random_et_code_matches_per_instance_draws(rng):
-    # the code's parts from the oracle samplers in the order random_et_code draws them
+    # the code's parts from the oracle samplers in the order et_code_raw draws them
     seed = int(rng.integers(1 << 30))
     old_rng, new_rng = _pair(seed)
     vectors = [oracles.random_pure(old_rng, (2,)).vec for _ in range(3)]
     enc = oracles.random_kraus_ops(old_rng, 2, 2, 2)
     dec = oracles.random_kraus_ops(old_rng, 4, 6, 2)
-    code = random_et_code(new_rng, m1=3)
+    code = random_et_codes(*(part[None] for part in et_code_raw(new_rng, m1=3)), m1=3)[0]
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
     for w, v in zip(code.classical_factors, vectors):
         assert np.max(np.abs(w[:, 0] - v)) <= TOL

@@ -23,31 +23,29 @@ from cqmac.regions import (
     corners_csv,
     fatten,
     kraus_groups,
-    one_shot_region,
     per_use_minima,
     scale,
     staircase_svg,
     timeshare_closure,
     union,
 )
-from cqmac.randutil import random_kraus_ops
 from cqmac.suites import suite_compound_monotonicity, suite_timeshare
-from oracles import cq_tensor, cqq_tensor, intersect, permute_vec
+from oracles import cq_tensor, cqq_tensor, intersect, permute_vec, random_kraus_ops
 
 
 class TestOneShot:
     def test_identity(self, identity_qmac, basis_v, bell_psi, uniform_p):
-        rect = one_shot_region(identity_qmac, uniform_p, basis_v, bell_psi)
+        rect = compound_rect_powered([identity_qmac], 1, uniform_p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(1.0, abs=1e-9)
         assert rect.r2_max == pytest.approx(1.0, abs=1e-9)
 
     def test_depolarizing(self, depolarizing_qmac, basis_v, bell_psi, uniform_p):
-        rect = one_shot_region(depolarizing_qmac, uniform_p, basis_v, bell_psi)
+        rect = compound_rect_powered([depolarizing_qmac], 1, uniform_p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(0.0, abs=1e-8)
         assert rect.r2_max == pytest.approx(0.0, abs=1e-8)
 
     def test_erasure(self, erasure_qmac, basis_v, bell_psi, uniform_p):
-        rect = one_shot_region(erasure_qmac, uniform_p, basis_v, bell_psi)
+        rect = compound_rect_powered([erasure_qmac], 1, uniform_p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(1.0, abs=1e-7)
         assert rect.r2_max == pytest.approx(0.0, abs=1e-7)
 
@@ -55,7 +53,7 @@ class TestOneShot:
 class TestCompoundRect:
     def test_singleton_matches_one_shot(self, identity_qmac, basis_v, bell_psi, uniform_p):
         rect = compound_rect(CompoundSet((identity_qmac,)), 1, uniform_p, basis_v, bell_psi)
-        single = one_shot_region(identity_qmac, uniform_p, basis_v, bell_psi)
+        single = compound_rect_powered([identity_qmac], 1, uniform_p, basis_v, bell_psi)
         assert rect == single
 
     def test_duplicates(self, identity_qmac, basis_v, bell_psi, uniform_p):
@@ -114,7 +112,6 @@ class TestTrustBoundary:
 
     def _qmac(self, rng, in_dims):
         from cqmac.channels import KrausChannel
-        from cqmac.randutil import random_kraus_ops
 
         return KrausChannel(random_kraus_ops(rng, int(np.prod(in_dims)), 4, 2), in_dims, (4,))
 
@@ -147,8 +144,6 @@ class TestTrustBoundary:
     @staticmethod
     def _stack(rng, n=3):
         """Raw numbers of n two-member compound sets with their (p, V, psi)."""
-        from cqmac.randutil import random_kraus_ops
-
         kraus = np.array([[random_kraus_ops(rng, 4, 4, 2) for _ in range(2)] for _ in range(n)])
         letters = np.array([CqChannel.from_vectors(rng.standard_normal((2, 2))).vectors
                             for _ in range(n)])
@@ -208,7 +203,7 @@ class TestTrustBoundary:
     def test_one_member_is_one_shot(self, rng, basis_v, bell_psi):
         t = self._qmac(rng, (2, 2))
         p = np.array([0.25, 0.75])
-        rect = one_shot_region(t, p, basis_v, bell_psi)
+        rect = compound_rect_powered([t], 1, p, basis_v, bell_psi)
         omega = effective_cqq_state(t, p, basis_v, bell_psi)
         assert rect == compound_rect(CompoundSet((t,)), 1, p, basis_v, bell_psi)
         assert rect.r1_max == pytest.approx(mutual_information_x_c(omega), abs=1e-12)
@@ -332,6 +327,12 @@ class TestEmission:
         rows = [(r1[0], 0.5, "w1:0"), (r1[1], 0.5, "w1:1")]
         for given in (rows, rows[::-1]):
             assert corners_csv(given).splitlines()[1:] == ["1,0.5,w1:0", "1,0.5,w1:1"]
+
+    def test_csv_prints_roundoff_as_zero(self):
+        """A rate below the 1e-12 floor prints as 0 and sorts as 0; one just
+        above it prints as itself."""
+        rows = [(3e-16, 0.0, "w1:0"), (0.0, 0.5, "w0:1"), (2e-12, 3e-16, "w1:1")]
+        assert corners_csv(rows).splitlines()[1:] == ["0,0,w1:0", "0,0.5,w0:1", "2e-12,0,w1:1"]
 
     def test_svg_valid_xml(self):
         svg = staircase_svg(union(Rect(1.0, 0.4), Rect(0.3, 1.2)))
