@@ -8,14 +8,12 @@ from .qmatrix import (
     hermitian_eig,
     maximally_entangled,
     maximally_mixed,
-    partial_trace,
     tensor,
     trace_norm,
 )
 from .channels import (
     BudgetExceededError,
     ChannelFormatError,
-    ChoiMatrix,
     CompoundSet,
     CptpError,
     CqChannel,
@@ -41,7 +39,6 @@ from .regions import (
     compound_rect,
     contains,
     fatten,
-    scale,
     timeshare_closure,
     union,
 )

@@ -305,16 +305,6 @@ def apply_channel_mat(channel, mat: np.ndarray, dims, positions=None):
     return (out[0] if isinstance(channel, KrausChannel) else out), new_dims
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Unnormalized Choi operator on in (x) out, trace = in_dim; ``matrix`` is
-    the (..., d, d) stack of them for a stack of channels."""
-
-    matrix: np.ndarray
-    in_dim: int
-    out_dim: int
-
-
 def choi_factor(channel) -> np.ndarray:
     """The (in_dim * out_dim, k) factor f of the Choi matrix f f†: f[(i, o), k] = K_k[o, i].
 
@@ -325,28 +315,31 @@ def choi_factor(channel) -> np.ndarray:
     return ops.swapaxes(-1, -3).reshape(*ops.shape[:-3], -1, ops.shape[-3])
 
 
-def choi_matrix(channel) -> ChoiMatrix:
-    """The Choi matrix f f† of a ``KrausChannel``, or the (..., in * out, in * out)
-    stack of them for a (..., k, out, in) array of Kraus stacks, each checked as
-    ``KrausChannel`` checks one (``checked_kraus``)."""
-    if isinstance(channel, KrausChannel):
-        d_out, d_in = channel.out_dim, channel.in_dim
-    else:
+def choi_matrix(channel) -> np.ndarray:
+    """The unnormalized Choi matrix f f† on in (x) out, trace = in_dim, of a
+    ``KrausChannel``, or the (..., in * out, in * out) stack of them for a
+    (..., k, out, in) array of Kraus stacks, each checked as ``KrausChannel``
+    checks one (``checked_kraus``)."""
+    if not isinstance(channel, KrausChannel):
         channel = checked_kraus(channel)
-        d_out, d_in = channel.shape[-2:]
     f = choi_factor(channel)
-    return ChoiMatrix(f @ dagger(f), d_in, d_out)
+    return f @ dagger(f)
 
 
-def diamond_distance_bounds(a: KrausChannel, b: KrausChannel) -> tuple[float, float]:
-    """Choi trace-norm sandwich around the diamond distance.
-
+def diamond_distance_bounds(a, b):
+    """Choi trace-norm sandwich around the diamond distance of two channels:
     lower = ||J_a - J_b||_1 / in_dim <= ||a - b||_diamond <= ||J_a - J_b||_1.
+
+    ``a`` and ``b`` are what ``choi_matrix`` takes: two ``KrausChannel``s, or
+    two (..., k, out, in) Kraus stacks of one shape, whose matching channels
+    give (lower, upper) as two arrays over the leading axes.
     """
-    if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
+    d_in = [c.in_dim if isinstance(c, KrausChannel) else np.shape(c)[-1] for c in (a, b)]
+    ja, jb = choi_matrix(a), choi_matrix(b)
+    if d_in[0] != d_in[1] or ja.shape != jb.shape:
         raise DimensionMismatchError("channels act between different spaces")
-    jd = trace_norm(choi_matrix(a).matrix - choi_matrix(b).matrix)
-    return jd / a.in_dim, jd
+    jd = trace_norm(ja - jb)
+    return jd / d_in[0], jd
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .qmatrix import (
     factor_trace_norm,
     pinv_sqrt_psd,
     sqrt_psd,
+    stacked_kron,
     tensor_all,
     trace_norm,
 )
@@ -213,9 +214,7 @@ def _word_factors(family: np.ndarray, words: np.ndarray) -> np.ndarray:
     row m is the kron of word m's letter factors, entries as ``tensor_all`` gives them."""
     out = family[words[:, 0]]
     for letters in words[:, 1:].T:
-        f = family[letters]
-        prod = out[:, :, None, :, None] * f[:, None, :, None, :]
-        out = prod.reshape(len(out), out.shape[1] * f.shape[1], -1)
+        out = stacked_kron(out, family[letters])
     return out
 
 

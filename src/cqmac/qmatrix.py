@@ -95,6 +95,13 @@ def tensor_all(mats) -> np.ndarray:
     return reduce(tensor, mats)
 
 
+def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the matching matrices of two (N, r, c) stacks."""
+    n, ra, ca = a.shape
+    _, rb, cb = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
+
+
 def _scalar(values):
     """A Python float for a 0-d result (a 2-D input), the array otherwise."""
     return float(values) if np.ndim(values) == 0 else values
@@ -223,9 +230,6 @@ class PureState:
     def dim(self) -> int:
         return self.vec.shape[0]
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
-
 
 def maximally_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_x |x>|x> on two d-dimensional factors."""
@@ -254,12 +258,6 @@ def partial_trace_mat(mat: np.ndarray, dims, keep) -> np.ndarray:
     out = [i for i in keep] + [k + i for i in keep]
     kept = math.prod(dims[i] for i in keep)
     return np.einsum(t, [...] + row + col, [...] + out).reshape(lead + (kept, kept))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    keep = sorted(set(int(i) for i in keep))
-    reduced = partial_trace_mat(rho.mat, rho.dims, keep)
-    return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep))
 
 
 def permute_mat(mat: np.ndarray, dims, perm) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 A Rect(r1_max, r2_max) stands for the box [0, r1_max] x [0, r2_max] of rate
 pairs in bits per channel use. Regions are unions of such boxes kept in a
-canonical Pareto-maximal form, which makes scaling, fattening, union and
-membership exact.
+canonical Pareto-maximal form, which makes fattening, union and membership
+exact.
 """
 
 from __future__ import annotations
@@ -131,14 +131,6 @@ def compound_rects(kraus, p, letters, psi) -> list[Rect]:
         raise ValueError("letters and psi must be finite unit vectors")
     kernel = RateKernel.inputs([kraus], letters.shape, psi.shape)
     return [Rect(r1, r2) for r1, r2 in zip(*per_use_minima(kernel, 1, p, letters, psi))]
-
-
-def scale(region, l: int) -> RateRegion:
-    """(1/l) A for the box-union representation."""
-    if l < 1:
-        raise ValueError("scale factor l must be >= 1")
-    reg = as_region(region)
-    return RateRegion(tuple(Rect(r.r1_max / l, r.r2_max / l) for r in reg.rects))
 
 
 def fatten(region, delta: float) -> RateRegion:

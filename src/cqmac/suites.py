@@ -17,9 +17,10 @@ checks them once per stack as ``KrausChannel`` checks one channel:
 ``data_processing`` applies N channels to N states in one
 ``apply_channel_mat``, ``compound_monotonicity`` rates N compound sets, each
 with its own (p, V, psi), in one ``compound_rects`` call for the small sets
-and one for the large, and ``diamond_bounds`` takes every Choi matrix in one
-``choi_matrix``. The other constructor suites build their objects publicly
-and evaluate them one by one, with stacked dense sides where they can:
+and one for the large, and ``diamond_bounds`` rates the three channel pairs
+of every instance in one ``diamond_distance_bounds``. The other constructor
+suites build their objects publicly and evaluate them one by one, with
+stacked dense sides where they can:
 ``holevo_identity`` takes every label's C marginal in one
 ``partial_trace_mat`` and its entropies in one call per stack, and
 ``net_cover`` builds Choi matrices only for the members its net leaves out.
@@ -35,7 +36,14 @@ from typing import Callable
 import numpy as np
 
 from . import codesim
-from .channels import CompoundSet, KrausChannel, apply_channel_mat, build_net, choi_matrix
+from .channels import (
+    CompoundSet,
+    KrausChannel,
+    apply_channel_mat,
+    build_net,
+    choi_matrix,
+    diamond_distance_bounds,
+)
 from .entropic import (
     CqqState,
     alicki_fannes_bound,
@@ -48,6 +56,7 @@ from .qmatrix import (
     hermitian_eig,
     partial_trace_mat,
     sqrt_psd,
+    stacked_kron,
     trace_norm,
 )
 from .randutil import (
@@ -102,13 +111,6 @@ def _by_shape(draws):
 
 def _qmac(ops: np.ndarray) -> KrausChannel:
     return KrausChannel(ops, (2, 2), (ops.shape[1],))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the matching matrices of two (N, r, c) stacks."""
-    n, ra, ca = a.shape
-    _, rb, cb = b.shape
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
 
 
 def _coherent_information(rho: np.ndarray, dims) -> np.ndarray:
@@ -219,7 +221,7 @@ def suite_product_fidelity_bound(seed: int, samples: int = 500, tol: float | Non
     margins = []
     for dims, raws in _by_shape(draws):
         psi, rho, sig = map(wishart_states, raws)
-        lhs = fidelity(_kron(psi, rho), sig)
+        lhs = fidelity(stacked_kron(psi, rho), sig)
         rhs = (
             1.0
             - trace_norm(rho - partial_trace_mat(sig, dims, [1]))
@@ -263,7 +265,7 @@ def suite_entropy_additivity(seed: int, samples: int = 100, tol: float | None = 
     for _, raws in _by_shape(draws):
         rho, sig = map(wishart_states, raws)
         gap = np.abs(
-            von_neumann_entropy(_kron(rho, sig))
+            von_neumann_entropy(stacked_kron(rho, sig))
             - von_neumann_entropy(rho)
             - von_neumann_entropy(sig)
         )
@@ -339,21 +341,17 @@ def suite_compound_monotonicity(seed: int, samples: int = 100, tol: float | None
 
 
 def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None) -> SuiteResult:
-    """Ordering and triangle inequality of the Choi trace-norm sandwich.
-
-    The bounds are those of ``diamond_distance_bounds``: ||J_a - J_b||_1 over
-    the input dimension 3, and ||J_a - J_b||_1.
-    """
+    """Ordering and triangle inequality of the Choi trace-norm sandwich
+    (``diamond_distance_bounds``) on the pairs ab, bc and ac of three channels."""
     tol = 1e-9 if tol is None else tol
     rng = np.random.default_rng(seed)
     draws = [(None, (kraus_raw(rng, 3, 3, 6).reshape(3, 2, 2, 3, 3),)) for _ in range(samples)]
     margins = []
     for _, (raw,) in _by_shape(draws):
-        chois = choi_matrix(whitened_kraus(raw)).matrix
-        ja, jb, jc = chois.swapaxes(0, 1)
-        up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
-        lo_ab = up_ab / 3
-        margins += [up_ab - lo_ab + tol, up_ab + up_bc - up_ac + tol]
+        ops = whitened_kraus(raw)
+        lower, upper = diamond_distance_bounds(ops[:, [0, 1, 0]], ops[:, [1, 2, 2]])
+        up_ab, up_bc, up_ac = upper.T
+        margins += [up_ab - lower[:, 0] + tol, up_ab + up_bc - up_ac + tol]
     return _collect("diamond_bounds", margins)
 
 
@@ -369,8 +367,8 @@ def _net_distances(cset: CompoundSet, net: CompoundSet) -> np.ndarray:
     off = [i for i, m in enumerate(cset.members) if id(m) not in kept]
     dist = np.zeros(len(cset.members))
     if off:
-        chois = np.array([choi_matrix(cset.members[i]).matrix for i in off])
-        net_chois = np.array([choi_matrix(m).matrix for m in net.members])
+        chois = np.array([choi_matrix(cset.members[i]) for i in off])
+        net_chois = np.array([choi_matrix(m) for m in net.members])
         dist[off] = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
     return dist
 
@@ -464,9 +462,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 def run_suites(seed: int, names=None, tol: float | None = None) -> list[SuiteResult]:
     chosen = list(SUITES) if names is None else list(names)
-    results = []
     for name in chosen:
         if name not in SUITES:
-            raise KeyError(f"unknown suite '{name}'; available: {', '.join(SUITES)}")
-        results.append(SUITES[name](seed=seed, tol=tol))
-    return results
+            raise ValueError(f"unknown suite '{name}'; available: {', '.join(SUITES)}")
+    return [SUITES[name](seed=seed, tol=tol) for name in chosen]

@@ -12,7 +12,6 @@ evaluate it alone: the reference for the suites that evaluate on stacks.
 import numpy as np
 
 from cqmac.channels import (
-    ChoiMatrix,
     CompoundSet,
     CqChannel,
     KrausChannel,
@@ -26,7 +25,6 @@ from cqmac.qmatrix import (
     DimensionMismatchError,
     PureState,
     hermitian_eig,
-    partial_trace,
     partial_trace_mat,
     pinv_sqrt_psd,
     tensor_all,
@@ -51,10 +49,22 @@ def dense_blocks(omega: CqqState) -> list[np.ndarray]:
     return [c @ c.conj().T for c in cols]
 
 
-def trace_preserving_defect(j: ChoiMatrix) -> float:
+def trace_preserving_defect(j: np.ndarray, in_dim: int, out_dim: int) -> float:
     """max |tr_out J - I|: 0 for the Choi matrix of a trace-preserving channel."""
-    reduced = partial_trace_mat(j.matrix, (j.in_dim, j.out_dim), [0])
-    return float(np.max(np.abs(reduced - np.eye(j.in_dim))))
+    reduced = partial_trace_mat(j, (in_dim, out_dim), [0])
+    return float(np.max(np.abs(reduced - np.eye(in_dim))))
+
+
+def density(psi: PureState) -> DensityMatrix:
+    """The state |psi><psi| as a matrix."""
+    return DensityMatrix(np.outer(psi.vec, psi.vec.conj()), psi.dims)
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """The reduced state on the subsystems listed in ``keep``."""
+    keep = sorted(set(int(i) for i in keep))
+    reduced = partial_trace_mat(rho.mat, rho.dims, keep)
+    return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep))
 
 
 def depolarizing_channel(dim: int) -> KrausChannel:
@@ -361,7 +371,7 @@ def suite_diamond_bounds(seed: int, samples: int = 60, tol: float | None = None)
     margins = []
     for _, (raw,) in _by_shape(draws):
         channels = [KrausChannel(k, (3,), (3,)) for k in whitened_kraus(raw).reshape(-1, 2, 3, 3)]
-        chois = np.array([choi_matrix(ch).matrix for ch in channels]).reshape(-1, 3, 9, 9)
+        chois = np.array([choi_matrix(ch) for ch in channels]).reshape(-1, 3, 9, 9)
         ja, jb, jc = chois.swapaxes(0, 1)
         up_ab, up_bc, up_ac = trace_norm(np.stack([ja - jb, jb - jc, ja - jc]))
         lo_ab = up_ab / 3

@@ -42,6 +42,7 @@ from cqmac.suites import _net_distances, suite_diamond_bounds, suite_net_cover
 from oracles import (
     compose,
     cq_tensor,
+    density,
     depolarizing_channel,
     random_density,
     random_kraus_ops,
@@ -67,7 +68,7 @@ class TestApply:
         ch = KrausChannel(random_kraus_ops(rng, 2, 3, 2), (2,), (3,))
         rho = random_density(rng, (2,))
         out, dims = apply_channel_mat(ch, rho.mat, rho.dims)
-        j = choi_matrix(ch).matrix
+        j = choi_matrix(ch)
         lifted = tensor(rho.mat.T, np.eye(3)) @ j
         expect = partial_trace_mat(lifted, (2, 3), [1])
         assert dims == (3,) and np.allclose(out, expect, atol=1e-10)
@@ -335,16 +336,16 @@ class TestChoi:
     def test_cptp_conditions(self, rng):
         ch = KrausChannel(random_kraus_ops(rng, 3, 2, 2), (3,), (2,))
         j = choi_matrix(ch)
-        assert abs(np.trace(j.matrix) - 3.0) < 1e-10
-        assert np.linalg.eigvalsh(j.matrix)[0] > -1e-10
-        assert trace_preserving_defect(j) < 1e-10
+        assert abs(np.trace(j) - 3.0) < 1e-10
+        assert np.linalg.eigvalsh(j)[0] > -1e-10
+        assert trace_preserving_defect(j, 3, 2) < 1e-10
 
     def test_stack_matches_one_by_one(self, rng):
         ops = np.array([[random_kraus_ops(rng, 3, 2, 2) for _ in range(3)] for _ in range(2)])
         j = choi_matrix(ops)
-        assert j.matrix.shape == (2, 3, 6, 6) and (j.in_dim, j.out_dim) == (3, 2)
-        for k, m in zip(ops.reshape(-1, 2, 2, 3), j.matrix.reshape(-1, 6, 6)):
-            assert np.array_equal(m, choi_matrix(KrausChannel(k, (3,), (2,))).matrix)
+        assert j.shape == (2, 3, 6, 6)
+        for k, m in zip(ops.reshape(-1, 2, 2, 3), j.reshape(-1, 6, 6)):
+            assert np.array_equal(m, choi_matrix(KrausChannel(k, (3,), (2,))))
         with pytest.raises(CptpError):
             choi_matrix(_poisoned(ops, "scaled", (1, 2)))
 
@@ -362,7 +363,7 @@ class TestDiamondBounds:
         # sampled pure inputs lower-bound the true diamond distance
         best = 0.0
         for _ in range(30):
-            psi = random_pure(rng, (2, 2)).density()
+            psi = density(random_pure(rng, (2, 2)))
             a, _ = apply_channel_mat(identity_channel(2), psi.mat, psi.dims, positions=[1])
             b, _ = apply_channel_mat(depolarizing_channel(2), psi.mat, psi.dims, positions=[1])
             best = max(best, trace_norm(a - b))
@@ -372,11 +373,40 @@ class TestDiamondBounds:
     def test_ordering_suite(self):
         assert suite_diamond_bounds(seed=8, samples=15).violations == 0
 
+    def _stacks(self, rng):
+        return [np.array([[random_kraus_ops(rng, 3, 2, 2) for _ in range(3)] for _ in range(2)])
+                for _ in range(2)]
+
+    def test_stack_matches_pair_by_pair(self, rng):
+        a, b = self._stacks(rng)
+        lower, upper = diamond_distance_bounds(a, b)
+        assert lower.shape == upper.shape == (2, 3)
+        pairs = zip(a.reshape(-1, 2, 2, 3), b.reshape(-1, 2, 2, 3), lower.ravel(), upper.ravel())
+        for ka, kb, lo, up in pairs:
+            one = diamond_distance_bounds(KrausChannel(ka, (3,), (2,)), KrausChannel(kb, (3,), (2,)))
+            assert one == (lo, up)  # bit for bit
+
+    @pytest.mark.parametrize("poison", ["scaled", "nan"])
+    def test_each_stacked_channel_checked_as_kraus_channel(self, rng, poison):
+        a, b = self._stacks(rng)
+        with pytest.raises(CptpError):
+            diamond_distance_bounds(_poisoned(a, poison, (1, 2)), b)
+        with pytest.raises(CptpError):
+            diamond_distance_bounds(a, _poisoned(b, poison, (0, 1)))
+
+    def test_spaces_must_match(self, rng):
+        # a 3 -> 2 and a 2 -> 3 channel have Choi matrices of one shape
+        ka, kb = random_kraus_ops(rng, 3, 2, 2), random_kraus_ops(rng, 2, 3, 2)
+        with pytest.raises(DimensionMismatchError):
+            diamond_distance_bounds(np.array(ka), np.array(kb))
+        with pytest.raises(DimensionMismatchError):
+            diamond_distance_bounds(KrausChannel(ka, (3,), (2,)), KrausChannel(kb, (2,), (3,)))
+
 
 def _dense_greedy_indices(cset: CompoundSet, theta: float) -> list[int]:
     """Oracle for build_net: the greedy farthest-point loop on dense Choi
     matrices, one SVD trace norm per member and step."""
-    chois = np.array([choi_matrix(m).matrix for m in cset.members])
+    chois = np.array([choi_matrix(m) for m in cset.members])
 
     def dist(j):
         return np.sum(np.linalg.svd(chois - chois[j], compute_uv=False), axis=-1)
@@ -407,7 +437,7 @@ class TestBuildNet:
                 for i in range(12)
             )
             cset = CompoundSet(members)
-            chois = np.array([choi_matrix(m).matrix for m in members])
+            chois = np.array([choi_matrix(m) for m in members])
             pairwise = trace_norm(chois[:, None] - chois[None, :])
             # quantiles between two of the 66 distances, so theta ties none
             for q in (0.15, 0.45, 0.75):
@@ -460,8 +490,8 @@ class TestBuildNet:
         )
         cset = CompoundSet(members)
         net = build_net(cset, 0.3)
-        chois = {id(m): choi_matrix(m).matrix for m in members}
-        net_chois = [choi_matrix(m).matrix for m in net.members]
+        chois = {id(m): choi_matrix(m) for m in members}
+        net_chois = [choi_matrix(m) for m in net.members]
         for m in members:
             d = min(trace_norm(chois[id(m)] - jn) for jn in net_chois)
             assert d <= 0.3 + 1e-9
@@ -498,8 +528,8 @@ class TestBuildNet:
         cset = CompoundSet(tuple(members))
         net = build_net(cset, 0.5)
         assert len(net.members) < len(members)
-        chois = np.array([choi_matrix(m).matrix for m in members])
-        net_chois = np.array([choi_matrix(m).matrix for m in net.members])
+        chois = np.array([choi_matrix(m) for m in members])
+        net_chois = np.array([choi_matrix(m) for m in net.members])
         dense = trace_norm(chois[:, None] - net_chois[None, :]).min(axis=1)
         dist = _net_distances(cset, net)
         assert np.array_equal(dist, dense)

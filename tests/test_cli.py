@@ -19,6 +19,9 @@ from cqmac.channels import (
     identity_channel,
 )
 from cqmac.cli import main
+from cqmac.suites import SUITES
+
+UNKNOWN_SUITE = f"error: unknown suite 'does_not_exist'; available: {', '.join(SUITES)}\n"
 
 
 @pytest.fixture
@@ -289,8 +292,13 @@ class TestVerifyCommand:
                       "holevo_identity", "code_identities"):
             assert main(["verify", "--suite", suite, "--tol", "0"]) == 1, suite
 
-    def test_unknown_suite_exit_2(self):
+    def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "does_not_exist"]) == 2
+        assert capsys.readouterr().err == UNKNOWN_SUITE
+
+    def test_unknown_suite_refused_before_any_suite_runs(self, capsys):
+        assert main(["verify", "--suite", "eig_reconstruction,does_not_exist"]) == 2
+        assert capsys.readouterr().err == UNKNOWN_SUITE
 
     @pytest.mark.parametrize("selection", [",", " , ,"])
     def test_empty_suite_selection_exit_2(self, capsys, selection):

@@ -36,6 +36,7 @@ from oracles import (
     average_error,
     complex_gaussian,
     compose,
+    density,
     entanglement_fidelity,
     haar_isometry,
     random_density,
@@ -73,7 +74,7 @@ def _encoder(et, g0: int) -> KrausChannel:
 
 def _encoded_phi(et, g0: int) -> np.ndarray:
     """(id_F (x) V)(Phi) formed densely on [F, (G0)^n]."""
-    phi = maximally_entangled(et.m2).density().mat
+    phi = density(maximally_entangled(et.m2)).mat
     return apply_channel_mat(_encoder(et, g0), phi, (et.m2, et.m2), [1])[0]
 
 
@@ -340,9 +341,7 @@ class TestEtCodeSampling:
         got = et.decoder
         assert got.stacked.shape == (len(recov) + kernel.shape[1],) + recov.shape[1:]
         want = _dense_decoder(chans, n, et.isometry)
-        np.testing.assert_allclose(
-            choi_matrix(got).matrix, choi_matrix(want).matrix, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(choi_matrix(got), choi_matrix(want), rtol=0, atol=1e-12)
 
     def test_budget_refused_before_any_allocation(self, monkeypatch, identity_b_channel):
         """n = 5 on the tagged identity needs word blocks of (2^5, 1 + 4^5, 2, 4^5),
@@ -408,8 +407,8 @@ class TestBlockRecovery:
         skewed = codesim.effective_b_channel(id_deph_set.members[0], [1 - 1e-14, 1e-14], basis_v)
         for chans in ([identity_b_channel], pair, [skewed]):
             et = codesim.sample_et_code(chans, 2, n, 2, seed=int(rng.integers(1 << 30)))
-            got = choi_matrix(et.decoder).matrix
-            want = choi_matrix(_dense_decoder(chans, n, et.isometry)).matrix
+            got = choi_matrix(et.decoder)
+            want = choi_matrix(_dense_decoder(chans, n, et.isometry))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -426,8 +425,8 @@ class TestBlockRecovery:
         for block in et.blocks:
             np.testing.assert_allclose(kraus_gram(block), np.eye(4**n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            choi_matrix(et.decoder).matrix,
-            choi_matrix(_dense_decoder([family], n, et.isometry)).matrix,
+            choi_matrix(et.decoder),
+            choi_matrix(_dense_decoder([family], n, et.isometry)),
             rtol=0,
             atol=1e-12,
         )
@@ -443,8 +442,8 @@ class TestBlockRecovery:
         et = codesim.sample_et_code([family], 2, 1, 2, seed=0)
         assert not np.any(et.blocks[1, :2])
         np.testing.assert_allclose(
-            choi_matrix(et.decoder).matrix,
-            choi_matrix(_dense_decoder([family], 1, et.isometry)).matrix,
+            choi_matrix(et.decoder),
+            choi_matrix(_dense_decoder([family], 1, et.isometry)),
             rtol=0,
             atol=1e-12,
         )
@@ -475,9 +474,7 @@ class TestBlockRecovery:
             if 2 in word:
                 assert not np.any(et.blocks[w, :count])
         dense = _dense_decoder(chans[:1], n, et.isometry)
-        np.testing.assert_allclose(
-            choi_matrix(et.decoder).matrix, choi_matrix(dense).matrix, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(choi_matrix(et.decoder), choi_matrix(dense), rtol=0, atol=1e-12)
         for ch in chans:
             state, dims = _encoded_phi(et, 2), (et.m2,) + (2,) * n
             tagged = KrausChannel(_tagged_ops([ch]), (2,), (12,))

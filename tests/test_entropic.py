@@ -28,7 +28,6 @@ from cqmac.qmatrix import (
     DimensionMismatchError,
     PureState,
     maximally_entangled,
-    partial_trace,
     permute_mat,
     tensor,
 )
@@ -46,10 +45,12 @@ from oracles import (
     complex_gaussian,
     cqq_tensor,
     dense_blocks,
+    density,
     eigvalsh_buckets,
     haar_isometry,
     holevo_information,
     member_gram_sizes,
+    partial_trace,
     quantum_mutual_information,
     random_density,
     random_factor,
@@ -61,7 +62,7 @@ from oracles import (
 
 class TestVonNeumann:
     def test_pure(self, rng):
-        assert von_neumann_entropy(random_pure(rng, (4,)).density()) == pytest.approx(
+        assert von_neumann_entropy(density(random_pure(rng, (4,)))) == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -85,7 +86,7 @@ class TestVonNeumann:
 
 class TestCoherentInformation:
     def test_bell(self):
-        bell = maximally_entangled(2).density()
+        bell = density(maximally_entangled(2))
         assert coherent_information(bell, [0], [1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_product(self, rng):
@@ -114,7 +115,7 @@ class TestMutualInformation:
         assert quantum_mutual_information(joint, [0], [1]) == pytest.approx(0.0, abs=1e-8)
 
     def test_bell(self):
-        bell = maximally_entangled(2).density()
+        bell = density(maximally_entangled(2))
         assert quantum_mutual_information(bell, [0], [1]) == pytest.approx(2.0, abs=1e-10)
 
     def test_classical_correlation(self):
@@ -149,8 +150,6 @@ class TestEffectiveCqqState:
         assert coherent_information_b_cx(omega) == pytest.approx(1.0, abs=1e-9)
 
     def test_block_route_matches_dense_route(self, identity_qmac, basis_v, bell_psi, uniform_p):
-        from cqmac.qmatrix import partial_trace
-
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
         dense = to_density_matrix(omega)
         assert dense.dim == 16
@@ -172,7 +171,7 @@ class TestEffectiveCqqState:
         p = rng.dirichlet(np.ones(3))
         omega = effective_cqq_state(t, p, v, psi)
         for letter, cond in zip(v.vectors, dense_blocks(omega)):
-            full = tensor(np.outer(letter, letter.conj()), psi.density().mat)  # (A, ref, in)
+            full = tensor(np.outer(letter, letter.conj()), density(psi).mat)  # (A, ref, in)
             full = permute_mat(full, (da, d_ref, d_in), [1, 0, 2])
             dense, dense_dims = apply_channel_mat(t, full, (d_ref, da, d_in), [1, 2])
             assert (b_dim(omega), c_dim(omega)) == dense_dims
@@ -312,8 +311,6 @@ class TestFactorOracle:
     @pytest.mark.parametrize("dims, ranks", [((2, 2), (1, 4, 2)), ((3, 2), (6, 2, 3)),
                                              ((1, 4), (1, 2, 4))])
     def test_rates_match_dense_blocks(self, rng, dims, ranks):
-        from cqmac.qmatrix import partial_trace
-
         for p in (rng.dirichlet(np.ones(3)), np.array([0.4, 0.0, 0.6])):
             omega = CqqState(p, tuple(random_factor(rng, dims, r) for r in ranks))
             dense = to_density_matrix(omega)  # (X, B, C)

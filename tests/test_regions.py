@@ -24,7 +24,6 @@ from cqmac.regions import (
     fatten,
     kraus_groups,
     per_use_minima,
-    scale,
     staircase_svg,
     timeshare_closure,
     union,
@@ -211,10 +210,6 @@ class TestTrustBoundary:
 
 
 class TestRegionOps:
-    def test_scale(self):
-        out = scale(Rect(2.0, 2.0), 2)
-        assert out.rects[0] == Rect(1.0, 1.0)
-
     def test_fatten_membership(self):
         out = fatten(Rect(1.0, 1.0), 0.1)
         assert contains(out, (1.1, 1.1), tol=1e-12)
