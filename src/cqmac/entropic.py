@@ -14,7 +14,10 @@ only does arithmetic: ``grouped_rates`` rates factor stacks with one, and
 ``RateKernel.inputs`` Kraus groups on inputs (p, V, psi), such as every
 evaluation and corner of a frontier trace. With one p per instance it rates
 N compound sets in the same run (the ``verify`` suite
-``compound_monotonicity``). Dense blocks serve only as oracles.
+``compound_monotonicity``). For one instance, ``RateKernel.vjp`` also runs
+the rates backwards, for the frontier search's gradient: one ``eigh`` per
+Gram size gives each entropy's slope, dS = tr(F dG). Dense blocks serve only
+as oracles.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ class CqqState:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.size
-
 
 # the transposes of _OutputStep's factors without and with an instance axis:
 # (..., X, ref, M, K, out) stored as (..., M, X, K, ref, out), then K viewed last
@@ -121,7 +120,8 @@ class _OutputStep:
     factor buffer per group, stored (..., M, X, K, ref, out) so that the rate
     kernel's matrices are views. A call overwrites the buffers. The product
     ``u`` is the largest buffer (a channel's K out is at least its input
-    dimension), so it alone is held to the budget, before any is allocated."""
+    dimension), so it alone is held to the budget, before any is allocated;
+    ``backward`` builds no array larger than u either."""
 
     def __init__(self, groups, letter_shape: tuple, psi_shape: tuple):
         *lead, x, a = letter_shape
@@ -131,18 +131,24 @@ class _OutputStep:
         self.ops_t = (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=-2)).mT
         self.grid = np.empty((*lead, x, ref, a, d_in // a), dtype=complex)
         self.u = np.empty((*lead, x * ref, self.ops_t.shape[-1]), dtype=complex)
-        stored, viewed = _FACTOR_AXES[len(lead)]
-        self.copies, self.factors, start = [], [], 0
-        for g, o in zip(groups, ops):
-            *members, count, d_out, _ = g.shape
-            width = o.shape[-2]
-            part = self.u[..., start:start + width].reshape(*lead, x, ref, -1, count, d_out)
-            part = part.transpose(stored)
+        self._layout = (lead, x, ref, [(o.shape[-2], *g.shape[-3:-1]) for g, o in zip(groups, ops)])
+        self.copies, self.factors = [], []
+        for g, part in zip(groups, self._parts(self.u)):
             buf = np.empty(part.shape, dtype=complex)
             self.copies.append((buf, part))
-            f = buf.transpose(viewed)
-            self.factors.append(f.reshape(*members, *f.shape[-4:]))
+            f = buf.transpose(_FACTOR_AXES[len(lead)][1])
+            self.factors.append(f.reshape(*g.shape[:-3], *f.shape[-4:]))
+
+    def _parts(self, u) -> list:
+        """Each group's columns of ``u``, or of an array laid out as it, viewed
+        (..., M, X, K, ref, out) as the group's factor buffer is stored."""
+        lead, x, ref, blocks = self._layout
+        parts, start = [], 0
+        for width, count, d_out in blocks:
+            part = u[..., start:start + width].reshape(*lead, x, ref, -1, count, d_out)
+            parts.append(part.transpose(_FACTOR_AXES[len(lead)][0]))
             start += width
+        return parts
 
     def __call__(self, letters, psi_grid) -> list:
         np.multiply(letters[..., None, :, None], psi_grid[..., None, :, None, :], out=self.grid)
@@ -150,6 +156,18 @@ class _OutputStep:
         for buf, part in self.copies:
             np.copyto(buf, part)
         return self.factors
+
+    def backward(self, letters, psi_grid, cotangents) -> tuple:
+        """The cotangents (d/d conj) of one input's (X, A) letters and (ref, in)
+        psi grid, from those of its factor buffers, one (M, X, K, ref, out)
+        array per group: back through the product u = grid ops_t and the grid
+        letters (x) psi."""
+        du = np.empty_like(self.u)
+        for part, d in zip(self._parts(du), cotangents):
+            part[...] = d
+        d_grid = (du @ self.ops_t.conj().mT).reshape(self.grid.shape)
+        return (np.einsum("xraj,rj->xa", d_grid, psi_grid.conj()),
+                np.einsum("xraj,xa->rj", d_grid, letters.conj()))
 
 
 def pure_output_factors(kraus_stack: np.ndarray, letters: np.ndarray, psi_grid: np.ndarray):
@@ -172,6 +190,21 @@ def _smaller_gram(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     smaller, written to ``out``."""
     mh = m.conj().swapaxes(-1, -2)
     return np.matmul(m, mh, out=out) if m.shape[-2] <= m.shape[-1] else np.matmul(mh, m, out=out)
+
+
+def _gram_cotangent(m: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """d/d conj(m) of tr(slope G) for G = ``_smaller_gram(m)`` and Hermitian
+    ``slope``: slope m for G = m m†, m slope for G = m† m."""
+    return slope @ m if m.shape[-2] <= m.shape[-1] else m @ slope
+
+
+def _entropy_slopes(grams: np.ndarray) -> np.ndarray:
+    """F = V diag(-log2 lam - 1/ln 2) V† of each Hermitian matrix of a stack, so
+    that dS = tr(F dG); eigenvalues at or below the clamp weigh 0, as S drops them."""
+    lam, vec = np.linalg.eigh(grams)
+    above = lam > EIGENVALUE_CLAMP
+    weight = np.where(above, -np.log2(np.where(above, lam, 1.0)) - 1.0 / np.log(2.0), 0.0)
+    return (vec * weight[..., None, :]) @ vec.conj().mT
 
 
 def _label_matrices(u: np.ndarray, n: int) -> tuple:
@@ -199,7 +232,12 @@ class RateKernel:
     ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
     owns their ``_OutputStep`` and is called on inputs (p, V, psi): the
     frontier search builds one per trace and rates its objective and its
-    corners with it.
+    corners with it. Its ``vjp`` rates one input the same way and returns the
+    backward map of those rates too: one ``eigh`` per Gram size on the Grams
+    the run left in the buffers, then back through the Gram products, the
+    average-C sums, the factor copies and the factor product. Each array it
+    builds has the shape of one the run holds (u, a factor or a Gram buffer),
+    so the run's budget check covers it.
     """
 
     def __init__(self, shapes):
@@ -217,17 +255,22 @@ class RateKernel:
         self._grams = {size: np.empty((num, size, size), dtype=complex)
                        for size, num in counts.items()}
         self._lam = np.zeros((sum(counts.values()), max(counts)))
-        views, self._fills, row = [], [], 0
+        self._slots, self._fills, row = slots, [], 0
         for size, start, num in slots:
-            views.append(self._grams[size][start:start + num])
             self._fills.append((self._lam[row:row + num, :size], size, slice(start, start + num)))
             row += num
-        g = len(self.shapes)
-        self._outs = [(views[i].reshape(m, n, *views[i].shape[1:]),
-                       views[g + i].reshape(m, n, *views[g + i].shape[1:]), views[2 * g + i])
-                      for i, (m, *_) in enumerate(self.shapes)]
+        self._outs = self._group_views(self._grams)
         self._mn = n * sum(m for m, *_ in self.shapes)
         self._step = None
+
+    def _group_views(self, buffers: dict) -> list:
+        """Each group's S(C), S(BC) and average-C slots of per-size ``buffers``
+        laid out as the Gram buffers, as (m, n, s, s), (m, n, s, s) and (m, s, s)."""
+        views = [buffers[size][start:start + num] for size, start, num in self._slots]
+        g, n = len(self.shapes), self._labels
+        return [(views[i].reshape(m, n, *views[i].shape[1:]),
+                 views[g + i].reshape(m, n, *views[g + i].shape[1:]), views[2 * g + i])
+                for i, (m, *_) in enumerate(self.shapes)]
 
     @classmethod
     def inputs(cls, groups, letter_shape: tuple, psi_shape: tuple) -> "RateKernel":
@@ -244,11 +287,40 @@ class RateKernel:
         """``grouped_rates`` of the factors of the kernel's Kraus groups on
         (letters, psi_grid), at p; one p with a zero entry is rated on fewer
         labels, so by a kernel of that layout."""
-        factors = self._step(letters, psi_grid)
+        kernel, p, matrices, _ = self._labelled(np.asarray(p), self._step(letters, psi_grid))
+        return kernel._run(p, matrices)
+
+    def vjp(self, p, letters, psi_grid):
+        """The rates of one input (a call's value, bit for bit) and their
+        backward map: ``backward(g1, g2)`` takes cotangents of the two rate
+        arrays, one real entry per member, and returns those of p (d/dp), the
+        letters and the psi grid (d/d conj). Call it before the kernel's next run."""
         p = np.asarray(p)
-        if p.ndim == 1 and not np.all(p > 0):
-            return grouped_rates(p, factors)
-        return self._run(p, self._matrices)
+        kernel, q, matrices, keep = self._labelled(p, self._step(letters, psi_grid))
+        rates = kernel._run(q, matrices)
+
+        def backward(g1, g2):
+            dq, dvs = kernel._backward(q, matrices, g1, g2)
+            if keep is None:
+                return dq, *self._step.backward(letters, psi_grid, dvs)
+            dp = np.zeros(p.shape)
+            dp[keep] = dq
+            full = [np.zeros(buf.shape, dtype=complex) for buf, _ in self._step.copies]
+            for d, dv in zip(full, dvs):
+                d[:, keep] = dv
+            return dp, *self._step.backward(letters, psi_grid, full)
+
+        return rates, backward
+
+    def _labelled(self, p, factors):
+        """The kernel, p, label matrices and kept labels (None for all) that rate
+        ``factors`` at p: a kernel of fewer labels when one p has a zero entry,
+        built as ``grouped_rates`` builds it."""
+        if p.ndim == 2 or np.all(p > 0):
+            return self, p, self._matrices, None
+        keep = p > 0
+        matrices = [_label_matrices(u[..., keep, :, :, :], np.count_nonzero(keep)) for u in factors]
+        return RateKernel([v.shape for v, _, _ in matrices]), p[keep], matrices, keep
 
     def _run(self, p, matrices):
         """The rates at p (one entry per label, or one row per instance) of
@@ -282,6 +354,39 @@ class RateKernel:
         # group-major member rows to (N, M), instance i's members group after group
         return tuple(np.hstack([r.reshape(len(p), -1) for r in np.split(rates, ends)])
                      for rates in (s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)))
+
+    def _backward(self, p, matrices, g1, g2):
+        """The cotangents of one p (d/dp) and of each group's (m, n, k, b, c)
+        label stack (d/d conj) from cotangents g1, g2 of the rates of the run
+        just made, whose Grams and spectra are still in the buffers. One
+        ``eigh`` per Gram size gives each entropy's slope F, dS = tr(F dG),
+        and G = m m† (m† m) passes F m (m F) back to m."""
+        mn, n = self._mn, self._labels
+        s = entropy_of_spectrum(self._lam)
+        s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
+        slopes = self._group_views({size: _entropy_slopes(g) for size, g in self._grams.items()})
+        # r1 = S(avg C) - sum_x p_x S(C_x) and r2 = sum_x p_x (S(C_x) - S(BC_x)), per member
+        dp, dvs, start = (g2 - g1) @ s_c - g2 @ s_bc, [], 0
+        for (v, rows_c, rows_bc), (f_c, f_bc, f_avg), (gram_c, _, _) in zip(
+                matrices, slopes, self._outs):
+            m, n, k, b, c = v.shape
+            w1, w2 = g1[start:start + m], g2[start:start + m]
+            start += m
+            pw = p[:, None, None]
+            slope_c = (w2 - w1)[:, None, None, None] * pw * f_c
+            dv = _gram_cotangent(rows_bc, -w2[:, None, None, None] * pw * f_bc).reshape(v.shape)
+            if c <= k * b:  # the average C state is sum_x p_x of the label Grams
+                slope_c = slope_c + w1[:, None, None, None] * pw * f_avg[:, None]
+                dp += w1 @ np.einsum("mij,mxji->mx", f_avg, gram_c).real
+            else:  # its factor is sqrt(p_x) v_x, label after label
+                root = np.sqrt(p)[:, None, None, None]
+                avg = (root * v).reshape(m, n * k * b, c).swapaxes(-1, -2)
+                d_avg = w1[:, None, None] * _gram_cotangent(avg, f_avg)
+                d_avg = d_avg.swapaxes(-1, -2).reshape(v.shape)
+                dp += (d_avg.conj() * v).real.sum(axis=(0, 2, 3, 4)) / root[:, 0, 0, 0]
+                dv += root * d_avg
+            dvs.append(dv + _gram_cotangent(rows_c, slope_c).swapaxes(-1, -2).reshape(v.shape))
+        return dp, dvs
 
 
 def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,8 @@
 
 The ansatz is parametrized by an unconstrained real vector: softmax for the
 distribution, paired real coordinates normalized to complex unit vectors
-for the pure states. Optimization is random restarts plus Nelder-Mead
-refinement (200 iterations), deterministic for a given seed regardless of
+for the pure states. Optimization is random restarts, each refined by
+L-BFGS-B on the exact gradient, deterministic for a given seed regardless of
 how restarts are scheduled. The objective rates all compound members at
 once, each at its own Kraus count: the powers are grouped by count
 (``regions.kraus_groups``) and a ``RateKernel`` is built for them once per
@@ -11,8 +11,11 @@ trace, so each evaluation is one factor product for all groups, the Gram
 products, one ``eigvalsh`` per distinct Gram size and one entropy step. It
 maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
 (``regions.per_use_minima``), so a negative rate still shows which way is
-up. Each reported corner is rated by the trace's kernel too, on the input the
-objective scored, and its rectangle clamps those minima at 0.
+up. Its gradient runs backwards through the same layers
+(``regions.per_use_minima_vjp``, ``RateKernel.vjp``, then the normalizations
+and the softmax), at one ``eigh`` per Gram size. Each reported corner is rated
+by the trace's kernel too, on the input the objective scored, and its
+rectangle clamps those minima at 0.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from scipy.optimize import minimize
 
 from .channels import CompoundSet, blocked_tensor_power, check_budget
 from .entropic import RateKernel
-from .regions import Rect, RateRegion, kraus_groups, per_use_minima
+from .regions import Rect, RateRegion, kraus_groups, per_use_minima, per_use_minima_vjp
 
-NM_ITERATIONS = 200
+
+class _EvaluationCap(Exception):
+    """The trace's ``max_evaluations`` are spent."""
 
 
 def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> np.ndarray:
@@ -41,18 +46,44 @@ def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> np.ndarray:
     return vecs / norms[:, None]
 
 
+def _unit_pullback(v_params: np.ndarray, x_size: int, dim: int, cot: np.ndarray) -> np.ndarray:
+    """The gradient in ``v_params`` of a real f whose cotangent (d/d conj) on the
+    ``_state_vectors`` rows y = z/|z| is ``cot``: (cot - Re<y, cot> y)/|z|
+    as 2 (Re, Im) pairs; a basis-vector fallback row passes back 0."""
+    raw = v_params.reshape(x_size, dim, 2)
+    norms = np.sqrt((raw * raw).sum(axis=(1, 2)))
+    live = norms >= 1e-12
+    norms = np.where(live, norms, 1.0)[:, None]
+    y = (raw[:, :, 0] + 1j * raw[:, :, 1]) / norms
+    dz = np.where(live[:, None], cot - (y.conj() * cot).real.sum(axis=1, keepdims=True) * y, 0.0)
+    dz = dz / norms
+    return 2.0 * np.stack([dz.real, dz.imag], axis=-1).reshape(-1)
+
+
 def _param_count(x_size: int, da_l: int, db_l: int) -> int:
     return x_size + 2 * x_size * da_l + 2 * db_l * db_l
 
 
 def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
     """Softmax p, the (X, A) letters and psi as its (ref, in) grid, as the kernel takes them."""
-    logits = theta[:x_size]
-    p = np.exp(logits - np.max(logits))
-    p = p / p.sum()
     v_end = x_size + 2 * x_size * da_l
     psi_grid = _state_vectors(theta[v_end:], 1, db_l * db_l).reshape(db_l, db_l)
-    return p, _state_vectors(theta[x_size:v_end], x_size, da_l), psi_grid
+    return _softmax(theta[:x_size]), _state_vectors(theta[x_size:v_end], x_size, da_l), psi_grid
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    p = np.exp(logits - np.max(logits))
+    return p / p.sum()
+
+
+def _flat_gradient(theta: np.ndarray, x_size: int, da_l: int, db_l: int, dp, dletters, dpsi):
+    """The gradient in theta of a real f from its cotangents on
+    ``_materialize_flat``'s p (d/dp), letters and psi grid (d/d conj)."""
+    p = _softmax(theta[:x_size])
+    v_end = x_size + 2 * x_size * da_l
+    return np.concatenate([p * (dp - p @ dp),
+                           _unit_pullback(theta[x_size:v_end], x_size, da_l, dletters),
+                           _unit_pullback(theta[v_end:], 1, db_l * db_l, dpsi.reshape(1, -1))])
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -81,8 +112,10 @@ class WeightOptimum:
 
 @dataclass(frozen=True)
 class TraceResult:
-    """``statuses`` holds each restart's Nelder-Mead exit status in run order:
-    0 converged, 1 stopped on the evaluation cap, 2 on the iteration cap."""
+    """``statuses`` holds each restart's L-BFGS-B exit status in run order:
+    0 converged, 1 stopped on the evaluation cap (``max_evaluations``, or
+    scipy's own iteration and evaluation limits), 2 stopped otherwise, such as
+    on a line search that found no decrease."""
 
     region: RateRegion
     optima: tuple[WeightOptimum, ...]
@@ -118,13 +151,13 @@ def pareto_trace(
     da_l, db_l = da**l, db**l
     x_size = alphabet_size if alphabet_size is not None else da_l
     ndim = _param_count(x_size, da_l, db_l)
-    # the kernel's product u (as ``RateKernel.inputs`` checks it), the members'
-    # powers side by side (as ``kraus_groups`` and the kernel stack them) and the
-    # search's simplex, refused before any power or kernel buffer is built
+    # the kernel's product u (as ``RateKernel.inputs`` checks it; the gradient's
+    # largest array, its cotangent, has u's shape) and the members' powers side
+    # by side (as ``kraus_groups`` and the kernel stack them), refused before
+    # any power or kernel buffer is built
     width = sum(len(m.stacked) ** l for m in cset.members) * member.out_dim**l
     check_budget("factor product u", (x_size * db_l, width))
     check_budget("stacked Kraus powers", (da_l * db_l, width))
-    check_budget("Nelder-Mead simplex", (ndim + 1, ndim))
     powered = [blocked_tensor_power(m, l) for m in cset.members]
     kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
@@ -140,35 +173,45 @@ def pareto_trace(
     truncated = False
     statuses: list[int] = []
 
-    def make_objective(w1: float, w2: float):
-        def negated(theta: np.ndarray) -> float:
+    def make_objective(w1: float, w2: float, seen: list):
+        """-(w1 r1 + w2 r2) and its gradient; ``seen`` keeps the restart's best
+        (value, theta). scipy checks its own evaluation limit only between
+        iterations, so the cap is kept here, exactly."""
+
+        def negated(theta: np.ndarray):
             nonlocal evals
+            if evals == max_evaluations:
+                raise _EvaluationCap
             evals += 1
-            r1, r2 = per_use_minima(kernel, l, *_materialize_flat(theta, x_size, da_l, db_l))
+            (r1, r2), backward = per_use_minima_vjp(
+                kernel, l, *_materialize_flat(theta, x_size, da_l, db_l))
             val = w1 * r1 + w2 * r2
-            return -val if np.isfinite(val) else 1e6
+            if not np.isfinite(val):
+                return 1e6, np.zeros(ndim)
+            if val > seen[0]:
+                seen[:] = val, theta.copy()
+            return -val, -_flat_gradient(theta, x_size, da_l, db_l, *backward(w1, w2))
 
         return negated
 
     optima: list[WeightOptimum] = []
     canonical = _canonical_theta(x_size, da_l, db_l)
     for wi, (w1, w2) in enumerate(weights):
-        objective = make_objective(w1, w2)
         best: tuple[float, int, np.ndarray] | None = None
         for r in range(budget):
             if max_evaluations is not None and evals >= max_evaluations:
                 truncated = True
                 break
             theta0 = canonical if r == 0 else restart_init(wi, r)
-            options = {"maxiter": NM_ITERATIONS, "xatol": 1e-7, "fatol": 1e-10}
-            if max_evaluations is not None:  # Nelder-Mead stops at exactly maxfev
-                options["maxfev"] = max_evaluations - evals
-            res = minimize(objective, theta0, method="Nelder-Mead", options=options)
-            statuses.append(int(res.status))
-            truncated = truncated or res.status == 1  # stopped on the cap
-            value = -float(res.fun)
-            if best is None or (value, -r) > (best[0], -best[1]):
-                best = (value, r, res.x)
+            seen = [-np.inf, theta0]
+            try:
+                res = minimize(make_objective(w1, w2, seen), theta0, method="L-BFGS-B", jac=True)
+                statuses.append(int(res.status))
+            except _EvaluationCap:
+                statuses.append(1)
+                truncated = True
+            if best is None or (seen[0], -r) > (best[0], -best[1]):
+                best = (seen[0], r, seen[1])
         if best is None:
             break
         p, letters, psi = _materialize_flat(best[2], x_size, da_l, db_l)

@@ -200,10 +200,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -225,10 +221,6 @@ class PureState:
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
 
 
 def maximally_entangled(d: int) -> PureState:

@@ -91,6 +91,21 @@ def per_use_minima(kernel, l: int, p, letters, psi_grid):
     return r1.min(axis=-1) / l, r2.min(axis=-1) / l
 
 
+def per_use_minima_vjp(kernel, l: int, p, letters, psi_grid):
+    """``per_use_minima`` of one input, bit for bit, with its backward map:
+    ``backward(c1, c2)`` sends the cotangents of the two minima to each rate's
+    arg-min member, divided by l, and returns those of (p, letters, psi_grid)
+    as ``RateKernel.vjp`` does."""
+    (r1, r2), backward = kernel.vjp(p, letters, psi_grid)
+
+    def minima_backward(c1: float, c2: float):
+        g1, g2 = np.zeros(r1.shape), np.zeros(r2.shape)
+        g1[np.argmin(r1)], g2[np.argmin(r2)] = c1 / l, c2 / l
+        return backward(g1, g2)
+
+    return (r1.min(axis=-1) / l, r2.min(axis=-1) / l), minima_backward
+
+
 def compound_rect(cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState) -> Rect:
     """Componentwise minimum of the blocked one-shot rectangles, per use."""
     powered = [blocked_tensor_power(m, l) for m in cset.members]

@@ -125,10 +125,10 @@ def expected_encoding_deviation(subspace_dim: int, n: int, m2: int, seed: int, f
 def to_density_matrix(omega: CqqState) -> DensityMatrix:
     """Dense block-diagonal state on (X, B, C); for small dimensions."""
     d = b_dim(omega) * c_dim(omega)
-    full = np.zeros((omega.alphabet_size * d,) * 2, dtype=complex)
+    full = np.zeros((omega.probs.size * d,) * 2, dtype=complex)
     for i, block in enumerate(dense_blocks(omega)):
         full[i * d : (i + 1) * d, i * d : (i + 1) * d] = omega.probs[i] * block
-    return DensityMatrix(full, (omega.alphabet_size, b_dim(omega), c_dim(omega)))
+    return DensityMatrix(full, (omega.probs.size, b_dim(omega), c_dim(omega)))
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -136,7 +136,7 @@ def purify(rho: DensityMatrix) -> PureState:
     vals, vecs = hermitian_eig(rho.mat)
     vals = np.clip(vals, 0.0, None)
     vec = (vecs * np.sqrt(vals / np.sum(vals))).reshape(-1)  # sum_i sqrt(p_i) |v_i>|i>
-    return PureState(vec / np.linalg.norm(vec), (rho.dim, rho.dim))
+    return PureState(vec / np.linalg.norm(vec), (rho.mat.shape[0],) * 2)
 
 
 def entanglement_fidelity(rho: DensityMatrix, channel) -> float:
@@ -147,7 +147,7 @@ def entanglement_fidelity(rho: DensityMatrix, channel) -> float:
     channel must map the state space to itself.
     """
     ops = channel.kraus_ops if hasattr(channel, "kraus_ops") else tuple(channel)
-    d = rho.dim
+    d = rho.mat.shape[0]
     for k in ops:
         if k.shape != (d, d):
             raise DimensionMismatchError(

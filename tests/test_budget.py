@@ -40,7 +40,8 @@ def identity_set(identity_qmac):
     "name, l, alphabet, refused",
     [
         ("identity_set", 5, None, None),
-        ("identity_set", 6, None, "Nelder-Mead simplex"),  # (16449, 16448)
+        ("identity_set", 6, None, None),  # u (4096, 4096)
+        ("identity_set", 7, None, "factor product u"),  # (16384, 16384)
         ("id_deph_set", 4, None, None),  # u (256, 4352), the largest: 1114112 entries
         ("id_deph_set", 5, None, "factor product u"),  # (1024, 33792)
         ("id_deph_set", 5, 1, "stacked Kraus powers"),  # u (32, 33792); powers (1024, 33792)
@@ -56,8 +57,10 @@ def test_frontier_level(request, monkeypatch, name, l, alphabet, refused):
 
 
 def test_dephrasure_frontier_runs_at_level_3(dephrasure_set):
-    """Dephrasure at l=3, whose largest array is u (64, 13824), runs two evaluations."""
-    res = pareto_trace(dephrasure_set, 3, [(0, 1)], budget=1, seed=0, max_evaluations=2)
+    """Dephrasure at l=3, whose largest array is u (64, 13824), runs two evaluations:
+    restart 0 stops at once (its canonical start is a stationary point at weight
+    0:1), and restart 1 is cut at the cap."""
+    res = pareto_trace(dephrasure_set, 3, [(0, 1)], budget=2, seed=0, max_evaluations=2)
     assert res.evaluations == 2 and res.truncated
     assert np.isfinite(res.optima[0].objective)
 

@@ -92,7 +92,7 @@ class TestRegionCommand:
         assert r1_vals == sorted(r1_vals)
 
     def test_reports_restart_convergence(self, tmp_path, pair_set_file, id_deph_set, capsys):
-        """stderr counts the restarts whose Nelder-Mead run converged."""
+        """stderr counts the restarts whose L-BFGS-B run converged."""
         from cqmac.optimizer import pareto_trace
 
         assert main([

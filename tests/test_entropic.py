@@ -135,7 +135,7 @@ class TestEffectiveCqqState:
         t = channel_tensor(identity_channel(2), identity_channel(2))
         v = CqChannel.basis(2, 1)
         omega = effective_cqq_state(t, [1.0], v, bell_psi)
-        assert omega.alphabet_size == 1
+        assert omega.probs.size == 1
         # conditional state is pure: the untouched half plus the channel output
         assert von_neumann_entropy(dense_blocks(omega)[0]) == pytest.approx(0.0, abs=1e-9)
         assert mutual_information_x_c(omega) == pytest.approx(0.0, abs=1e-10)
@@ -152,7 +152,7 @@ class TestEffectiveCqqState:
     def test_block_route_matches_dense_route(self, identity_qmac, basis_v, bell_psi, uniform_p):
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
         dense = to_density_matrix(omega)
-        assert dense.dim == 16
+        assert dense.mat.shape[0] == 16
         # X part is subsystem 0, B is 1, C is 2
         i_xc = quantum_mutual_information(partial_trace(dense, [0, 2]), [0], [1])
         assert mutual_information_x_c(omega) == pytest.approx(i_xc, abs=1e-9)
@@ -184,7 +184,7 @@ class TestEffectiveCqqState:
     def test_tensor_regroups(self, identity_qmac, basis_v, bell_psi, uniform_p):
         omega = effective_cqq_state(identity_qmac, uniform_p, basis_v, bell_psi)
         prod = cqq_tensor(omega, omega)
-        assert prod.alphabet_size == 4
+        assert prod.probs.size == 4
         assert mutual_information_x_c(prod) == pytest.approx(2.0, abs=1e-8)
         assert coherent_information_b_cx(prod) == pytest.approx(2.0, abs=1e-8)
 

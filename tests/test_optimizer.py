@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, blocked_tensor_power
+from cqmac.channels import (
+    BudgetExceededError,
+    CompoundSet,
+    CqChannel,
+    KrausChannel,
+    blocked_tensor_power,
+)
 from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
 from cqmac.optimizer import _materialize_flat, _param_count, _state_vectors, pareto_trace
 from cqmac.qmatrix import PureState
@@ -42,6 +48,31 @@ def _objective_rates(stacks, p, v_vecs, psi_grid):
     """(r1, r2) arrays over the members, each Kraus stack its own group: the
     rates of the raw factors, which the objective minimizes over."""
     return grouped_rates(p, [pure_output_factors(ks, v_vecs, psi_grid) for ks in stacks])
+
+
+def _first_objective(monkeypatch, cset, l, weights):
+    """The objective (theta -> (value, gradient)) and start that ``pareto_trace``
+    hands its first ``minimize`` call."""
+    from cqmac import optimizer
+
+    objectives = []
+
+    def first_objective(fun, x0, **kwargs):
+        objectives.append((fun, x0))
+        raise StopIteration
+
+    monkeypatch.setattr(optimizer, "minimize", first_objective)
+    with pytest.raises(StopIteration):
+        pareto_trace(cset, l, [weights], budget=1, seed=0)
+    (found,) = objectives
+    return found
+
+
+def _random_set(rng) -> CompoundSet:
+    """Three random QMACs (2, 2) -> 4 with Kraus counts 1, 3 and 4: the first's
+    C-side Grams are K ref wide (m† m), the others' out wide (m m†)."""
+    return CompoundSet(tuple(KrausChannel(random_kraus_ops(rng, 4, 4, count), (2, 2), (4,))
+                             for count in (1, 3, 4)))
 
 
 def test_state_vectors_normalise_rows_with_basis_fallback():
@@ -107,19 +138,22 @@ class TestParetoTrace:
         assert res.evaluations == 40
 
     def test_dim_budget(self, identity_qmac, monkeypatch):
-        """At l=6 the identity's Nelder-Mead simplex, (ndim + 1, ndim) with
-        ndim = 64 + 2·64·64 + 2·64·64 = 16448, holds more than 2^25 entries,
-        so it is refused by name before any power is built."""
+        """The identity's factor product u is (X ref, K out) = (4^l, 4^l). At
+        l=6, (4096, 4096) is admitted and the power gets built; at l=7,
+        (16384, 16384) holds more than 2^25 entries, so it is refused by name
+        before any power is built."""
         from cqmac import optimizer
 
         def unbuilt(*args, **kwargs):
             raise AssertionError("a power was built")
 
         monkeypatch.setattr(optimizer, "blocked_tensor_power", unbuilt)
-        refusal = (r"Nelder-Mead simplex of shape \(16449, 16448\) has 270553152 entries, "
+        with pytest.raises(AssertionError, match="a power was built"):
+            pareto_trace(CompoundSet((identity_qmac,)), 6, [(1.0, 1.0)], budget=1, seed=0)
+        refusal = (r"factor product u of shape \(16384, 16384\) has 268435456 entries, "
                    r"above the budget of 33554432")
         with pytest.raises(BudgetExceededError, match=refusal):
-            pareto_trace(CompoundSet((identity_qmac,)), 6, [(1.0, 1.0)], budget=1, seed=0)
+            pareto_trace(CompoundSet((identity_qmac,)), 7, [(1.0, 1.0)], budget=1, seed=0)
 
     def test_fast_route_matches_public(self, id_deph_set, rng):
         for l in (1, 2):
@@ -140,36 +174,31 @@ class TestParetoTrace:
                 assert rect.r2_max == pytest.approx(r2, abs=1e-9)
 
     def test_objective_spectra_per_evaluation(self, id_deph_set, monkeypatch):
-        """One evaluation at l=2 takes one stacked spectrum call per distinct Gram
+        """One evaluation at l=2 takes one stacked ``eigvalsh`` per distinct Gram
         size over S(C), S(BC) and the average C state of every member, each
-        member at its own Kraus count."""
-        from cqmac import optimizer
-
-        objectives = []
-
-        def first_objective(fun, x0, **kwargs):
-            objectives.append((fun, x0))
-            raise StopIteration
-
-        monkeypatch.setattr(optimizer, "minimize", first_objective)
-        with pytest.raises(StopIteration):
-            pareto_trace(id_deph_set, 2, [(1.0, 1.0)], budget=1, seed=0)
-        (fun, x0), = objectives
+        member at its own Kraus count, for the value, then one ``eigh`` on each
+        of the same stacks for the gradient."""
+        fun, x0 = _first_objective(monkeypatch, id_deph_set, 2, (1.0, 1.0))
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+        def counted(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            def spectrum(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spectrum)
+
+        counted("eigvalsh")
+        counted("eigh")
         fun(np.random.default_rng(1).standard_normal(x0.size))
         # B = 2^2, C = 4^2; the identity keeps its one Kraus op, the dephasing member has 4
         sizes = [member_gram_sizes(4, 16, k, 4) for k in (1, 4)]
         expected = eigvalsh_buckets([(s[kind], 1 if kind == 2 else 4)
                                      for kind in range(3) for s in sizes])
         assert expected == [(8, 4, 4), (6, 16, 16), (4, 1, 1)]
-        assert calls == expected
+        assert calls == [(name, s) for name in ("eigvalsh", "eigh") for s in expected]
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_objective_and_rect_share_one_route(self, id_deph_set, l):
@@ -219,7 +248,7 @@ class TestParetoTrace:
         assert res.optima[0].rect.r2_max >= 0.0036
 
     def test_restart_statuses(self, identity_qmac):
-        """One Nelder-Mead status per restart run, in order; a capped trace ends on 1."""
+        """One L-BFGS-B status per restart run, in order; a capped trace ends on 1."""
         res = pareto_trace(CompoundSet((identity_qmac,)), 1, [(1.0, 1.0), (0.0, 1.0)],
                            budget=2, seed=2)
         assert len(res.statuses) == 4 and set(res.statuses) <= {0, 1, 2}
@@ -231,26 +260,9 @@ class TestParetoTrace:
     def test_stacked_objective_matches_member_loop(self, id_deph_set, rng, monkeypatch, case):
         """The objective against the per-member loop it replaced, at 1e-12 on 50 θ:
         the unclamped minima over the members, weighted."""
-        from cqmac import optimizer
-        from cqmac.channels import KrausChannel
-
-        if case == "pair-l2":
-            cset, l = id_deph_set, 2
-        else:
-            cset, l = CompoundSet(tuple(
-                KrausChannel(random_kraus_ops(rng, 4, 4, count), (2, 2), (4,))
-                for count in (1, 3, 4))), 1
-        objectives = []
-
-        def first_objective(fun, x0, **kwargs):
-            objectives.append((fun, x0))
-            raise StopIteration
-
-        monkeypatch.setattr(optimizer, "minimize", first_objective)
+        cset, l = (id_deph_set, 2) if case == "pair-l2" else (_random_set(rng), 1)
         w1, w2 = 0.3, 0.7
-        with pytest.raises(StopIteration):
-            pareto_trace(cset, l, [(w1, w2)], budget=1, seed=0)
-        (fun, x0), = objectives
+        fun, x0 = _first_objective(monkeypatch, cset, l, (w1, w2))
         stacks = [blocked_tensor_power(m, l).stacked for m in cset.members]
         da_l = db_l = 2**l
         for _ in range(50):
@@ -259,7 +271,7 @@ class TestParetoTrace:
             rates_1, rates_2 = _objective_rates(stacks, p, vv, pv)
             r1 = rates_1.min() / l
             r2 = rates_2.min() / l
-            assert fun(theta) == pytest.approx(-(w1 * r1 + w2 * r2), abs=1e-12)
+            assert fun(theta)[0] == pytest.approx(-(w1 * r1 + w2 * r2), abs=1e-12)
 
     def test_objective_is_numerically_tame(self, identity_qmac, rng):
         """Directional slices show no NaN and no explosive jumps."""
@@ -279,3 +291,42 @@ class TestParetoTrace:
         assert np.all(np.isfinite(vals))
         quotients = np.diff(vals) / np.diff(ts)
         assert np.max(np.abs(quotients)) < 1e3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, l", [("random", 1), ("pair", 1), ("pair", 2),
+                                         ("dephrasure", 1), ("dephrasure", 2)])
+    def test_gradient_matches_finite_differences(self, request, rng, monkeypatch, case, l):
+        """The objective's gradient against central differences (h = 1e-6) of its
+        value route, at a random θ and at one with a -800 logit, whose p has an
+        exact zero, so the kernel rates one label fewer. The value returned with
+        the gradient is the value run's, bit for bit."""
+        cset = {"random": lambda: _random_set(rng), "pair": lambda: request.getfixturevalue(
+            "id_deph_set"), "dephrasure": lambda: request.getfixturevalue("dephrasure_set")}[case]()
+        w1, w2 = 0.3, 0.7
+        fun, x0 = _first_objective(monkeypatch, cset, l, (w1, w2))
+        d = 2**l
+        powered = [blocked_tensor_power(m, l) for m in cset.members]
+        kernel = RateKernel.inputs(kraus_groups(powered), (d, d), (d, d))
+
+        def value(theta):
+            r1, r2 = per_use_minima(kernel, l, *_materialize_flat(theta, d, d, d))
+            return -(w1 * r1 + w2 * r2)
+
+        zero_p = rng.standard_normal(x0.size)
+        zero_p[0] = -800.0
+        for theta in (rng.standard_normal(x0.size), zero_p):
+            f, grad = fun(theta)
+            assert f == value(theta)
+            steps = 1e-6 * np.eye(x0.size)
+            fd = np.array([(value(theta + e) - value(theta - e)) / 2e-6 for e in steps])
+            assert np.max(np.abs(grad - fd)) < 1e-7
+        assert grad[0] == 0.0 == fd[0]
+
+    @pytest.mark.parametrize("l, weights, corner", [(1, (1.0, 1.0), (1.0, 0.00364)),
+                                                    (2, (0.0, 1.0), (0.0, 0.0065))])
+    def test_dephrasure_corners(self, dephrasure_set, l, weights, corner):
+        """The dephrasure corners (budget 4, seed 0): at l=1 and weight 1:1 the
+        product corner (1, 0.003641), which one input reaches; at l=2 and weight
+        0:1 the blocked gain, 0.0065 per use against 0.00364 at l=1."""
+        rect = pareto_trace(dephrasure_set, l, [weights], budget=4, seed=0).optima[0].rect
+        assert rect.r1_max >= corner[0] - 1e-9 and rect.r2_max >= corner[1]
