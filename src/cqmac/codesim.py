@@ -516,9 +516,7 @@ def combine_hybrid(
         block = et.blocks[np.ravel_multi_index(word, tags)]
         ops = (block.reshape(-1, dc**n) @ root).reshape(block.shape)  # one flat GEMM
         branches.append(KrausChannel._trusted(ops, (dc,) * n, (et.m2,), True))
-    classical_factors = tuple(
-        tensor_all([v.vectors[x] for x in w]).reshape(-1, 1) for w in cq.codewords
-    )
+    classical_factors = tuple(_word_factors(v.vectors[:, :, None], np.array(cq.codewords)))
     return EtCode._trusted(
         n=n,
         m1=cq.size,

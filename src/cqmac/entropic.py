@@ -12,9 +12,11 @@ bucketed by size, one ``eigvalsh`` per distinct size, so a member with few
 Kraus operators never pays for another's many. It is built once and a run
 only does arithmetic: ``grouped_rates`` rates factor stacks with one, and
 ``RateKernel.inputs`` Kraus groups on inputs (p, V, psi), such as every
-evaluation and corner of a frontier trace. With one p per instance it rates
-N compound sets in the same run (the ``verify`` suite
-``compound_monotonicity``). For one instance, ``RateKernel.vjp`` also runs
+evaluation and corner of a frontier trace. Every label of its layout is
+rated, and a label with p_x = 0, a zero block of the cqq state, weighs its
+terms out. With one p per instance it rates N compound sets in the same run
+(the ``verify`` suite ``compound_monotonicity``); one p is weighed as an
+instance stack of one. For one instance, ``RateKernel.vjp`` also runs
 the rates backwards, for the frontier search's gradient: one ``eigh`` per
 Gram size gives each entropy's slope, dS = tr(F dG). Dense blocks serve only
 as oracles.
@@ -47,11 +49,9 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def entropy_of_spectrum(eigenvalues: np.ndarray):
     """- sum lam log2 lam over the eigenvalues above the clamp threshold, along
     the last axis: a float for one spectrum, an array for a stack of them."""
-    if eigenvalues.ndim == 1:
-        lam = eigenvalues[eigenvalues > EIGENVALUE_CLAMP]
-        return float(-lam @ np.log2(lam))
-    lam = np.where(eigenvalues > EIGENVALUE_CLAMP, eigenvalues, 1.0)  # log2(1) = 0 drops them
-    return -_row_dot(lam, np.log2(lam))
+    lam = np.where(eigenvalues > EIGENVALUE_CLAMP, eigenvalues, 1.0)  # log2(1) = 0 weighs them out
+    s = -_row_dot(lam, np.log2(lam))
+    return float(s) if eigenvalues.ndim == 1 else s
 
 
 def von_neumann_entropy(rho):
@@ -221,13 +221,15 @@ class RateKernel:
     """``grouped_rates`` prepared once for one layout, then run on each new
     input of that layout with arithmetic only.
 
-    Built from the (member, x, k, b, c) shape of each group's label stack, it
-    owns the Gram slot layout (every S(C), then every S(BC), then every average
-    C state, each Gram on its own member's smaller side), one Gram buffer per
-    distinct size with each slot's view into it, and the spectrum matrix, whose
-    zero padding is written once (zero eigenvalues add no entropy). A run
+    Built from each group's ``_label_matrices``, a (member, x, k, b, c) label
+    stack with its row views, it owns the Gram slot layout (every S(C), then
+    every S(BC), then every average C state, each Gram on its own member's
+    smaller side), one Gram buffer per distinct size with each slot's view into
+    it, and the spectrum matrix, whose zero padding is written once (zero
+    eigenvalues add no entropy). A run
     writes the Gram products into the views, takes one ``eigvalsh`` per Gram
-    size and one entropy step, and returns new arrays.
+    size and one entropy step, and returns new arrays. It rates every label of
+    its layout, whatever p: a zero p_x weighs that label's terms out.
 
     ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
     owns their ``_OutputStep`` and is called on inputs (p, V, psi): the
@@ -240,8 +242,9 @@ class RateKernel:
     so the run's budget check covers it.
     """
 
-    def __init__(self, shapes):
-        self.shapes = [tuple(s) for s in shapes]
+    def __init__(self, matrices):
+        self._matrices = matrices
+        self.shapes = [v.shape for v, _, _ in matrices]
         self._labels = n = self.shapes[0][1]
         gram_stacks = ([(min(c, k * b), m * n) for m, _, k, b, c in self.shapes]
                        + [(min(k, b * c), m * n) for m, _, k, b, c in self.shapes]
@@ -278,97 +281,77 @@ class RateKernel:
         ``letter_shape`` and whose psi grid has ``psi_shape``, as
         ``_OutputStep`` takes them."""
         step = _OutputStep(groups, letter_shape, psi_shape)
-        matrices = [_label_matrices(u, letter_shape[-2]) for u in step.factors]
-        kernel = cls([v.shape for v, _, _ in matrices])
-        kernel._step, kernel._matrices = step, matrices
+        kernel = cls([_label_matrices(u, letter_shape[-2]) for u in step.factors])
+        kernel._step = step
         return kernel
 
     def __call__(self, p, letters, psi_grid):
         """``grouped_rates`` of the factors of the kernel's Kraus groups on
-        (letters, psi_grid), at p; one p with a zero entry is rated on fewer
-        labels, so by a kernel of that layout."""
-        kernel, p, matrices, _ = self._labelled(np.asarray(p), self._step(letters, psi_grid))
-        return kernel._run(p, matrices)
+        (letters, psi_grid), at p: the factor step, then a run on the kernel's
+        own label matrices."""
+        self._step(letters, psi_grid)
+        return self._run(np.asarray(p))
 
     def vjp(self, p, letters, psi_grid):
         """The rates of one input (a call's value, bit for bit) and their
         backward map: ``backward(g1, g2)`` takes cotangents of the two rate
-        arrays, one real entry per member, and returns those of p (d/dp), the
-        letters and the psi grid (d/d conj). Call it before the kernel's next run."""
+        arrays, one real entry per member, and returns those of p (d/dp, 0 at
+        a zero label), the letters and the psi grid (d/d conj). Call it before
+        the kernel's next run."""
         p = np.asarray(p)
-        kernel, q, matrices, keep = self._labelled(p, self._step(letters, psi_grid))
-        rates = kernel._run(q, matrices)
+        rates = self(p, letters, psi_grid)
 
         def backward(g1, g2):
-            dq, dvs = kernel._backward(q, matrices, g1, g2)
-            if keep is None:
-                return dq, *self._step.backward(letters, psi_grid, dvs)
-            dp = np.zeros(p.shape)
-            dp[keep] = dq
-            full = [np.zeros(buf.shape, dtype=complex) for buf, _ in self._step.copies]
-            for d, dv in zip(full, dvs):
-                d[:, keep] = dv
-            return dp, *self._step.backward(letters, psi_grid, full)
+            dp, dvs = self._backward(p, g1, g2)
+            return dp, *self._step.backward(letters, psi_grid, dvs)
 
         return rates, backward
 
-    def _labelled(self, p, factors):
-        """The kernel, p, label matrices and kept labels (None for all) that rate
-        ``factors`` at p: a kernel of fewer labels when one p has a zero entry,
-        built as ``grouped_rates`` builds it."""
-        if p.ndim == 2 or np.all(p > 0):
-            return self, p, self._matrices, None
-        keep = p > 0
-        matrices = [_label_matrices(u[..., keep, :, :, :], np.count_nonzero(keep)) for u in factors]
-        return RateKernel([v.shape for v, _, _ in matrices]), p[keep], matrices, keep
-
-    def _run(self, p, matrices):
-        """The rates at p (one entry per label, or one row per instance) of
-        ``_label_matrices`` of the kernel's layout, as ``grouped_rates``
-        returns them."""
-        weights = ([p] * len(matrices) if p.ndim == 1
-                   else [np.repeat(p, len(v) // len(p), axis=0) for v, _, _ in matrices])
-        for (v, rows_c, rows_bc), w, (g_c, g_bc, g_avg) in zip(matrices, weights, self._outs):
+    def _run(self, p):
+        """The rates at p, one entry per label or one row per instance, of the
+        kernel's label matrices, as ``grouped_rates`` returns them. Every label
+        is rated; a zero p_x weighs its terms out. One p is an instance stack
+        of one, so each member is weighed by its instance's row."""
+        rows = p.reshape(-1, self._labels)
+        weights = [np.repeat(rows, len(v) // len(rows), axis=0) for v, _, _ in self._matrices]
+        for (v, rows_c, rows_bc), w, (g_c, g_bc, g_avg) in zip(self._matrices, weights, self._outs):
             m, n, k, b, c = v.shape
             _smaller_gram(rows_c, g_c)
             _smaller_gram(rows_bc, g_bc)
             if c <= k * b:  # C side: the average C state is sum_x p_x of the label Grams
-                g_c, avg = g_c.reshape(m, n, c * c), g_avg.reshape(m, c * c)
-                if w.ndim == 1:
-                    np.matmul(w, g_c, out=avg)
-                else:  # row i of w times member i's label Grams
-                    np.matmul(w[:, None], g_c, out=avg[:, None])
+                np.matmul(w[:, None], g_c.reshape(m, n, c * c), out=g_avg.reshape(m, 1, c * c))
             else:
                 avg = np.sqrt(w)[..., None, None, None] * v
                 _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), g_avg)
         spectra = {size: np.linalg.eigvalsh(g) for size, g in self._grams.items()}
-        for rows, size, part in self._fills:
-            rows[...] = spectra[size][part]
+        for lam, size, part in self._fills:
+            lam[...] = spectra[size][part]
         s = entropy_of_spectrum(self._lam)
         mn, n = self._mn, self._labels
         s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
-        if p.ndim == 1:
-            return s[2 * mn:] - _row_dot(s_c, p), _row_dot(s_c - s_bc, p)
         w = np.concatenate(weights)
+        rates = s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)
+        if p.ndim == 1:
+            return rates
         ends = np.cumsum([m for m, *_ in self.shapes])[:-1]
         # group-major member rows to (N, M), instance i's members group after group
-        return tuple(np.hstack([r.reshape(len(p), -1) for r in np.split(rates, ends)])
-                     for rates in (s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)))
+        return tuple(np.hstack([r.reshape(len(rows), -1) for r in np.split(group, ends)])
+                     for group in rates)
 
-    def _backward(self, p, matrices, g1, g2):
-        """The cotangents of one p (d/dp) and of each group's (m, n, k, b, c)
-        label stack (d/d conj) from cotangents g1, g2 of the rates of the run
-        just made, whose Grams and spectra are still in the buffers. One
-        ``eigh`` per Gram size gives each entropy's slope F, dS = tr(F dG),
-        and G = m m† (m† m) passes F m (m F) back to m."""
+    def _backward(self, p, g1, g2):
+        """The cotangents of one p (d/dp, 0 at a zero label) and of each group's
+        (m, n, k, b, c) label stack (d/d conj) from cotangents g1, g2 of the
+        rates of the run just made, whose Grams and spectra are still in the
+        buffers. One ``eigh`` per Gram size gives each entropy's slope F,
+        dS = tr(F dG), and G = m m† (m† m) passes F m (m F) back to m."""
         mn, n = self._mn, self._labels
         s = entropy_of_spectrum(self._lam)
         s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
         slopes = self._group_views({size: _entropy_slopes(g) for size, g in self._grams.items()})
         # r1 = S(avg C) - sum_x p_x S(C_x) and r2 = sum_x p_x (S(C_x) - S(BC_x)), per member
-        dp, dvs, start = (g2 - g1) @ s_c - g2 @ s_bc, [], 0
+        dp, dvs, start, live = (g2 - g1) @ s_c - g2 @ s_bc, [], 0, p > 0
         for (v, rows_c, rows_bc), (f_c, f_bc, f_avg), (gram_c, _, _) in zip(
-                matrices, slopes, self._outs):
+                self._matrices, slopes, self._outs):
             m, n, k, b, c = v.shape
             w1, w2 = g1[start:start + m], g2[start:start + m]
             start += m
@@ -383,10 +366,11 @@ class RateKernel:
                 avg = (root * v).reshape(m, n * k * b, c).swapaxes(-1, -2)
                 d_avg = w1[:, None, None] * _gram_cotangent(avg, f_avg)
                 d_avg = d_avg.swapaxes(-1, -2).reshape(v.shape)
-                dp += (d_avg.conj() * v).real.sum(axis=(0, 2, 3, 4)) / root[:, 0, 0, 0]
+                dp += np.divide((d_avg.conj() * v).real.sum(axis=(0, 2, 3, 4)), root[:, 0, 0, 0],
+                                out=np.zeros(n), where=live)
                 dv += root * d_avg
             dvs.append(dv + _gram_cotangent(rows_c, slope_c).swapaxes(-1, -2).reshape(v.shape))
-        return dp, dvs
+        return np.where(live, dp, 0.0), dvs
 
 
 def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
@@ -399,24 +383,18 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     factors, zero-padded to one rank. The groups may differ in rank (a
     compound set grouped by Kraus count), so each Gram is on its own member's
     smaller side. The Grams of one size share one ``eigvalsh``, and all
-    spectra one entropy step. Labels with p = 0 are skipped; nothing is
-    validated.
+    spectra one entropy step. Every label is rated, and a zero p_x weighs its
+    terms out; nothing is validated, so a zero-p label's factor must be
+    finite too.
 
     With one p per instance, ``probs`` is (N, X), each group is an (N, M_K, X,
     B, C, K) stack (``pure_output_factors`` with an instance axis) and the
-    rates come as (N, M) arrays, instance i's members group after group. Every
-    label is then rated, and a zero p_x weighs its terms out.
+    rates come as (N, M) arrays, instance i's members group after group.
     """
     probs = np.asarray(probs)
-    p = probs if probs.ndim == 2 else probs[probs > 0]
-    matrices = []
-    for u in groups:
-        if not isinstance(u, np.ndarray):
-            u = zero_padded(u, -1)
-        if p.shape[-1] < probs.shape[-1]:
-            u = u[..., probs > 0, :, :, :]
-        matrices.append(_label_matrices(u, p.shape[-1]))
-    return RateKernel([v.shape for v, _, _ in matrices])._run(p, matrices)
+    matrices = [_label_matrices(u if isinstance(u, np.ndarray) else zero_padded(u, -1),
+                                probs.shape[-1]) for u in groups]
+    return RateKernel(matrices)._run(probs)
 
 
 def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:

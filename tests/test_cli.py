@@ -103,6 +103,21 @@ class TestRegionCommand:
         converged = statuses.count(0)
         assert f"region: {converged} of 4 restarts converged\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["0", "7", "15"])
+    @pytest.mark.parametrize("weights", ["1:0", "1:1", "0:1"])
+    def test_pair_set_corner_bytes(self, tmp_path, weights, seed):
+        """{id (x) id, id (x) dephasing(0.1)} at l = 2 prints the analytic
+        corner (1, 1 - h(0.1)) at every weight, byte for byte."""
+        ident = channel_tensor(identity_channel(2), identity_channel(2))
+        deph = channel_tensor(identity_channel(2), dephasing_channel(0.1))
+        set_file, out_csv = tmp_path / "pair.json", tmp_path / "region.csv"
+        set_file.write_text(dump_compound_json(CompoundSet((ident, deph), ("id", "deph"))))
+        assert main([
+            "region", "--input", str(set_file), "--l", "2", "--budget", "2",
+            "--weights", weights, "--seed", seed, "--out-csv", str(out_csv),
+        ]) == 0
+        assert out_csv.read_bytes() == f"r1,r2,tag\n1,0.531004406411,w{weights}\n".encode()
+
     def test_negative_zero_weight_tagged_as_zero(self, tmp_path, pair_set_file):
         csvs = []
         for weights in (["--weights=-0:1"], ["--weights", "0:1"]):

@@ -345,8 +345,8 @@ class TestFactorOracle:
             (r1,), (r2,) = grouped_rates(p, [factors])
             assert r1 == pytest.approx(i_xc, abs=1e-12)
             assert r2 == pytest.approx(ic, abs=1e-12)
-        side_c, side_bc, side_avg = member_gram_sizes(b, c, rank, 3)
-        assert shapes == 2 * eigvalsh_buckets([(side_c, 3), (side_bc, 3), (side_avg, 1)])
+        side_c, side_bc, side_avg = member_gram_sizes(b, c, rank, 4)
+        assert shapes == 2 * eigvalsh_buckets([(side_c, 4), (side_bc, 4), (side_avg, 1)])
 
     @staticmethod
     def _grouped_rates_recorded(members, p, v, psi, monkeypatch):
@@ -385,8 +385,8 @@ class TestFactorOracle:
         p = np.array([0.3, 0.0, 0.7])
         groups, r1, r2, shapes = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
         assert [g.shape for g in groups] == [(1, k, dc, da * d_in) for k in (1, 3, 4)]
-        sizes = [member_gram_sizes(b, dc, k, 2) for k in (1, 3, 4)]
-        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 2)
+        sizes = [member_gram_sizes(b, dc, k, 3) for k in (1, 3, 4)]
+        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 3)
                                            for kind in range(3) for s in sizes])
         assert r1.shape == r2.shape == (3,)
         for i, t in enumerate(members):
@@ -408,8 +408,8 @@ class TestFactorOracle:
         order = [0, 1, 3, 2]  # count 1, both count 3, count 4
         assert [g.shape[:2] for g in groups] == [(1, 1), (2, 3), (1, 4)]
         assert b * 1 < dc <= b * 3  # one group on each side of C
-        sizes = [member_gram_sizes(b, dc, counts[i], 3) for i in order]
-        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 3)
+        sizes = [member_gram_sizes(b, dc, counts[i], 4) for i in order]
+        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 4)
                                            for kind in range(3) for s in sizes])
         for i, row in enumerate(order):
             self._assert_dense_rates(members[row], p, v, psi, r1[i], r2[i])
@@ -437,20 +437,6 @@ class TestFactorOracle:
         for i in range(3):
             for j, t in enumerate(members[i]):  # group order is member order here
                 self._assert_dense_rates(t, p[i], vs[i], psis[i], r1[i, j], r2[i, j])
-
-    def test_zero_probability_labels_never_enter_a_spectrum(self, rng):
-        """A p = 0 label's factor may hold anything, NaN included, in every member."""
-        stack = np.stack([np.stack([random_factor(rng, (2, 3), 2) for _ in range(3)])
-                          for _ in range(2)])
-        p = np.array([0.4, 0.0, 0.6])
-        clean = grouped_rates(p, [stack])
-        stack[:, 1] = np.nan
-        poisoned = grouped_rates(p, [stack])
-        for a, b in zip(clean, poisoned):
-            assert np.array_equal(a, b)
-        for i in range(2):
-            (r1,), (r2,) = grouped_rates(p[[0, 2]], [stack[i, [0, 2]]])
-            assert (r1, r2) == (clean[0][i], clean[1][i])
 
     def test_factors_match_per_letter_route(self, rng):
         """One product for all letters against the per-letter contraction."""
@@ -521,8 +507,8 @@ class TestRateKernel:
         self._assert_runs_match(rng, [kraus], 3, 2, 2, lead=(3,))
 
     def test_zero_probability_label(self, rng, id_deph_set):
-        """A logit of -800 underflows to p_x = 0 exactly; the label is dropped,
-        as the one-shot route and ``compound_rect_powered`` drop it."""
+        """A logit of -800 underflows to p_x = 0 exactly; the label is rated and
+        weighed out, as the one-shot route and ``compound_rect_powered`` weigh it."""
         from cqmac.optimizer import _materialize_flat, _param_count
 
         powered = [blocked_tensor_power(m, 2) for m in id_deph_set.members]
@@ -543,6 +529,60 @@ class TestRateKernel:
         rect = compound_rect_powered(powered, 2, p, v, psi)
         r1, r2 = per_use_minima(kernel, 2, checked_probs(p, 4), v.vectors, psi.vec.reshape(4, 4))
         assert (rect.r1_max, rect.r2_max) == (max(0.0, r1), max(0.0, r2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_label_is_weighed_out_by_the_kernel_itself(self, rng, id_deph_set, monkeypatch):
+        """One kernel of X = 4 labels rates a p with an exact zero, on the pair
+        set at l = 2 (the identity's average C state from its sqrt(p) factors,
+        the dephasing member's from its label Grams), through a call and a vjp
+        that build no kernel: the rates match a kernel of the 3 nonzero labels
+        and the dense states, and the theta gradient matches central differences."""
+        from cqmac.optimizer import _flat_gradient, _materialize_flat, _param_count
+
+        powered = [blocked_tensor_power(m, 2) for m in id_deph_set.members]
+        groups = kraus_groups(powered)
+        kernel = RateKernel.inputs(groups, (4, 4), (4, 4))
+        assert {c <= k * b for _, _, k, b, c in kernel.shapes} == {True, False}
+        fewer = RateKernel.inputs(groups, (3, 4), (4, 4))
+        theta = rng.standard_normal(_param_count(4, 4, 4))
+        theta[2] = -800.0
+        p, vv, pv = _materialize_flat(theta, 4, 4, 4)
+        psi_grid = pv.reshape(4, 4)
+        assert p[2] == 0.0 and np.all(np.delete(p, 2) > 0)
+        g1, g2 = rng.standard_normal(2), rng.standard_normal(2)
+
+        built = []
+        init = RateKernel.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RateKernel, "__init__", counted)
+        got = kernel(p, vv, psi_grid)
+        rates, backward = kernel.vjp(p, vv, psi_grid)
+        dp, dletters, dpsi = backward(g1, g2)
+        assert built == []
+        monkeypatch.undo()
+
+        for g, r in zip(got, rates):
+            assert np.array_equal(g, r)
+        keep = p > 0
+        for g, w in zip(got, fewer(p[keep], vv[keep], psi_grid)):
+            assert np.allclose(g, w, rtol=0, atol=1e-12)
+        v, psi = CqChannel.from_vectors(vv), PureState(pv, (4, 4))
+        for i, t in enumerate(powered):
+            TestFactorOracle._assert_dense_rates(t, p, v, psi, got[0][i], got[1][i])
+        assert dp[2] == 0.0 and np.all(dletters[2] == 0.0)
+
+        def value(th):
+            r1, r2 = kernel(*_materialize_flat(th, 4, 4, 4))
+            return g1 @ r1 + g2 @ r2
+
+        grad = _flat_gradient(theta, 4, 4, 4, dp, dletters, dpsi)
+        steps = 1e-6 * np.eye(theta.size)
+        fd = np.array([(value(theta + e) - value(theta - e)) / 2e-6 for e in steps])
+        assert np.max(np.abs(grad - fd)) < 1e-7
 
     def test_runs_return_new_arrays(self, rng, id_deph_set):
         """A second run overwrites the kernel's buffers, not what the first returned."""

@@ -298,7 +298,7 @@ class TestParetoTrace:
     def test_gradient_matches_finite_differences(self, request, rng, monkeypatch, case, l):
         """The objective's gradient against central differences (h = 1e-6) of its
         value route, at a random θ and at one with a -800 logit, whose p has an
-        exact zero, so the kernel rates one label fewer. The value returned with
+        exact zero, which the kernel weighs out. The value returned with
         the gradient is the value run's, bit for bit."""
         cset = {"random": lambda: _random_set(rng), "pair": lambda: request.getfixturevalue(
             "id_deph_set"), "dephrasure": lambda: request.getfixturevalue("dephrasure_set")}[case]()
