@@ -8,7 +8,7 @@ functions, the regions, the optimizer and the converse check, taking each
 spectrum from the smaller of the Gram matrices m m† and m† m of a factor m
 (they share their nonzero eigenvalues). It rates every member of a compound
 set in one run, each at its own Kraus count: the Grams of all members are
-bucketed by size, one ``eigvalsh`` per distinct size, so a member with few
+bucketed by size, one ``eigh`` per distinct size, so a member with few
 Kraus operators never pays for another's many. It is built once and a run
 only does arithmetic: ``grouped_rates`` rates factor stacks with one, and
 ``RateKernel.inputs`` Kraus groups on inputs (p, V, psi), such as every
@@ -17,9 +17,9 @@ rated, and a label with p_x = 0, a zero block of the cqq state, weighs its
 terms out. With one p per instance it rates N compound sets in the same run
 (the ``verify`` suite ``compound_monotonicity``); one p is weighed as an
 instance stack of one. For one instance, ``RateKernel.vjp`` also runs
-the rates backwards, for the frontier search's gradient: one ``eigh`` per
-Gram size gives each entropy's slope, dS = tr(F dG). Dense blocks serve only
-as oracles.
+the rates backwards, for the frontier search's gradient: the eigenvectors of
+the run's own ``eigh`` give each entropy's slope, dS = tr(F dG), with no
+second decomposition. Dense blocks serve only as oracles.
 """
 
 from __future__ import annotations
@@ -198,15 +198,6 @@ def _gram_cotangent(m: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return slope @ m if m.shape[-2] <= m.shape[-1] else m @ slope
 
 
-def _entropy_slopes(grams: np.ndarray) -> np.ndarray:
-    """F = V diag(-log2 lam - 1/ln 2) V† of each Hermitian matrix of a stack, so
-    that dS = tr(F dG); eigenvalues at or below the clamp weigh 0, as S drops them."""
-    lam, vec = np.linalg.eigh(grams)
-    above = lam > EIGENVALUE_CLAMP
-    weight = np.where(above, -np.log2(np.where(above, lam, 1.0)) - 1.0 / np.log(2.0), 0.0)
-    return (vec * weight[..., None, :]) @ vec.conj().mT
-
-
 def _label_matrices(u: np.ndarray, n: int) -> tuple:
     """A factor stack of n labels as a (member, x, k, b, c) stack v, with its
     per-label matrices: the C rows (c, k b) for S(C) and the (k, b c) rows for
@@ -227,19 +218,18 @@ class RateKernel:
     smaller side), one Gram buffer per distinct size with each slot's view into
     it, and the spectrum matrix, whose zero padding is written once (zero
     eigenvalues add no entropy). A run
-    writes the Gram products into the views, takes one ``eigvalsh`` per Gram
+    writes the Gram products into the views, takes one ``eigh`` per Gram
     size and one entropy step, and returns new arrays. It rates every label of
     its layout, whatever p: a zero p_x weighs that label's terms out.
 
     ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
     owns their ``_OutputStep`` and is called on inputs (p, V, psi): the
     frontier search builds one per trace and rates its objective and its
-    corners with it. Its ``vjp`` rates one input the same way and returns the
-    backward map of those rates too: one ``eigh`` per Gram size on the Grams
-    the run left in the buffers, then back through the Gram products, the
-    average-C sums, the factor copies and the factor product. Each array it
-    builds has the shape of one the run holds (u, a factor or a Gram buffer),
-    so the run's budget check covers it.
+    corners with it. Its ``vjp`` is such a call, and returns the backward map
+    of its rates too: each entropy's slope from the eigenpairs the run kept,
+    then back through the Gram products, the average-C sums, the factor copies
+    and the factor product. Each array it builds has the shape of one the run
+    holds (u, a factor or a Gram buffer), so the run's budget check covers it.
     """
 
     def __init__(self, matrices):
@@ -293,11 +283,11 @@ class RateKernel:
         return self._run(np.asarray(p))
 
     def vjp(self, p, letters, psi_grid):
-        """The rates of one input (a call's value, bit for bit) and their
-        backward map: ``backward(g1, g2)`` takes cotangents of the two rate
-        arrays, one real entry per member, and returns those of p (d/dp, 0 at
-        a zero label), the letters and the psi grid (d/d conj). Call it before
-        the kernel's next run."""
+        """A call on one input, and the backward map of its rates:
+        ``backward(g1, g2)`` takes cotangents of the two rate arrays, one real
+        entry per member, and returns those of p (d/dp, 0 at a zero label), the
+        letters and the psi grid (d/d conj), with no spectrum of its own. Call
+        it before the kernel's next run."""
         p = np.asarray(p)
         rates = self(p, letters, psi_grid)
 
@@ -311,7 +301,8 @@ class RateKernel:
         """The rates at p, one entry per label or one row per instance, of the
         kernel's label matrices, as ``grouped_rates`` returns them. Every label
         is rated; a zero p_x weighs its terms out. One p is an instance stack
-        of one, so each member is weighed by its instance's row."""
+        of one, so each member is weighed by its instance's row. It keeps each
+        Gram size's eigenpairs and the label entropies for ``_backward``."""
         rows = p.reshape(-1, self._labels)
         weights = [np.repeat(rows, len(v) // len(rows), axis=0) for v, _, _ in self._matrices]
         for (v, rows_c, rows_bc), w, (g_c, g_bc, g_avg) in zip(self._matrices, weights, self._outs):
@@ -323,12 +314,12 @@ class RateKernel:
             else:
                 avg = np.sqrt(w)[..., None, None, None] * v
                 _smaller_gram(avg.reshape(m, n * k * b, c).swapaxes(-1, -2), g_avg)
-        spectra = {size: np.linalg.eigvalsh(g) for size, g in self._grams.items()}
+        self._eigh = {size: np.linalg.eigh(g) for size, g in self._grams.items()}
         for lam, size, part in self._fills:
-            lam[...] = spectra[size][part]
+            lam[...] = self._eigh[size].eigenvalues[part]
         s = entropy_of_spectrum(self._lam)
         mn, n = self._mn, self._labels
-        s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
+        s_c, s_bc = self._label_entropies = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
         w = np.concatenate(weights)
         rates = s[2 * mn:] - _row_dot(s_c, w), _row_dot(s_c - s_bc, w)
         if p.ndim == 1:
@@ -341,13 +332,17 @@ class RateKernel:
     def _backward(self, p, g1, g2):
         """The cotangents of one p (d/dp, 0 at a zero label) and of each group's
         (m, n, k, b, c) label stack (d/d conj) from cotangents g1, g2 of the
-        rates of the run just made, whose Grams and spectra are still in the
-        buffers. One ``eigh`` per Gram size gives each entropy's slope F,
-        dS = tr(F dG), and G = m m† (m† m) passes F m (m F) back to m."""
-        mn, n = self._mn, self._labels
-        s = entropy_of_spectrum(self._lam)
-        s_c, s_bc = s[:mn].reshape(-1, n), s[mn:2 * mn].reshape(-1, n)
-        slopes = self._group_views({size: _entropy_slopes(g) for size, g in self._grams.items()})
+        rates of the run just made, whose Grams, eigenpairs and entropies the
+        kernel still holds. Each entropy's slope is F = V diag(-log2 lam - 1/ln 2)
+        V†, so that dS = tr(F dG) (eigenvalues at or below the clamp weigh 0, as
+        S drops them), and G = m m† (m† m) passes F m (m F) back to m."""
+        s_c, s_bc = self._label_entropies
+        slopes = {}
+        for size, (lam, vec) in self._eigh.items():
+            above = lam > EIGENVALUE_CLAMP
+            weight = np.where(above, -np.log2(np.where(above, lam, 1.0)) - 1.0 / np.log(2.0), 0.0)
+            slopes[size] = (vec * weight[..., None, :]) @ vec.conj().mT
+        slopes = self._group_views(slopes)
         # r1 = S(avg C) - sum_x p_x S(C_x) and r2 = sum_x p_x (S(C_x) - S(BC_x)), per member
         dp, dvs, start, live = (g2 - g1) @ s_c - g2 @ s_bc, [], 0, p > 0
         for (v, rows_c, rows_bc), (f_c, f_bc, f_avg), (gram_c, _, _) in zip(
@@ -382,7 +377,7 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     (M, X, B, C, rank) array of M members or a sequence of (B, C, rank_x)
     factors, zero-padded to one rank. The groups may differ in rank (a
     compound set grouped by Kraus count), so each Gram is on its own member's
-    smaller side. The Grams of one size share one ``eigvalsh``, and all
+    smaller side. The Grams of one size share one ``eigh``, and all
     spectra one entropy step. Every label is rated, and a zero p_x weighs its
     terms out; nothing is validated, so a zero-p label's factor must be
     finite too.

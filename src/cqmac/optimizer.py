@@ -8,13 +8,13 @@ how restarts are scheduled. The objective rates all compound members at
 once, each at its own Kraus count: the powers are grouped by count
 (``regions.kraus_groups``) and a ``RateKernel`` is built for them once per
 trace, so each evaluation is one factor product for all groups, the Gram
-products, one ``eigvalsh`` per distinct Gram size and one entropy step. It
+products, one ``eigh`` per distinct Gram size and one entropy step. It
 maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
 (``regions.per_use_minima``), so a negative rate still shows which way is
 up. Its gradient runs backwards through the same layers
 (``regions.per_use_minima_vjp``, ``RateKernel.vjp``, then the normalizations
-and the softmax), at one ``eigh`` per Gram size. Each reported corner is rated
-by the trace's kernel too, on the input the objective scored, and its
+and the softmax), on that same ``eigh``'s eigenvectors. Each reported corner
+is rated by the trace's kernel too, on the input the objective scored, and its
 rectangle clamps those minima at 0.
 """
 

@@ -307,14 +307,33 @@ def random_et_code(rng: np.random.Generator, n=1, m1=2, m2=2, da=2, db=2, dc=4) 
     return random_et_codes(*(part[None] for part in raw), n=n, m1=m1, m2=m2, da=da, db=db, dc=dc)[0]
 
 
-def eigvalsh_buckets(stacks) -> list[tuple[int, int, int]]:
-    """The eigvalsh calls of the rate kernel for Gram stacks given as (size,
+def gram_buckets(stacks) -> list[tuple[int, int, int]]:
+    """The ``eigh`` calls of the rate kernel for Gram stacks given as (size,
     count) pairs in its order (every S(C), then every S(BC), then every average
     C state): one (count, size, size) call per distinct size, in first-seen order."""
     counts: dict[int, int] = {}
     for size, count in stacks:
         counts[size] = counts.get(size, 0) + count
     return [(count, size, size) for size, count in counts.items()]
+
+
+def record_spectra(monkeypatch) -> list[tuple[str, tuple]]:
+    """Every ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` call from here on, as
+    (name, shape) in call order, until ``monkeypatch.undo()``."""
+    calls = []
+
+    def recorded(name):
+        original = getattr(np.linalg, name)
+
+        def spectrum(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spectrum)
+
+    recorded("eigh")
+    recorded("eigvalsh")
+    return calls
 
 
 def member_gram_sizes(b: int, c: int, kraus: int, labels: int) -> tuple[int, int, int]:

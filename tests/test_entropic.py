@@ -46,7 +46,7 @@ from oracles import (
     cqq_tensor,
     dense_blocks,
     density,
-    eigvalsh_buckets,
+    gram_buckets,
     haar_isometry,
     holevo_information,
     member_gram_sizes,
@@ -56,6 +56,7 @@ from oracles import (
     random_factor,
     random_kraus_ops,
     random_pure,
+    record_spectra,
     to_density_matrix,
 )
 
@@ -333,37 +334,25 @@ class TestFactorOracle:
         dense = to_density_matrix(omega)  # (X, B, C)
         i_xc = holevo_information(omega)
         ic = von_neumann_entropy(partial_trace(dense, [0, 2])) - von_neumann_entropy(dense)
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recorded(a):
-            shapes.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        calls = record_spectra(monkeypatch)
         for factors in (stack, omega.factors):
             (r1,), (r2,) = grouped_rates(p, [factors])
             assert r1 == pytest.approx(i_xc, abs=1e-12)
             assert r2 == pytest.approx(ic, abs=1e-12)
         side_c, side_bc, side_avg = member_gram_sizes(b, c, rank, 4)
-        assert shapes == 2 * eigvalsh_buckets([(side_c, 4), (side_bc, 4), (side_avg, 1)])
+        buckets = gram_buckets([(side_c, 4), (side_bc, 4), (side_avg, 1)])
+        assert calls == 2 * [("eigh", s) for s in buckets]
 
     @staticmethod
     def _grouped_rates_recorded(members, p, v, psi, monkeypatch):
-        """grouped_rates of the members grouped by Kraus count, and its eigvalsh shapes."""
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recorded(a):
-            shapes.append(a.shape)
-            return eigvalsh(a)
-
+        """grouped_rates of the members grouped by Kraus count, and its
+        spectrum calls as (name, shape)."""
         groups = kraus_groups(members)
         factors = [pure_output_factors(g, v.vectors, psi.vec.reshape(psi.dims)) for g in groups]
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        calls = record_spectra(monkeypatch)
         r1, r2 = grouped_rates(p, factors)
         monkeypatch.undo()
-        return groups, r1, r2, shapes
+        return groups, r1, r2, calls
 
     @staticmethod
     def _assert_dense_rates(t, p, v, psi, r1, r2):
@@ -383,11 +372,11 @@ class TestFactorOracle:
         v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(3)])
         psi = random_pure(rng, (b, d_in))
         p = np.array([0.3, 0.0, 0.7])
-        groups, r1, r2, shapes = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
+        groups, r1, r2, calls = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
         assert [g.shape for g in groups] == [(1, k, dc, da * d_in) for k in (1, 3, 4)]
         sizes = [member_gram_sizes(b, dc, k, 3) for k in (1, 3, 4)]
-        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 3)
-                                           for kind in range(3) for s in sizes])
+        assert calls == [("eigh", s) for s in gram_buckets([(s[kind], 1 if kind == 2 else 3)
+                                                             for kind in range(3) for s in sizes])]
         assert r1.shape == r2.shape == (3,)
         for i, t in enumerate(members):
             self._assert_dense_rates(t, p, v, psi, r1[i], r2[i])
@@ -404,13 +393,13 @@ class TestFactorOracle:
         v = CqChannel.from_vectors([complex_gaussian(rng, da) for _ in range(4)])
         psi = random_pure(rng, (b, d_in))
         p = np.array([0.25, 0.4, 0.0, 0.35])
-        groups, r1, r2, shapes = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
+        groups, r1, r2, calls = self._grouped_rates_recorded(members, p, v, psi, monkeypatch)
         order = [0, 1, 3, 2]  # count 1, both count 3, count 4
         assert [g.shape[:2] for g in groups] == [(1, 1), (2, 3), (1, 4)]
         assert b * 1 < dc <= b * 3  # one group on each side of C
         sizes = [member_gram_sizes(b, dc, counts[i], 4) for i in order]
-        assert shapes == eigvalsh_buckets([(s[kind], 1 if kind == 2 else 4)
-                                           for kind in range(3) for s in sizes])
+        assert calls == [("eigh", s) for s in gram_buckets([(s[kind], 1 if kind == 2 else 4)
+                                                             for kind in range(3) for s in sizes])]
         for i, row in enumerate(order):
             self._assert_dense_rates(members[row], p, v, psi, r1[i], r2[i])
         rect = compound_rect_powered(members, 1, p, v, psi)
@@ -583,6 +572,41 @@ class TestRateKernel:
         steps = 1e-6 * np.eye(theta.size)
         fd = np.array([(value(theta + e) - value(theta - e)) / 2e-6 for e in steps])
         assert np.max(np.abs(grad - fd)) < 1e-7
+
+    @pytest.mark.parametrize("cset, l, buckets", [
+        ("id_deph_set", 2, [(8, 4, 4), (6, 16, 16), (4, 1, 1)]),
+        ("dephrasure_set", 1, [(3, 6, 6), (2, 4, 4)]),
+    ])
+    def test_vjp_decomposes_each_gram_size_once(self, rng, request, monkeypatch, cset, l,
+                                                buckets):
+        """A vjp takes one ``eigh`` per Gram size and no ``eigvalsh``; its
+        backward map decomposes nothing, because the slopes come from the run's
+        own eigenpairs; and its rates are a call's, bit for bit."""
+        members = request.getfixturevalue(cset).members
+        da, db = (d**l for d in members[0].in_dims)
+        groups = kraus_groups([blocked_tensor_power(m, l) for m in members])
+        kernel = RateKernel.inputs(groups, (da, da), (db, db))
+        sizes = [member_gram_sizes(b, c, k, n) for _, n, k, b, c in kernel.shapes]
+        assert gram_buckets([(s[kind], m if kind == 2 else m * n)
+                             for kind in range(3)
+                             for s, (m, n, *_) in zip(sizes, kernel.shapes)]) == buckets
+        letters = _unit_rows(complex_gaussian(rng, (da, da)))
+        psi = _unit_rows(complex_gaussian(rng, (1, db * db))).reshape(db, db)
+        p = rng.dirichlet(np.ones(da))
+
+        calls = record_spectra(monkeypatch)
+        rates, backward = kernel.vjp(p, letters, psi)
+        assert calls == [("eigh", s) for s in buckets]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the backward map decomposed a matrix")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        backward(*rng.standard_normal((2, len(members))))
+        monkeypatch.undo()
+        for got, want in zip(kernel(p, letters, psi), rates):
+            assert np.array_equal(got, want)
 
     def test_runs_return_new_arrays(self, rng, id_deph_set):
         """A second run overwrites the kernel's buffers, not what the first returned."""

@@ -17,7 +17,7 @@ from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
 from cqmac.optimizer import _materialize_flat, _param_count, _state_vectors, pareto_trace
 from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
-from oracles import eigvalsh_buckets, member_gram_sizes, random_kraus_ops
+from oracles import gram_buckets, member_gram_sizes, random_kraus_ops, record_spectra
 
 
 def test_package_resolves_optimizer_names_on_use():
@@ -174,31 +174,19 @@ class TestParetoTrace:
                 assert rect.r2_max == pytest.approx(r2, abs=1e-9)
 
     def test_objective_spectra_per_evaluation(self, id_deph_set, monkeypatch):
-        """One evaluation at l=2 takes one stacked ``eigvalsh`` per distinct Gram
-        size over S(C), S(BC) and the average C state of every member, each
-        member at its own Kraus count, for the value, then one ``eigh`` on each
-        of the same stacks for the gradient."""
+        """One evaluation at l=2, value and gradient, takes one stacked ``eigh``
+        per distinct Gram size over S(C), S(BC) and the average C state of
+        every member, each member at its own Kraus count, and nothing else:
+        the gradient reuses the value's eigenpairs."""
         fun, x0 = _first_objective(monkeypatch, id_deph_set, 2, (1.0, 1.0))
-        calls = []
-
-        def counted(name):
-            original = getattr(np.linalg, name)
-
-            def spectrum(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, spectrum)
-
-        counted("eigvalsh")
-        counted("eigh")
+        calls = record_spectra(monkeypatch)
         fun(np.random.default_rng(1).standard_normal(x0.size))
         # B = 2^2, C = 4^2; the identity keeps its one Kraus op, the dephasing member has 4
         sizes = [member_gram_sizes(4, 16, k, 4) for k in (1, 4)]
-        expected = eigvalsh_buckets([(s[kind], 1 if kind == 2 else 4)
-                                     for kind in range(3) for s in sizes])
+        expected = gram_buckets([(s[kind], 1 if kind == 2 else 4)
+                                 for kind in range(3) for s in sizes])
         assert expected == [(8, 4, 4), (6, 16, 16), (4, 1, 1)]
-        assert calls == [(name, s) for name in ("eigvalsh", "eigh") for s in expected]
+        assert calls == [("eigh", s) for s in expected]
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_objective_and_rect_share_one_route(self, id_deph_set, l):
