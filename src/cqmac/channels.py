@@ -218,9 +218,9 @@ def _power_stack(channel: KrausChannel, k: int) -> np.ndarray:
 
 def tensor_power(channel: KrausChannel, k: int) -> KrausChannel:
     """k-fold memoryless extension."""
-    ops = _power_stack(channel, k)
     if k == 1:
         return channel
+    ops = _power_stack(channel, k)
     flag = channel.trace_nonincreasing
     return KrausChannel._trusted(ops, channel.in_dims * k, channel.out_dims * k, flag)
 
@@ -234,9 +234,9 @@ def blocked_tensor_power(channel: KrausChannel, k: int) -> KrausChannel:
     """
     if len(channel.in_dims) != 2:
         raise DimensionMismatchError("blocked power needs a two-part input (A, B)")
-    ops = _power_stack(channel, k)
     if k == 1:
         return channel
+    ops = _power_stack(channel, k)
     da, db = channel.in_dims
     shape = (len(ops), channel.out_dim**k)
     grouped = [0, 1] + [2 + 2 * i for i in range(k)] + [3 + 2 * i for i in range(k)]

@@ -12,7 +12,7 @@ bucketed by size, one ``eigh`` per distinct size, so a member with few
 Kraus operators never pays for another's many. It is built once and a run
 only does arithmetic: ``grouped_rates`` rates factor stacks with one, and
 ``RateKernel.inputs`` Kraus groups on inputs (p, V, psi), such as every
-evaluation and corner of a frontier trace. Every label of its layout is
+evaluation of a frontier trace. Every label of its layout is
 rated, and a label with p_x = 0, a zero block of the cqq state, weighs its
 terms out. With one p per instance it rates N compound sets in the same run
 (the ``verify`` suite ``compound_monotonicity``); one p is weighed as an
@@ -118,10 +118,11 @@ class _OutputStep:
     from one product of the input grid with all their operators: it owns the
     concatenated, transposed operators, the grid and product buffers and one
     factor buffer per group, stored (..., M, X, K, ref, out) so that the rate
-    kernel's matrices are views. A call overwrites the buffers. The product
-    ``u`` is the largest buffer (a channel's K out is at least its input
-    dimension), so it alone is held to the budget, before any is allocated;
-    ``backward`` builds no array larger than u either."""
+    kernel's matrices are views. A call overwrites the buffers. Only ``u`` is
+    held to the budget, before any is allocated: neither the grid nor any array
+    of ``backward`` is larger (a channel's K out is at least its input
+    dimension). The operators, (in, Σ K out), outgrow u when X ref < in: the
+    callers that stack them check them first, as the stacked Kraus powers."""
 
     def __init__(self, groups, letter_shape: tuple, psi_shape: tuple):
         *lead, x, a = letter_shape
@@ -224,12 +225,12 @@ class RateKernel:
 
     ``RateKernel.inputs`` builds the kernel of fixed Kraus groups, which also
     owns their ``_OutputStep`` and is called on inputs (p, V, psi): the
-    frontier search builds one per trace and rates its objective and its
-    corners with it. Its ``vjp`` is such a call, and returns the backward map
-    of its rates too: each entropy's slope from the eigenpairs the run kept,
-    then back through the Gram products, the average-C sums, the factor copies
-    and the factor product. Each array it builds has the shape of one the run
-    holds (u, a factor or a Gram buffer), so the run's budget check covers it.
+    frontier search builds one per trace and runs it once per evaluation. Its
+    ``vjp`` is such a call, and returns the backward map of its rates too: each
+    entropy's slope from the eigenpairs the run kept, then back through the
+    Gram products, the average-C sums, the factor copies and the factor
+    product. Each array it builds has the shape of one the run holds (u, a
+    factor or a Gram buffer), so the run's budget check covers it.
     """
 
     def __init__(self, matrices):

@@ -10,12 +10,12 @@ once, each at its own Kraus count: the powers are grouped by count
 trace, so each evaluation is one factor product for all groups, the Gram
 products, one ``eigh`` per distinct Gram size and one entropy step. It
 maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
-(``regions.per_use_minima``), so a negative rate still shows which way is
-up. Its gradient runs backwards through the same layers
-(``regions.per_use_minima_vjp``, ``RateKernel.vjp``, then the normalizations
-and the softmax), on that same ``eigh``'s eigenvectors. Each reported corner
-is rated by the trace's kernel too, on the input the objective scored, and its
-rectangle clamps those minima at 0.
+(``regions.per_use_minima_vjp``), so a negative rate still shows which way
+is up. One step maps theta to the kernel's inputs with their pullback, so
+the gradient runs backwards through the same layers (``RateKernel.vjp``,
+then the normalizations and the softmax) on that same ``eigh``'s
+eigenvectors. Each restart keeps the minima of its best evaluation, and the
+reported corner clamps those at 0, so no input is rated twice.
 """
 
 from __future__ import annotations
@@ -27,63 +27,55 @@ from scipy.optimize import minimize
 
 from .channels import CompoundSet, blocked_tensor_power, check_budget
 from .entropic import RateKernel
-from .regions import Rect, RateRegion, kraus_groups, per_use_minima, per_use_minima_vjp
+from .regions import Rect, RateRegion, kraus_groups, per_use_minima_vjp
 
 
 class _EvaluationCap(Exception):
     """The trace's ``max_evaluations`` are spent."""
 
 
-def _state_vectors(v_params: np.ndarray, x_size: int, da_l: int) -> np.ndarray:
-    """(X, A) unit vectors, psi as X = 1; a row of norm < 1e-12 becomes basis vector x mod A."""
-    raw = v_params.reshape(x_size, da_l, 2)
+def _unit_rows(raw: np.ndarray, dim: int):
+    """(Re, Im) pairs as unit rows of length ``dim`` (a row of norm < 1e-12
+    becomes basis vector x mod ``dim``) and the pullback to ``raw`` of a real
+    f's cotangent (d/d conj) on those rows y = z/|z|: (cot - Re<y, cot> y)/|z|
+    as 2 (Re, Im) pairs; a basis-vector fallback row passes back 0."""
+    raw = raw.reshape(-1, dim, 2)
     norms = np.sqrt((raw * raw).sum(axis=(1, 2)))
-    vecs = raw[:, :, 0] + 1j * raw[:, :, 1]
+    rows = raw[:, :, 0] + 1j * raw[:, :, 1]
     small = norms < 1e-12
     if small.any():
-        vecs[small] = np.eye(da_l)[np.flatnonzero(small) % da_l]
+        rows[small] = np.eye(dim)[np.flatnonzero(small) % dim]
         norms[small] = 1.0
-    return vecs / norms[:, None]
+    rows = rows / norms[:, None]
 
+    def pullback(cot: np.ndarray) -> np.ndarray:
+        dz = np.where(small[:, None], 0.0,
+                      cot - (rows.conj() * cot).real.sum(axis=1, keepdims=True) * rows)
+        dz = dz / norms[:, None]
+        return 2.0 * np.stack([dz.real, dz.imag], axis=-1).reshape(-1)
 
-def _unit_pullback(v_params: np.ndarray, x_size: int, dim: int, cot: np.ndarray) -> np.ndarray:
-    """The gradient in ``v_params`` of a real f whose cotangent (d/d conj) on the
-    ``_state_vectors`` rows y = z/|z| is ``cot``: (cot - Re<y, cot> y)/|z|
-    as 2 (Re, Im) pairs; a basis-vector fallback row passes back 0."""
-    raw = v_params.reshape(x_size, dim, 2)
-    norms = np.sqrt((raw * raw).sum(axis=(1, 2)))
-    live = norms >= 1e-12
-    norms = np.where(live, norms, 1.0)[:, None]
-    y = (raw[:, :, 0] + 1j * raw[:, :, 1]) / norms
-    dz = np.where(live[:, None], cot - (y.conj() * cot).real.sum(axis=1, keepdims=True) * y, 0.0)
-    dz = dz / norms
-    return 2.0 * np.stack([dz.real, dz.imag], axis=-1).reshape(-1)
+    return rows, pullback
 
 
 def _param_count(x_size: int, da_l: int, db_l: int) -> int:
     return x_size + 2 * x_size * da_l + 2 * db_l * db_l
 
 
-def _materialize_flat(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
-    """Softmax p, the (X, A) letters and psi as its (ref, in) grid, as the kernel takes them."""
+def _inputs(theta: np.ndarray, x_size: int, da_l: int, db_l: int):
+    """Softmax p, the (X, A) letters and psi as its (ref, in) grid, as the
+    kernel takes them, and the pullback to theta of a real f's cotangents on
+    them: ``pullback(dp, dletters, dpsi)``, d/dp and d/d conj."""
     v_end = x_size + 2 * x_size * da_l
-    psi_grid = _state_vectors(theta[v_end:], 1, db_l * db_l).reshape(db_l, db_l)
-    return _softmax(theta[:x_size]), _state_vectors(theta[x_size:v_end], x_size, da_l), psi_grid
+    p = np.exp(theta[:x_size] - np.max(theta[:x_size]))
+    p = p / p.sum()
+    letters, letters_back = _unit_rows(theta[x_size:v_end], da_l)
+    psi, psi_back = _unit_rows(theta[v_end:], db_l * db_l)
 
+    def pullback(dp, dletters, dpsi) -> np.ndarray:
+        return np.concatenate([p * (dp - p @ dp), letters_back(dletters),
+                               psi_back(dpsi.reshape(1, -1))])
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    p = np.exp(logits - np.max(logits))
-    return p / p.sum()
-
-
-def _flat_gradient(theta: np.ndarray, x_size: int, da_l: int, db_l: int, dp, dletters, dpsi):
-    """The gradient in theta of a real f from its cotangents on
-    ``_materialize_flat``'s p (d/dp), letters and psi grid (d/d conj)."""
-    p = _softmax(theta[:x_size])
-    v_end = x_size + 2 * x_size * da_l
-    return np.concatenate([p * (dp - p @ dp),
-                           _unit_pullback(theta[x_size:v_end], x_size, da_l, dletters),
-                           _unit_pullback(theta[v_end:], 1, db_l * db_l, dpsi.reshape(1, -1))])
+    return (p, letters, psi.reshape(db_l, db_l)), pullback
 
 
 def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
@@ -99,7 +91,7 @@ def _canonical_theta(x_size: int, da_l: int, db_l: int) -> np.ndarray:
 class WeightOptimum:
     """The best input of one weight pair, as the objective scored it: ``p``,
     the (X, A) ``letters`` and the (ref, in) ``psi`` grid, with the rectangle
-    the trace's kernel rates on them."""
+    that clamps the per-use minima of that same evaluation at 0."""
 
     weights: tuple[float, float]
     rect: Rect
@@ -151,10 +143,8 @@ def pareto_trace(
     da_l, db_l = da**l, db**l
     x_size = alphabet_size if alphabet_size is not None else da_l
     ndim = _param_count(x_size, da_l, db_l)
-    # the kernel's product u (as ``RateKernel.inputs`` checks it; the gradient's
-    # largest array, its cotangent, has u's shape) and the members' powers side
-    # by side (as ``kraus_groups`` and the kernel stack them), refused before
-    # any power or kernel buffer is built
+    # the kernel's u (the gradient's cotangent has its shape) and the operators
+    # ``kraus_groups`` and the kernel stack, refused before any power is built
     width = sum(len(m.stacked) ** l for m in cset.members) * member.out_dim**l
     check_budget("factor product u", (x_size * db_l, width))
     check_budget("stacked Kraus powers", (da_l * db_l, width))
@@ -175,35 +165,35 @@ def pareto_trace(
 
     def make_objective(w1: float, w2: float, seen: list):
         """-(w1 r1 + w2 r2) and its gradient; ``seen`` keeps the restart's best
-        (value, theta). scipy checks its own evaluation limit only between
-        iterations, so the cap is kept here, exactly."""
+        (value, theta, per-use minima). scipy checks its own evaluation limit
+        only between iterations, so the cap is kept here, exactly."""
 
         def negated(theta: np.ndarray):
             nonlocal evals
             if evals == max_evaluations:
                 raise _EvaluationCap
             evals += 1
-            (r1, r2), backward = per_use_minima_vjp(
-                kernel, l, *_materialize_flat(theta, x_size, da_l, db_l))
+            inputs, pullback = _inputs(theta, x_size, da_l, db_l)
+            (r1, r2), backward = per_use_minima_vjp(kernel, l, *inputs)
             val = w1 * r1 + w2 * r2
             if not np.isfinite(val):
                 return 1e6, np.zeros(ndim)
             if val > seen[0]:
-                seen[:] = val, theta.copy()
-            return -val, -_flat_gradient(theta, x_size, da_l, db_l, *backward(w1, w2))
+                seen[:] = val, theta.copy(), (r1, r2)
+            return -val, -pullback(*backward(w1, w2))
 
         return negated
 
     optima: list[WeightOptimum] = []
     canonical = _canonical_theta(x_size, da_l, db_l)
     for wi, (w1, w2) in enumerate(weights):
-        best: tuple[float, int, np.ndarray] | None = None
+        best = None
         for r in range(budget):
             if max_evaluations is not None and evals >= max_evaluations:
                 truncated = True
                 break
             theta0 = canonical if r == 0 else restart_init(wi, r)
-            seen = [-np.inf, theta0]
+            seen = [-np.inf, theta0, (0.0, 0.0)]
             try:
                 res = minimize(make_objective(w1, w2, seen), theta0, method="L-BFGS-B", jac=True)
                 statuses.append(int(res.status))
@@ -211,14 +201,14 @@ def pareto_trace(
                 statuses.append(1)
                 truncated = True
             if best is None or (seen[0], -r) > (best[0], -best[1]):
-                best = (seen[0], r, seen[1])
+                best = (seen[0], r, *seen[1:])
         if best is None:
             break
-        p, letters, psi = _materialize_flat(best[2], x_size, da_l, db_l)
-        rect = Rect(*per_use_minima(kernel, l, p, letters, psi))
-        optima.append(WeightOptimum((w1, w2), rect, p, letters, psi, best[0], best[1]))
+        objective, restart, theta, minima = best
+        (p, letters, psi), _ = _inputs(theta, x_size, da_l, db_l)
+        optima.append(WeightOptimum((w1, w2), Rect(*minima), p, letters, psi, objective, restart))
         if truncated:
             break
-    region = RateRegion(tuple(opt.rect for opt in optima)) if optima else RateRegion((Rect(0, 0),))
+    region = RateRegion(tuple(opt.rect for opt in optima))
     return TraceResult(region, tuple(optima), truncated, evals, tuple(statuses))
 

@@ -17,6 +17,7 @@ from .channels import (
     CompoundSet,
     CqChannel,
     blocked_tensor_power,
+    check_budget,
     checked_kraus,
 )
 from .entropic import RateKernel, checked_ensemble, checked_probs
@@ -116,6 +117,10 @@ def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureSta
     """``compound_rect`` on members already raised to the power l, with
     (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
     p = checked_ensemble(powered_members, p, v, psi)
+    # as ``pareto_trace``: u, then the operators ``kraus_groups`` and the kernel stack
+    width = sum(len(t.stacked) * t.out_dim for t in powered_members)
+    check_budget("factor product u", (len(p) * psi.dims[0], width))
+    check_budget("stacked Kraus powers", (psi.dims[1] * v.dim, width))
     kernel = RateKernel.inputs(kraus_groups(powered_members), v.vectors.shape, psi.dims)
     return Rect(*per_use_minima(kernel, l, p, v.vectors, psi.vec.reshape(psi.dims)))
 

@@ -9,7 +9,7 @@ never does.
 import numpy as np
 import pytest
 
-from cqmac import channels, codesim, optimizer
+from cqmac import channels, codesim, optimizer, regions
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, KrausChannel
 from cqmac.optimizer import pareto_trace
 from cqmac.qmatrix import maximally_entangled, maximally_mixed
@@ -82,6 +82,16 @@ def test_rate_kernel_product(monkeypatch, id_deph_set, basis_v, bell_psi, unifor
     monkeypatch.setattr(np, "empty", _unbuilt("kernel buffer"))
     with _outcome(refused, "kernel buffer"):
         compound_rect(id_deph_set, 1, uniform_p, basis_v, bell_psi)
+
+
+def test_compound_rect_stacked_powers(monkeypatch, id_deph_set, bell_psi):
+    """With one letter the pair's u at l=1 is (2, (1 + 2)·4) = 24 entries, but
+    the members' stacked Kraus powers are (4, 12) = 48: at a budget of 40 they
+    are refused before ``kraus_groups`` stacks them."""
+    monkeypatch.setattr(channels, "BUDGET_ENTRIES", 40)
+    monkeypatch.setattr(regions, "kraus_groups", _unbuilt("stack"))
+    with pytest.raises(BudgetExceededError, match=r"^stacked Kraus powers of shape \(4, 12\)"):
+        compound_rect(id_deph_set, 1, [1.0], CqChannel.basis(2, 1), bell_psi)
 
 
 @pytest.mark.parametrize("n, m2, refused", [(4, 16, None), (5, 2, "word blocks")])

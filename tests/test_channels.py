@@ -210,6 +210,18 @@ class TestTensorPower:
     def test_k_one(self, identity_qmac):
         assert tensor_power(identity_qmac, 1) is identity_qmac
 
+    def test_k_one_builds_nothing(self, monkeypatch, identity_qmac):
+        """At k = 1 both powers return the channel without building a stack;
+        k < 1 is refused, and the blocked power checks for a two-part input first."""
+        monkeypatch.setattr("cqmac.channels.batch_kron", lambda *stacks: 1 / 0)
+        assert blocked_tensor_power(identity_qmac, 1) is identity_qmac
+        assert tensor_power(identity_channel(2), 1).in_dims == (2,)
+        for power in (tensor_power, blocked_tensor_power):
+            with pytest.raises(ValueError, match="k >= 1"):
+                power(identity_qmac, 0)
+        with pytest.raises(DimensionMismatchError, match="two-part"):
+            blocked_tensor_power(identity_channel(2), 1)
+
     def test_identity_squared(self):
         out = tensor_power(identity_channel(2), 2)
         assert len(out.kraus_ops) == 1

@@ -498,14 +498,14 @@ class TestRateKernel:
     def test_zero_probability_label(self, rng, id_deph_set):
         """A logit of -800 underflows to p_x = 0 exactly; the label is rated and
         weighed out, as the one-shot route and ``compound_rect_powered`` weigh it."""
-        from cqmac.optimizer import _materialize_flat, _param_count
+        from cqmac.optimizer import _inputs, _param_count
 
         powered = [blocked_tensor_power(m, 2) for m in id_deph_set.members]
         groups = kraus_groups(powered)
         kernel = RateKernel.inputs(groups, (4, 4), (4, 4))
         theta = rng.standard_normal(_param_count(4, 4, 4))
         theta[1] = -800.0
-        p, vv, pv = _materialize_flat(theta, 4, 4, 4)
+        p, vv, pv = _inputs(theta, 4, 4, 4)[0]
         assert p[1] == 0.0 and np.all(np.delete(p, 1) > 0)
         psi_grid = pv.reshape(4, 4)
         got = kernel(p, vv, psi_grid)
@@ -526,7 +526,7 @@ class TestRateKernel:
         the dephasing member's from its label Grams), through a call and a vjp
         that build no kernel: the rates match a kernel of the 3 nonzero labels
         and the dense states, and the theta gradient matches central differences."""
-        from cqmac.optimizer import _flat_gradient, _materialize_flat, _param_count
+        from cqmac.optimizer import _inputs, _param_count
 
         powered = [blocked_tensor_power(m, 2) for m in id_deph_set.members]
         groups = kraus_groups(powered)
@@ -535,7 +535,7 @@ class TestRateKernel:
         fewer = RateKernel.inputs(groups, (3, 4), (4, 4))
         theta = rng.standard_normal(_param_count(4, 4, 4))
         theta[2] = -800.0
-        p, vv, pv = _materialize_flat(theta, 4, 4, 4)
+        p, vv, pv = _inputs(theta, 4, 4, 4)[0]
         psi_grid = pv.reshape(4, 4)
         assert p[2] == 0.0 and np.all(np.delete(p, 2) > 0)
         g1, g2 = rng.standard_normal(2), rng.standard_normal(2)
@@ -565,10 +565,10 @@ class TestRateKernel:
         assert dp[2] == 0.0 and np.all(dletters[2] == 0.0)
 
         def value(th):
-            r1, r2 = kernel(*_materialize_flat(th, 4, 4, 4))
+            r1, r2 = kernel(*_inputs(th, 4, 4, 4)[0])
             return g1 @ r1 + g2 @ r2
 
-        grad = _flat_gradient(theta, 4, 4, 4, dp, dletters, dpsi)
+        grad = _inputs(theta, 4, 4, 4)[1](dp, dletters, dpsi)
         steps = 1e-6 * np.eye(theta.size)
         fd = np.array([(value(theta + e) - value(theta - e)) / 2e-6 for e in steps])
         assert np.max(np.abs(grad - fd)) < 1e-7

@@ -14,7 +14,7 @@ from cqmac.channels import (
     blocked_tensor_power,
 )
 from cqmac.entropic import RateKernel, grouped_rates, pure_output_factors
-from cqmac.optimizer import _materialize_flat, _param_count, _state_vectors, pareto_trace
+from cqmac.optimizer import _inputs, _param_count, _unit_rows, pareto_trace
 from cqmac.qmatrix import PureState
 from cqmac.regions import compound_rect_powered, kraus_groups, per_use_minima
 from oracles import gram_buckets, member_gram_sizes, random_kraus_ops, record_spectra
@@ -76,20 +76,38 @@ def _random_set(rng) -> CompoundSet:
 
 
 def test_state_vectors_normalise_rows_with_basis_fallback():
-    """Rows become unit vectors; a row of norm below 1e-12 is basis vector x mod A."""
+    """``_unit_rows`` makes rows unit vectors; a row of norm below 1e-12 is
+    basis vector x mod A."""
     raw = np.random.default_rng(2).standard_normal((5, 3, 2))
     raw[1] = 0.0
     raw[4] = 1e-14
-    vecs = _state_vectors(raw.reshape(-1), 5, 3)
+    vecs, _ = _unit_rows(raw.reshape(-1), 3)
     assert vecs.shape == (5, 3)
     for x in (0, 2, 3):
         v = raw[x, :, 0] + 1j * raw[x, :, 1]
         assert np.allclose(vecs[x], v / np.linalg.norm(v), rtol=0, atol=1e-15)
     assert np.array_equal(vecs[1], np.eye(3)[1]) and np.array_equal(vecs[4], np.eye(3)[1])
     # an all-zero θ materializes to p = (1), letter |0> and psi = |00>
-    p, letters, psi = _materialize_flat(np.zeros(_param_count(1, 1, 2)), 1, 1, 2)
+    (p, letters, psi), _ = _inputs(np.zeros(_param_count(1, 1, 2)), 1, 1, 2)
     assert np.array_equal(p, [1.0]) and np.array_equal(letters, [[1.0]])
     assert np.array_equal(psi.reshape(-1), np.eye(4)[0])
+
+
+def test_unit_rows_pullback_passes_zero_through_fallback_rows():
+    """The pullback of a unit row y = z/|z| is (cot - Re<y, cot> y)/|z| per
+    (Re, Im) pair, twice, and a basis-vector fallback row passes back 0."""
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((3, 2, 2))
+    raw[1] = 0.0
+    rows, pullback = _unit_rows(raw.reshape(-1), 2)
+    cot = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    grad = pullback(cot).reshape(3, 2, 2)
+    assert np.all(grad[1] == 0.0)
+    for x in (0, 2):
+        z = raw[x, :, 0] + 1j * raw[x, :, 1]
+        dz = (cot[x] - np.real(np.vdot(rows[x], cot[x])) * rows[x]) / np.linalg.norm(z)
+        assert np.allclose(grad[x], 2.0 * np.stack([dz.real, dz.imag], axis=-1),
+                           rtol=0, atol=1e-14)
 
 
 class TestParetoTrace:
@@ -163,7 +181,7 @@ class TestParetoTrace:
             nd = _param_count(da_l, da_l, db_l)
             for _ in range(3):
                 theta = rng.standard_normal(nd)
-                p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
+                p, vv, pv = _inputs(theta, da_l, da_l, db_l)[0]
                 fast_r1, fast_r2 = _objective_rates(stacks, p, vv, pv)
                 r1 = max(0.0, fast_r1.min()) / l
                 r2 = max(0.0, fast_r2.min()) / l
@@ -228,6 +246,20 @@ class TestParetoTrace:
         assert len(res.optima) == 3
         assert calls == ["inputs"]
 
+    def test_one_kernel_run_per_evaluation(self, id_deph_set, monkeypatch):
+        """Every kernel run of a trace is a counted evaluation: each corner is
+        the minima of the evaluation that scored it, not rated again."""
+        runs = []
+        run = RateKernel._run
+
+        def counted_run(self, p):
+            runs.append(p)
+            return run(self, p)
+
+        monkeypatch.setattr(RateKernel, "_run", counted_run)
+        res = pareto_trace(id_deph_set, 2, [(1, 0), (1, 1), (0, 1)], budget=2, seed=0)
+        assert len(runs) == res.evaluations > 0
+
     def test_objective_sees_negative_rates(self, dephrasure_set):
         """On the dephrasure QMAC the maximally entangled start has negative
         coherent information; the objective reads the unclamped minimum, so the
@@ -255,7 +287,7 @@ class TestParetoTrace:
         da_l = db_l = 2**l
         for _ in range(50):
             theta = rng.standard_normal(x0.size)
-            p, vv, pv = _materialize_flat(theta, da_l, da_l, db_l)
+            p, vv, pv = _inputs(theta, da_l, da_l, db_l)[0]
             rates_1, rates_2 = _objective_rates(stacks, p, vv, pv)
             r1 = rates_1.min() / l
             r2 = rates_2.min() / l
@@ -272,7 +304,7 @@ class TestParetoTrace:
         ts = np.linspace(-0.05, 0.05, 21)
         vals = []
         for t in ts:
-            p, vv, pv = _materialize_flat(theta + t * direction, 2, 2, 2)
+            p, vv, pv = _inputs(theta + t * direction, 2, 2, 2)[0]
             (r1,), (r2,) = _objective_rates(stacks, p, vv, pv)
             vals.append(r1 + r2)
         vals = np.asarray(vals)
@@ -297,7 +329,7 @@ class TestParetoTrace:
         kernel = RateKernel.inputs(kraus_groups(powered), (d, d), (d, d))
 
         def value(theta):
-            r1, r2 = per_use_minima(kernel, l, *_materialize_flat(theta, d, d, d))
+            r1, r2 = per_use_minima(kernel, l, *_inputs(theta, d, d, d)[0])
             return -(w1 * r1 + w2 * r2)
 
         zero_p = rng.standard_normal(x0.size)
