@@ -24,6 +24,7 @@ from .qmatrix import (
     factor_trace_norm,
     permute_mat,
     pinv_sqrt_psd,
+    tensor,
     trace_norm,
     zero_padded,
 )
@@ -187,14 +188,12 @@ def erasure_channel(dim: int, prob: float = 0.5) -> KrausChannel:
 
 
 def batch_kron(*stacks: np.ndarray) -> np.ndarray:
-    """Kronecker product of every choice of one operator per (count, rows, cols)
-    stack, the first stack's index running slowest (entries match ``np.kron``)."""
+    """``tensor`` of every choice of one operator per (count, rows, cols) stack,
+    the first stack's index running slowest."""
     out = stacks[0]
     for b in stacks[1:]:
-        ka, ra, ca = out.shape
-        kb, rb, cb = b.shape
-        prod = out[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-        out = prod.reshape(ka * kb, ra * rb, ca * cb)
+        prod = tensor(out[:, None], b[None])
+        out = prod.reshape(-1, *prod.shape[2:])
     return out
 
 

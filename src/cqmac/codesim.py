@@ -29,6 +29,7 @@ K K†, so nothing of M_w lies outside them (see ``_recovery_blocks``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +54,7 @@ from .qmatrix import (
     factor_trace_norm,
     pinv_sqrt_psd,
     sqrt_psd,
-    stacked_kron,
+    tensor,
     tensor_all,
     trace_norm,
 )
@@ -209,36 +210,30 @@ class CqCodebook:
         return roots
 
 
-def _word_factors(family: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(M, d^n, r^n) output factors of the (M, n) words for an (alphabet, d, r) stack:
-    row m is the kron of word m's letter factors, entries as ``tensor_all`` gives them."""
-    out = family[words[:, 0]]
-    for letters in words[:, 1:].T:
-        out = stacked_kron(out, family[letters])
-    return out
-
-
 def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement of the family-averaged codeword outputs.
 
     ``w_families`` is a sequence of (alphabet, d, r) letter-output factor
     stacks, as ``effective_a_outputs`` returns them: letter x of a family
     outputs f f† for f = family[x], and a word outputs F F† for F the kron of
-    its letters' factors. Every word's factors are built at once, and the
+    its letters' factors. Every word's factors are built at once, by one
+    ``tensor_all`` over the (n, M, d, r) stack of letter factors, and the
     averaged outputs, their total, its whitener and the POVM are each one
     stacked product. Any part of the identity missed by the measurement is
     split evenly across the messages so the POVM is complete.
     """
     words = [tuple(int(x) for x in w) for w in words]
+    families = [np.asarray(fam, dtype=complex) for fam in w_families]
+    if not families:
+        raise ValueError("a codebook needs at least one output family")
     if not words or not all(words):
         raise ValueError("a codebook needs at least one codeword, of blocklength n >= 1")
     index = np.array(words)
-    families = [np.asarray(fam, dtype=complex) for fam in w_families]
     n, d_n = index.shape[1], families[0].shape[1] ** index.shape[1]
     check_budget("codeword factors", (len(words), d_n, sum(f.shape[2] ** n for f in families)))
     check_budget("POVM stack", (len(words), d_n, d_n))
-    cols = np.concatenate([_word_factors(fam, index) for fam in families], axis=2)
-    avg_states = cols @ dagger(cols) / len(w_families)
+    cols = np.concatenate([tensor_all(fam[index.T]) for fam in families], axis=2)
+    avg_states = cols @ dagger(cols) / len(families)
     total = avg_states.sum(axis=0)  # in message order, as sum() adds them
     whitener = pinv_sqrt_psd(total)
     leftover = (np.eye(total.shape[0]) - whitener @ total @ whitener) / len(words)
@@ -283,7 +278,7 @@ class EtTransmissionCode:
         x_size, dc = round(words ** (1 / self.n)), round(dout ** (1 / self.n))
         # word w's ops act on the C^n basis vectors tagged with w: op (I_C (x) <x_1|) (x) ...
         ops = np.concatenate([
-            self.blocks[w] @ tensor_all([np.kron(np.eye(dc), np.eye(x_size)[x]) for x in word])
+            self.blocks[w] @ tensor_all([tensor(np.eye(dc), np.eye(x_size)[x:x + 1]) for x in word])
             for w, word in enumerate(np.ndindex((x_size,) * self.n))
         ])
         return KrausChannel._trusted(ops[np.any(ops, axis=(1, 2))], (ops.shape[2],), (m2,))
@@ -516,7 +511,7 @@ def combine_hybrid(
         block = et.blocks[np.ravel_multi_index(word, tags)]
         ops = (block.reshape(-1, dc**n) @ root).reshape(block.shape)  # one flat GEMM
         branches.append(KrausChannel._trusted(ops, (dc,) * n, (et.m2,), True))
-    classical_factors = tuple(_word_factors(v.vectors[:, :, None], np.array(cq.codewords)))
+    classical_factors = tuple(tensor_all(v.vectors[np.array(cq.codewords).T, :, None]))
     return EtCode._trusted(
         n=n,
         m1=cq.size,
@@ -682,20 +677,18 @@ def concatenate(codes) -> EtCode:
     n = sum(c.n for c in codes)
     m1 = math.prod(c.m1 for c in codes)
     m2 = math.prod(c.m2 for c in codes)
-    shape1 = tuple(c.m1 for c in codes)
     # the rows of the product of the input factors are ordered
     # (F_1, B_1, F_2, B_2, ...); gather the references in front
     k = len(codes)
     tau = tensor_all([c.input_factor for c in codes])
     tau = tau.reshape([d for c in codes for d in (c.m2, c.db**c.n)] + [-1])
     tau = tau.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + [2 * k])
-    classical_factors = []
-    branches = []
-    for m in range(m1):
-        parts = np.unravel_index(m, shape1)
-        classical_factors.append(tensor_all([c.classical_factors[i] for c, i in zip(codes, parts)]))
-        ops = batch_kron(*[c.branches[i].stacked for c, i in zip(codes, parts)])
-        branches.append(KrausChannel._trusted(ops, (first.dc,) * n, (m2,), True))
+    # message m = (m_1, ..., m_k) row-major, as ``batch_kron`` orders its choices
+    classical_factors = batch_kron(*[np.stack(c.classical_factors) for c in codes])
+    branches = tuple(
+        KrausChannel._trusted(batch_kron(*[br.stacked for br in parts]), (first.dc,) * n, (m2,), True)
+        for parts in itertools.product(*[c.branches for c in codes])
+    )
     return EtCode._trusted(
         n=n,
         m1=m1,
@@ -705,7 +698,7 @@ def concatenate(codes) -> EtCode:
         dc=first.dc,
         classical_factors=tuple(classical_factors),
         input_factor=tau.reshape(m2 * first.db**n, -1),
-        branches=tuple(branches),
+        branches=branches,
     )
 
 
@@ -718,8 +711,8 @@ def pad(code: EtCode, b: int) -> EtCode:
     da, db, dc, n = code.da, code.db, code.dc, code.n
     # w (x) I/sqrt(d) is a factor of w w† (x) I/d
     pad_a = np.eye(da**b) / np.sqrt(da**b)
-    classical_factors = tuple(np.kron(w, pad_a) for w in code.classical_factors)
-    input_factor = np.kron(code.input_factor, np.eye(db**b) / np.sqrt(db**b))
+    classical_factors = tuple(tensor(w, pad_a) for w in code.classical_factors)
+    input_factor = tensor(code.input_factor, np.eye(db**b) / np.sqrt(db**b))
     rows = np.eye(dc**b, dtype=complex).reshape(dc**b, 1, dc**b)
     branches = tuple(
         KrausChannel._trusted(batch_kron(br.stacked, rows), (dc,) * (n + b), (code.m2,), True)

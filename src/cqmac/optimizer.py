@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import CompoundSet, blocked_tensor_power, check_budget
+from .channels import CompoundSet, blocked_tensor_power
 from .entropic import RateKernel
-from .regions import Rect, RateRegion, kraus_groups, per_use_minima_vjp
+from .regions import Rect, RateRegion, check_kernel_budget, kraus_groups, per_use_minima_vjp
 
 
 class _EvaluationCap(Exception):
@@ -143,11 +143,7 @@ def pareto_trace(
     da_l, db_l = da**l, db**l
     x_size = alphabet_size if alphabet_size is not None else da_l
     ndim = _param_count(x_size, da_l, db_l)
-    # the kernel's u (the gradient's cotangent has its shape) and the operators
-    # ``kraus_groups`` and the kernel stack, refused before any power is built
-    width = sum(len(m.stacked) ** l for m in cset.members) * member.out_dim**l
-    check_budget("factor product u", (x_size * db_l, width))
-    check_budget("stacked Kraus powers", (da_l * db_l, width))
+    check_kernel_budget(cset.members, l, x_size, db_l)
     powered = [blocked_tensor_power(m, l) for m in cset.members]
     kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
     weights = [(float(w1), float(w2)) for w1, w2 in weights]

@@ -11,12 +11,14 @@ of subsystem dimensions whose product equals the matrix size; subsystem 0
 is the leftmost tensor factor.
 
 Stack convention: ``hermitian_eig``, ``sqrt_psd``, ``trace_norm``,
-``factor_trace_norm``, ``fidelity``, ``partial_trace_mat`` and ``permute_mat``
-act on the last two axes of a ``(..., d, d)`` array (``(..., d, r)`` factors
-for ``factor_trace_norm``), so a stack of N matrices costs one LAPACK call
-(or one transpose). On a 2-D input they return what a single-matrix routine
-would (a Python float for the scalar ones); on a stack, an array over the
-leading axes whose entries equal the 2-D calls on each matrix.
+``factor_trace_norm``, ``fidelity``, ``partial_trace_mat``, ``permute_mat``
+and ``tensor`` act on the last two axes of a ``(..., d, d)`` array
+(``(..., d, r)`` factors for ``factor_trace_norm``, any ``(..., r, c)`` for
+``tensor``), so a stack of N matrices costs one LAPACK call (or one
+transpose, or one product). On a 2-D input they return what a single-matrix
+routine would (a Python float for the scalar ones); on a stack, an array over
+the leading axes whose entries equal the 2-D calls on each matrix.
+``tensor`` is the program's one Kronecker product.
 
 Every ``trace_norm`` in the program is of a Hermitian matrix (a difference
 of states or of Choi matrices), so it is the sum of the absolute
@@ -87,19 +89,18 @@ def hermitian_eig(mat):
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; subsystem dimension lists concatenate."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of the last two axes, the leading axes broadcast;
+    subsystem dimension lists concatenate. Two matrices give ``np.kron``, and
+    two (N, r, c) stacks the product of each pair."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionMismatchError(f"tensor needs matrices, got shapes {a.shape} and {b.shape}")
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def tensor_all(mats) -> np.ndarray:
     return reduce(tensor, mats)
-
-
-def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the matching matrices of two (N, r, c) stacks."""
-    n, ra, ca = a.shape
-    _, rb, cb = b.shape
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, ra * rb, ca * cb)
 
 
 def _scalar(values):

@@ -107,8 +107,18 @@ def per_use_minima_vjp(kernel, l: int, p, letters, psi_grid):
     return (r1.min(axis=-1) / l, r2.min(axis=-1) / l), minima_backward
 
 
+def check_kernel_budget(members, l: int, letters: int, ref: int) -> None:
+    """Refuse, before any power is built, the level-l rate kernel's largest arrays,
+    counted from the single-use ``members``: u and the gradient's cotangent, (letters
+    ref, Σ K^l out^l), then the stacked Kraus powers, (in^l, Σ K^l out^l)."""
+    width = sum(len(m.stacked) ** l * m.out_dim**l for m in members)
+    check_budget("factor product u", (letters * ref, width))
+    check_budget("stacked Kraus powers", (members[0].in_dim**l, width))
+
+
 def compound_rect(cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState) -> Rect:
     """Componentwise minimum of the blocked one-shot rectangles, per use."""
+    check_kernel_budget(cset.members, l, v.alphabet_size, psi.dims[0])
     powered = [blocked_tensor_power(m, l) for m in cset.members]
     return compound_rect_powered(powered, l, p, v, psi)
 
@@ -117,10 +127,7 @@ def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureSta
     """``compound_rect`` on members already raised to the power l, with
     (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
     p = checked_ensemble(powered_members, p, v, psi)
-    # as ``pareto_trace``: u, then the operators ``kraus_groups`` and the kernel stack
-    width = sum(len(t.stacked) * t.out_dim for t in powered_members)
-    check_budget("factor product u", (len(p) * psi.dims[0], width))
-    check_budget("stacked Kraus powers", (psi.dims[1] * v.dim, width))
+    check_kernel_budget(powered_members, 1, len(p), psi.dims[0])
     kernel = RateKernel.inputs(kraus_groups(powered_members), v.vectors.shape, psi.dims)
     return Rect(*per_use_minima(kernel, l, p, v.vectors, psi.vec.reshape(psi.dims)))
 
@@ -138,12 +145,12 @@ def compound_rects(kraus, p, letters, psi) -> list[Rect]:
     """
     kraus = checked_kraus(kraus)
     letters, psi = np.asarray(letters, dtype=complex), np.asarray(psi, dtype=complex)
-    p = checked_probs(p, np.shape(letters)[-2])
     stacks = (kraus, letters, psi, p)
-    if ([a.ndim for a in stacks] != [5, 3, 3, 2] or len({len(a) for a in stacks}) != 1
+    if ([np.ndim(a) for a in stacks] != [5, 3, 3, 2] or len({len(a) for a in stacks}) != 1
             or letters.shape[-1] * psi.shape[-1] != kraus.shape[-1]):
-        raise DimensionMismatchError(f"Kraus stack {kraus.shape} for p {p.shape}, "
+        raise DimensionMismatchError(f"Kraus stack {kraus.shape} for p {np.shape(p)}, "
                                      f"letters {letters.shape} and psi {psi.shape}")
+    p = checked_probs(p, letters.shape[-2])
     # NaN fails both unit tests
     letter_defect = np.abs(np.sum(np.abs(letters) ** 2, axis=-1) - 1.0)
     psi_defect = np.abs(np.linalg.norm(psi, axis=(-2, -1)) - 1.0)

@@ -56,7 +56,7 @@ from .qmatrix import (
     hermitian_eig,
     partial_trace_mat,
     sqrt_psd,
-    stacked_kron,
+    tensor,
     trace_norm,
 )
 from .randutil import (
@@ -221,7 +221,7 @@ def suite_product_fidelity_bound(seed: int, samples: int = 500, tol: float | Non
     margins = []
     for dims, raws in _by_shape(draws):
         psi, rho, sig = map(wishart_states, raws)
-        lhs = fidelity(stacked_kron(psi, rho), sig)
+        lhs = fidelity(tensor(psi, rho), sig)
         rhs = (
             1.0
             - trace_norm(rho - partial_trace_mat(sig, dims, [1]))
@@ -265,7 +265,7 @@ def suite_entropy_additivity(seed: int, samples: int = 100, tol: float | None = 
     for _, raws in _by_shape(draws):
         rho, sig = map(wishart_states, raws)
         gap = np.abs(
-            von_neumann_entropy(stacked_kron(rho, sig))
+            von_neumann_entropy(tensor(rho, sig))
             - von_neumann_entropy(rho)
             - von_neumann_entropy(sig)
         )

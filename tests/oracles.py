@@ -9,6 +9,8 @@ at the end build every channel, set and state through its constructor and
 evaluate it alone: the reference for the suites that evaluate on stacks.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from cqmac.channels import (
@@ -27,7 +29,6 @@ from cqmac.qmatrix import (
     hermitian_eig,
     partial_trace_mat,
     pinv_sqrt_psd,
-    tensor_all,
     trace_norm,
 )
 from cqmac.randutil import gaussian_raw, kraus_raw, unit_factors, whitened_kraus, wishart_states
@@ -90,18 +91,18 @@ def average_error(cb: CqCodebook, w) -> float:
     """Mean of tr[(I - D_m) W^n(u_m)] over the messages, for the (alphabet, d, r) factors w."""
     errs = []
     for word, d in zip(cb.codewords, cb.povm):
-        f = tensor_all([w[x] for x in word])
+        f = reduce(np.kron, [w[x] for x in word])
         errs.append(1.0 - float(np.vdot(f, d @ f).real))
     return float(np.mean(errs))
 
 
 def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement built word by word: each word's averaged output
-    from ``tensor_all`` of its letters' factors, then one product per element."""
+    from ``np.kron`` of its letters' factors, then one product per element."""
     words = [tuple(int(x) for x in w) for w in words]
     avg_states = []
     for w in words:
-        cols = np.concatenate([tensor_all([fam[x] for x in w]) for fam in w_families], axis=1)
+        cols = np.concatenate([reduce(np.kron, [fam[x] for x in w]) for fam in w_families], axis=1)
         avg_states.append(cols @ cols.conj().T / len(w_families))
     total = sum(avg_states)
     whitener = pinv_sqrt_psd(total)

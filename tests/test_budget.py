@@ -94,6 +94,16 @@ def test_compound_rect_stacked_powers(monkeypatch, id_deph_set, bell_psi):
         compound_rect(id_deph_set, 1, [1.0], CqChannel.basis(2, 1), bell_psi)
 
 
+def test_compound_rect_refuses_before_any_power(monkeypatch, id_deph_set):
+    """At l=2 with one letter the pair's u is (4, (1 + 4)·16) = 320 entries and
+    its stacked Kraus powers (16, 80) = 1280: at a budget of 1100 they are
+    refused from the single-use members, before any power is built."""
+    monkeypatch.setattr(channels, "BUDGET_ENTRIES", 1100)
+    monkeypatch.setattr(regions, "blocked_tensor_power", _unbuilt("power"))
+    with pytest.raises(BudgetExceededError, match=r"^stacked Kraus powers of shape \(16, 80\)"):
+        compound_rect(id_deph_set, 2, [1.0], CqChannel.basis(4, 1), maximally_entangled(4))
+
+
 @pytest.mark.parametrize("n, m2, refused", [(4, 16, None), (5, 2, "word blocks")])
 def test_simulator_blocklength(monkeypatch, id_deph_set, n, m2, refused):
     """The pair's word blocks: (16, 3^4 + 4^4, 16, 4^4) = 22085632 entries fit,
@@ -109,7 +119,7 @@ def test_simulator_blocklength(monkeypatch, id_deph_set, n, m2, refused):
 def test_codebook_povm(monkeypatch, identity_qmac, basis_v, m1, refused):
     """m1 POVM elements on C^5 = 4^5 dimensions: m1 · 4^10 fits up to m1 = 32."""
     outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
-    monkeypatch.setattr(codesim, "_word_factors", _unbuilt("codeword factors"))
+    monkeypatch.setattr(codesim, "tensor_all", _unbuilt("codeword factors"))
     with _outcome(refused, "codeword factors"):
         codesim.pgm_codebook([outs], [(0,) * 5] * m1)
 

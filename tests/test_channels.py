@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from cqmac.channels import (
     CqChannel,
     KrausChannel,
     apply_channel_mat,
+    batch_kron,
     blocked_tensor_power,
     build_net,
     channel_tensor,
@@ -268,10 +270,16 @@ class TestTensorPower:
     def test_power_matches_kron_loop(self, rng):
         ch = KrausChannel(random_kraus_ops(rng, 2, 3, 3), (2,), (3,))
         cubed = tensor_power(ch, 3)
-        expect = [tensor(tensor(a, b), c) for a in ch.kraus_ops for b in ch.kraus_ops
+        expect = [np.kron(np.kron(a, b), c) for a in ch.kraus_ops for b in ch.kraus_ops
                   for c in ch.kraus_ops]
         assert np.array_equal(cubed.stacked, np.array(expect))
         assert cubed.in_dims == (2, 2, 2) and cubed.out_dims == (3, 3, 3)
+
+    def test_batch_kron_is_kron_of_every_choice(self, rng):
+        """Every choice of one operator per stack, first stack slowest, bit for bit."""
+        stacks = [random_kraus_ops(rng, *shape) for shape in [(3, 2, 2), (2, 1, 3), (2, 2, 2)]]
+        expect = [np.kron(np.kron(a, b), c) for a, b, c in itertools.product(*stacks)]
+        assert np.array_equal(batch_kron(*map(np.array, stacks)), np.array(expect))
 
     def test_blocked_matches_interleaved(self, rng, mild_dephasing_qmac):
         blocked = blocked_tensor_power(mild_dephasing_qmac, 2)

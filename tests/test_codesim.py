@@ -238,6 +238,8 @@ class TestCqCodebook:
             codesim.CqCodebook(((0,), (1,)), (np.eye(4),))
         with pytest.raises(ValueError, match="at least one codeword"):
             codesim.pgm_codebook([outs], [])
+        with pytest.raises(ValueError, match="at least one output family"):
+            codesim.pgm_codebook([], [(0,), (1,)])
         with pytest.raises(ValueError, match="at least one codeword"):
             codesim.sample_cq_codebook([outs], uniform_p, 2, 0, seed=0)
 

@@ -17,6 +17,9 @@ public method counts as referenced when its name appears in another ``src/``
 statement, in another member of its class, or in the code of a script or
 perfbench file. What stays without a caller is listed below with its reason,
 and each reason is checked.
+
+The layout also keeps one Kronecker product, ``qmatrix.tensor``: no ``src/``
+module calls ``np.kron``.
 """
 
 import ast
@@ -227,6 +230,18 @@ def test_allowed_entries_exist_and_their_reasons_hold():
             assert (qual in resolved) if qual.count(".") == 1 else (short in named), qual
         else:
             assert reason == README and re.search(rf"\b{short}\b", quoted), qual
+
+
+def test_one_kronecker_product():
+    """No ``src/`` module calls ``np.kron`` (or ``numpy.kron``)."""
+    calls = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "kron"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert calls == []
 
 
 def test_scope_rule():

@@ -91,6 +91,31 @@ class TestTensor:
         out = tensor(a, b)
         assert out[i * 2 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l])
 
+    def test_stacks_pair_up(self, rng):
+        """Two (N, r, c) stacks give ``np.kron`` of each pair, bit for bit."""
+        a, b = complex_gaussian(rng, (4, 2, 3)), complex_gaussian(rng, (4, 3, 1))
+        out = tensor(a, b)
+        assert out.shape == (4, 6, 3)
+        for got, x, y in zip(out, a, b):
+            assert np.array_equal(got, np.kron(x, y))
+
+    def test_leading_axes_broadcast(self, rng):
+        a, b = complex_gaussian(rng, (3, 1, 2, 2)), complex_gaussian(rng, (5, 3, 2))
+        out = tensor(a, b)
+        assert out.shape == (3, 5, 6, 4)
+        for i, j in itertools.product(range(3), range(5)):
+            assert np.array_equal(out[i, j], np.kron(a[i, 0], b[j]))
+        m = complex_gaussian(rng, (2, 2))
+        for got, y in zip(tensor(m, b), b):
+            assert np.array_equal(got, np.kron(m, y))
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_refuses_fewer_than_two_axes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            tensor(np.ones(shape), np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            tensor(np.eye(2), np.ones(shape))
+
 
 class TestPartialTrace:
     def test_product_state(self, rng):

@@ -199,6 +199,13 @@ class TestTrustBoundary:
         with pytest.raises(DimensionMismatchError):  # one p for three sets
             compound_rects(kraus, p[:1], letters, psi)
 
+    @pytest.mark.parametrize("letters", [np.ones(2), np.array(1.0)])
+    def test_stacked_letters_without_alphabet_axis(self, rng, letters):
+        """1-D and 0-D letters are refused by shape, not by an indexing error."""
+        kraus, p, _, psi = self._stack(rng)
+        with pytest.raises(DimensionMismatchError):
+            compound_rects(kraus, p, letters, psi)
+
     def test_one_member_is_one_shot(self, rng, basis_v, bell_psi):
         t = self._qmac(rng, (2, 2))
         p = np.array([0.25, 0.75])
