@@ -29,7 +29,6 @@ K K†, so nothing of M_w lies outside them (see ``_recovery_blocks``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -677,18 +676,20 @@ def concatenate(codes) -> EtCode:
     n = sum(c.n for c in codes)
     m1 = math.prod(c.m1 for c in codes)
     m2 = math.prod(c.m2 for c in codes)
+    shape1 = tuple(c.m1 for c in codes)
     # the rows of the product of the input factors are ordered
     # (F_1, B_1, F_2, B_2, ...); gather the references in front
     k = len(codes)
     tau = tensor_all([c.input_factor for c in codes])
     tau = tau.reshape([d for c in codes for d in (c.m2, c.db**c.n)] + [-1])
     tau = tau.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + [2 * k])
-    # message m = (m_1, ..., m_k) row-major, as ``batch_kron`` orders its choices
-    classical_factors = batch_kron(*[np.stack(c.classical_factors) for c in codes])
-    branches = tuple(
-        KrausChannel._trusted(batch_kron(*[br.stacked for br in parts]), (first.dc,) * n, (m2,), True)
-        for parts in itertools.product(*[c.branches for c in codes])
-    )
+    classical_factors = []
+    branches = []
+    for m in range(m1):
+        parts = np.unravel_index(m, shape1)
+        classical_factors.append(tensor_all([c.classical_factors[i] for c, i in zip(codes, parts)]))
+        ops = batch_kron(*[c.branches[i].stacked for c, i in zip(codes, parts)])
+        branches.append(KrausChannel._trusted(ops, (first.dc,) * n, (m2,), True))
     return EtCode._trusted(
         n=n,
         m1=m1,
@@ -698,7 +699,7 @@ def concatenate(codes) -> EtCode:
         dc=first.dc,
         classical_factors=tuple(classical_factors),
         input_factor=tau.reshape(m2 * first.db**n, -1),
-        branches=branches,
+        branches=tuple(branches),
     )
 
 

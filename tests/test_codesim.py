@@ -991,6 +991,8 @@ def _oracle_codes(rng):
                                                    random_factor(rng, (2,)))),
         "pad-n3": codesim.pad(mixed, 2),
     }
+    # ranks differ per message here too, so the product's factors are built per message
+    codes["concatenate-ragged"] = codesim.concatenate([codes["ragged"], mixed])
     return chans, codes
 
 
@@ -1074,7 +1076,8 @@ class TestTrustedProducts:
 class TestFactorRouteOracle:
     """Post-channel factors W_m against the states evolved densely."""
 
-    KINDS = ["random", "mixed", "pad", "concatenate", "et_to_eg", "ragged", "pad-n3"]
+    KINDS = ["random", "mixed", "pad", "concatenate", "et_to_eg", "ragged", "pad-n3",
+             "concatenate-ragged"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_performance_matches_dense_route(self, rng, kind):
