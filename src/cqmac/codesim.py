@@ -209,6 +209,17 @@ class CqCodebook:
         return roots
 
 
+def _output_families(w_families) -> list[np.ndarray]:
+    """The (alphabet, d, r) letter-output factor stacks as complex arrays: at
+    least one, all on one alphabet and one output space."""
+    families = [np.asarray(fam, dtype=complex) for fam in w_families]
+    if not families:
+        raise ValueError("a codebook needs at least one output family")
+    if any(f.ndim != 3 for f in families) or len({f.shape[:2] for f in families}) != 1:
+        raise DimensionMismatchError(f"output families of shapes {[f.shape for f in families]}")
+    return families
+
+
 def pgm_codebook(w_families, words) -> CqCodebook:
     """Square-root measurement of the family-averaged codeword outputs.
 
@@ -222,12 +233,12 @@ def pgm_codebook(w_families, words) -> CqCodebook:
     split evenly across the messages so the POVM is complete.
     """
     words = [tuple(int(x) for x in w) for w in words]
-    families = [np.asarray(fam, dtype=complex) for fam in w_families]
-    if not families:
-        raise ValueError("a codebook needs at least one output family")
+    families = _output_families(w_families)
     if not words or not all(words):
         raise ValueError("a codebook needs at least one codeword, of blocklength n >= 1")
     index = np.array(words)
+    if index.min() < 0 or index.max() >= len(families[0]):
+        raise ValueError(f"codeword letters outside [0, {len(families[0])})")
     n, d_n = index.shape[1], families[0].shape[1] ** index.shape[1]
     check_budget("codeword factors", (len(words), d_n, sum(f.shape[2] ** n for f in families)))
     check_budget("POVM stack", (len(words), d_n, d_n))
@@ -241,11 +252,15 @@ def pgm_codebook(w_families, words) -> CqCodebook:
 
 
 def sample_cq_codebook(w_families, p, n: int, m1: int, seed: int) -> CqCodebook:
-    """Random codebook with i.i.d. codewords and a pretty-good measurement."""
+    """Random codebook with i.i.d. codewords and a pretty-good measurement;
+    p is one probability per letter of the families' alphabet."""
+    families = _output_families(w_families)
     p = np.asarray(p, dtype=float)
+    if p.shape != (len(families[0]),):
+        raise DimensionMismatchError(f"p of shape {p.shape} for {len(families[0])} letters")
     rng = np.random.default_rng(seed)
     words = [tuple(int(x) for x in rng.choice(p.size, size=n, p=p)) for _ in range(m1)]
-    return pgm_codebook(w_families, words)
+    return pgm_codebook(families, words)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +409,8 @@ def sample_et_code(
     """
     if n < 1:
         raise ValueError(f"blocklength n = {n} must be >= 1")
+    if m2 < 1:
+        raise ValueError(f"m2 = {m2} must be >= 1")
     families = [_letter_family(ch) for ch in channels]
     x_size, _, dout, g0 = families[0].shape
     for fam in families:

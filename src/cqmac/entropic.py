@@ -121,8 +121,8 @@ class _OutputStep:
     kernel's matrices are views. A call overwrites the buffers. Only ``u`` is
     held to the budget, before any is allocated: neither the grid nor any array
     of ``backward`` is larger (a channel's K out is at least its input
-    dimension). The operators, (in, Σ K out), outgrow u when X ref < in: the
-    callers that stack them check them first, as the stacked Kraus powers."""
+    dimension). The operators, (in, Σ K out), outgrow u when X ref < in:
+    ``regions.level_kernel`` checks them first, as the stacked Kraus powers."""
 
     def __init__(self, groups, letter_shape: tuple, psi_shape: tuple):
         *lead, x, a = letter_shape
@@ -393,15 +393,22 @@ def grouped_rates(probs, groups) -> tuple[np.ndarray, np.ndarray]:
     return RateKernel(matrices)._run(probs)
 
 
-def checked_ensemble(channels, p, v: CqChannel, psi: PureState) -> np.ndarray:
+def checked_ensemble(channels, p, v: CqChannel, psi: PureState, l: int) -> np.ndarray:
     """p as ``CqqState`` keeps it, once (p, V, psi) is checked as an input to each
-    channel: one p per letter, psi on (reference, input), V (x) input fills it."""
+    channel at blocking level l: one p per letter, psi on (reference, input), and
+    V on A^l and psi's input on B^l for a two-part (A, B) channel input, or
+    V (x) psi's input filling in^l for any other."""
     p = checked_probs(p, v.alphabet_size)
     if len(psi.dims) != 2:
         raise DimensionMismatchError("psi must carry dims (reference, channel input)")
     for t in channels:
-        if len(t.in_dims) < 1 or t.in_dim != v.dim * psi.dims[1]:
-            raise DimensionMismatchError(f"channel input {t.in_dim} != {v.dim} x {psi.dims[1]}")
+        if len(t.in_dims) == 2:
+            fits = (v.dim, psi.dims[1]) == tuple(d**l for d in t.in_dims)
+        else:
+            fits = len(t.in_dims) >= 1 and v.dim * psi.dims[1] == t.in_dim**l
+        if not fits:
+            raise DimensionMismatchError(f"V on {v.dim} and psi input on {psi.dims[1]} "
+                                         f"for channel input {t.in_dims} at level {l}")
     return p
 
 
@@ -412,7 +419,7 @@ def effective_cqq_state(t: KrausChannel, p, v: CqChannel, psi: PureState) -> Cqq
     the pure state psi = (reference, input); the first factor rides along
     untouched and becomes the B part of the result.
     """
-    p = checked_ensemble([t], p, v, psi)
+    p = checked_ensemble([t], p, v, psi, 1)
     return CqqState(p, tuple(pure_output_factors(t.stacked, v.vectors, psi.vec.reshape(psi.dims))))
 
 

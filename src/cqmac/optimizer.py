@@ -5,8 +5,8 @@ distribution, paired real coordinates normalized to complex unit vectors
 for the pure states. Optimization is random restarts, each refined by
 L-BFGS-B on the exact gradient, deterministic for a given seed regardless of
 how restarts are scheduled. The objective rates all compound members at
-once, each at its own Kraus count: the powers are grouped by count
-(``regions.kraus_groups``) and a ``RateKernel`` is built for them once per
+once, each at its own Kraus count: ``regions.level_kernel`` groups their
+blocked powers by count and builds one ``RateKernel`` for them once per
 trace, so each evaluation is one factor product for all groups, the Gram
 products, one ``eigh`` per distinct Gram size and one entropy step. It
 maximizes w1 r1 + w2 r2 on the raw per-use minima over the members
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import CompoundSet, blocked_tensor_power
-from .entropic import RateKernel
-from .regions import Rect, RateRegion, check_kernel_budget, kraus_groups, per_use_minima_vjp
+from .channels import CompoundSet
+from .regions import Rect, RateRegion, level_kernel, per_use_minima_vjp
 
 
 class _EvaluationCap(Exception):
@@ -143,9 +142,7 @@ def pareto_trace(
     da_l, db_l = da**l, db**l
     x_size = alphabet_size if alphabet_size is not None else da_l
     ndim = _param_count(x_size, da_l, db_l)
-    check_kernel_budget(cset.members, l, x_size, db_l)
-    powered = [blocked_tensor_power(m, l) for m in cset.members]
-    kernel = RateKernel.inputs(kraus_groups(powered), (x_size, da_l), (db_l, db_l))
+    kernel = level_kernel(cset.members, l, (x_size, da_l), (db_l, db_l))
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
 
     def restart_init(wi: int, r: int) -> np.ndarray:

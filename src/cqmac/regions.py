@@ -107,29 +107,30 @@ def per_use_minima_vjp(kernel, l: int, p, letters, psi_grid):
     return (r1.min(axis=-1) / l, r2.min(axis=-1) / l), minima_backward
 
 
-def check_kernel_budget(members, l: int, letters: int, ref: int) -> None:
-    """Refuse, before any power is built, the level-l rate kernel's largest arrays,
-    counted from the single-use ``members``: u and the gradient's cotangent, (letters
-    ref, Σ K^l out^l), then the stacked Kraus powers, (in^l, Σ K^l out^l)."""
+def level_kernel(members, l: int, letter_shape: tuple, psi_shape: tuple) -> RateKernel:
+    """The level-l ``RateKernel`` of the single-use ``members`` on letters of
+    ``letter_shape`` and psi grids of ``psi_shape``: their blocked powers grouped by
+    Kraus count. Refused first, before any power is built: u, (X ref, Σ K^l out^l),
+    and the stacked Kraus powers, (in^l, Σ K^l out^l)."""
     width = sum(len(m.stacked) ** l * m.out_dim**l for m in members)
-    check_budget("factor product u", (letters * ref, width))
+    check_budget("factor product u", (letter_shape[-2] * psi_shape[-2], width))
     check_budget("stacked Kraus powers", (members[0].in_dim**l, width))
+    powered = [blocked_tensor_power(m, l) for m in members]
+    return RateKernel.inputs(kraus_groups(powered), letter_shape, psi_shape)
 
 
 def compound_rect(cset: CompoundSet, l: int, p, v: CqChannel, psi: PureState) -> Rect:
-    """Componentwise minimum of the blocked one-shot rectangles, per use."""
-    check_kernel_budget(cset.members, l, v.alphabet_size, psi.dims[0])
-    powered = [blocked_tensor_power(m, l) for m in cset.members]
-    return compound_rect_powered(powered, l, p, v, psi)
+    """Componentwise minimum of the blocked one-shot rectangles, per use, with
+    (p, V, psi) checked against every member at level l."""
+    p = checked_ensemble(cset.members, p, v, psi, l)
+    kernel = level_kernel(cset.members, l, v.vectors.shape, psi.dims)
+    return Rect(*per_use_minima(kernel, l, p, v.vectors, psi.vec.reshape(psi.dims)))
 
 
 def compound_rect_powered(powered_members, l: int, p, v: CqChannel, psi: PureState) -> Rect:
-    """``compound_rect`` on members already raised to the power l, with
-    (p, V, psi) checked against every member as ``effective_cqq_state`` does."""
-    p = checked_ensemble(powered_members, p, v, psi)
-    check_kernel_budget(powered_members, 1, len(p), psi.dims[0])
-    kernel = RateKernel.inputs(kraus_groups(powered_members), v.vectors.shape, psi.dims)
-    return Rect(*per_use_minima(kernel, l, p, v.vectors, psi.vec.reshape(psi.dims)))
+    """``compound_rect`` at level 1 of members raised to the power l, per use."""
+    rect = compound_rect(CompoundSet(tuple(powered_members)), 1, p, v, psi)
+    return Rect(rect.r1_max / l, rect.r2_max / l)
 
 
 def compound_rects(kraus, p, letters, psi) -> list[Rect]:

@@ -9,7 +9,7 @@ never does.
 import numpy as np
 import pytest
 
-from cqmac import channels, codesim, optimizer, regions
+from cqmac import channels, codesim, regions
 from cqmac.channels import BudgetExceededError, CompoundSet, CqChannel, KrausChannel
 from cqmac.optimizer import pareto_trace
 from cqmac.qmatrix import maximally_entangled, maximally_mixed
@@ -36,7 +36,7 @@ def identity_set(identity_qmac):
     return CompoundSet((identity_qmac,))
 
 
-@pytest.mark.parametrize(
+LEVELS = pytest.mark.parametrize(
     "name, l, alphabet, refused",
     [
         ("identity_set", 5, None, None),
@@ -48,12 +48,29 @@ def identity_set(identity_qmac):
         ("dephrasure_set", 3, None, None),  # u (64, 13824)
     ],
 )
+
+
+@LEVELS
 def test_frontier_level(request, monkeypatch, name, l, alphabet, refused):
     """A refused level builds no power (and so no kernel buffer)."""
-    monkeypatch.setattr(optimizer, "blocked_tensor_power", _unbuilt("power"))
+    monkeypatch.setattr(regions, "blocked_tensor_power", _unbuilt("power"))
     with _outcome(refused, "power"):
         pareto_trace(request.getfixturevalue(name), l, [(1.0, 1.0)], budget=1, seed=0,
                      alphabet_size=alphabet)
+
+
+@LEVELS
+def test_compound_rect_level(request, monkeypatch, name, l, alphabet, refused):
+    """``compound_rect`` at the frontier's levels, on uniform p, basis letters
+    and a maximally entangled psi, refuses what ``pareto_trace`` refuses, by
+    the same name and before any power is built."""
+    cset = request.getfixturevalue(name)
+    da, db = cset.members[0].in_dims
+    v = CqChannel.basis(da**l, alphabet)
+    monkeypatch.setattr(regions, "blocked_tensor_power", _unbuilt("power"))
+    with _outcome(refused, "power"):
+        compound_rect(cset, l, np.full(v.alphabet_size, 1 / v.alphabet_size), v,
+                      maximally_entangled(db**l))
 
 
 def test_dephrasure_frontier_runs_at_level_3(dephrasure_set):

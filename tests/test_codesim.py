@@ -253,6 +253,35 @@ class TestCqCodebook:
         with pytest.raises(ValueError, match="blocklength n"):
             getattr(codesim, call)(*args[call])
 
+    def test_letters_off_the_alphabet_refused(self, monkeypatch, identity_qmac, basis_v):
+        """Codeword letters outside [0, alphabet), families on different
+        alphabets and a p of another length are refused before any codeword
+        factor is built."""
+        outs = codesim.effective_a_outputs(identity_qmac, basis_v, maximally_mixed(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("codeword factors built")
+
+        monkeypatch.setattr(codesim, "tensor_all", refuse)
+        for words in ([(-1,), (0,)], [(0,), (2,)]):
+            with pytest.raises(ValueError, match=r"letters outside \[0, 2\)"):
+                codesim.pgm_codebook([outs], words)
+        with pytest.raises(DimensionMismatchError):
+            codesim.pgm_codebook([outs, outs[:1]], [(0,), (0,)])
+        for p in ([0.5, 0.25, 0.25], [1.0]):
+            with pytest.raises(DimensionMismatchError):
+                codesim.sample_cq_codebook([outs], p, 2, 2, seed=0)
+
+    def test_no_quantum_message_refused(self, monkeypatch, identity_b_channel):
+        """m2 = 0 is refused with ValueError before the encoder is drawn."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("encoder built")
+
+        monkeypatch.setattr(codesim, "haar_isometries", refuse)
+        with pytest.raises(ValueError, match="m2 = 0"):
+            codesim.sample_et_code([identity_b_channel], 2, 1, 0, seed=0)
+
     def test_seed_reproducible(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         w = CqChannel.from_vectors(vectors)

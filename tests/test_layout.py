@@ -19,7 +19,8 @@ perfbench file. What stays without a caller is listed below with its reason,
 and each reason is checked.
 
 The layout also keeps one Kronecker product, ``qmatrix.tensor``: no ``src/``
-module calls ``np.kron``.
+module calls ``np.kron``; and one level-l rating route, ``regions.level_kernel``:
+no ``src/`` module but ``regions`` calls ``blocked_tensor_power``.
 """
 
 import ast
@@ -240,6 +241,17 @@ def test_one_kronecker_product():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "kron"
         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert calls == []
+
+
+def test_one_level_route():
+    """No ``src/`` module but ``regions`` calls ``blocked_tensor_power``."""
+    calls = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items() if module != "regions"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "blocked_tensor_power" in _names(node.func)
     ]
     assert calls == []
 

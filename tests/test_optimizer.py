@@ -160,12 +160,12 @@ class TestParetoTrace:
         l=6, (4096, 4096) is admitted and the power gets built; at l=7,
         (16384, 16384) holds more than 2^25 entries, so it is refused by name
         before any power is built."""
-        from cqmac import optimizer
+        from cqmac import regions
 
         def unbuilt(*args, **kwargs):
             raise AssertionError("a power was built")
 
-        monkeypatch.setattr(optimizer, "blocked_tensor_power", unbuilt)
+        monkeypatch.setattr(regions, "blocked_tensor_power", unbuilt)
         with pytest.raises(AssertionError, match="a power was built"):
             pareto_trace(CompoundSet((identity_qmac,)), 6, [(1.0, 1.0)], budget=1, seed=0)
         refusal = (r"factor product u of shape \(16384, 16384\) has 268435456 entries, "

@@ -140,6 +140,19 @@ class TestTrustBoundary:
         with pytest.raises(DimensionMismatchError):
             compound_rect_powered(members, 1, uniform_p, basis_v, maximally_entangled(2))
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_split_feeds_each_sender_its_part(self, id_deph_set, l):
+        """V must fill A^l and psi's input B^l: a 4^l-dimensional V with a trivial
+        psi fills the (A, B) input's product but feeds V into B."""
+        v, psi, p = CqChannel.basis(4**l), PureState([1.0], (1, 1)), np.full(4**l, 4.0**-l)
+        with pytest.raises(DimensionMismatchError):
+            compound_rect(id_deph_set, l, p, v, psi)
+        powered = [blocked_tensor_power(m, l) for m in id_deph_set.members]
+        with pytest.raises(DimensionMismatchError):
+            compound_rect_powered(powered, l, p, v, psi)
+        with pytest.raises(DimensionMismatchError):
+            effective_cqq_state(powered[1], p, v, psi)
+
     @staticmethod
     def _stack(rng, n=3):
         """Raw numbers of n two-member compound sets with their (p, V, psi)."""
